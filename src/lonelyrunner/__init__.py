@@ -8,12 +8,10 @@ figure renderings.
 
 from .arith import (
     QuadExt,
-    Rational,
     SQRT3,
     SpeedSet,
     is_prime,
     next_prime_not_dividing,
-    quad_sign,
     torus_norm,
 )
 from .billiards import (
@@ -61,19 +59,16 @@ from .viewobstruct import (
     kprime_scan,
     min_scale_for_direction,
     obstruction_witness,
-    ray_cube_first_hit,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "QuadExt",
-    "Rational",
     "SQRT3",
     "SpeedSet",
     "is_prime",
     "next_prime_not_dividing",
-    "quad_sign",
     "torus_norm",
     "GapCertificate",
     "LonelyReport",
@@ -99,7 +94,6 @@ __all__ = [
     "kprime_scan",
     "min_scale_for_direction",
     "obstruction_witness",
-    "ray_cube_first_hit",
     "SquarePath",
     "TriangleCell",
     "TriangleHit",

@@ -3,7 +3,7 @@ norm, and small-prime iteration.
 
 Nothing in this module (or anything built on it) ever rounds.  Rationals are
 stdlib :class:`fractions.Fraction` values -- always reduced, denominator
-positive, so equality is structural -- re-exported as :data:`Rational`.
+positive, so equality is structural.
 Floats appear only in the SVG renderer, which converts at the last moment.
 """
 
@@ -14,18 +14,14 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "torus_norm",
     "QuadExt",
     "SQRT3",
-    "quad_sign",
     "is_prime",
     "next_prime_not_dividing",
     "SpeedSet",
 ]
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -169,7 +165,8 @@ class QuadExt:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # A rational element equals its Fraction, so it must hash like one.
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     # -- conversions ----------------------------------------------------------
 
@@ -192,13 +189,6 @@ class QuadExt:
 
 
 SQRT3 = QuadExt(0, 1)
-
-
-def quad_sign(q: QuadExt) -> int:
-    """Exact sign of the real number represented by ``q``."""
-    if not isinstance(q, QuadExt):
-        q = QuadExt(q)
-    return q.sign()
 
 
 def is_prime(n: int) -> bool:

@@ -343,6 +343,8 @@ def triangle_min_obstacle(
     since the full cell contains the ray segment crossing it.
     """
     s = _wedge_slope(slope)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")

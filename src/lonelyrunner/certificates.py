@@ -54,6 +54,8 @@ def decode_rational(value: Any) -> Fraction:
         or not all(isinstance(value[k], int) for k in ("num", "den"))
     ):
         raise ValueError(f"not a rational encoding: {value!r}")
+    if value["den"] == 0:
+        raise ValueError(f"zero denominator in rational encoding: {value!r}")
     return Fraction(value["num"], value["den"])
 
 

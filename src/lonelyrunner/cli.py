@@ -9,6 +9,7 @@ mathematical counterexample found (or an invalid certificate under
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -58,7 +59,9 @@ def _parse_slope(text: str) -> QuadExt:
     return QuadExt(_parse_rational(text))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process and shared by every call."""
     parser = _Parser(prog="lrc", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 

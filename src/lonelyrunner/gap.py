@@ -9,11 +9,13 @@ independent grid scan brackets the same value and serves as a cross-check.
 
 from __future__ import annotations
 
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "exact_gap",
     "gap_grid_oracle",
     "lonely_time",
+    "sweep",
     "verify_lrc",
     "check_kappa_bounds",
     "separation_floor",
@@ -218,48 +221,62 @@ class LrcSweepReport:
         return not self.counterexamples
 
 
-def _classify_chunk(args: tuple[list[tuple[int, ...]], Fraction]):
-    candidates, bound = args
-    tight: list[tuple[int, ...]] = []
-    bad: list[tuple[int, ...]] = []
-    for c in candidates:
-        delta = exact_gap(SpeedSet(c)).delta
-        if delta == bound:
-            tight.append(c)
-        elif delta < bound:
-            bad.append(c)
-    return tight, bad
+def _sweep_block(first: int, k: int, max_speed: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(S, delta(S)) for the gcd-1 k-subsets of {1..max_speed} whose
+    smallest speed is ``first``, in lexicographic order."""
+    block = []
+    for rest in combinations(range(first + 1, max_speed + 1), k - 1):
+        if gcd(first, *rest) == 1:
+            s = (first,) + rest
+            block.append((s, exact_gap(SpeedSet(s)).delta))
+    return block
+
+
+def sweep(k: int, max_speed: int, jobs: int = 1) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield (S, delta(S)) for every gcd-1 k-subset S of {1..max_speed}, in
+    lexicographic order.
+
+    Sets with a common factor are skipped: delta is invariant under scaling
+    all speeds by a constant.  The work is one block per smallest speed;
+    blocks run inline when ``jobs == 1`` and in a pool of ``jobs`` worker
+    processes otherwise, and arrive in order either way.  ``jobs`` must lie
+    in 1..os.cpu_count(); it is checked before any worker starts.
+    """
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must be between 1 and the CPU count {cpus}, got {jobs}")
+    with ExitStack() as stack:
+        mapper = map
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            mapper = stack.enter_context(ProcessPoolExecutor(jobs)).map
+        firsts = range(1, max_speed - k + 2)
+        for block in mapper(_sweep_block, firsts, repeat(k), repeat(max_speed)):
+            yield from block
 
 
 def verify_lrc(k: int, max_speed: int, jobs: int = 1) -> LrcSweepReport:
-    """Check delta(S) >= 1/(k+1) for every k-subset of {1..max_speed}.
+    """Check delta(S) >= 1/(k+1) for every gcd-1 k-subset of {1..max_speed}.
 
-    Only sets with gcd 1 are enumerated: delta is invariant under scaling
-    all speeds by a constant, so the others are redundant.  A counterexample
-    is collected, not raised -- it would refute the conjecture.
+    A counterexample is collected, not raised -- it would refute the
+    conjecture.  Both lists come out in lexicographic order.
     """
     if not 1 <= k <= 6:
         raise ValueError("k must be between 1 and 6 (desk scale)")
     if max_speed < k:
         raise ValueError("max_speed must be at least k")
     bound = Fraction(1, k + 1)
-    candidates = [c for c in combinations(range(1, max_speed + 1), k) if gcd(*c) == 1]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [candidates[x::jobs] for x in range(jobs)]
-        tight: list[tuple[int, ...]] = []
-        bad: list[tuple[int, ...]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part_tight, part_bad in pool.map(_classify_chunk, [(c, bound) for c in chunks]):
-                tight.extend(part_tight)
-                bad.extend(part_bad)
-    else:
-        tight, bad = _classify_chunk((candidates, bound))
-    # Canonical ordering regardless of how the work was split.
-    tight.sort()
-    bad.sort()
-    return LrcSweepReport(k, max_speed, bound, len(candidates), tuple(tight), tuple(bad))
+    checked = 0
+    tight: list[tuple[int, ...]] = []
+    bad: list[tuple[int, ...]] = []
+    for s, delta in sweep(k, max_speed, jobs):
+        checked += 1
+        if delta == bound:
+            tight.append(s)
+        elif delta < bound:
+            bad.append(s)
+    return LrcSweepReport(k, max_speed, bound, checked, tuple(tight), tuple(bad))
 
 
 def check_kappa_bounds(speeds: SpeedSet | Iterable[int]) -> tuple[Fraction, Fraction, bool]:

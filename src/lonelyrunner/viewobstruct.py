@@ -4,20 +4,18 @@ For a ray r(t) = (a_1 t, ..., a_k t) through the positive orthant, the
 smallest cube scale that the ray cannot avoid is 1 - 2*delta over the set of
 coordinate values: the ray point is within alpha/2 of a cube center in every
 coordinate exactly when min_i ||a_i t|| >= (1 - alpha)/2.  Everything here is
-exact except :func:`ray_cube_first_hit`, a floating tracer used for figure
-rendering and sanity checks only.
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .arith import SpeedSet
-from .gap import exact_gap
+from .gap import exact_gap, sweep
 
 __all__ = [
     "Direction",
@@ -26,7 +24,6 @@ __all__ = [
     "min_scale_for_direction",
     "obstruction_witness",
     "kprime_scan",
-    "ray_cube_first_hit",
 ]
 
 
@@ -142,53 +139,30 @@ class KPrimeScanReport:
     cap: Fraction
 
 
-def _scan_block(args: tuple[int, int, int]) -> tuple[Fraction, tuple[int, ...]]:
-    first, k, max_coord = args
-    best: Fraction | None = None
-    best_coords: tuple[int, ...] | None = None
-    cache: dict[frozenset[int], Fraction] = {}
-    for rest in product(range(1, max_coord + 1), repeat=k - 1):
-        coords = (first,) + rest
-        if gcd(*coords) != 1:
-            continue
-        key = frozenset(coords)
-        scale = cache.get(key)
-        if scale is None:
-            scale = 1 - 2 * exact_gap(SpeedSet(key)).delta
-            cache[key] = scale
-        if best is None or scale > best:
-            best = scale
-            best_coords = coords
-    return best, best_coords
-
-
 def kprime_scan(k: int, max_coord: int, jobs: int = 1) -> KPrimeScanReport:
     """Supremum of minimal obstruction scales over all directions with
     coordinates up to ``max_coord``.
 
-    The observed supremum can never exceed (k-1)/k; the report states
-    whether it equals the conjectured value (k-1)/(k+1), attained by the
-    direction (1, 2, ..., k).  Ties break to the lexicographically smallest
-    direction.
+    A direction's scale is 1 - 2*delta of its set of coordinate values, and
+    adding a value never raises delta, so the supremum is 1 - 2*min delta(S)
+    over the gcd-1 k-subsets S of {1..max_coord} (max_coord >= k), taken from
+    the shared :func:`~lonelyrunner.gap.sweep`.  The observed supremum can
+    never exceed (k-1)/k; the report states whether it equals the conjectured
+    value (k-1)/(k+1), attained by the direction (1, 2, ..., k).
+
+    Ties break to the lexicographically smallest k-set.  For k <= 7 this is
+    also the lexicographically smallest direction among all ordered k-tuples
+    with repetition.  By the seven-runner theorem a set of j <= 6 values has
+    delta >= 1/(j+1), so a set of fewer than k <= 7 values cannot tie the
+    minimum, which is at most delta({1..k}) = 1/(k+1); and the smallest
+    ordering of a set is its sorted one.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if max_coord < k:
         raise ValueError("max_coord must be at least k")
-    blocks = [(first, k, max_coord) for first in range(1, max_coord + 1)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_block, blocks))
-    else:
-        results = [_scan_block(b) for b in blocks]
-    best, best_coords = None, None
-    for scale, coords in results:  # block order = lexicographic order
-        if scale is None:
-            continue
-        if best is None or scale > best:
-            best, best_coords = scale, coords
+    coords, delta = min(sweep(k, max_coord, jobs), key=lambda item: item[1])
+    best = 1 - 2 * delta
     cap = Fraction(k - 1, k)
     if best > cap:
         raise ArithmeticError(f"observed supremum {best} exceeds the cap {cap}")
@@ -196,44 +170,7 @@ def kprime_scan(k: int, max_coord: int, jobs: int = 1) -> KPrimeScanReport:
         k=k,
         max_coord=max_coord,
         observed_sup=best,
-        extremal=Direction(best_coords),
+        extremal=Direction(coords),
         matches_conjecture=best == Fraction(k - 1, k + 1),
         cap=cap,
     )
-
-
-def ray_cube_first_hit(
-    direction: Sequence[float],
-    alpha: float,
-    horizon: float,
-    tol: float = 1e-9,
-) -> Optional[tuple[float, tuple[int, ...]]]:
-    """Floating cell-by-cell tracer: first cube the ray enters, or None.
-
-    Walks the unit-cell grid up to ray parameter ``horizon`` and slab-tests
-    the centered alpha-cube of each visited cell.  Approximate (documented
-    tolerance ``tol``); never used in certificates.  Returns (hit parameter,
-    cell index tuple).
-    """
-    r = [float(c) for c in direction]
-    if not r or any(c <= 0 for c in r):
-        raise ValueError("direction components must be positive")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    k = len(r)
-    cell = [0] * k
-    next_cross = [1.0 / c for c in r]
-    t = 0.0
-    half = alpha / 2.0
-    while t <= horizon:
-        enter = max((cell[i] + 0.5 - half) / r[i] for i in range(k))
-        exit_ = min((cell[i] + 0.5 + half) / r[i] for i in range(k))
-        if enter <= exit_ + tol and enter <= horizon + tol:
-            return enter, tuple(cell)
-        axis = min(range(k), key=lambda i: next_cross[i])
-        t = next_cross[axis]
-        cell[axis] += 1
-        next_cross[axis] = (cell[axis] + 1) / r[axis]
-    return None

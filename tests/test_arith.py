@@ -12,7 +12,6 @@ from lonelyrunner.arith import (
     SpeedSet,
     is_prime,
     next_prime_not_dividing,
-    quad_sign,
     torus_norm,
 )
 
@@ -56,14 +55,14 @@ class TestTorusNorm:
 
 class TestQuadExt:
     def test_sign_examples(self):
-        assert quad_sign(QuadExt(0, 0)) == 0
-        assert quad_sign(QuadExt(-1, 1)) == 1  # sqrt(3) > 1
+        assert QuadExt(0, 0).sign() == 0
+        assert QuadExt(-1, 1).sign() == 1  # sqrt(3) > 1
         # 2 - sqrt(3) > 0 because 2^2 > 3 * 1^2, checked by the same
         # integer comparison the implementation uses.
-        assert (2 * 2 > 3 * 1 * 1) and quad_sign(QuadExt(2, -1)) == 1
-        assert quad_sign(QuadExt(1, -1)) == -1
-        assert quad_sign(QuadExt(-2, 1)) == -1
-        assert quad_sign(QuadExt(Fraction(5, 3))) == 1
+        assert (2 * 2 > 3 * 1 * 1) and QuadExt(2, -1).sign() == 1
+        assert QuadExt(1, -1).sign() == -1
+        assert QuadExt(-2, 1).sign() == -1
+        assert QuadExt(Fraction(5, 3)).sign() == 1
 
     def test_sign_matches_float_on_random_values(self):
         rng = random.Random(77)
@@ -73,7 +72,7 @@ class TestQuadExt:
             approx = float(a) + float(b) * math.sqrt(3)
             if abs(approx) < 1e-9:  # too close for float to vote
                 continue
-            assert quad_sign(QuadExt(a, b)) == (1 if approx > 0 else -1)
+            assert QuadExt(a, b).sign() == (1 if approx > 0 else -1)
 
     def test_field_identities(self):
         rng = random.Random(78)
@@ -103,6 +102,10 @@ class TestQuadExt:
         assert QuadExt(1, 2) != QuadExt(1, 3)
         assert QuadExt(Fraction(2, 4), 0) == QuadExt(Fraction(1, 2))
         assert hash(QuadExt(1, 2)) == hash(QuadExt(Fraction(1), Fraction(2)))
+
+    def test_rational_elements_hash_like_fractions(self):
+        assert len({QuadExt(1), 1, Fraction(1)}) == 1
+        assert {QuadExt(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

@@ -388,6 +388,11 @@ class TestTriangleMinObstacle:
         lo, hi = triangle_min_obstacle(QuadExt(0, F(1, 5)), horizon=200, tolerance=F(1, 64))
         assert hi - lo <= F(1, 64)
 
+    def test_horizon_validation(self):
+        # hi must be a verified hit, and an empty walk verifies nothing.
+        with pytest.raises(ValueError):
+            triangle_min_obstacle(QuadExt(0, F(1, 5)), horizon=0)
+
 
 def reflect_point(kind, level, p):
     iso = {

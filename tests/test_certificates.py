@@ -89,6 +89,8 @@ class TestSerialization:
             certificates.decode_rational({"num": 1, "den": 2.0})
         with pytest.raises(ValueError):
             certificates.decode_rational("1/2")
+        with pytest.raises(ValueError):
+            certificates.decode_rational({"num": 1, "den": 0})
 
     def test_quadext_codec(self):
         q = QuadExt(F(1, 2), F(-3, 5))

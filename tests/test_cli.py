@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line surface."""
 
+import concurrent.futures
 import io
 import json
+import os
 
 import pytest
 
@@ -64,6 +66,17 @@ class TestSweepCommands:
         assert code == 0
         assert doc["result"]["observed_sup"] == {"num": 1, "den": 3}
         assert doc["result"]["extremal"] == [1, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -1, os.cpu_count() + 1])
+    @pytest.mark.parametrize("command", [["verify", "--max-speed", "8"], ["kscan", "--max-coord", "8"]])
+    def test_jobs_out_of_range_is_usage_error(self, command, jobs, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, out, err = invoke(command + ["--k", "3", "--jobs", str(jobs)])
+        assert code == 1 and out == ""
+        assert "jobs" in err
 
     def test_lonely(self):
         code, doc = invoke_json(["lonely", "--speeds", "0,1,2,3", "--focus", "0"])
@@ -183,6 +196,16 @@ class TestCheckCommand:
         code, doc = invoke_json(["check", str(path)])
         assert code == 2 and doc["result"]["valid"] is False
 
+    def test_zero_denominator_is_reported_invalid(self, tmp_path):
+        _, out, _ = invoke(["gap", "--speeds", "1,2,3"])
+        data = json.loads(out)
+        data["result"]["delta"] = {"num": 1, "den": 0}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data))
+        code, doc = invoke_json(["check", str(path)])
+        assert code == 2 and doc["result"]["valid"] is False
+        assert any("malformed" in issue for issue in doc["result"]["issues"])
+
     def test_missing_file(self):
         code, _, err = invoke(["check", "/nonexistent/cert.json"])
         assert code == 1 and err
@@ -246,3 +269,12 @@ class TestUsage:
     def test_unknown_subcommand(self):
         code, _, err = invoke(["frobnicate"])
         assert code == 1
+
+    def test_usage_error_leaves_the_shared_parser_intact(self):
+        # The parser is built once per process; a failed parse must not
+        # leak state into the next invocation.
+        code, _, err = invoke(["verify", "--k", "3"])
+        assert code == 1 and "--max-speed" in err
+        code, doc = invoke_json(["gap", "--speeds", "2,3"])
+        assert code == 0 and doc["command"] == "gap"
+        assert doc["result"]["delta"] == {"num": 2, "den": 5}

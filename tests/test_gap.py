@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -256,6 +258,16 @@ class TestVerifyLrc:
         serial = verify_lrc(2, 12)
         parallel = verify_lrc(2, 12, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("k, max_speed", [(1, 4), (2, 16), (3, 12), (4, 10)])
+    def test_matches_plain_enumeration(self, k, max_speed):
+        bound = Fraction(1, k + 1)
+        sets = [c for c in combinations(range(1, max_speed + 1), k) if gcd(*c) == 1]
+        deltas = {c: exact_gap(c).delta for c in sets}
+        report = verify_lrc(k, max_speed)
+        assert report.checked == len(sets)
+        assert report.tight == tuple(c for c in sets if deltas[c] == bound)
+        assert report.counterexamples == tuple(c for c in sets if deltas[c] < bound)
 
     def test_validation(self):
         with pytest.raises(ValueError):

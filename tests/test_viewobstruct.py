@@ -14,7 +14,6 @@ from lonelyrunner.viewobstruct import (
     kprime_scan,
     min_scale_for_direction,
     obstruction_witness,
-    ray_cube_first_hit,
 )
 
 
@@ -127,43 +126,30 @@ class TestKPrimeScan:
     def test_parallel_matches_serial(self):
         assert kprime_scan(2, 8, jobs=2) == kprime_scan(2, 8)
 
+    @pytest.mark.parametrize(
+        "k, max_coord",
+        [(2, m) for m in range(2, 13)] + [(3, m) for m in range(3, 10)] + [(4, m) for m in range(4, 8)],
+    )
+    def test_matches_ordered_tuple_scan(self, k, max_coord):
+        # The definition over directions: the first lexicographic maximum of
+        # 1 - 2*delta over gcd-1 ordered k-tuples with repetition.  At k=4,
+        # max_coord=7 the sets {1,2,3,4} and {1,3,4,7} tie, so the tie-break
+        # is exercised.
+        best, best_coords = None, None
+        for c in product(range(1, max_coord + 1), repeat=k):
+            if gcd(*c) == 1:
+                scale = 1 - 2 * exact_gap(SpeedSet(set(c))).delta
+                if best is None or scale > best:
+                    best, best_coords = scale, c
+        report = kprime_scan(k, max_coord)
+        assert report.observed_sup == best
+        assert report.extremal.coords == best_coords
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kprime_scan(1, 5)
         with pytest.raises(ValueError):
             kprime_scan(3, 2)
-
-
-class TestFloatTracer:
-    def test_examples(self):
-        assert ray_cube_first_hit((1, 2), 0.34, 10) is not None
-        hit = ray_cube_first_hit((1, 1), 0.01, 1)
-        assert hit is not None and abs(hit[0] - 0.5) < 0.01
-        assert ray_cube_first_hit((1, 2), 0.2, 100) is None
-
-    def test_agreement_with_exact_scale(self):
-        # Hit iff alpha exceeds the exact minimal scale, away from the
-        # boundary; the tracer is float-based so the margin keeps it honest.
-        rng = random.Random(705)
-        for _ in range(100):
-            coords = (rng.randint(1, 8), rng.randint(1, 8))
-            g = gcd(*coords)
-            coords = (coords[0] // g, coords[1] // g)
-            scale = float(min_scale_for_direction(coords))
-            above = scale + 0.02
-            if above < 1:
-                assert ray_cube_first_hit(coords, above, 200.0) is not None
-            below = scale - 0.02
-            if below > 0:
-                assert ray_cube_first_hit(coords, below, 200.0) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ray_cube_first_hit((1, -2), 0.5, 10)
-        with pytest.raises(ValueError):
-            ray_cube_first_hit((1, 2), 1.5, 10)
-        with pytest.raises(ValueError):
-            ray_cube_first_hit((1, 2), 0.5, -1)
 
 
 class TestScanEnumeration:
