@@ -396,16 +396,12 @@ def _validate_verify(doc: CertificateDocument, issues: list[str]) -> None:
 
 
 def _validate_kappa(doc: CertificateDocument, issues: list[str]) -> None:
-    speeds = SpeedSet(doc.inputs["speeds"])
-    lower, upper, holds = gap.check_kappa_bounds(speeds)
+    cert = gap.exact_gap(SpeedSet(doc.inputs["speeds"]))
+    lower, upper, holds = gap.kappa_bounds(cert)
     res = doc.result
     _check(issues, decode_rational(res["lower"]) == lower, "lower bound mismatch")
     _check(issues, decode_rational(res["upper"]) == upper, "upper bound mismatch")
-    _check(
-        issues,
-        decode_rational(res["delta"]) == gap.exact_gap(speeds).delta,
-        "delta mismatch",
-    )
+    _check(issues, decode_rational(res["delta"]) == cert.delta, "delta mismatch")
     _check(issues, res["holds"] == holds, "holds flag mismatch")
 
 

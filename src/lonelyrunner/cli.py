@@ -185,9 +185,9 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_kappa(args, out) -> int:
     speeds = SpeedSet(_parse_speeds(args.speeds))
-    lower, upper, holds = gap.check_kappa_bounds(speeds)
-    delta = gap.exact_gap(speeds).delta
-    _emit(certificates.kappa_document(speeds, lower, upper, delta, holds), args, out)
+    cert = gap.exact_gap(speeds)
+    lower, upper, holds = gap.kappa_bounds(cert)
+    _emit(certificates.kappa_document(speeds, lower, upper, cert.delta, holds), args, out)
     return EXIT_OK if holds else EXIT_COUNTEREXAMPLE
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "sweep",
     "verify_lrc",
     "check_kappa_bounds",
+    "kappa_bounds",
     "separation_floor",
 ]
 
@@ -221,38 +222,105 @@ class LrcSweepReport:
         return not self.counterexamples
 
 
-def _sweep_block(first: int, k: int, max_speed: int) -> list[tuple[tuple[int, ...], Fraction]]:
+def _witness_table(k: int, max_speed: int) -> tuple[int, ...]:
+    """Residue witnesses for the k-subsets of {1..max_speed}, by speed.
+
+    A reduced time a/n, 2 <= n <= 2*max_speed - 1 and a <= n/2, is far for
+    the speeds s whose residue r = s*a mod n satisfies (k+1)*min(r, n-r) > n,
+    that is ||s*a/n|| > 1/(k+1).  Each distinct set of far speeds with at
+    least k members is one column; entry s of the result is the bitset of
+    the columns in which s is far (entry 0 is unused).  A k-set S with
+    AND of the entries of S nonzero has a time where every speed is far, so
+    delta(S) > 1/(k+1).  The converse holds as well: delta(S) is attained at
+    some a/(s_i + s_j), and s_i + s_j <= 2*max_speed - 1; f_S(t) = f_S(1 - t)
+    puts a reduced form of that time in the range.
+
+    There are O(max_speed**2) columns, so the table holds O(max_speed**3)
+    bits; it is built from byte slices, not bit by bit.  For k = 1 no
+    residue is far (min(r, n-r) <= n/2), so the table is all zeros and is
+    returned without the scan.
+    """
+    table = [0] * (max_speed + 1)
+    if k == 1:
+        return tuple(table)
+    seen = set()
+    for n in range(2, 2 * max_speed):
+        # far[r] is b"1" when residue r is far, and reps[i] == far[i % n] for
+        # every i <= max_speed * n/2, so the slice of reps with step a holds
+        # the far flags of the speeds 1..max_speed at a/n.
+        far = b"".join(b"1" if (k + 1) * min(r, n - r) > n else b"0" for r in range(n))
+        reps = far * (max_speed // 2 + 1)
+        columns = []
+        for a in range(1, n // 2 + 1):
+            if gcd(a, n) == 1:
+                column = reps[a : a * max_speed + 1 : a]
+                mask = int(column, 2)
+                if mask.bit_count() >= k and mask not in seen:
+                    seen.add(mask)
+                    columns.append(column)
+        if columns:
+            # Transpose: byte s-1 of each column, in column order, is row s.
+            block = b"".join(columns)
+            for s in range(1, max_speed + 1):
+                table[s] = table[s] << len(columns) | int(block[s - 1 :: max_speed], 2)
+    return tuple(table)
+
+
+def _sweep_block(
+    first: int, k: int, max_speed: int, table: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], Optional[Fraction]]]:
     """(S, delta(S)) for the gcd-1 k-subsets of {1..max_speed} whose
-    smallest speed is ``first``, in lexicographic order."""
+    smallest speed is ``first``, in lexicographic order; delta is None for
+    the sets that ``table`` (see :func:`_witness_table`) proves to lie above
+    1/(k+1)."""
     block = []
     for rest in combinations(range(first + 1, max_speed + 1), k - 1):
         if gcd(first, *rest) == 1:
             s = (first,) + rest
-            block.append((s, exact_gap(SpeedSet(s)).delta))
+            witnesses = table[first]
+            for v in rest:
+                witnesses &= table[v]
+            block.append((s, None if witnesses else exact_gap(SpeedSet(s)).delta))
     return block
 
 
-def sweep(k: int, max_speed: int, jobs: int = 1) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield (S, delta(S)) for every gcd-1 k-subset S of {1..max_speed}, in
+def sweep(
+    k: int, max_speed: int, jobs: int = 1
+) -> Iterator[tuple[tuple[int, ...], Optional[Fraction]]]:
+    """Yield (S, delta) for every gcd-1 k-subset S of {1..max_speed}, in
     lexicographic order.
+
+    ``delta`` is None when a residue witness proves delta(S) > 1/(k+1): a
+    reduced time a/n with n <= 2*max_speed - 1 at which every speed s of S
+    has ||s*a/n|| > 1/(k+1).  Such a set is neither tight nor a
+    counterexample to the 1/(k+1) bound, and its exact value is not
+    computed.  Every other set carries its exact delta(S), which is then at
+    most 1/(k+1).  The witness is complete at that range of n, since delta(S)
+    is attained at a time with denominator s_i + s_j <= 2*max_speed - 1: so
+    None appears exactly on the sets with delta(S) > 1/(k+1).
 
     Sets with a common factor are skipped: delta is invariant under scaling
     all speeds by a constant.  The work is one block per smallest speed;
     blocks run inline when ``jobs == 1`` and in a pool of ``jobs`` worker
-    processes otherwise, and arrive in order either way.  ``jobs`` must lie
-    in 1..os.cpu_count(); it is checked before any worker starts.
+    processes otherwise, and arrive in order either way.  The witness table
+    is built once per call and sent with each block.  ``jobs`` must lie in
+    1..os.cpu_count(); it is checked before any worker starts.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise ValueError(f"jobs must be between 1 and the CPU count {cpus}, got {jobs}")
+    table = _witness_table(k, max_speed)
+    firsts = range(1, max_speed - k + 2)
+    if k == 1:
+        firsts = firsts[:1]  # a 1-set has gcd 1 only as {1}
     with ExitStack() as stack:
         mapper = map
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(jobs)).map
-        firsts = range(1, max_speed - k + 2)
-        for block in mapper(_sweep_block, firsts, repeat(k), repeat(max_speed)):
+        blocks = mapper(_sweep_block, firsts, repeat(k), repeat(max_speed), repeat(table))
+        for block in blocks:
             yield from block
 
 
@@ -272,6 +340,8 @@ def verify_lrc(k: int, max_speed: int, jobs: int = 1) -> LrcSweepReport:
     bad: list[tuple[int, ...]] = []
     for s, delta in sweep(k, max_speed, jobs):
         checked += 1
+        if delta is None:
+            continue
         if delta == bound:
             tight.append(s)
         elif delta < bound:
@@ -286,11 +356,14 @@ def check_kappa_bounds(speeds: SpeedSet | Iterable[int]) -> tuple[Fraction, Frac
     infimum statement over all k-sets, witnessed by {1, ..., k}.  Returns
     (lower, upper, lower <= delta(S)).
     """
-    sset = SpeedSet.of(speeds)
-    k = len(sset)
+    return kappa_bounds(exact_gap(speeds))
+
+
+def kappa_bounds(cert: GapCertificate) -> tuple[Fraction, Fraction, bool]:
+    """:func:`check_kappa_bounds` for a set whose gap is already computed."""
+    k = len(cert.speeds)
     lower = Fraction(1, 2 * k)
-    upper = Fraction(1, k + 1)
-    return lower, upper, exact_gap(sset).delta >= lower
+    return lower, Fraction(1, k + 1), cert.delta >= lower
 
 
 def separation_floor(speeds: Sequence[int], focus: int) -> Fraction:

@@ -146,7 +146,10 @@ def kprime_scan(k: int, max_coord: int, jobs: int = 1) -> KPrimeScanReport:
     A direction's scale is 1 - 2*delta of its set of coordinate values, and
     adding a value never raises delta, so the supremum is 1 - 2*min delta(S)
     over the gcd-1 k-subsets S of {1..max_coord} (max_coord >= k), taken from
-    the shared :func:`~lonelyrunner.gap.sweep`.  The observed supremum can
+    the shared :func:`~lonelyrunner.gap.sweep`.  The sets the sweep settles by
+    a residue witness (delta None, proven above 1/(k+1)) cannot win: the box
+    always holds {1, ..., k}, whose delta is exactly 1/(k+1), so the minimum
+    is taken over the exact values alone.  The observed supremum can
     never exceed (k-1)/k; the report states whether it equals the conjectured
     value (k-1)/(k+1), attained by the direction (1, 2, ..., k).
 
@@ -161,7 +164,10 @@ def kprime_scan(k: int, max_coord: int, jobs: int = 1) -> KPrimeScanReport:
         raise ValueError("k must be at least 2")
     if max_coord < k:
         raise ValueError("max_coord must be at least k")
-    coords, delta = min(sweep(k, max_coord, jobs), key=lambda item: item[1])
+    coords, delta = min(
+        (item for item in sweep(k, max_coord, jobs) if item[1] is not None),
+        key=lambda item: item[1],
+    )
     best = 1 - 2 * delta
     cap = Fraction(k - 1, k)
     if best > cap:

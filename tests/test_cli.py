@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from lonelyrunner import gap
 from lonelyrunner.cli import run
 
 
@@ -93,6 +94,22 @@ class TestSweepCommands:
             "delta": {"num": 1, "den": 2},
             "holds": True,
         }
+
+    def test_kappa_and_its_check_compute_delta_once_each(self, tmp_path, monkeypatch):
+        calls = []
+        original = gap.exact_gap
+
+        def counted(speeds):
+            calls.append(speeds)
+            return original(speeds)
+
+        monkeypatch.setattr(gap, "exact_gap", counted)
+        path = tmp_path / "kappa.json"
+        assert invoke(["kappa", "--speeds", "1,3,4,7", "--json", str(path)])[0] == 0
+        assert len(calls) == 1
+        code, checked = invoke_json(["check", str(path)])
+        assert code == 0 and checked["result"]["valid"] is True
+        assert len(calls) == 2
 
 
 class TestGeometryCommands:

@@ -7,16 +7,20 @@ from math import gcd
 
 import pytest
 
+from lonelyrunner import gap
 from lonelyrunner.arith import SpeedSet, torus_norm
 from lonelyrunner.gap import (
     check_kappa_bounds,
     exact_gap,
     gap_grid_oracle,
     gap_value_at,
+    kappa_bounds,
     lonely_time,
     separation_floor,
+    sweep,
     verify_lrc,
 )
+from lonelyrunner.viewobstruct import kprime_scan
 
 
 def brute_gap(speeds) -> Fraction:
@@ -278,11 +282,70 @@ class TestVerifyLrc:
             verify_lrc(3, 2)
 
 
+def count_exact_gap_calls(monkeypatch) -> list:
+    """Route gap.exact_gap through a counter; returns the list it appends to."""
+    calls = []
+
+    def counted(speeds):
+        calls.append(speeds)
+        return exact_gap(speeds)
+
+    monkeypatch.setattr(gap, "exact_gap", counted)
+    return calls
+
+
+class TestSweepPrefilter:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("k, max_speed", [(1, 6), (2, 14), (3, 11), (4, 10), (5, 9)])
+    def test_matches_plain_exact_gap(self, k, max_speed, jobs):
+        bound = Fraction(1, k + 1)
+        sets = [c for c in combinations(range(1, max_speed + 1), k) if gcd(*c) == 1]
+        items = list(sweep(k, max_speed, jobs))
+        assert [s for s, _ in items] == sets
+        for s, delta in items:
+            exact = exact_gap(s).delta
+            assert (delta is None) == (exact > bound), s
+            if delta is not None:
+                assert delta == exact, s
+
+    # (2, 3), (3, 4), (3, 7), (4, 5), (4, 9): some set is above 1/(k+1) only
+    # at a time with denominator exactly 2*max_speed - 1, so these sizes pin
+    # the witness range.
+    COMPLETENESS_SIZES = [(2, 3), (2, 4), (2, 12), (3, 4), (3, 7), (3, 10), (4, 5), (4, 9), (5, 6), (5, 9)]
+
+    @pytest.mark.parametrize("k, max_speed", [(1, 5)] + COMPLETENESS_SIZES)
+    def test_verify_computes_only_tight_and_counterexamples(self, monkeypatch, k, max_speed):
+        calls = count_exact_gap_calls(monkeypatch)
+        report = verify_lrc(k, max_speed)
+        assert len(calls) == len(report.tight) + len(report.counterexamples)
+
+    @pytest.mark.parametrize("k, max_coord", COMPLETENESS_SIZES)
+    def test_kscan_computes_only_sets_at_or_below_the_bound(self, monkeypatch, k, max_coord):
+        bound = Fraction(1, k + 1)
+        expected = sum(
+            1
+            for c in combinations(range(1, max_coord + 1), k)
+            if gcd(*c) == 1 and exact_gap(c).delta <= bound
+        )
+        calls = count_exact_gap_calls(monkeypatch)
+        kprime_scan(k, max_coord)
+        assert len(calls) == expected
+
+    def test_k1_is_linear_in_max_speed(self):
+        report = verify_lrc(1, 10**5)
+        assert report.checked == 1
+        assert report.tight == ((1,),)
+
+
 class TestBounds:
     def test_kappa_examples(self):
         assert check_kappa_bounds((1, 2, 3)) == (Fraction(1, 6), Fraction(1, 4), True)
         assert check_kappa_bounds((4,)) == (Fraction(1, 2), Fraction(1, 2), True)
         assert check_kappa_bounds((3, 5)) == (Fraction(1, 4), Fraction(1, 3), True)
+
+    def test_kappa_bounds_of_a_certificate(self):
+        for speeds in [(1, 2, 3), (4,), (3, 5), (1, 3, 4, 7)]:
+            assert kappa_bounds(exact_gap(speeds)) == check_kappa_bounds(speeds)
 
     def test_separation_floor_examples(self):
         assert separation_floor((0, 1, 2), 0) == Fraction(1, 4)
