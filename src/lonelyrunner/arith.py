@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Union
 __all__ = [
     "RationalLike",
     "torus_norm",
+    "sqrt3_sign",
     "QuadExt",
     "SQRT3",
     "is_prime",
@@ -37,13 +38,28 @@ def torus_norm(x: RationalLike) -> Fraction:
     return min(frac, 1 - frac)
 
 
+def sqrt3_sign(p: int, q: int) -> int:
+    """Exact sign of ``p + q*sqrt(3)`` for integers p and q: one of -1, 0, +1.
+
+    When p and q disagree in sign, the term of larger square magnitude
+    wins; p*p == 3*q*q only at p = q = 0 because sqrt(3) is irrational.
+    """
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0)
+    if sq == 0:
+        return sp
+    if sp == 0 or sp == sq:
+        return sq
+    return sp if p * p > 3 * q * q else sq
+
+
 @dataclass(frozen=True)
 class QuadExt:
     """An element ``a + b*sqrt(3)`` of the real quadratic field Q(sqrt 3).
 
     Because sqrt(3) is irrational the representation (a, b) is unique, so
     structural equality is numeric equality.  The sign of a value is decided
-    exactly: when a and b disagree in sign, compare a^2 against 3*b^2.
+    exactly by :func:`sqrt3_sign` on integers, after clearing denominators.
     """
 
     a: Fraction
@@ -127,14 +143,10 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign of ``a + b*sqrt(3)``: one of -1, 0, +1."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # Signs disagree: the term with larger square magnitude wins.
-        return sa if self.a * self.a > 3 * self.b * self.b else sb
+        # Multiplying by the positive integer a.denominator * b.denominator
+        # keeps the sign and leaves an integer pair.
+        a, b = self.a, self.b
+        return sqrt3_sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
     def _cmp(self, other) -> int:
         other = self._coerce(other)

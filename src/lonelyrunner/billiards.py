@@ -4,8 +4,7 @@ A billiard path from the origin unfolds to a straight ray: reflecting the
 table across the struck side straightens the path.  For the unit square the
 inverse map is a coordinatewise triangle-wave fold; for the unit equilateral
 triangle the unfoldings tile the wedge between the rays at angles 0 and
-pi/3, and the walk through that tiling is carried out with exact sign tests
-in Q(sqrt 3).
+pi/3, and the ray is walked through that tiling cell by cell.
 
 Cell bookkeeping for the triangular tiling: with h = sqrt(3)/2 the tiling's
 edges lie on the three line families  y = j*h,  x - y/sqrt3 = i  and
@@ -16,6 +15,15 @@ y = sigma * x with 0 < sigma < sqrt3 all three coordinates increase, so an
 up cell always exits through its right edge, and a down cell exits through
 its top or right edge -- or through its top-right corner, which is a lattice
 vertex (a table corner after folding).
+
+The walk and its contact tests run on integers.  The slope is written
+(a + b*sqrt3)/d with integers a, b, d, and a point is measured as X = 2x,
+Y = 6y/sqrt3, which makes every corner and incenter of the tiling an
+integer pair.  The ray's side of a point is then the sign of
+6d*(sigma*x - y) = 3aX + (3bX - dY)*sqrt3, a pair of integers P + Q*sqrt3
+whose sign :func:`~lonelyrunner.arith.sqrt3_sign` decides by integer
+comparison.  Q(sqrt 3) values appear only in what the module returns: cell
+corners, path crossing points and the fold isometries.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .arith import QuadExt, SQRT3, RationalLike
+from .arith import QuadExt, SQRT3, RationalLike, sqrt3_sign
 from .viewobstruct import min_scale_for_direction
 
 __all__ = [
@@ -51,6 +60,15 @@ QPoint = tuple[QuadExt, QuadExt]
 
 _HALF = Fraction(1, 2)
 _ROW_H = QuadExt(0, _HALF)  # sqrt(3)/2, the tiling row height
+
+
+def _check_count(value, message: str) -> None:
+    """Reject a cell, segment or strike count that is not an int >= 1.  A
+    bool is not a count, although Python treats True as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"count must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +116,7 @@ def square_path_segments(slope: RationalLike, n_segments: int) -> SquarePath:
     slope = Fraction(slope)
     if slope <= 0:
         raise ValueError("slope must be positive")
-    if n_segments < 1:
-        raise ValueError("need at least one segment")
+    _check_count(n_segments, "need at least one segment")
     p, q = slope.numerator, slope.denominator
     crossings: list[Fraction] = [Fraction(0)]
     i = j = 1
@@ -224,48 +241,40 @@ def _wedge_slope(slope) -> QuadExt:
     return s
 
 
-def _ray_rates(slope: QuadExt) -> tuple[QuadExt, QuadExt, QuadExt]:
-    """Per-unit-x rates of the three tiling coordinates along y = slope*x:
-    2y/sqrt3, x - y/sqrt3 and x + y/sqrt3.  All positive inside the wedge."""
-    g1 = slope * QuadExt(0, Fraction(2, 3))
-    g2 = 1 - slope * QuadExt(0, Fraction(1, 3))
-    g3 = 1 + slope * QuadExt(0, Fraction(1, 3))
-    return g1, g2, g3
+def _cleared(slope: QuadExt) -> tuple[int, int, int]:
+    """Integers (a, b, d) with slope = (a + b*sqrt3)/d and d >= 1."""
+    a, b = slope.a, slope.b
+    d = lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
 
 
-# Transitions out of a down cell: the next integer crossing of 2y/sqrt3
-# (top edge) is compared against that of x - y/sqrt3 (right edge); a tie is
-# a lattice vertex.
-_TOP, _RIGHT, _VERTEX = 0, 1, 2
+def _walk(a: int, b: int, d: int) -> Iterator[tuple[int, int, bool, int, int]]:
+    """Cells crossed by the ray y = ((a + b*sqrt3)/d) * x, in order, as
+    (row, col, points_up, P, Q) with P + Q*sqrt3 = 3aX + (3bX - dY)*sqrt3
+    the ray's side value at the cell's incenter (X, Y).
 
-
-def _down_cell_exit(row: int, col: int, g1: QuadExt, g2: QuadExt) -> int:
-    cmp = ((row + 1) * g2 - (col + 1) * g1).sign()
-    if cmp < 0:
-        return _TOP
-    if cmp > 0:
-        return _RIGHT
-    return _VERTEX
-
-
-def _walk_cells(slope: QuadExt) -> Iterator[TriangleCell]:
-    g1, g2, _ = _ray_rates(slope)
+    The incenter of the up cell (row, col) is X = 2col + row + 1,
+    Y = 3row + 1 and that of the down cell is (X + 1, Y + 1).  A down cell
+    exits through its top edge, its right edge or its top-right vertex as
+    the sign of (row+1)*(3d - 3b - a*sqrt3) - (col+1)*(6b + 2a*sqrt3) is
+    negative, positive or zero: the bracketed terms are 3d times the growth
+    per unit x of x - y/sqrt3 and of 2y/sqrt3.
+    """
+    top_p, top_q = 3 * d - 3 * b, -a
+    right_p, right_q = 6 * b, 2 * a
     row = col = 0
-    points_up = True
     while True:
-        yield triangle_cell(row, col, points_up)
-        if points_up:
-            points_up = False  # up cells always exit through their right edge
-        else:
-            exit_kind = _down_cell_exit(row, col, g1, g2)
-            if exit_kind == _TOP:
-                row += 1
-            elif exit_kind == _RIGHT:
-                col += 1
-            else:
-                row += 1
-                col += 1
-            points_up = True
+        x = 2 * col + row + 1
+        y = 3 * row + 1
+        yield row, col, True, 3 * a * x, 3 * b * x - d * y
+        yield row, col, False, 3 * a * (x + 1), 3 * b * (x + 1) - d * (y + 1)
+        exit_sign = sqrt3_sign(
+            (row + 1) * top_p - (col + 1) * right_p, (row + 1) * top_q - (col + 1) * right_q
+        )
+        if exit_sign <= 0:  # top edge, or the top-right vertex
+            row += 1
+        if exit_sign >= 0:  # right edge, or the top-right vertex
+            col += 1
 
 
 def triangle_cells_along_ray(slope, horizon: int) -> list[TriangleCell]:
@@ -276,9 +285,9 @@ def triangle_cells_along_ray(slope, horizon: int) -> list[TriangleCell]:
     to the next up cell.
     """
     s = _wedge_slope(slope)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    return list(islice(_walk_cells(s), horizon))
+    _check_count(horizon, "horizon must be at least 1")
+    walk = islice(_walk(*_cleared(s)), horizon)
+    return [triangle_cell(row, col, points_up) for row, col, points_up, _, _ in walk]
 
 
 class TriangleHit(NamedTuple):
@@ -290,26 +299,42 @@ class TriangleHit(NamedTuple):
     grazing: bool
 
 
-def _scaled_side_signs(slope: QuadExt, cell: TriangleCell, alpha: Fraction) -> list[int]:
-    # Sign of slope*x - y at each vertex of the alpha-scaling of the cell
-    # about its incenter; the scaled vertex is (1-alpha)*incenter + alpha*v.
-    cx, cy = cell.incenter
-    g_center = slope * cx - cy
-    signs = []
-    for vx, vy in cell.vertices:
-        g_vertex = slope * vx - vy
-        signs.append(((1 - alpha) * g_center + alpha * g_vertex).sign())
-    return signs
+# Corners minus incenter, in (X, Y) units, for up and down cells.
+_UP_CORNERS = ((-1, -1), (1, -1), (0, 2))
+_DOWN_CORNERS = ((0, -2), (-1, 1), (1, 1))
 
 
-def _contact_from_signs(signs: list[int]) -> Optional[bool]:
-    """None for a miss; otherwise the grazing flag.  Obstacles are closed,
-    so a zero sign (ray through a scaled vertex) counts as contact."""
-    if all(s > 0 for s in signs) or all(s < 0 for s in signs):
-        return None
-    if 0 in signs and (all(s >= 0 for s in signs) or all(s <= 0 for s in signs)):
-        return True
-    return False
+def _first_contact(
+    a: int, b: int, d: int, alpha: Fraction, horizon: int
+) -> Optional[tuple[int, int, int, bool, bool]]:
+    """(index, row, col, points_up, grazing) of the first of ``horizon``
+    cells whose alpha-scaled obstacle the ray meets, or None.
+
+    The scaled corner is (1-alpha)*incenter + alpha*corner, so with
+    alpha = p/q the ray's side of it has the sign of q*G_center +
+    p*(G_corner - G_center), where G is the walk's integer side value.
+    Obstacles are closed: the ray misses only when all three corners lie
+    strictly on one side, and it grazes when no two lie strictly on
+    opposite sides (a zero sign is the ray through a scaled corner).
+    """
+    p, q = alpha.numerator, alpha.denominator
+    offsets = {
+        up: [(3 * a * p * dx, p * (3 * b * dx - d * dy)) for dx, dy in corners]
+        for up, corners in ((True, _UP_CORNERS), (False, _DOWN_CORNERS))
+    }
+    for index, (row, col, points_up, cp, cq) in enumerate(islice(_walk(a, b, d), horizon)):
+        cp *= q
+        cq *= q
+        (p0, q0), (p1, q1), (p2, q2) = offsets[points_up]
+        signs = (
+            sqrt3_sign(cp + p0, cq + q0),
+            sqrt3_sign(cp + p1, cq + q1),
+            sqrt3_sign(cp + p2, cq + q2),
+        )
+        if signs[0] == signs[1] == signs[2] != 0:
+            continue
+        return index, row, col, points_up, 1 not in signs or -1 not in signs
+    return None
 
 
 def triangle_obstruction_check(slope, alpha, horizon: int) -> Optional[TriangleHit]:
@@ -322,13 +347,12 @@ def triangle_obstruction_check(slope, alpha, horizon: int) -> Optional[TriangleH
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    for index, cell in enumerate(islice(_walk_cells(s), horizon)):
-        grazing = _contact_from_signs(_scaled_side_signs(s, cell, alpha))
-        if grazing is not None:
-            return TriangleHit(index, cell, grazing)
-    return None
+    _check_count(horizon, "horizon must be at least 1")
+    found = _first_contact(*_cleared(s), alpha, horizon)
+    if found is None:
+        return None
+    index, row, col, points_up, grazing = found
+    return TriangleHit(index, triangle_cell(row, col, points_up), grazing)
 
 
 def triangle_min_obstacle(
@@ -343,27 +367,14 @@ def triangle_min_obstacle(
     since the full cell contains the ray segment crossing it.
     """
     s = _wedge_slope(slope)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    _check_count(horizon, "horizon must be at least 1")
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    cells = list(islice(_walk_cells(s), horizon))
-    # Precompute the side-line values; each alpha probe is then three sign
-    # evaluations of (1-alpha)*g_center + alpha*g_vertex per cell.
-    prepared = []
-    for cell in cells:
-        cx, cy = cell.incenter
-        g_center = s * cx - cy
-        g_vertices = tuple(s * vx - vy for vx, vy in cell.vertices)
-        prepared.append((g_center, g_vertices))
+    a, b, d = _cleared(s)
 
     def hits(alpha: Fraction) -> bool:
-        for g_center, g_vertices in prepared:
-            signs = [((1 - alpha) * g_center + alpha * g_v).sign() for g_v in g_vertices]
-            if _contact_from_signs(signs) is not None:
-                return True
-        return False
+        return _first_contact(a, b, d, alpha, horizon) is not None
 
     zero = Fraction(0)
     if hits(zero):
@@ -468,47 +479,42 @@ def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
 
     Maintains the fold isometry of the current cell: each crossing of a
     tiling line composes the corresponding reflection, and crossing points
-    map to strike points on the table boundary.
+    map to strike points on the table boundary.  The walk decides which
+    line is crossed; the crossing points are computed in Q(sqrt 3).
     """
     s = _wedge_slope(slope)
-    if n_strikes < 1:
-        raise ValueError("need at least one strike")
-    g1, g2, g3 = _ray_rates(s)
+    _check_count(n_strikes, "need at least one strike")
+    rise = s * QuadExt(0, Fraction(1, 3))  # growth of y/sqrt3 per unit x
     fold = _IDENTITY
     previous: QPoint = (QuadExt(0), QuadExt(0))
     segments: list[tuple[QPoint, QPoint]] = []
-    row = col = 0
-    points_up = True
     terminated = False
-    while len(segments) < n_strikes:
+    cells = _walk(*_cleared(s))
+    row, col, points_up, _, _ = next(cells)
+    for next_row, next_col, next_up, _, _ in cells:
         if points_up:
             level = row + col + 1
-            x = QuadExt(level) / g3
+            x = level / (1 + rise)
             reflection = _reflect_falling(level)
-            nxt = (row, col, False)
+        elif next_col == col:
+            level = row + 1
+            x = level / (2 * rise)
+            reflection = _reflect_horizontal(level)
+        elif next_row == row:
+            level = col + 1
+            x = level / (1 - rise)
+            reflection = _reflect_rising(level)
         else:
-            exit_kind = _down_cell_exit(row, col, g1, g2)
-            if exit_kind == _TOP:
-                level = row + 1
-                x = QuadExt(level) / g1
-                reflection = _reflect_horizontal(level)
-                nxt = (row + 1, col, True)
-            elif exit_kind == _RIGHT:
-                level = col + 1
-                x = QuadExt(level) / g2
-                reflection = _reflect_rising(level)
-                nxt = (row, col + 1, True)
-            else:
-                # Lattice vertex: folds to a table corner; the path stops.
-                x = QuadExt(row + 1) / g1
-                point = fold.apply((x, s * x))
-                segments.append((previous, point))
-                terminated = True
-                break
-        crossing = (x, s * x)
-        current = fold.apply(crossing)
+            # Lattice vertex: folds to a table corner; the path stops.
+            x = (row + 1) / (2 * rise)
+            segments.append((previous, fold.apply((x, s * x))))
+            terminated = True
+            break
+        current = fold.apply((x, s * x))
         segments.append((previous, current))
+        if len(segments) == n_strikes:
+            break
         previous = current
         fold = fold.compose(reflection)
-        row, col, points_up = nxt
+        row, col, points_up = next_row, next_col, next_up
     return TrianglePath(s, tuple(segments), terminated)

@@ -12,6 +12,7 @@ from lonelyrunner.arith import (
     SpeedSet,
     is_prime,
     next_prime_not_dividing,
+    sqrt3_sign,
     torus_norm,
 )
 
@@ -113,6 +114,67 @@ class TestQuadExt:
 
     def test_float_conversion(self):
         assert abs(float(QuadExt(1, 1)) - (1 + math.sqrt(3))) < 1e-12
+
+
+def fraction_sign(a: Fraction, b: Fraction) -> int:
+    """The sign rule QuadExt.sign used before it moved to integers: compare
+    a^2 with 3*b^2 as Fractions when a and b disagree in sign."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    return sa if a * a > 3 * b * b else sb
+
+
+# Numerators with a^2 - 3*b^2 = 1 (Pell solutions) or -2: the nearest
+# misses of a tie, where a rounding or a dropped factor would flip the sign.
+NEAR_TIES = [(2, 1), (7, 4), (26, 15), (97, 56), (362, 209), (1351, 780), (1, 1), (5, 3), (19, 11)]
+
+
+class TestSqrt3Sign:
+    def test_examples(self):
+        assert sqrt3_sign(0, 0) == 0
+        assert sqrt3_sign(2, -1) == 1  # 2 > sqrt3
+        assert sqrt3_sign(-2, 1) == -1
+        assert sqrt3_sign(1, -1) == -1  # 1 < sqrt3
+        assert sqrt3_sign(0, -5) == -1
+        assert sqrt3_sign(7, 0) == 1
+
+    def test_matches_fraction_rule_on_integers(self):
+        rng = random.Random(431)
+        for _ in range(2000):
+            p, q = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+            assert sqrt3_sign(p, q) == fraction_sign(Fraction(p), Fraction(q))
+
+    def test_near_ties(self):
+        for a, b in NEAR_TIES:
+            for sa in (1, -1):
+                for sb in (1, -1):
+                    expected = fraction_sign(Fraction(sa * a), Fraction(sb * b))
+                    assert sqrt3_sign(sa * a, sb * b) == expected
+                    # Scaling by a positive integer keeps the sign.
+                    assert sqrt3_sign(10**12 * sa * a, 10**12 * sb * b) == expected
+
+    def test_quadext_sign_matches_fraction_rule(self):
+        rng = random.Random(432)
+        pairs = []
+        for _ in range(2000):
+            pairs.append(
+                (
+                    Fraction(rng.randint(-500, 500), rng.randint(1, 60)),
+                    Fraction(rng.randint(-500, 500), rng.randint(1, 60)),
+                )
+            )
+        for a, b in NEAR_TIES:
+            for _ in range(20):
+                # A positive rational multiple keeps the near tie; after
+                # reduction a and b usually have different denominators.
+                r = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+                pairs.append((rng.choice((1, -1)) * a * r, rng.choice((1, -1)) * b * r))
+        for a, b in pairs:
+            assert QuadExt(a, b).sign() == fraction_sign(a, b), (a, b)
 
 
 class TestPrimes:

@@ -394,6 +394,138 @@ class TestTriangleMinObstacle:
             triangle_min_obstacle(QuadExt(0, F(1, 5)), horizon=0)
 
 
+    def test_default_cli_horizon_bracket(self):
+        # lrc triangle --slope sqrt3*1/5 --min-obstacle at the default horizon.
+        assert triangle_min_obstacle(QuadExt(0, F(1, 5)), 10_000) == (F(255, 1024), F(1, 4))
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("count", [True, False, 2.0, "3", None])
+    def test_non_int_counts_rejected(self, count):
+        slope = QuadExt(0, F(1, 5))
+        with pytest.raises(ValueError):
+            triangle_cells_along_ray(slope, count)
+        with pytest.raises(ValueError):
+            triangle_obstruction_check(slope, F(1, 4), count)
+        with pytest.raises(ValueError):
+            triangle_min_obstacle(slope, count)
+        with pytest.raises(ValueError):
+            triangle_path_segments(slope, count)
+        with pytest.raises(ValueError):
+            square_path_segments(F(1, 2), count)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the integer walk against the Q(sqrt 3) formulas it
+# replaced, copied here as the reference.
+# ---------------------------------------------------------------------------
+
+
+def ref_walk(slope: QuadExt, horizon: int):
+    # Crossing rates of 2y/sqrt3 (g1) and x - y/sqrt3 (g2) per unit x; a
+    # down cell exits through the top edge when (row+1)*g2 - (col+1)*g1 < 0,
+    # the right edge when > 0, and the top-right vertex when = 0.
+    g1 = slope * QuadExt(0, F(2, 3))
+    g2 = 1 - slope * QuadExt(0, F(1, 3))
+    cells = []
+    row = col = 0
+    points_up = True
+    while len(cells) < horizon:
+        cells.append(triangle_cell(row, col, points_up))
+        if not points_up:
+            cmp = ((row + 1) * g2 - (col + 1) * g1).sign()
+            if cmp <= 0:
+                row += 1
+            if cmp >= 0:
+                col += 1
+        points_up = not points_up
+    return cells
+
+
+def ref_prepare(slope: QuadExt, cells):
+    # Side values slope*x - y at each incenter and corner.
+    prepared = []
+    for cell in cells:
+        cx, cy = cell.incenter
+        g_vertices = tuple(slope * vx - vy for vx, vy in cell.vertices)
+        prepared.append((cell, slope * cx - cy, g_vertices))
+    return prepared
+
+
+def ref_contact(g_center, g_vertices, alpha):
+    # The scaled corner is (1-alpha)*incenter + alpha*corner; obstacles are
+    # closed, so a zero sign counts as contact.
+    signs = [((1 - alpha) * g_center + alpha * g_v).sign() for g_v in g_vertices]
+    if all(s > 0 for s in signs) or all(s < 0 for s in signs):
+        return None
+    return 0 in signs and (all(s >= 0 for s in signs) or all(s <= 0 for s in signs))
+
+
+def ref_first_contact(prepared, alpha):
+    for index, (cell, g_center, g_vertices) in enumerate(prepared):
+        grazing = ref_contact(g_center, g_vertices, alpha)
+        if grazing is not None:
+            return index, cell, grazing
+    return None
+
+
+def ref_min_obstacle(prepared, tolerance):
+    def hits(alpha):
+        return ref_first_contact(prepared, alpha) is not None
+
+    if hits(F(0)):
+        return F(0), F(0)
+    lo, hi = F(0), F(1)
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if hits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+DIFF_SLOPES = [
+    # sqrt3 * p/q; sqrt3/3 and sqrt3/5 pass through lattice vertices
+    *(QuadExt(0, F(p, q)) for p, q in [(1, 3), (1, 5), (2, 7), (1, 8), (5, 9), (7, 11), (1, 17), (99, 100)]),
+    # rational p/q
+    *(QuadExt(F(p, q)) for p, q in [(1, 1), (1, 2), (3, 2), (2, 7), (5, 3), (1, 50)]),
+    # mixed a + b*sqrt3
+    QuadExt(F(1, 2), F(1, 4)),
+    QuadExt(1, F(-1, 5)),
+    QuadExt(F(-1, 3), F(2, 3)),
+    QuadExt(2, F(-1, 2)),
+    QuadExt(F(3, 7), F(3, 11)),
+    QuadExt(F(1, 97), F(50, 101)),
+]
+DIFF_ALPHAS = [F(1, 4), F(1, 4) - F(1, 10**9), F(1, 4) + F(1, 10**9), F(1, 3), F(99, 100)]
+DIFF_HORIZON = 300
+
+
+class TestIntegerWalkDifferential:
+    @pytest.mark.parametrize("slope", DIFF_SLOPES, ids=str)
+    def test_matches_quadext_reference(self, slope):
+        cells = ref_walk(slope, DIFF_HORIZON)
+        assert triangle_cells_along_ray(slope, DIFF_HORIZON) == cells
+        prepared = ref_prepare(slope, cells)
+        for alpha in DIFF_ALPHAS:
+            ref = ref_first_contact(prepared, alpha)
+            # The answer at horizon H is the horizon-300 answer cut at H, so
+            # these horizons cover every H in 1..300.
+            horizons = {1, 2, DIFF_HORIZON}
+            if ref is not None:
+                horizons |= {ref[0], ref[0] + 1}
+            for horizon in sorted(h for h in horizons if 1 <= h <= DIFF_HORIZON):
+                hit = triangle_obstruction_check(slope, alpha, horizon)
+                got = None if hit is None else (hit.index, hit.cell, hit.grazing)
+                assert got == (ref if ref is not None and ref[0] < horizon else None), (alpha, horizon)
+        for horizon in (1, 17, 100):
+            for tolerance in (F(1, 64), F(1, 1024)):
+                assert triangle_min_obstacle(slope, horizon, tolerance) == ref_min_obstacle(
+                    prepared[:horizon], tolerance
+                ), (horizon, tolerance)
+
+
 def reflect_point(kind, level, p):
     iso = {
         "h": _reflect_horizontal,

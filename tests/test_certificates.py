@@ -166,3 +166,44 @@ class TestValidation:
         del doc.result["delta"]
         issues = certificates.validate_document(doc)
         assert issues and "malformed" in issues[0]
+
+
+def _with_count(doc, key, value):
+    """The document with inputs[key] replaced, after a JSON round trip."""
+    doc = copy.deepcopy(doc)
+    doc.inputs[key] = value
+    return certificates.parse(certificates.serialize(doc))
+
+
+class TestBooleanCounts:
+    """JSON true is a bool, which Python would compare and slice as the
+    count 1; a document that carries it as a count is malformed."""
+
+    SLOPE = QuadExt(0, F(1, 5))
+
+    def _assert_malformed_only_as_bool(self, doc, key):
+        assert certificates.validate_document(_with_count(doc, key, 1)) == []
+        issues = certificates.validate_document(_with_count(doc, key, True))
+        assert issues and "malformed" in issues[0]
+
+    def test_triangle_horizon_true_with_alpha(self):
+        hit = billiards.triangle_obstruction_check(self.SLOPE, F(1, 4), 1)
+        doc = certificates.triangle_document(self.SLOPE, F(1, 4), 1, hit, None)
+        self._assert_malformed_only_as_bool(doc, "horizon")
+
+    def test_triangle_horizon_true_with_min_obstacle(self):
+        bracket = billiards.triangle_min_obstacle(self.SLOPE, 1, F(1, 64)) + (F(1, 64),)
+        doc = certificates.triangle_document(self.SLOPE, None, 1, None, None, bracket)
+        self._assert_malformed_only_as_bool(doc, "horizon")
+
+    def test_triangle_strikes_true(self):
+        path = billiards.triangle_path_segments(self.SLOPE, 1)
+        doc = certificates.triangle_document(self.SLOPE, None, 10_000, None, path)
+        self._assert_malformed_only_as_bool(doc, "strikes")
+
+    def test_billiard_segments_true(self):
+        path = billiards.square_path_segments(F(1, 2), 1)
+        doc = certificates.billiard_document(
+            path, billiards.square_min_obstacle(F(1, 2)), None, None
+        )
+        self._assert_malformed_only_as_bool(doc, "segments")
