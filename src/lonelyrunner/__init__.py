@@ -30,11 +30,9 @@ from .billiards import (
     triangle_path_segments,
 )
 from .fieldsearch import (
-    Conj34Witness,
-    FieldWitness,
+    BandWitness,
     PrimeBudgetExhausted,
     SubsetCertificate,
-    band_avoidance_search,
     conj34_witness,
     invisible_subset,
     residue_matrix_scan,
@@ -46,9 +44,7 @@ from .gap import (
     check_kappa_bounds,
     exact_gap,
     gap_grid_oracle,
-    gap_value_at,
     lonely_time,
-    separation_floor,
     verify_lrc,
 )
 from .render import render_svg
@@ -76,15 +72,11 @@ __all__ = [
     "check_kappa_bounds",
     "exact_gap",
     "gap_grid_oracle",
-    "gap_value_at",
     "lonely_time",
-    "separation_floor",
     "verify_lrc",
-    "Conj34Witness",
-    "FieldWitness",
+    "BandWitness",
     "PrimeBudgetExhausted",
     "SubsetCertificate",
-    "band_avoidance_search",
     "conj34_witness",
     "invisible_subset",
     "residue_matrix_scan",

@@ -4,7 +4,8 @@ A document echoes its command and parsed inputs and carries an
 engine-specific result payload.  Every rational is serialized as an integer
 pair ``{"num": .., "den": ..}`` -- certificates are exact, so decimal
 strings or floats never appear.  ``validate_document`` re-derives each
-claim; re-validation grounds out in exact recomputation, never floats.
+claim by exact recomputation, never floats; a ``conj34`` document is
+checked through the band witness it carries instead.
 """
 
 from __future__ import annotations
@@ -291,21 +292,21 @@ def invisible_document(cert: fieldsearch.SubsetCertificate, prime_budget: int) -
             "bound": encode_rational(cert.bound),
             "kept_delta": encode_rational(cert.kept_delta),
             "witness": {
-                "prime": cert.witness.prime,
-                "multiplier": cert.witness.multiplier,
-                "band": cert.witness.band,
-                "residues": list(cert.witness.residues),
+                "prime": cert.witness.n,
+                "multiplier": cert.witness.x,
+                "band": cert.witness.m,
+                "residues": list(cert.witness.residues(cert.kept)),
             },
         },
     )
 
 
-def conj34_document(speeds: SpeedSet, witness: fieldsearch.Conj34Witness) -> CertificateDocument:
-    residues = [witness.x * s % witness.n for s in speeds]
+def conj34_document(speeds: SpeedSet, witness: fieldsearch.BandWitness) -> CertificateDocument:
+    n, x, m = witness
     return CertificateDocument(
         command="conj34",
         inputs={"speeds": list(speeds)},
-        result={"n": witness.n, "x": witness.x, "m": witness.m, "residues": residues},
+        result={"n": n, "x": x, "m": m, "residues": list(witness.residues(speeds))},
     )
 
 
@@ -476,6 +477,7 @@ def _validate_billiard(doc: CertificateDocument, issues: list[str]) -> None:
 
 
 def _validate_triangle(doc: CertificateDocument, issues: list[str]) -> None:
+    billiards._check_count(doc.inputs["horizon"], "horizon must be at least 1")
     slope = decode_quadext(doc.inputs["slope"])
     alpha = doc.inputs["alpha"]
     res = doc.result
@@ -522,6 +524,24 @@ def _validate_triangle(doc: CertificateDocument, issues: list[str]) -> None:
         )
 
 
+def _check_band_witness(
+    issues: list[str], n, x, m, speeds: SpeedSet, residues
+) -> Optional[fieldsearch.BandWitness]:
+    """Check a stored band witness (n, x, m) over ``speeds`` and its stored
+    ``residues``; returns the witness unless its numbers are out of range,
+    which are reported before any modulo is taken."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, x, m)):
+        issues.append("witness n, x and m must be integers")
+        return None
+    if n < 2 or not 0 < x < n or m < 0 or 2 * m >= n:
+        issues.append(f"witness ({n}, {x}, {m}) needs n >= 2, 0 < x < n and 0 <= 2m < n")
+        return None
+    witness = fieldsearch.BandWitness(n, x, m)
+    _check(issues, list(residues) == list(witness.residues(speeds)), "witness residues mismatch")
+    _check(issues, witness.avoids(speeds), "witness residues enter the band")
+    return witness
+
+
 def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
     original = SpeedSet(doc.inputs["speeds"])
     d = doc.inputs["d"]
@@ -544,42 +564,26 @@ def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
     _check(issues, decode_rational(res["kept_delta"]) == delta, "kept_delta mismatch")
     _check(issues, delta >= bound, "kept set does not reach the bound")
     w = res["witness"]
-    p, x, m = w["prime"], w["multiplier"], w["band"]
-    _check(issues, is_prime(p), f"{p} is not prime")
-    _check(issues, all(s % p != 0 for s in original), "prime divides a speed")
-    _check(issues, 0 < x < p, "multiplier out of range")
-    _check(
-        issues,
-        list(w["residues"]) == [x * s % p for s in kept],
-        "witness residues mismatch",
-    )
-    _check(
-        issues,
-        all(m < r < p - m for r in w["residues"]),
-        "witness residues enter the band",
-    )
+    p = w["prime"]
+    witness = _check_band_witness(issues, p, w["multiplier"], w["band"], kept, w["residues"])
+    if witness is not None:
+        _check(issues, is_prime(p), f"{p} is not prime")
+        _check(issues, all(s % p != 0 for s in original), "prime divides a speed")
 
 
 def _validate_conj34(doc: CertificateDocument, issues: list[str]) -> None:
+    """Check the document's own witness; the gap is not recomputed."""
     speeds = SpeedSet(doc.inputs["speeds"])
-    witness = fieldsearch.conj34_witness(speeds)
+    k = len(speeds)
     res = doc.result
-    if witness is None:
-        issues.append("gap fell below 1/(k+1); no witness exists")
-        return
-    _check(issues, res["n"] == witness.n, "modulus mismatch")
-    _check(issues, res["x"] == witness.x, "multiplier mismatch")
-    _check(issues, res["m"] == witness.m, "band radius mismatch")
-    _check(
-        issues,
-        list(res["residues"]) == [witness.x * s % witness.n for s in speeds],
-        "residues mismatch",
-    )
-    _check(
-        issues,
-        all(witness.m < r < witness.n - witness.m for r in res["residues"]),
-        "residues enter the band",
-    )
+    _check(issues, k >= 2, "need at least two speeds")
+    witness = _check_band_witness(issues, res["n"], res["x"], res["m"], speeds, res["residues"])
+    if witness is not None:
+        _check(
+            issues,
+            witness.m >= fieldsearch.BandWitness.radius(witness.n, k),
+            "band radius too small to certify 1/(k+1)",
+        )
 
 
 _VALIDATORS = {

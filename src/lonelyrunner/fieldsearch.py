@@ -1,8 +1,16 @@
 """Finite-field certification of gap lower bounds and invisible-runner
 subset extraction.
 
-Working modulo a prime p that divides no speed, a multiplier x whose residue
-set x*S avoids the band +/-{1..m} (and 0) certifies delta(S) >= (m+1)/p.  A
+Everything here rests on one object, the band witness ``(n, x, m)``: a
+modulus n, a multiplier x and a band radius m such that every residue
+x*s mod n lies strictly between m and n - m.  At time x/n each speed then
+has ||s*x/n|| >= (m+1)/n, so delta(S) >= (m+1)/n; n need not be prime.
+For a k-speed set the radius that certifies 1/(k+1) has two forms: the
+non-strict m = (n-1)//(k+1), the least m with (m+1)/n >= 1/(k+1), which
+``conj34_witness`` uses, and the strict m = n//(k+1), the least with
+(m+1)/n > 1/(k+1), from which ``gap.sweep`` builds its residue prefilter.
+
+``invisible_subset`` works modulo a prime p that divides no speed.  A
 counting argument over the k x (p-1) residue matrix guarantees multipliers
 whose column meets a small band in at most d places, which is what lets d
 runners be dropped while boosting the certified gap of the rest.
@@ -18,11 +26,9 @@ from .arith import SpeedSet, is_prime, next_prime_not_dividing
 from .gap import exact_gap
 
 __all__ = [
-    "FieldWitness",
+    "BandWitness",
     "SubsetCertificate",
-    "Conj34Witness",
     "PrimeBudgetExhausted",
-    "band_avoidance_search",
     "residue_matrix_scan",
     "invisible_subset",
     "conj34_witness",
@@ -37,19 +43,39 @@ class PrimeBudgetExhausted(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class FieldWitness:
-    """Certificate (p, x, m): every residue x*s mod p avoids 0 and the band
-    +/-{1..m}, hence delta over those speeds is at least (m+1)/p."""
+class BandWitness(NamedTuple):
+    """Modulus n, multiplier x and band radius m.
 
-    prime: int
-    multiplier: int
-    band: int
-    residues: tuple[int, ...]
+    The witness holds for the speeds it :meth:`avoids`: every residue
+    x*s mod n lies strictly between m and n - m, so delta over those speeds
+    is at least :attr:`bound` = (m+1)/n.
+    """
+
+    n: int
+    x: int
+    m: int
+
+    @staticmethod
+    def radius(n: int, k: int, strict: bool = False) -> int:
+        """The least m whose bound (m+1)/n reaches 1/(k+1), or exceeds it
+        when ``strict``: (n-1)//(k+1), or n//(k+1)."""
+        return (n if strict else n - 1) // (k + 1)
 
     @property
     def bound(self) -> Fraction:
-        return Fraction(self.band + 1, self.prime)
+        return Fraction(self.m + 1, self.n)
+
+    def residues(self, speeds: Iterable[int]) -> tuple[int, ...]:
+        return tuple(self.x * s % self.n for s in speeds)
+
+    def far(self, speeds: Iterable[int]) -> tuple[int, ...]:
+        """The speeds whose residue x*s mod n stays outside the band."""
+        n, x, m = self
+        return tuple(s for s in speeds if m < x * s % n < n - m)
+
+    def avoids(self, speeds: Iterable[int]) -> bool:
+        speeds = tuple(speeds)
+        return self.far(speeds) == speeds
 
 
 def _require_admissible(p: int, speeds: SpeedSet) -> None:
@@ -60,50 +86,24 @@ def _require_admissible(p: int, speeds: SpeedSet) -> None:
             raise ValueError(f"prime {p} divides speed {s}")
 
 
-def _band_residues(p: int, m: int) -> frozenset[int]:
-    return frozenset(range(1, m + 1)) | frozenset(p - r for r in range(1, m + 1))
+def residue_matrix_scan(
+    speeds: SpeedSet | Iterable[int], p: int, m: int, d: int
+) -> Optional[int]:
+    """Smallest x in 1..p-1 whose residue column meets the band +/-{1..m}
+    at most d times.
 
-
-def band_avoidance_search(
-    speeds: SpeedSet | Iterable[int], p: int, m: int
-) -> Optional[FieldWitness]:
-    """First multiplier x in 1..p-1 whose residues x*S mod p avoid the band.
-
-    Returns None when no multiplier works for this (p, m); a returned
-    witness entitles the caller to conclude delta(S) >= (m+1)/p.
+    The column for x in the k x (p-1) matrix (j * s_i mod p) is the residue
+    set x*S.  Existence is guaranteed whenever 2m <= p(d+1)/(k+eps) for
+    some eps > 0 with p > k/eps + 1; outside that regime None is possible.
     """
     sset = SpeedSet.of(speeds)
     _require_admissible(p, sset)
     if m < 0 or 2 * m >= p:
         raise ValueError(f"band radius {m} must satisfy 0 <= m < {p}/2")
-    band = _band_residues(p, m)
-    for x in range(1, p):
-        residues = tuple(x * s % p for s in sset)
-        if all(r != 0 and r not in band for r in residues):
-            return FieldWitness(p, x, m, residues)
-    return None
-
-
-def residue_matrix_scan(
-    speeds: SpeedSet | Iterable[int], p: int, band: Iterable[int], d: int
-) -> Optional[int]:
-    """Smallest x in 1..p-1 whose residue column meets ``band`` at most d times.
-
-    The column for x in the k x (p-1) matrix (j * s_i mod p) is the residue
-    set x*S.  Existence is guaranteed whenever |band| <= p(d+1)/(k+eps) for
-    some eps > 0 with p > k/eps + 1; outside that regime None is possible.
-    """
-    sset = SpeedSet.of(speeds)
-    _require_admissible(p, sset)
-    bset = frozenset(band)
-    for r in bset:
-        if not isinstance(r, int) or not 1 <= r <= p - 1:
-            raise ValueError(f"band residue {r!r} outside 1..{p - 1}")
     if not 0 <= d <= len(sset):
         raise ValueError(f"d must be between 0 and {len(sset)}")
     for x in range(1, p):
-        hits = sum(1 for s in sset if x * s % p in bset)
-        if hits <= d:
+        if len(BandWitness(p, x, m).far(sset)) >= len(sset) - d:
             return x
     return None
 
@@ -112,9 +112,10 @@ def residue_matrix_scan(
 class SubsetCertificate:
     """A kept subset of size >= k-d whose exact gap reaches (d+1)/(2k).
 
-    ``witness`` is the field witness that produced the subset; its weaker
-    bound (m+1)/p is what the prime-side argument certifies, while ``bound``
-    itself is re-validated against the exact gap of the kept speeds.
+    ``witness`` is the band witness (p, x, m) that produced the subset; its
+    weaker bound (m+1)/p is what the prime-side argument certifies, while
+    ``bound`` itself is re-validated against the exact gap of the kept
+    speeds.
     """
 
     original: SpeedSet
@@ -123,7 +124,7 @@ class SubsetCertificate:
     d: int
     bound: Fraction
     kept_delta: Fraction
-    witness: FieldWitness
+    witness: BandWitness
 
 
 def invisible_subset(
@@ -158,37 +159,26 @@ def invisible_subset(
         # m = floor(p(d+1) / (2(k+eps))) with eps = k/2^step, in integers.
         m = (p * (d + 1) * 2 ** step) // (2 * k * (2 ** step + 1))
         assert Fraction(m + 1, p) >= Fraction(d + 1, 1) / (2 * (k + eps))
-        band = _band_residues(p, m)
-        x = residue_matrix_scan(sset, p, band, d)
+        x = residue_matrix_scan(sset, p, m, d)
         assert x is not None, "counting bound guarantees a multiplier here"
-        kept = [s for s in sset if x * s % p not in band]
-        assert len(kept) >= k - d
-        kept_set = SpeedSet(kept)
+        witness = BandWitness(p, x, m)
+        kept_set = SpeedSet(witness.far(sset))
+        assert len(kept_set) >= k - d
         cert = exact_gap(kept_set)
         if cert.delta >= target:
-            witness = FieldWitness(p, x, m, tuple(x * s % p for s in kept_set))
             removed = tuple(s for s in sset if s not in kept_set)
             return SubsetCertificate(sset, kept_set, removed, d, target, cert.delta, witness)
         step += 1
 
 
-class Conj34Witness(NamedTuple):
-    """Modulus, multiplier, and band radius certifying the residue form of
-    the conjecture for one speed set."""
+def conj34_witness(speeds: SpeedSet | Iterable[int]) -> Optional[BandWitness]:
+    """Band witness (n, x, m) certifying delta(S) >= 1/(k+1).
 
-    n: int
-    x: int
-    m: int
-
-
-def conj34_witness(speeds: SpeedSet | Iterable[int]) -> Optional[Conj34Witness]:
-    """Residue witness (n, x, m) with x*S mod n avoiding +/-{0..m}.
-
-    Takes n = s_i + s_j and x = a from the exact-gap witness pair; with
-    m = ceil(n/(k+1)) - 1 the residues avoid the band exactly because
-    delta(S) >= 1/(k+1).  Returns None when delta(S) < 1/(k+1), which would
-    refute the conjecture.  The modulus n need not be prime; the check is
-    plain modular arithmetic.
+    Takes n = s_i + s_j and x = a from the exact-gap witness pair, with the
+    non-strict radius m = (n-1)//(k+1); the residues avoid the band exactly
+    because delta(S) >= 1/(k+1).  Returns None when delta(S) < 1/(k+1),
+    which would refute the conjecture.  The modulus n need not be prime; the
+    check is plain modular arithmetic.
     """
     sset = SpeedSet.of(speeds)
     k = len(sset)
@@ -199,11 +189,7 @@ def conj34_witness(speeds: SpeedSet | Iterable[int]) -> Optional[Conj34Witness]:
         return None
     i, j, a = cert.witness_pair
     n = sset[i] + sset[j]
-    m = -(-n // (k + 1)) - 1
-    for s in sset:
-        r = a * s % n
-        if r <= m or r >= n - m:
-            raise ArithmeticError(
-                f"residue {r} of speed {s} entered the band +/-{{0..{m}}} mod {n}"
-            )
-    return Conj34Witness(n, a % n, m)
+    witness = BandWitness(n, a % n, BandWitness.radius(n, k))
+    if not witness.avoids(sset):
+        raise ArithmeticError(f"a residue of {sset} entered the band of {witness}")
+    return witness

@@ -25,7 +25,6 @@ __all__ = [
     "GapCertificate",
     "LonelyReport",
     "LrcSweepReport",
-    "gap_value_at",
     "exact_gap",
     "gap_grid_oracle",
     "lonely_time",
@@ -33,7 +32,6 @@ __all__ = [
     "verify_lrc",
     "check_kappa_bounds",
     "kappa_bounds",
-    "separation_floor",
 ]
 
 
@@ -52,13 +50,6 @@ class GapCertificate:
     witness_time: Fraction
     witness_pair: Optional[tuple[int, int, int]]
     per_speed_norms: tuple[Fraction, ...]
-
-
-def gap_value_at(speeds: SpeedSet | Iterable[int], t) -> Fraction:
-    """f_S(t): the minimum over the speeds of the torus norm of s*t."""
-    s = SpeedSet.of(speeds)
-    t = Fraction(t)
-    return min(torus_norm(v * t) for v in s)
 
 
 def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
@@ -226,7 +217,8 @@ def _witness_table(k: int, max_speed: int) -> tuple[int, ...]:
     """Residue witnesses for the k-subsets of {1..max_speed}, by speed.
 
     A reduced time a/n, 2 <= n <= 2*max_speed - 1 and a <= n/2, is far for
-    the speeds s whose residue r = s*a mod n satisfies (k+1)*min(r, n-r) > n,
+    the speeds s that the band witness (n, a, m) keeps outside its band at
+    the strict radius m = n//(k+1) (see :class:`fieldsearch.BandWitness`),
     that is ||s*a/n|| > 1/(k+1).  Each distinct set of far speeds with at
     least k members is one column; entry s of the result is the bitset of
     the columns in which s is far (entry 0 is unused).  A k-set S with
@@ -236,19 +228,22 @@ def _witness_table(k: int, max_speed: int) -> tuple[int, ...]:
     puts a reduced form of that time in the range.
 
     There are O(max_speed**2) columns, so the table holds O(max_speed**3)
-    bits; it is built from byte slices, not bit by bit.  For k = 1 no
-    residue is far (min(r, n-r) <= n/2), so the table is all zeros and is
-    returned without the scan.
+    bits; it is built from byte slices, not bit by bit.  For k = 1 the
+    strict radius n//2 leaves no residue far, so the table is all zeros and
+    is returned without the scan.
     """
+    from .fieldsearch import BandWitness  # fieldsearch imports this module
+
     table = [0] * (max_speed + 1)
     if k == 1:
         return tuple(table)
     seen = set()
     for n in range(2, 2 * max_speed):
-        # far[r] is b"1" when residue r is far, and reps[i] == far[i % n] for
+        # far[r] is b"1" when m < r < n - m, and reps[i] == far[i % n] for
         # every i <= max_speed * n/2, so the slice of reps with step a holds
         # the far flags of the speeds 1..max_speed at a/n.
-        far = b"".join(b"1" if (k + 1) * min(r, n - r) > n else b"0" for r in range(n))
+        m = BandWitness.radius(n, k, strict=True)
+        far = b"0" * (m + 1) + b"1" * (n - 2 * m - 1) + b"0" * m
         reps = far * (max_speed // 2 + 1)
         columns = []
         for a in range(1, n // 2 + 1):
@@ -364,18 +359,3 @@ def kappa_bounds(cert: GapCertificate) -> tuple[Fraction, Fraction, bool]:
     k = len(cert.speeds)
     lower = Fraction(1, 2 * k)
     return lower, Fraction(1, k + 1), cert.delta >= lower
-
-
-def separation_floor(speeds: Sequence[int], focus: int) -> Fraction:
-    """Guaranteed separation 1/(2(n-1)) for the focus runner among n.
-
-    Verifies the floor against the exact loneliest separation; a violation
-    would contradict the measure-covering bound, so it raises.
-    """
-    report = lonely_time(speeds, focus)
-    if report.min_separation < report.separation_floor:
-        raise ArithmeticError(
-            f"separation {report.min_separation} fell below the floor "
-            f"{report.separation_floor}; this should be impossible"
-        )
-    return report.separation_floor

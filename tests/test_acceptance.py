@@ -22,7 +22,7 @@ from lonelyrunner.billiards import (
     triangle_cell,
     triangle_obstruction_check,
 )
-from lonelyrunner.fieldsearch import band_avoidance_search, conj34_witness, invisible_subset
+from lonelyrunner.fieldsearch import BandWitness, conj34_witness, invisible_subset
 from lonelyrunner.gap import exact_gap, gap_grid_oracle, verify_lrc
 from lonelyrunner.viewobstruct import (
     kprime_scan,
@@ -172,19 +172,17 @@ def test_criterion_08_triangle_constant():
 def test_criterion_09_field_witness_soundness():
     with Stopwatch(60.0) as watch:
         rng = random.Random(909)
-        produced = 0
         for _ in range(100):
             k = rng.randint(1, 5)
             speeds = SpeedSet(rng.sample(range(1, 41), k))
             p = next_prime_not_dividing(rng.randint(2, 30), speeds)
             delta = exact_gap(speeds).delta
-            for m in range((p - 1) // 2, -1, -1):
-                witness = band_avoidance_search(speeds, p, m)
-                if witness is not None:
-                    assert witness.bound <= delta, (speeds, witness)
-                    produced += 1
-                    break
-        assert produced == 100
+            assert BandWitness(p, 1, 0).avoids(speeds)
+            for x in range(1, p):
+                for m in range((p - 1) // 2 + 1):
+                    witness = BandWitness(p, x, m)
+                    if witness.avoids(speeds):
+                        assert witness.bound <= delta, (speeds, witness)
     report(9, "field-witness soundness", watch)
 
 

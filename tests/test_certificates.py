@@ -161,6 +161,34 @@ class TestValidation:
         doc.result["min_obstacle"]["hi"] = {"num": 1, "den": 2}
         assert certificates.validate_document(doc) != []
 
+    def test_tampered_conj34_residue(self):
+        doc = copy.deepcopy(DOCS["conj34"])
+        doc.result["residues"][0] = 3
+        assert any("residues" in issue for issue in certificates.validate_document(doc))
+
+    def test_conj34_band_radius_below_the_certifying_one(self):
+        # {1, 3} at n = 4, x = 2 keeps every residue out of the band m = 0,
+        # but (m+1)/n = 1/4 falls short of 1/3: 3 * 1 < 4.
+        doc = copy.deepcopy(DOCS["conj34"])
+        assert doc.result["m"] == 1
+        doc.result["m"] = 0
+        assert any("radius" in issue for issue in certificates.validate_document(doc))
+
+    def test_conj34_multiplier_zero(self):
+        doc = copy.deepcopy(DOCS["conj34"])
+        doc.result["x"] = 0
+        doc.result["residues"] = [0, 0]
+        assert certificates.validate_document(doc) != []
+
+    def test_conj34_accepts_another_valid_witness(self):
+        # The engine's witness for {1, 2} is (3, 1, 0); (3, 2, 0) certifies
+        # the same bound and is checked on its own merits.
+        speeds = SpeedSet([1, 2])
+        assert fieldsearch.conj34_witness(speeds) == (3, 1, 0)
+        doc = certificates.conj34_document(speeds, fieldsearch.BandWitness(3, 2, 0))
+        assert doc.result["residues"] == [2, 1]
+        assert certificates.validate_document(doc) == []
+
     def test_malformed_payload_reported(self):
         doc = copy.deepcopy(DOCS["gap"])
         del doc.result["delta"]
@@ -207,3 +235,18 @@ class TestBooleanCounts:
             path, billiards.square_min_obstacle(F(1, 2)), None, None
         )
         self._assert_malformed_only_as_bool(doc, "segments")
+
+
+class TestTriangleHorizon:
+    """A path-only triangle document runs no walk, but its horizon must
+    still be a count."""
+
+    SLOPE = QuadExt(0, F(1, 5))
+
+    @pytest.mark.parametrize("horizon", [True, -5, "x", 2.5])
+    def test_path_only_document_with_bad_horizon(self, horizon):
+        path = billiards.triangle_path_segments(self.SLOPE, 2)
+        doc = certificates.triangle_document(self.SLOPE, None, 10_000, None, path)
+        assert certificates.validate_document(_with_count(doc, "horizon", 10_000)) == []
+        issues = certificates.validate_document(_with_count(doc, "horizon", horizon))
+        assert issues and "malformed" in issues[0]

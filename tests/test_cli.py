@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from lonelyrunner import gap
+from lonelyrunner import fieldsearch, gap
 from lonelyrunner.cli import run
 
 
@@ -185,6 +185,53 @@ class TestFieldCommands:
         code, doc = invoke_json(["conj34", "--speeds", "1,3"])
         assert code == 0
         assert doc["result"] == {"n": 4, "x": 2, "m": 1, "residues": [2, 2]}
+
+
+class TestCheckConj34:
+    def test_check_computes_no_gap(self, tmp_path, monkeypatch):
+        path = tmp_path / "conj34.json"
+        assert invoke(["conj34", "--speeds", "1,3,4,7", "--json", str(path)])[0] == 0
+
+        def refuse(speeds):
+            raise AssertionError("a conj34 check must not compute a gap")
+
+        monkeypatch.setattr(gap, "exact_gap", refuse)
+        monkeypatch.setattr(fieldsearch, "exact_gap", refuse)
+        code, checked = invoke_json(["check", str(path)])
+        assert code == 0 and checked["result"] == {"valid": True, "issues": []}
+
+
+class TestHostileWitness:
+    """Witness numbers out of range are issues, reported before any modulo."""
+
+    def _check_tampered(self, tmp_path, argv, edit):
+        _, out, _ = invoke(argv)
+        data = json.loads(out)
+        edit(data["result"])
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data))
+        code, doc = invoke_json(["check", str(path)])
+        assert code == 2 and doc["result"]["valid"] is False
+        assert doc["result"]["issues"]
+
+    @pytest.mark.parametrize("prime", [0, -7, True])
+    def test_invisible_prime(self, tmp_path, prime):
+        argv = ["invisible", "--speeds", "1,2,3", "--d", "1"]
+        self._check_tampered(tmp_path, argv, lambda res: res["witness"].update(prime=prime))
+
+    @pytest.mark.parametrize(
+        "speeds, field, value",
+        [
+            ("1,3", "n", 0),
+            # The engine's witness for {2, 3, 7} is (5, 1, 1): a bool x or a
+            # float n would otherwise reproduce its residues.
+            ("2,3,7", "x", True),
+            ("2,3,7", "n", 5.0),
+        ],
+    )
+    def test_conj34_witness_numbers(self, tmp_path, speeds, field, value):
+        argv = ["conj34", "--speeds", speeds]
+        self._check_tampered(tmp_path, argv, lambda res: res.update({field: value}))
 
 
 class TestCheckCommand:

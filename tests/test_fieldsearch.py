@@ -7,8 +7,8 @@ import pytest
 
 from lonelyrunner.arith import SpeedSet, next_prime_not_dividing
 from lonelyrunner.fieldsearch import (
+    BandWitness,
     PrimeBudgetExhausted,
-    band_avoidance_search,
     conj34_witness,
     invisible_subset,
     residue_matrix_scan,
@@ -23,47 +23,60 @@ def random_speed_set(rng, max_k=5, max_speed=40) -> SpeedSet:
 
 class TestBandAvoidance:
     def test_examples(self):
-        w = band_avoidance_search((2, 3), 5, 1)
-        assert (w.multiplier, w.residues, w.bound) == (1, (2, 3), Fraction(2, 5))
-        w = band_avoidance_search((1,), 3, 0)
-        assert (w.multiplier, w.residues, w.bound) == (1, (1,), Fraction(1, 3))
-        w = band_avoidance_search((1, 2, 3, 4), 5, 0)
-        assert (w.multiplier, w.residues, w.bound) == (1, (1, 2, 3, 4), Fraction(1, 5))
+        w = BandWitness(5, 1, 1)
+        assert w.avoids((2, 3)) and w.residues((2, 3)) == (2, 3)
+        assert w.bound == Fraction(2, 5)
+        assert BandWitness(3, 1, 0).avoids((1,))
+        assert BandWitness(5, 1, 0).avoids((1, 2, 3, 4))
+        assert BandWitness(5, 1, 0).bound == Fraction(1, 5)
+        assert BandWitness(5, 2, 1).far((1, 2, 3, 4)) == (1, 4)
+        assert not BandWitness(5, 2, 1).avoids((1, 2))
+
+    def test_radius_certifies_one_over_k_plus_one(self):
+        for k in range(1, 9):
+            for n in range(2, 60):
+                m = BandWitness.radius(n, k)
+                assert BandWitness(n, 1, m).bound >= Fraction(1, k + 1)
+                assert m == 0 or BandWitness(n, 1, m - 1).bound < Fraction(1, k + 1)
+                strict = BandWitness.radius(n, k, strict=True)
+                assert BandWitness(n, 1, strict).bound > Fraction(1, k + 1)
+                assert strict == 0 or BandWitness(n, 1, strict - 1).bound <= Fraction(1, k + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            band_avoidance_search((5, 7), 5, 0)  # p divides a speed
+            residue_matrix_scan((5, 7), 5, 0, 0)  # p divides a speed
         with pytest.raises(ValueError):
-            band_avoidance_search((2, 3), 5, 3)  # m >= p/2
+            residue_matrix_scan((2, 3), 5, 3, 0)  # m >= p/2
         with pytest.raises(ValueError):
-            band_avoidance_search((2, 3), 6, 1)  # p not prime
+            residue_matrix_scan((2, 3), 6, 1, 0)  # p not prime
 
     def test_no_witness_when_band_too_wide(self):
         # p=5, m=1 leaves only residues {2,3}; the set {1,2,3,4} covers all
         # of Z_5^* under any multiplier, so no x works.
-        assert band_avoidance_search((1, 2, 3, 4), 5, 1) is None
+        assert not any(BandWitness(5, x, 1).avoids((1, 2, 3, 4)) for x in range(1, 5))
 
     def test_soundness_on_random_sets(self):
+        # Every witness that holds is sound, not only the first one found.
         rng = random.Random(600)
         for _ in range(100):
             s = random_speed_set(rng)
             p = next_prime_not_dividing(rng.randint(2, 30), s)
             delta = exact_gap(s).delta
-            for m in range((p - 1) // 2, -1, -1):
-                w = band_avoidance_search(s, p, m)
-                if w is not None:
-                    assert w.bound <= delta
-                    assert all(m < r < p - m for r in w.residues)
-                    break
-            else:
-                pytest.fail("m=0 must always admit a witness")
+            assert BandWitness(p, 1, 0).avoids(s)
+            for x in range(1, p):
+                for m in range((p - 1) // 2 + 1):
+                    w = BandWitness(p, x, m)
+                    if w.avoids(s):
+                        assert w.bound <= delta, (s, w)
+                        assert all(m < r < p - m for r in w.residues(s))
 
 
 class TestResidueMatrixScan:
     def test_examples(self):
-        assert residue_matrix_scan((1, 2), 7, {1, 6}, 0) == 2  # {2,4} misses the band
-        assert residue_matrix_scan((3,), 5, set(), 0) == 1
-        assert residue_matrix_scan((1, 2, 3), 11, {1, 10}, 1) == 1
+        assert residue_matrix_scan((1, 2), 7, 1, 0) == 2  # {2,4} misses the band
+        assert residue_matrix_scan((3,), 5, 0, 0) == 1
+        assert residue_matrix_scan((1, 2, 3), 11, 1, 1) == 1
+        assert residue_matrix_scan((1, 2, 3, 4), 5, 1, 0) is None
 
     def test_returned_x_is_smallest_qualifying(self):
         rng = random.Random(601)
@@ -73,7 +86,7 @@ class TestResidueMatrixScan:
             m = rng.randint(0, (p - 1) // 2)
             band = set(range(1, m + 1)) | {p - r for r in range(1, m + 1)}
             d = rng.randint(0, len(s))
-            x = residue_matrix_scan(s, p, band, d)
+            x = residue_matrix_scan(s, p, m, d)
             hits = lambda y: sum(1 for v in s if y * v % p in band)
             if x is None:
                 assert all(hits(y) > d for y in range(1, p))
@@ -103,13 +116,13 @@ class TestResidueMatrixScan:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            residue_matrix_scan((2,), 9, {1}, 0)
+            residue_matrix_scan((2,), 9, 1, 0)
         with pytest.raises(ValueError):
-            residue_matrix_scan((2,), 5, {0}, 0)
+            residue_matrix_scan((2,), 5, -1, 0)
         with pytest.raises(ValueError):
-            residue_matrix_scan((2,), 5, {5}, 0)
+            residue_matrix_scan((2,), 5, 3, 0)
         with pytest.raises(ValueError):
-            residue_matrix_scan((2,), 5, {1}, 3)
+            residue_matrix_scan((2,), 5, 1, 3)
 
 
 class TestInvisibleSubset:
@@ -142,9 +155,9 @@ class TestInvisibleSubset:
             assert cert.bound == Fraction(d + 1, 2 * k)
             assert cert.kept_delta >= cert.bound
             w = cert.witness
-            assert all(v % w.prime != 0 for v in s)
-            assert w.residues == tuple(w.multiplier * v % w.prime for v in cert.kept)
-            assert all(w.band < r < w.prime - w.band for r in w.residues)
+            assert all(v % w.n != 0 for v in s)
+            assert w.far(s) == tuple(cert.kept)
+            assert w.avoids(cert.kept)
             # The field-side bound is the weaker Lemma-30 one.
             assert w.bound <= cert.kept_delta
 
@@ -175,6 +188,7 @@ class TestConj34:
             assert w is not None
             k = len(s)
             assert w.m == -(-w.n // (k + 1)) - 1
+            assert w.avoids(s)
             for v in s:
                 r = w.x * v % w.n
                 assert w.m < r < w.n - w.m

@@ -13,10 +13,8 @@ from lonelyrunner.gap import (
     check_kappa_bounds,
     exact_gap,
     gap_grid_oracle,
-    gap_value_at,
     kappa_bounds,
     lonely_time,
-    separation_floor,
     sweep,
     verify_lrc,
 )
@@ -142,10 +140,6 @@ class TestExactGap:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             exact_gap(())
-
-    def test_gap_value_at(self):
-        assert gap_value_at((1, 2), Fraction(1, 3)) == Fraction(1, 3)
-        assert gap_value_at((1, 2, 3), 0) == 0
 
 
 class TestGridOracle:
@@ -346,8 +340,3 @@ class TestBounds:
     def test_kappa_bounds_of_a_certificate(self):
         for speeds in [(1, 2, 3), (4,), (3, 5), (1, 3, 4, 7)]:
             assert kappa_bounds(exact_gap(speeds)) == check_kappa_bounds(speeds)
-
-    def test_separation_floor_examples(self):
-        assert separation_floor((0, 1, 2), 0) == Fraction(1, 4)
-        assert separation_floor((0, 7), 0) == Fraction(1, 2)
-        assert separation_floor((1, 2, 3, 4), 0) == Fraction(1, 6)
