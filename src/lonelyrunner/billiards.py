@@ -62,12 +62,13 @@ _HALF = Fraction(1, 2)
 _ROW_H = QuadExt(0, _HALF)  # sqrt(3)/2, the tiling row height
 
 
-def _check_count(value, message: str) -> None:
-    """Reject a cell, segment or strike count that is not an int >= 1.  A
-    bool is not a count, although Python treats True as 1."""
+def _check_count(value, message: str, least: int = 1) -> None:
+    """Reject a count that is not an int >= ``least`` (a cell, segment or
+    strike count here; any count of a certificate's inputs).  A bool is not
+    a count, although Python treats True as 1."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"count must be an integer, got {value!r}")
-    if value < 1:
+    if value < least:
         raise ValueError(message)
 
 

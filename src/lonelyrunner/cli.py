@@ -1,9 +1,12 @@
 """Command-line surface: one subcommand per problem formulation.
 
-JSON certificate documents go to stdout, logs to stderr, SVG to the path
-given by ``--svg`` (or stdout).  Exit codes: 0 success, 1 usage error, 2
-mathematical counterexample found (or an invalid certificate under
-``check``), 3 prime-budget or horizon exhaustion.
+Each problem subcommand turns its flags into a document's ``inputs`` and
+emits what ``certificates.produce`` builds from them, the same rule that
+``check`` holds a document to.  JSON certificate documents go to stdout,
+error messages to stderr, SVG to the path given by ``--svg`` (or stdout).
+Exit codes: 0 success, 1 usage error, 2 mathematical counterexample found
+(or an invalid certificate under ``check``), 3 prime-budget or horizon
+exhaustion.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import QuadExt, SpeedSet
-from . import billiards, certificates, fieldsearch, gap, render, viewobstruct
+from .arith import QuadExt
+from . import certificates, fieldsearch, render
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -48,6 +51,14 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"cannot parse rational {text!r}; expected p/q")
 
 
+def _rational_input(text: str) -> dict[str, int]:
+    return certificates.encode_rational(_parse_rational(text))
+
+
+def _slope_input(text: str) -> dict:
+    return certificates.encode_quadext(_parse_slope(text))
+
+
 def _parse_slope(text: str) -> QuadExt:
     """Slope syntax: ``p/q`` for a rational, ``sqrt3*p/q`` for a sqrt(3)
     multiple."""
@@ -68,7 +79,9 @@ def build_parser() -> _Parser:
     json_flag = dict(metavar="PATH", help="write the JSON document here instead of stdout")
 
     p = sub.add_parser("gap", help="exact gap certificate for a speed set")
-    p.add_argument("--speeds", required=True, help="comma-separated speeds, e.g. 1,2,3")
+    p.add_argument(
+        "--speeds", type=_parse_speeds, required=True, help="comma-separated speeds, e.g. 1,2,3"
+    )
     p.add_argument(
         "--grid",
         type=int,
@@ -79,7 +92,9 @@ def build_parser() -> _Parser:
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("lonely", help="loneliest time for one runner")
-    p.add_argument("--speeds", required=True, help="runner speeds (may include 0)")
+    p.add_argument(
+        "--speeds", type=_parse_speeds, required=True, help="runner speeds (may include 0)"
+    )
     p.add_argument("--focus", type=int, required=True, help="index of the focus runner")
     p.add_argument("--json", **json_flag)
 
@@ -90,12 +105,16 @@ def build_parser() -> _Parser:
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("kappa", help="per-instance bound sandwich 1/(2k) .. 1/(k+1)")
-    p.add_argument("--speeds", required=True)
+    p.add_argument("--speeds", type=_parse_speeds, required=True)
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("obstruct", help="minimal cube scale for a ray direction")
-    p.add_argument("--direction", required=True, help="comma-separated coordinates")
-    p.add_argument("--alpha", help="scale to test for a concrete witness, e.g. 1/3")
+    p.add_argument(
+        "--direction", type=_parse_speeds, required=True, help="comma-separated coordinates"
+    )
+    p.add_argument(
+        "--alpha", type=_rational_input, help="scale to test for a concrete witness, e.g. 1/3"
+    )
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("kscan", help="supremum of minimal scales over a direction box")
@@ -105,14 +124,18 @@ def build_parser() -> _Parser:
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("billiard", help="square-table path and minimal obstacle")
-    p.add_argument("--slope", required=True, help="rational slope p/q")
-    p.add_argument("--alpha", help="obstacle scale to classify contact against")
+    p.add_argument("--slope", type=_rational_input, required=True, help="rational slope p/q")
+    p.add_argument(
+        "--alpha", type=_rational_input, help="obstacle scale to classify contact against"
+    )
     p.add_argument("--segments", type=int, default=12)
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("triangle", help="triangle-table obstruction and path")
-    p.add_argument("--slope", required=True, help="p/q or sqrt3*p/q, inside (0, sqrt3)")
-    p.add_argument("--alpha", help="obstacle scale to test along the walk")
+    p.add_argument(
+        "--slope", type=_slope_input, required=True, help="p/q or sqrt3*p/q, inside (0, sqrt3)"
+    )
+    p.add_argument("--alpha", type=_rational_input, help="obstacle scale to test along the walk")
     p.add_argument("--horizon", type=int, default=10_000, help="cells to walk")
     p.add_argument("--strikes", type=int, help="also fold this many path segments")
     p.add_argument(
@@ -120,17 +143,22 @@ def build_parser() -> _Parser:
         action="store_true",
         help="bisect for the minimal obstructing scale within the horizon",
     )
-    p.add_argument("--tolerance", default="1/1024", help="bracket width for --min-obstacle")
+    p.add_argument(
+        "--tolerance",
+        type=_rational_input,
+        default="1/1024",
+        help="bracket width for --min-obstacle",
+    )
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("invisible", help="drop d runners to certify a larger gap")
-    p.add_argument("--speeds", required=True)
+    p.add_argument("--speeds", type=_parse_speeds, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--prime-budget", type=int, default=100_000)
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("conj34", help="residue witness (n, x, m) for a speed set")
-    p.add_argument("--speeds", required=True)
+    p.add_argument("--speeds", type=_parse_speeds, required=True)
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("check", help="re-validate a certificate document")
@@ -160,109 +188,22 @@ def _emit(doc: certificates.CertificateDocument, args, out) -> None:
         out.write(text)
 
 
-def _cmd_gap(args, out) -> int:
-    speeds = SpeedSet(_parse_speeds(args.speeds))
-    cert = gap.exact_gap(speeds)
-    grid = None
-    if args.grid is not None:
-        resolution = args.grid if args.grid > 0 else 64 * speeds.max * len(speeds)
-        grid = (resolution, gap.gap_grid_oracle(speeds, resolution))
-    _emit(certificates.gap_document(cert, grid), args, out)
-    return EXIT_OK
+_NOT_INPUTS = ("subcommand", "json", "jobs", "min_obstacle")
 
 
-def _cmd_lonely(args, out) -> int:
-    report = gap.lonely_time(_parse_speeds(args.speeds), args.focus)
-    _emit(certificates.lonely_document(report), args, out)
-    return EXIT_OK
-
-
-def _cmd_verify(args, out) -> int:
-    report = gap.verify_lrc(args.k, args.max_speed, jobs=args.jobs)
-    _emit(certificates.verify_document(report), args, out)
-    return EXIT_OK if report.holds else EXIT_COUNTEREXAMPLE
-
-
-def _cmd_kappa(args, out) -> int:
-    speeds = SpeedSet(_parse_speeds(args.speeds))
-    cert = gap.exact_gap(speeds)
-    lower, upper, holds = gap.kappa_bounds(cert)
-    _emit(certificates.kappa_document(speeds, lower, upper, cert.delta, holds), args, out)
-    return EXIT_OK if holds else EXIT_COUNTEREXAMPLE
-
-
-def _cmd_obstruct(args, out) -> int:
-    direction = viewobstruct.Direction(_parse_speeds(args.direction))
-    min_scale = viewobstruct.min_scale_for_direction(direction)
-    alpha = None if args.alpha is None else _parse_rational(args.alpha)
-    witness = None
-    if alpha is not None:
-        witness = viewobstruct.obstruction_witness(direction, alpha)
-    _emit(certificates.obstruct_document(direction, alpha, min_scale, witness), args, out)
-    return EXIT_OK
-
-
-def _cmd_kscan(args, out) -> int:
-    report = viewobstruct.kprime_scan(args.k, args.max_coord, jobs=args.jobs)
-    _emit(certificates.kscan_document(report), args, out)
-    return EXIT_OK
-
-
-def _cmd_billiard(args, out) -> int:
-    slope = _parse_rational(args.slope)
-    path = billiards.square_path_segments(slope, args.segments)
-    min_obstacle = billiards.square_min_obstacle(slope)
-    alpha = None if args.alpha is None else _parse_rational(args.alpha)
-    contact = None
-    if alpha is not None:
-        contact = billiards.square_obstacle_contact(path, alpha)
-    _emit(certificates.billiard_document(path, min_obstacle, alpha, contact), args, out)
-    return EXIT_OK
-
-
-def _cmd_triangle(args, out) -> int:
-    slope = _parse_slope(args.slope)
-    alpha = None if args.alpha is None else _parse_rational(args.alpha)
-    hit = None
-    if alpha is not None:
-        hit = billiards.triangle_obstruction_check(slope, alpha, args.horizon)
-    path = None
-    if args.strikes is not None:
-        path = billiards.triangle_path_segments(slope, args.strikes)
-    bracket = None
-    if args.min_obstacle:
-        tolerance = _parse_rational(args.tolerance)
-        lo, hi = billiards.triangle_min_obstacle(slope, args.horizon, tolerance)
-        bracket = (lo, hi, tolerance)
-    _emit(
-        certificates.triangle_document(slope, alpha, args.horizon, hit, path, bracket),
-        args,
-        out,
-    )
-    if alpha is not None and hit is None:
-        return EXIT_EXHAUSTED  # no hit within the horizon: unsettled
-    return EXIT_OK
-
-
-def _cmd_invisible(args, out) -> int:
-    speeds = SpeedSet(_parse_speeds(args.speeds))
-    cert = fieldsearch.invisible_subset(speeds, args.d, prime_budget=args.prime_budget)
-    _emit(certificates.invisible_document(cert, args.prime_budget), args, out)
-    return EXIT_OK
-
-
-def _cmd_conj34(args, out) -> int:
-    speeds = SpeedSet(_parse_speeds(args.speeds))
-    witness = fieldsearch.conj34_witness(speeds)
-    if witness is None:
-        doc = certificates.CertificateDocument(
-            command="conj34",
-            inputs={"speeds": list(speeds)},
-            result={"refuted": True},
-        )
-        _emit(doc, args, out)
+def _cmd_produce(args, out) -> int:
+    """Flags to document-form inputs, the producer, and an exit code read
+    from the document."""
+    inputs = {key: value for key, value in vars(args).items() if key not in _NOT_INPUTS}
+    if args.subcommand == "triangle" and not args.min_obstacle:
+        inputs["tolerance"] = None
+    doc = certificates.produce(args.subcommand, inputs, jobs=getattr(args, "jobs", 1))
+    _emit(doc, args, out)
+    result = doc.result
+    if result.get("counterexamples") or result.get("holds") is False or result.get("refuted"):
         return EXIT_COUNTEREXAMPLE
-    _emit(certificates.conj34_document(speeds, witness), args, out)
+    if doc.command == "triangle" and result["hit"] == {"found": False}:
+        return EXIT_EXHAUSTED  # no hit within the horizon: unsettled
     return EXIT_OK
 
 
@@ -331,20 +272,7 @@ def _cmd_render(args, out) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gap": _cmd_gap,
-    "lonely": _cmd_lonely,
-    "verify": _cmd_verify,
-    "kappa": _cmd_kappa,
-    "obstruct": _cmd_obstruct,
-    "kscan": _cmd_kscan,
-    "billiard": _cmd_billiard,
-    "triangle": _cmd_triangle,
-    "invisible": _cmd_invisible,
-    "conj34": _cmd_conj34,
-    "check": _cmd_check,
-    "render": _cmd_render,
-}
+_COMMANDS = {"check": _cmd_check, "render": _cmd_render}
 
 
 def run(argv: Sequence[str], out=None, err=None) -> int:
@@ -356,7 +284,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
         args = parser.parse_args(list(argv))
         if args.subcommand is None:
             raise UsageError(parser.format_usage())
-        handler = _COMMANDS[args.subcommand]
+        handler = _COMMANDS.get(args.subcommand, _cmd_produce)
         return handler(args, out)
     except UsageError as exc:
         err.write(str(exc).rstrip() + "\n")

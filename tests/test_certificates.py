@@ -1,6 +1,7 @@
 """Round-trip and re-validation tests for certificate documents."""
 
 import copy
+import json
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,8 @@ class TestValidation:
 
     def test_unknown_command(self):
         doc = certificates.CertificateDocument("frobnicate", {}, {})
+        assert certificates.validate_document(doc) != []
+        doc = certificates.CertificateDocument(["gap"], {}, {})  # unhashable
         assert certificates.validate_document(doc) != []
 
     def test_tampered_gap_delta(self):
@@ -250,3 +253,206 @@ class TestTriangleHorizon:
         assert certificates.validate_document(_with_count(doc, "horizon", 10_000)) == []
         issues = certificates.validate_document(_with_count(doc, "horizon", horizon))
         assert issues and "malformed" in issues[0]
+
+
+# ---------------------------------------------------------------------------
+# One tamper matrix over the seven commands whose check rebuilds the document
+# ---------------------------------------------------------------------------
+
+REBUILT = ["gap", "lonely", "verify", "kappa", "kscan", "billiard", "triangle"]
+COUNTS = {
+    "gap": ["grid"],
+    "lonely": ["focus"],
+    "verify": ["k", "max_speed"],
+    "kscan": ["k", "max_coord"],
+    "billiard": ["segments"],
+    "triangle": ["horizon", "strikes"],
+}
+
+
+def _unreduced(value):
+    """``value`` with every rational in it written as 2n/2d."""
+    if isinstance(value, dict) and value.keys() == {"num", "den"}:
+        return {"num": 2 * value["num"], "den": 2 * value["den"]}
+    if isinstance(value, dict):
+        return {key: _unreduced(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_unreduced(item) for item in value]
+    return value
+
+
+def _other(value):
+    """A different JSON value of the same kind where one exists; a bool
+    becomes the int Python equates with it."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, list):
+        return value[:-1] if value else [0]
+    if isinstance(value, dict):
+        return None
+    return 0
+
+
+def _set_result(key, value):
+    return lambda result, inputs: result.update({key: value})
+
+
+def _set_input(key, value):
+    return lambda result, inputs: inputs.update({key: value})
+
+
+def _tamper_cases():
+    cases = []
+    for command in REBUILT:
+        for key, value in DOCS[command].result.items():
+            cases.append((command, f"drop {key}", lambda r, i, k=key: r.pop(k)))
+            if value is not True:
+                cases.append((command, f"{key}=true", _set_result(key, True)))
+            if _unreduced(value) != value:
+                cases.append((command, f"{key} unreduced", _set_result(key, _unreduced(value))))
+            cases.append((command, f"{key} other", _set_result(key, _other(value))))
+        cases.append((command, "extra result key", _set_result("extra", 1)))
+        cases.append((command, "extra input key", _set_input("extra", 1)))
+        for count in COUNTS.get(command, []):
+            cases.append((command, f"{count}=true", _set_input(count, True)))
+    return cases
+
+
+def _verify_k1():
+    return certificates.verify_document(gap.verify_lrc(1, 6))
+
+
+def _lonely_focus_1():
+    return certificates.lonely_document(gap.lonely_time((0, 1, 2, 3), 1))
+
+
+def _path_only_triangle():
+    slope = QuadExt(0, F(1, 5))
+    return certificates.triangle_document(
+        slope, None, 10_000, None, billiards.triangle_path_segments(slope, 2)
+    )
+
+
+SLOPE_1_5 = certificates.encode_quadext(QuadExt(0, F(1, 5)))
+MADE_UP_HIT = {"found": True, "index": 0, "row": 0, "col": 0, "orientation": "up", "grazing": True}
+
+# The holes that a field-by-field re-run left open, on top of the matrix.
+EXTRA_CASES = [
+    (_verify_k1, "k=1 checked=true", _set_result("checked", True)),
+    (_verify_k1, "k=1 k=true", _set_input("k", True)),
+    (_path_only_triangle, "path-only made-up hit", _set_result("hit", MADE_UP_HIT)),
+    (lambda: DOCS["gap"], "unsorted speeds", _set_input("speeds", [3, 2, 1])),
+    (_lonely_focus_1, "focus 1 as true", _set_input("focus", True)),
+    (lambda: DOCS["triangle"], "slope unreduced", _set_input("slope", _unreduced(SLOPE_1_5))),
+]
+
+
+CASES = [
+    (lambda c=command: DOCS[c], f"{command}: {name}", edit)
+    for command, name, edit in _tamper_cases()
+] + EXTRA_CASES
+
+
+@pytest.mark.parametrize("build, edit", [(b, e) for b, _, e in CASES], ids=[n for _, n, _ in CASES])
+def test_tampered_rebuilt_document_is_invalid(build, edit):
+    original = build()
+    assert certificates.validate_document(original) == []
+    doc = certificates.parse(certificates.serialize(original))
+    edit(doc.result, doc.inputs)
+    assert certificates.validate_document(certificates.parse(certificates.serialize(doc))) != []
+
+
+class TestRebuiltVerdicts:
+    def test_key_order_and_whitespace_do_not_count(self):
+        for command in REBUILT:
+            text = certificates.serialize(DOCS[command])
+            doc = certificates.parse(json.dumps(json.loads(text), sort_keys=True))
+            assert certificates.serialize(doc) != text
+            assert certificates.validate_document(doc) == []
+
+    def test_mismatch_names_the_key(self):
+        doc = copy.deepcopy(DOCS["gap"])
+        doc.result["delta"] = {"num": 2, "den": 8}
+        assert certificates.validate_document(doc) == ["delta mismatch"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.result.pop("delta"),
+            lambda doc: doc.result.update(extra=1),
+            lambda doc: doc.result.update(delta={"num": 1, "den": 0}),
+            lambda doc: doc.result.update(delta=True),
+        ],
+        ids=["missing key", "extra key", "zero denominator", "bool rational"],
+    )
+    def test_malformed(self, edit):
+        doc = copy.deepcopy(DOCS["gap"])
+        edit(doc)
+        issues = certificates.validate_document(doc)
+        assert len(issues) == 1 and issues[0].startswith("malformed document: ")
+
+    def test_grid_bracket_is_still_checked(self, monkeypatch):
+        # The oracle is an independent check of exact_gap: a wrong oracle
+        # rebuilds into a document that matches itself but fails the bracket.
+        monkeypatch.setattr(gap, "gap_grid_oracle", lambda speeds, n: F(0))
+        doc = certificates.produce("gap", {"speeds": [2, 3], "grid": 600})
+        assert certificates.validate_document(doc) == ["grid oracle does not bracket delta"]
+
+
+class TestProduce:
+    def test_unknown_command(self):
+        with pytest.raises(ValueError):
+            certificates.produce("frobnicate", {})
+
+    def test_conj34_refuted_document(self, monkeypatch):
+        monkeypatch.setattr(fieldsearch, "conj34_witness", lambda speeds: None)
+        doc = certificates.produce("conj34", {"speeds": [3, 1]})
+        assert (doc.inputs, doc.result) == ({"speeds": [1, 3]}, {"refuted": True})
+
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [
+            ("gap", {"speeds": [1, 2, 3], "grid": -4}),
+            ("lonely", {"speeds": [0, 1], "focus": -1}),
+            ("verify", {"k": 0, "max_speed": 5}),
+            ("kscan", {"k": 2, "max_coord": 0}),
+            ("billiard", {"slope": {"num": 1, "den": 2}, "alpha": None, "segments": 0}),
+            (
+                "triangle",
+                {
+                    "slope": {"a": {"num": 0, "den": 1}, "b": {"num": 1, "den": 5}},
+                    "alpha": None,
+                    "horizon": -5,
+                    "strikes": 2,
+                    "tolerance": None,
+                },
+            ),
+        ],
+        ids=["grid", "focus", "k", "max_coord", "segments", "horizon"],
+    )
+    def test_count_below_its_least_value(self, command, inputs):
+        with pytest.raises(ValueError, match="at least"):
+            certificates.produce(command, inputs)
+
+
+class TestInvisibleInputs:
+    """The invisible check reads its inputs as a witness check: d a count
+    below k, and a prime budget that admits the witness prime."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("d", True), ("d", 3), ("prime_budget", "x"), ("prime_budget", 2)],
+        ids=["d true", "d not below k", "budget not a count", "budget below the witness prime"],
+    )
+    def test_bad_input_is_invalid(self, key, value):
+        doc = _with_count(DOCS["invisible"], key, value)
+        assert doc.result["witness"]["prime"] == 5
+        assert certificates.validate_document(doc) != []
+
+    def test_budget_at_the_witness_prime_is_valid(self):
+        doc = _with_count(DOCS["invisible"], "prime_budget", 5)
+        assert certificates.validate_document(doc) == []

@@ -4,6 +4,9 @@ import concurrent.futures
 import io
 import json
 import os
+import shlex
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +113,27 @@ class TestSweepCommands:
         code, checked = invoke_json(["check", str(path)])
         assert code == 0 and checked["result"]["valid"] is True
         assert len(calls) == 2
+
+
+class TestCounterexampleExit:
+    """A document that reports a counterexample exits 2.  None occurs in
+    the boxes the engines reach, so each engine is stubbed to report one."""
+
+    def test_verify_counterexample(self, monkeypatch):
+        report = gap.LrcSweepReport(2, 3, Fraction(1, 3), 3, ((1, 2),), ((2, 3),))
+        monkeypatch.setattr(gap, "verify_lrc", lambda k, m, jobs: report)
+        code, doc = invoke_json(["verify", "--k", "2", "--max-speed", "3"])
+        assert code == 2 and doc["result"]["counterexamples"] == [[2, 3]]
+
+    def test_kappa_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(gap, "kappa_bounds", lambda cert: (Fraction(1), Fraction(1), False))
+        code, doc = invoke_json(["kappa", "--speeds", "3,5"])
+        assert code == 2 and doc["result"]["holds"] is False
+
+    def test_conj34_refuted(self, monkeypatch):
+        monkeypatch.setattr(fieldsearch, "conj34_witness", lambda speeds: None)
+        code, doc = invoke_json(["conj34", "--speeds", "1,3"])
+        assert code == 2 and doc["result"] == {"refuted": True}
 
 
 class TestGeometryCommands:
@@ -342,3 +366,93 @@ class TestUsage:
         code, doc = invoke_json(["gap", "--speeds", "2,3"])
         assert code == 0 and doc["command"] == "gap"
         assert doc["result"]["delta"] == {"num": 2, "den": 5}
+
+
+class TestCliAndCheckerAgree:
+    """Every document the CLI emits passes ``lrc check``, and an invocation
+    whose document the check would reject emits none."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triangle", "--slope", "sqrt3*1/5", "--strikes", "2", "--horizon", "-5"],
+            ["gap", "--speeds", "1,2,3", "--grid", "-4"],
+        ],
+    )
+    def test_bad_count_exits_one_without_a_document(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 1 and out == "" and "at least" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--speeds", "3,1,2,2"],
+            ["gap", "--speeds", "2,3", "--grid", "600"],
+            ["gap", "--speeds", "1,2", "--grid"],
+            ["lonely", "--speeds", "3,0,7,2", "--focus", "2"],
+            ["verify", "--k", "3", "--max-speed", "10"],
+            ["verify", "--k", "2", "--max-speed", "12", "--jobs", "2"],
+            ["kappa", "--speeds", "1,3,4,7"],
+            ["obstruct", "--direction", "2,4,6"],
+            ["obstruct", "--direction", "1,2", "--alpha", "1/3"],
+            ["obstruct", "--direction", "1,2", "--alpha", "1/4"],
+            ["kscan", "--k", "3", "--max-coord", "8"],
+            ["kscan", "--k", "3", "--max-coord", "8", "--jobs", "2"],
+            ["billiard", "--slope", "1/2"],
+            ["billiard", "--slope", "2/3", "--alpha", "1/5", "--segments", "20"],
+            ["triangle", "--slope", "sqrt3*1/5"],
+            ["triangle", "--slope", "sqrt3*2/7", "--alpha", "1/3", "--horizon", "200"],
+            ["triangle", "--slope", "sqrt3*1/5", "--alpha", "6/25", "--horizon", "50"],
+            ["triangle", "--slope", "sqrt3*1/3", "--strikes", "12"],
+            ["triangle", "--slope", "sqrt3*1/5", "--min-obstacle", "--horizon", "50"],
+            [
+                "triangle", "--slope", "sqrt3*1/5", "--alpha", "1/4", "--horizon", "60",
+                "--strikes", "6", "--min-obstacle", "--tolerance", "1/64",
+            ],
+            ["invisible", "--speeds", "1,2,3,4,5", "--d", "2"],
+            ["invisible", "--speeds", "1,2,3", "--d", "1", "--prime-budget", "5"],
+            ["conj34", "--speeds", "2,3,7"],
+        ],
+        ids=" ".join,
+    )
+    def test_every_document_passes_check(self, argv, tmp_path):
+        if "--jobs" in argv and (os.cpu_count() or 1) < 2:
+            pytest.skip("needs two cores")
+        path = tmp_path / "doc.json"
+        code, out, err = invoke(argv + ["--json", str(path)])
+        assert code in (0, 3) and out == "", err
+        code, checked = invoke_json(["check", str(path)])
+        assert code == 0 and checked["result"] == {"valid": True, "issues": []}
+
+
+def _readme_calls():
+    """Every ``lrc`` call of the README's CLI block, an ``a && b`` line as two."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    calls = []
+    for line in block.splitlines():
+        for part in line.split("#", 1)[0].split("&&"):
+            argv = shlex.split(part)
+            if argv:
+                assert argv[0] == "lrc"
+                calls.append(argv[1:])
+    return calls
+
+
+README_CALLS = _readme_calls()
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    assert len(README_CALLS) >= 14
+    monkeypatch.chdir(tmp_path)
+    for argv in README_CALLS:
+        if "--jobs" in argv and int(argv[argv.index("--jobs") + 1]) > (os.cpu_count() or 1):
+            continue
+        code, out, err = invoke(argv)
+        assert code == 0, f"lrc {' '.join(argv)} exited {code}: {err}"
+        if "--json" in argv:
+            out = Path(argv[argv.index("--json") + 1]).read_text()
+        if out.startswith("{") and json.loads(out)["command"] != "check":
+            (tmp_path / "doc.json").write_text(out)
+            code, checked = invoke_json(["check", "doc.json"])
+            assert code == 0 and checked["result"]["valid"] is True, argv
