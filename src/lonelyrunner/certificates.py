@@ -11,8 +11,10 @@ document; ``lrc <command>`` and ``lrc check`` both call it.
 exactly what its command produces for its inputs, equal as JSON (a bool is
 not a count, rationals are in lowest terms, no key is missing or extra; key
 order and whitespace do not count).  ``obstruct``, ``invisible`` and
-``conj34`` documents instead have their witnesses checked, so any valid
-witness passes.
+``conj34`` documents are instead rebuilt by their builders from their inputs
+and their own witness, which is then checked: the search that found the
+witness is not re-run, so any valid witness passes, but inputs, keys and
+every value derived from the witness are held to the same JSON equality.
 """
 
 from __future__ import annotations
@@ -363,9 +365,9 @@ def _produce_kappa(inputs: dict, jobs: int) -> CertificateDocument:
 def _produce_obstruct(inputs: dict, jobs: int) -> CertificateDocument:
     direction = viewobstruct.Direction(inputs["direction"])
     alpha = _optional_rational(inputs["alpha"])
-    witness = None if alpha is None else viewobstruct.obstruction_witness(direction, alpha)
-    min_scale = viewobstruct.min_scale_for_direction(direction)
-    return obstruct_document(direction, alpha, min_scale, witness)
+    cert = gap.exact_gap(direction.speed_set())
+    witness = None if alpha is None else viewobstruct.obstruction_witness(direction, alpha, cert)
+    return obstruct_document(direction, alpha, 1 - 2 * cert.delta, witness)
 
 
 def _produce_kscan(inputs: dict, jobs: int) -> CertificateDocument:
@@ -480,10 +482,8 @@ def _diagnose(part: str, stored: Any, rebuilt: dict, issues: list[str]) -> None:
             issues.append(f"{key} mismatch")
 
 
-def _validate_rebuilt(doc: CertificateDocument, issues: list[str]) -> None:
-    """Valid only if the document is exactly what its command produces for
-    its inputs: ``inputs`` and ``result`` equal the rebuilt ones as JSON."""
-    rebuilt = produce(doc.command, doc.inputs)
+def _compare(doc: CertificateDocument, rebuilt: CertificateDocument, issues: list[str]) -> None:
+    """``inputs`` and ``result`` must equal the rebuilt ones as JSON."""
     # Fast path.  Format 2 of marshal tags every value's type (True, 1 and
     # 1.0 differ), keeps key order and shares no references, so equal bytes
     # mean equal JSON, at a fraction of the cost of two JSON dumps.
@@ -491,6 +491,13 @@ def _validate_rebuilt(doc: CertificateDocument, issues: list[str]) -> None:
     if marshal.dumps(stored, 2) != marshal.dumps(expected, 2):
         _diagnose("inputs", doc.inputs, rebuilt.inputs, issues)
         _diagnose("result", doc.result, rebuilt.result, issues)
+
+
+def _validate_rebuilt(doc: CertificateDocument, issues: list[str]) -> None:
+    """Valid only if the document is exactly what its command produces for
+    its inputs."""
+    rebuilt = produce(doc.command, doc.inputs)
+    _compare(doc, rebuilt, issues)
     if doc.command == "gap" and not issues:
         _check_grid_bracket(rebuilt, issues)
 
@@ -511,21 +518,23 @@ def _check_grid_bracket(doc: CertificateDocument, issues: list[str]) -> None:
 
 def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
     direction = viewobstruct.Direction(doc.inputs["direction"])
+    alpha = _optional_rational(doc.inputs["alpha"])
     min_scale = viewobstruct.min_scale_for_direction(direction)
-    res = doc.result
-    _check(issues, decode_rational(res["min_scale"]) == min_scale, "min_scale mismatch")
-    alpha = doc.inputs["alpha"]
-    witness = res["witness"]
+    stored = doc.result["witness"]
+    witness = None
+    if stored is not None:
+        t = decode_rational(stored["hit_time"])
+        centers = tuple(decode_rational(c) for c in stored["cube_center"])
+        witness = viewobstruct.ObstructionWitness(direction, alpha, t, centers)
+    _compare(doc, obstruct_document(direction, alpha, min_scale, witness), issues)
     if alpha is None:
         _check(issues, witness is None, "witness without a queried alpha")
         return
-    alpha = decode_rational(alpha)
+    _check(issues, 0 < alpha < 1, "alpha must lie strictly between 0 and 1")
     if witness is None:
         _check(issues, alpha < min_scale, "missing witness at an obstructing scale")
         return
     _check(issues, alpha >= min_scale, "witness below the minimal scale")
-    t = decode_rational(witness["hit_time"])
-    centers = [decode_rational(c) for c in witness["cube_center"]]
     _check(issues, len(centers) == len(direction.coords), "cube_center arity mismatch")
     for c, center in zip(direction.coords, centers):
         m = center - Fraction(1, 2)
@@ -538,11 +547,11 @@ def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
 
 
 def _check_band_witness(
-    issues: list[str], n, x, m, speeds: SpeedSet, residues
+    issues: list[str], n, x, m, speeds: SpeedSet
 ) -> Optional[fieldsearch.BandWitness]:
-    """Check a stored band witness (n, x, m) over ``speeds`` and its stored
-    ``residues``; returns the witness unless its numbers are out of range,
-    which are reported before any modulo is taken."""
+    """Check a stored band witness (n, x, m) over ``speeds``; returns the
+    witness unless its numbers are out of range, which are reported before
+    any modulo is taken."""
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, x, m)):
         issues.append("witness n, x and m must be integers")
         return None
@@ -550,7 +559,6 @@ def _check_band_witness(
         issues.append(f"witness ({n}, {x}, {m}) needs n >= 2, 0 < x < n and 0 <= 2m < n")
         return None
     witness = fieldsearch.BandWitness(n, x, m)
-    _check(issues, list(residues) == list(witness.residues(speeds)), "witness residues mismatch")
     _check(issues, witness.avoids(speeds), "witness residues enter the band")
     return witness
 
@@ -562,29 +570,22 @@ def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
     _check(issues, d < len(original), "d must be below the number of speeds")
     res = doc.result
     kept = SpeedSet(res["kept"])
-    removed = res["removed"]
-    _check(
-        issues,
-        sorted(list(kept) + list(removed)) == list(original),
-        "kept and removed do not partition the original speeds",
-    )
+    _check(issues, all(s in original for s in kept), "kept speeds outside the original speeds")
     _check(issues, len(kept) >= len(original) - d, "kept set too small")
-    bound = decode_rational(res["bound"])
-    _check(
-        issues,
-        bound == Fraction(d + 1, 2 * len(original)),
-        "bound is not (d+1)/(2k)",
-    )
-    delta = gap.exact_gap(kept).delta
-    _check(issues, decode_rational(res["kept_delta"]) == delta, "kept_delta mismatch")
-    _check(issues, delta >= bound, "kept set does not reach the bound")
     w = res["witness"]
     p = w["prime"]
-    witness = _check_band_witness(issues, p, w["multiplier"], w["band"], kept, w["residues"])
-    if witness is not None:
-        _check(issues, is_prime(p), f"{p} is not prime")
-        _check(issues, p <= budget, f"prime {p} exceeds the prime budget {budget}")
-        _check(issues, all(s % p != 0 for s in original), "prime divides a speed")
+    witness = _check_band_witness(issues, p, w["multiplier"], w["band"], kept)
+    if witness is None:
+        return
+    removed = tuple(s for s in original if s not in kept)
+    bound = Fraction(d + 1, 2 * len(original))
+    delta = gap.exact_gap(kept).delta
+    cert = fieldsearch.SubsetCertificate(original, kept, removed, d, bound, delta, witness)
+    _compare(doc, invisible_document(cert, budget), issues)
+    _check(issues, delta >= bound, "kept set does not reach the bound")
+    _check(issues, is_prime(p), f"{p} is not prime")
+    _check(issues, p <= budget, f"prime {p} exceeds the prime budget {budget}")
+    _check(issues, all(s % p != 0 for s in original), "prime divides a speed")
 
 
 def _validate_conj34(doc: CertificateDocument, issues: list[str]) -> None:
@@ -593,8 +594,9 @@ def _validate_conj34(doc: CertificateDocument, issues: list[str]) -> None:
     k = len(speeds)
     res = doc.result
     _check(issues, k >= 2, "need at least two speeds")
-    witness = _check_band_witness(issues, res["n"], res["x"], res["m"], speeds, res["residues"])
+    witness = _check_band_witness(issues, res["n"], res["x"], res["m"], speeds)
     if witness is not None:
+        _compare(doc, conj34_document(speeds, witness), issues)
         _check(
             issues,
             witness.m >= fieldsearch.BandWitness.radius(witness.n, k),
@@ -611,9 +613,10 @@ _WITNESS_CHECKS = {
 
 def validate_document(doc: CertificateDocument) -> list[str]:
     """Check a document; returns a list of issues (empty means valid).
-    ``obstruct``, ``invisible`` and ``conj34`` documents have their
-    witnesses checked; any other document is rebuilt from its inputs and
-    must equal the rebuilt one."""
+    ``obstruct``, ``invisible`` and ``conj34`` documents are rebuilt from
+    their inputs and their own witness, which is checked; any other
+    document is rebuilt from its inputs alone.  Either way it must equal
+    the rebuilt one."""
     if not isinstance(doc.command, str) or doc.command not in _PRODUCERS:
         return [f"unknown certificate command {doc.command!r}"]
     issues: list[str] = []

@@ -2,9 +2,11 @@
 
 The supremum of the piecewise-linear function f_S(t) = min_i ||s_i t|| over a
 set S of distinct positive integer speeds is attained at a rational time of
-the form a / (s_i + s_j) for a pair of distinct speeds.  Enumerating that
-finite candidate set gives the exact maximum together with a witness; an
-independent grid scan brackets the same value and serves as a cross-check.
+the form a / (s_i + s_j) for a pair of distinct speeds.  Because
+f_S(t) = f_S(1 - t), the distinct such times in lowest terms up to 1/2
+suffice: ``exact_gap`` evaluates each of them once, in integers, and returns
+the exact maximum together with a witness.  An independent grid scan
+brackets the same value and serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import SpeedSet, torus_norm
+from .arith import SpeedSet
 
 __all__ = [
     "GapCertificate",
@@ -55,10 +57,13 @@ class GapCertificate:
 def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
     """Exact global maximum of f_S over one period, with certificate.
 
-    Every candidate a/(s_i + s_j) with i < j and 1 <= a <= s_i + s_j - 1 is
-    evaluated (the two remaining endpoints of the candidate range give
-    f_S = 0 and can never win).  Ties are broken toward the smallest
-    witness time so output is deterministic.
+    The candidates are the times a/(s_i + s_j) in lowest terms: every a/d
+    with d >= 2 dividing some pair sum, gcd(a, d) == 1 and a <= d/2, since
+    f_S(t) = f_S(1 - t) lets the first half period stand for the whole.
+    Each is evaluated once, in integers.  Ties break toward the smallest
+    time, so the witness is the least maximizer in [0, 1], which always lies
+    in the first half.  ``witness_pair`` names the first pair (i, j), in
+    lexicographic order, whose sum the witness denominator divides.
     """
     sset = SpeedSet.of(speeds)
     members = sset.speeds
@@ -68,43 +73,47 @@ def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
         t = Fraction(1, 2 * s)
         return GapCertificate(sset, Fraction(1, 2), t, None, (Fraction(1, 2),))
 
-    # All comparisons run on integers: f_S(a/den) = num/den with
-    # num = min over s of min(s*a mod den, den - s*a mod den).
-    best_num, best_den = -1, 1
-    best_t: Optional[Fraction] = None
-    best_pair: Optional[tuple[int, int, int]] = None
-    for i in range(k):
-        si = members[i]
-        for j in range(i + 1, k):
-            den = si + members[j]
-            for a in range(1, den):
-                num = den
-                limit = best_num * den
-                for s in members:
-                    r = s * a % den
-                    if den - r < r:
-                        r = den - r
-                    if r < num:
-                        num = r
-                        if num * best_den < limit:
-                            break  # strictly below the incumbent; skip
-                else:
-                    scaled = num * best_den
-                    if scaled > limit:
-                        best_num, best_den = num, den
-                        best_t = Fraction(a, den)
-                        best_pair = (i, j, a)
-                    elif scaled == limit:
-                        t = Fraction(a, den)
-                        if t < best_t:
-                            best_num, best_den = num, den
-                            best_t = t
-                            best_pair = (i, j, a)
+    pairs = list(combinations(range(k), 2))
+    sums = [members[i] + members[j] for i, j in pairs]
+    dens = set()
+    for n in set(sums):
+        for q in range(1, isqrt(n) + 1):
+            if n % q == 0:
+                dens.add(q)
+                dens.add(n // q)
+    dens.discard(1)
 
+    # All comparisons run on integers: f_S(a/den) = num/den with
+    # num = min over s of min(s*a mod den, den - s*a mod den).  Any order of
+    # the denominators gives the same result.  The gcd filter evaluates each
+    # time once and keeps best_den in lowest terms, as witness_pair needs.
+    best_num, best_den, best_a = -1, 1, 0
+    for den in sorted(dens, reverse=True):
+        for a in range(1, den // 2 + 1):
+            if gcd(a, den) != 1:
+                continue
+            num = den
+            limit = best_num * den
+            for s in members:
+                r = s * a % den
+                if den - r < r:
+                    r = den - r
+                if r < num:
+                    num = r
+                    if num * best_den < limit:
+                        break  # strictly below the incumbent; skip
+            else:
+                scaled = num * best_den
+                if scaled > limit or (scaled == limit and a * best_den < best_a * den):
+                    best_num, best_den, best_a = num, den, a
+
+    n, (i, j) = next((n, pair) for n, pair in zip(sums, pairs) if n % best_den == 0)
+    residues = [s * best_a % best_den for s in members]
+    norms = tuple(Fraction(min(r, best_den - r), best_den) for r in residues)
     delta = Fraction(best_num, best_den)
-    norms = tuple(torus_norm(s * best_t) for s in members)
     assert delta == min(norms)
-    return GapCertificate(sset, delta, best_t, best_pair, norms)
+    pair = (i, j, best_a * n // best_den)
+    return GapCertificate(sset, delta, Fraction(best_a, best_den), pair, norms)
 
 
 def gap_grid_oracle(speeds: SpeedSet | Iterable[int], resolution: int | None = None) -> Fraction:

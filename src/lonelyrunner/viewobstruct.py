@@ -15,7 +15,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .arith import SpeedSet
-from .gap import exact_gap, sweep
+from .gap import GapCertificate, exact_gap, sweep
 
 __all__ = [
     "Direction",
@@ -101,20 +101,22 @@ def _nearest_center(y: Fraction) -> Fraction:
 
 
 def obstruction_witness(
-    direction: Direction | Iterable[int], alpha
+    direction: Direction | Iterable[int], alpha, cert: Optional[GapCertificate] = None
 ) -> Optional[ObstructionWitness]:
     """Cube actually hit at scale alpha, or None below the minimal scale.
 
     The hit time is the exact-gap witness of the collapsed coordinate set:
     there the smallest torus norm equals delta, so each coordinate is within
     (1 - 2*delta)/2 <= alpha/2 of its nearest half-integer.  Cubes are
-    closed, so grazing the boundary counts.
+    closed, so grazing the boundary counts.  ``cert`` is that set's
+    :func:`~lonelyrunner.gap.exact_gap`, computed here when not given.
     """
     d = Direction.of(direction)
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    cert = exact_gap(d.speed_set())
+    if cert is None:
+        cert = exact_gap(d.speed_set())
     if alpha < 1 - 2 * cert.delta:
         return None
     t = cert.witness_time

@@ -359,11 +359,98 @@ CASES = [
 
 @pytest.mark.parametrize("build, edit", [(b, e) for b, _, e in CASES], ids=[n for _, n, _ in CASES])
 def test_tampered_rebuilt_document_is_invalid(build, edit):
+    _assert_edit_invalidates(build, edit)
+
+
+def _assert_edit_invalidates(build, edit):
     original = build()
     assert certificates.validate_document(original) == []
     doc = certificates.parse(certificates.serialize(original))
     edit(doc.result, doc.inputs)
     assert certificates.validate_document(certificates.parse(certificates.serialize(doc))) != []
+
+
+# ---------------------------------------------------------------------------
+# The three commands whose check rebuilds the document from its own witness
+# ---------------------------------------------------------------------------
+
+
+def _conj34_1_2_3():
+    return certificates.produce("conj34", {"speeds": [1, 2, 3]})
+
+
+def _set_witness(key, value):
+    return lambda result, inputs: result["witness"].update({key: value})
+
+
+def _both(*edits):
+    def edit(result, inputs):
+        for one in edits:
+            one(result, inputs)
+
+    return edit
+
+
+def _doc(command):
+    return lambda: DOCS[command]
+
+
+def _unreduced_rational(key, value, set_value=_set_result):
+    return set_value(key, _unreduced(certificates.encode_rational(value)))
+
+
+WITNESS_CASES = [
+    (_doc(command), f"{command}: {name}", edit)
+    for command in ["obstruct", "invisible", "conj34"]
+    for name, edit in [
+        ("extra result key", _set_result("extra", 1)),
+        ("extra input key", _set_input("extra", 1)),
+    ]
+] + [
+    (_conj34_1_2_3, "conj34: speeds [3, 2, 1]", _set_input("speeds", [3, 2, 1])),
+    (
+        _conj34_1_2_3,
+        "conj34: speeds [3, 2, 1] and an extra result key",
+        _both(_set_input("speeds", [3, 2, 1]), _set_result("extra", 1)),
+    ),
+    (_doc("conj34"), "conj34: speeds [3, 1]", _set_input("speeds", [3, 1])),
+    (_doc("obstruct"), "obstruct: direction [true, 2]", _set_input("direction", [True, 2])),
+    (
+        _doc("obstruct"),
+        "obstruct: direction [true, 2] and an extra result key",
+        _both(_set_input("direction", [True, 2]), _set_result("extra", 1)),
+    ),
+    (_doc("obstruct"), "obstruct: direction [2, 4]", _set_input("direction", [2, 4])),
+    (_doc("obstruct"), "obstruct: alpha 3/2", _set_input("alpha", {"num": 3, "den": 2})),
+    (_doc("obstruct"), "obstruct: min_scale unreduced", _unreduced_rational("min_scale", F(1, 3))),
+    (
+        _doc("obstruct"),
+        "obstruct: hit_time unreduced",
+        _unreduced_rational("hit_time", F(1, 3), _set_witness),
+    ),
+    (_doc("obstruct"), "obstruct: extra witness key", _set_witness("extra", 1)),
+    (_doc("invisible"), "invisible: speeds [3, 2, 1]", _set_input("speeds", [3, 2, 1])),
+    (_doc("invisible"), "invisible: kept [3, 2]", _set_result("kept", [3, 2])),
+    (
+        _doc("invisible"),
+        "invisible: kept_delta unreduced",
+        _unreduced_rational("kept_delta", F(2, 5)),
+    ),
+    (_doc("invisible"), "invisible: extra witness key", _set_witness("extra", 1)),
+    (
+        # Every value matches the stored kept set {2, 3}, but 3 is no input speed.
+        _doc("invisible"),
+        "invisible: kept outside the original speeds",
+        _both(_set_input("speeds", [1, 2, 4]), _set_result("removed", [1, 4])),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, edit", [(b, e) for b, _, e in WITNESS_CASES], ids=[n for _, n, _ in WITNESS_CASES]
+)
+def test_tampered_witness_document_is_invalid(build, edit):
+    _assert_edit_invalidates(build, edit)
 
 
 class TestRebuiltVerdicts:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lonelyrunner import fieldsearch, gap
+from lonelyrunner import fieldsearch, gap, viewobstruct
 from lonelyrunner.cli import run
 
 
@@ -109,6 +109,26 @@ class TestSweepCommands:
         monkeypatch.setattr(gap, "exact_gap", counted)
         path = tmp_path / "kappa.json"
         assert invoke(["kappa", "--speeds", "1,3,4,7", "--json", str(path)])[0] == 0
+        assert len(calls) == 1
+        code, checked = invoke_json(["check", str(path)])
+        assert code == 0 and checked["result"]["valid"] is True
+        assert len(calls) == 2
+
+    def test_obstruct_and_its_check_compute_delta_once_each(self, tmp_path, monkeypatch):
+        # viewobstruct binds exact_gap at import, so both bindings count.
+        calls = []
+        original = gap.exact_gap
+
+        def counted(speeds):
+            calls.append(speeds)
+            return original(speeds)
+
+        monkeypatch.setattr(gap, "exact_gap", counted)
+        monkeypatch.setattr(viewobstruct, "exact_gap", counted)
+        path = tmp_path / "obstruct.json"
+        argv = ["obstruct", "--direction", "2,3,5", "--alpha", "1/2", "--json", str(path)]
+        assert invoke(argv)[0] == 0
+        assert json.loads(path.read_text())["result"]["witness"] is not None
         assert len(calls) == 1
         code, checked = invoke_json(["check", str(path)])
         assert code == 0 and checked["result"]["valid"] is True

@@ -142,6 +142,101 @@ class TestExactGap:
             exact_gap(())
 
 
+def reference_exact_gap(speeds) -> gap.GapCertificate:
+    """Reference for the whole certificate: every a/(s_i+s_j) for every pair
+    in order and every 1 <= a < s_i+s_j, unreduced and over the full period,
+    keeping the first (i, j, a) at which the least maximizing time appears."""
+    sset = SpeedSet(speeds)
+    members = sset.speeds
+    k = len(members)
+    if k == 1:
+        s = members[0]
+        return gap.GapCertificate(sset, Fraction(1, 2), Fraction(1, 2 * s), None, (Fraction(1, 2),))
+    best_num, best_den = -1, 1
+    best_t = best_pair = None
+    for i in range(k):
+        si = members[i]
+        for j in range(i + 1, k):
+            den = si + members[j]
+            for a in range(1, den):
+                num = den
+                limit = best_num * den
+                for s in members:
+                    r = s * a % den
+                    if den - r < r:
+                        r = den - r
+                    if r < num:
+                        num = r
+                        if num * best_den < limit:
+                            break
+                else:
+                    scaled = num * best_den
+                    if scaled > limit:
+                        best_num, best_den = num, den
+                        best_t = Fraction(a, den)
+                        best_pair = (i, j, a)
+                    elif scaled == limit:
+                        t = Fraction(a, den)
+                        if t < best_t:
+                            best_num, best_den = num, den
+                            best_t = t
+                            best_pair = (i, j, a)
+    norms = tuple(torus_norm(s * best_t) for s in members)
+    return gap.GapCertificate(sset, Fraction(best_num, best_den), best_t, best_pair, norms)
+
+
+def maximizers_in_first_half(speeds) -> list[Fraction]:
+    speeds = tuple(speeds)
+    times = {Fraction(a, s + t) for s, t in combinations(speeds, 2) for a in range(1, s + t)}
+    values = {t: min(torus_norm(s * t) for s in speeds) for t in times}
+    top = max(values.values())
+    return sorted(t for t, v in values.items() if v == top and t <= Fraction(1, 2))
+
+
+class TestReducedCandidates:
+    """``exact_gap`` evaluates each reduced time a/d <= 1/2 once; the whole
+    certificate must equal the one the full a/(s_i + s_j) loop gives."""
+
+    def _assert_same(self, speeds):
+        assert exact_gap(speeds) == reference_exact_gap(speeds), speeds
+
+    def test_random_sets(self):
+        rng = random.Random(800)
+        for _ in range(400):
+            self._assert_same(rng.sample(range(1, 81), rng.randint(1, 10)))
+
+    def test_one_to_n(self):
+        for n in range(1, 41):
+            self._assert_same(range(1, n + 1))
+
+    def test_coprime_pairs(self):
+        for a, b in combinations(range(1, 41), 2):
+            if gcd(a, b) == 1:
+                self._assert_same((a, b))
+
+    @pytest.mark.parametrize(
+        "speeds",
+        [(3, 6), (4, 8), (5, 15), (6, 12), (7, 14), (8, 12), (1, 7, 14), (2, 7, 14), (6, 12, 18)],
+    )
+    def test_tied_maximizers(self, speeds):
+        # Several maximizers lie in (0, 1/2]; the smallest one wins.
+        tied = maximizers_in_first_half(speeds)
+        assert len(tied) >= 3
+        self._assert_same(speeds)
+        assert exact_gap(speeds).witness_time == tied[0]
+
+    def test_witness_pair_is_the_first_pair_the_denominator_divides(self):
+        rng = random.Random(801)
+        for _ in range(200):
+            s = SpeedSet(rng.sample(range(1, 61), rng.randint(2, 8)))
+            cert = exact_gap(s)
+            i, j, a = cert.witness_pair
+            d = cert.witness_time.denominator
+            first = next(p for p in combinations(range(len(s)), 2) if (s[p[0]] + s[p[1]]) % d == 0)
+            assert (i, j) == first
+            assert Fraction(a, s[i] + s[j]) == cert.witness_time
+
+
 class TestGridOracle:
     def test_examples(self):
         value = gap_grid_oracle((1, 2), 300)

@@ -6,7 +6,8 @@ invocation's output must be exactly that document as ``lrc-cert/1`` prints
 it: two-space indent, keys in the given order, one trailing newline.  So any
 change to the engines or the document layer that alters a byte fails here;
 ``lrc-cert/1`` documents stay byte-identical across refactors.  There is one
-document per command, with its optional flags set.
+document per command, with its optional flags set, and a few whose gap
+witness pair is not the first pair (0, 1).
 """
 
 import io
@@ -132,6 +133,30 @@ PINNED = [
                                      'hi': {'num': 1, 'den': 4}}}},
     ),
     (
+        ['gap', '--speeds', ','.join(map(str, range(1, 41)))],
+        {'version': 'lrc-cert/1',
+         'command': 'gap',
+         'inputs': {'speeds': list(range(1, 41)), 'grid': None},
+         'result': {'delta': {'num': 1, 'den': 41},
+                    'witness_time': {'num': 1, 'den': 41},
+                    'witness_pair': {'i': 0, 'j': 39, 'a': 1},
+                    'per_speed_norms': [{'num': min(s, 41 - s), 'den': 41} for s in range(1, 41)],
+                    'grid_oracle': None}},
+    ),
+    (
+        ['gap', '--speeds', '3,5,8'],
+        {'version': 'lrc-cert/1',
+         'command': 'gap',
+         'inputs': {'speeds': [3, 5, 8], 'grid': None},
+         'result': {'delta': {'num': 4, 'den': 13},
+                    'witness_time': {'num': 6, 'den': 13},
+                    'witness_pair': {'i': 1, 'j': 2, 'a': 6},
+                    'per_speed_norms': [{'num': 5, 'den': 13},
+                                        {'num': 4, 'den': 13},
+                                        {'num': 4, 'den': 13}],
+                    'grid_oracle': None}},
+    ),
+    (
         ['conj34', '--speeds', '1,3'],
         {'version': 'lrc-cert/1',
          'command': 'conj34',
@@ -144,6 +169,13 @@ PINNED = [
          'command': 'conj34',
          'inputs': {'speeds': [2, 3, 7]},
          'result': {'n': 5, 'x': 1, 'm': 1, 'residues': [2, 3, 2]}},
+    ),
+    (
+        ['conj34', '--speeds', '1,4,9,13'],
+        {'version': 'lrc-cert/1',
+         'command': 'conj34',
+         'inputs': {'speeds': [1, 4, 9, 13]},
+         'result': {'n': 22, 'x': 9, 'm': 4, 'residues': [9, 14, 15, 7]}},
     ),
     (
         ['invisible', '--speeds', '1,2,3', '--d', '1'],
