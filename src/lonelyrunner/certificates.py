@@ -15,6 +15,7 @@ order and whitespace do not count).  ``obstruct``, ``invisible`` and
 and their own witness, which is then checked: the search that found the
 witness is not re-run, so any valid witness passes, but inputs, keys and
 every value derived from the witness are held to the same JSON equality.
+A refuted ``conj34`` document has no witness and is re-run.
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ def _optional_rational(value: Any) -> Optional[Fraction]:
     return None if value is None else decode_rational(value)
 
 
-def _produce_gap(inputs: dict, jobs: int) -> CertificateDocument:
+def _produce_gap(inputs: dict) -> CertificateDocument:
     speeds = SpeedSet(inputs["speeds"])
     grid = None
     if inputs["grid"] is not None:
@@ -346,23 +347,23 @@ def _produce_gap(inputs: dict, jobs: int) -> CertificateDocument:
     return gap_document(gap.exact_gap(speeds), grid)
 
 
-def _produce_lonely(inputs: dict, jobs: int) -> CertificateDocument:
+def _produce_lonely(inputs: dict) -> CertificateDocument:
     return lonely_document(gap.lonely_time(inputs["speeds"], _count(inputs, "focus", least=0)))
 
 
-def _produce_verify(inputs: dict, jobs: int) -> CertificateDocument:
-    report = gap.verify_lrc(_count(inputs, "k"), _count(inputs, "max_speed"), jobs=jobs)
+def _produce_verify(inputs: dict) -> CertificateDocument:
+    report = gap.verify_lrc(_count(inputs, "k"), _count(inputs, "max_speed"))
     return verify_document(report)
 
 
-def _produce_kappa(inputs: dict, jobs: int) -> CertificateDocument:
+def _produce_kappa(inputs: dict) -> CertificateDocument:
     speeds = SpeedSet(inputs["speeds"])
     cert = gap.exact_gap(speeds)
     lower, upper, holds = gap.kappa_bounds(cert)
     return kappa_document(speeds, lower, upper, cert.delta, holds)
 
 
-def _produce_obstruct(inputs: dict, jobs: int) -> CertificateDocument:
+def _produce_obstruct(inputs: dict) -> CertificateDocument:
     direction = viewobstruct.Direction(inputs["direction"])
     alpha = _optional_rational(inputs["alpha"])
     cert = gap.exact_gap(direction.speed_set())
@@ -370,12 +371,12 @@ def _produce_obstruct(inputs: dict, jobs: int) -> CertificateDocument:
     return obstruct_document(direction, alpha, 1 - 2 * cert.delta, witness)
 
 
-def _produce_kscan(inputs: dict, jobs: int) -> CertificateDocument:
-    report = viewobstruct.kprime_scan(_count(inputs, "k"), _count(inputs, "max_coord"), jobs=jobs)
+def _produce_kscan(inputs: dict) -> CertificateDocument:
+    report = viewobstruct.kprime_scan(_count(inputs, "k"), _count(inputs, "max_coord"))
     return kscan_document(report)
 
 
-def _produce_billiard(inputs: dict, jobs: int) -> CertificateDocument:
+def _produce_billiard(inputs: dict) -> CertificateDocument:
     slope = decode_rational(inputs["slope"])
     alpha = _optional_rational(inputs["alpha"])
     path = billiards.square_path_segments(slope, _count(inputs, "segments"))
@@ -383,7 +384,7 @@ def _produce_billiard(inputs: dict, jobs: int) -> CertificateDocument:
     return billiard_document(path, billiards.square_min_obstacle(slope), alpha, contact)
 
 
-def _produce_triangle(inputs: dict, jobs: int) -> CertificateDocument:
+def _produce_triangle(inputs: dict) -> CertificateDocument:
     slope = decode_quadext(inputs["slope"])
     alpha = _optional_rational(inputs["alpha"])
     horizon = _count(inputs, "horizon")
@@ -398,13 +399,13 @@ def _produce_triangle(inputs: dict, jobs: int) -> CertificateDocument:
     return triangle_document(slope, alpha, horizon, hit, path, bracket)
 
 
-def _produce_invisible(inputs: dict, jobs: int) -> CertificateDocument:
+def _produce_invisible(inputs: dict) -> CertificateDocument:
     speeds, budget = SpeedSet(inputs["speeds"]), inputs["prime_budget"]
     cert = fieldsearch.invisible_subset(speeds, inputs["d"], prime_budget=budget)
     return invisible_document(cert, budget)
 
 
-def _produce_conj34(inputs: dict, jobs: int) -> CertificateDocument:
+def _produce_conj34(inputs: dict) -> CertificateDocument:
     speeds = SpeedSet(inputs["speeds"])
     witness = fieldsearch.conj34_witness(speeds)
     if witness is None:
@@ -426,17 +427,15 @@ _PRODUCERS = {
 }
 
 
-def produce(command: str, inputs: dict, jobs: int = 1) -> CertificateDocument:
+def produce(command: str, inputs: dict) -> CertificateDocument:
     """The document ``command`` produces for ``inputs`` in document form:
     JSON values, with rationals and elements of Q(sqrt 3) encoded as in a
-    document.  Counts must be ints, never bools.  ``jobs`` spreads the
-    ``verify`` and ``kscan`` sweeps over worker processes and never enters
-    the document.  Bad inputs raise ``KeyError``, ``TypeError`` or
-    ``ValueError``."""
+    document.  Counts must be ints, never bools.  Bad inputs raise
+    ``KeyError``, ``TypeError`` or ``ValueError``."""
     producer = _PRODUCERS.get(command)
     if producer is None:
         raise ValueError(f"unknown certificate command {command!r}")
-    return producer(inputs, jobs)
+    return producer(inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +588,16 @@ def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
 
 
 def _validate_conj34(doc: CertificateDocument, issues: list[str]) -> None:
-    """Check the document's own witness; the gap is not recomputed."""
+    """Check the document's own witness; the gap is not recomputed unless
+    the document claims a refutation."""
+    res = doc.result
+    if "refuted" in res:
+        # A refutation has no witness to check: it stands only if the gap of
+        # the speeds, which bounds the cost, is below 1/(k+1) as well.
+        _validate_rebuilt(doc, issues)
+        return
     speeds = SpeedSet(doc.inputs["speeds"])
     k = len(speeds)
-    res = doc.result
     _check(issues, k >= 2, "need at least two speeds")
     witness = _check_band_witness(issues, res["n"], res["x"], res["m"], speeds)
     if witness is not None:

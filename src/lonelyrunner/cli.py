@@ -101,7 +101,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="exhaustive sweep of the gap bound 1/(k+1)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-speed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("kappa", help="per-instance bound sandwich 1/(2k) .. 1/(k+1)")
@@ -120,7 +119,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("kscan", help="supremum of minimal scales over a direction box")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-coord", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("billiard", help="square-table path and minimal obstacle")
@@ -188,7 +186,7 @@ def _emit(doc: certificates.CertificateDocument, args, out) -> None:
         out.write(text)
 
 
-_NOT_INPUTS = ("subcommand", "json", "jobs", "min_obstacle")
+_NOT_INPUTS = ("subcommand", "json", "min_obstacle")
 
 
 def _cmd_produce(args, out) -> int:
@@ -197,7 +195,7 @@ def _cmd_produce(args, out) -> int:
     inputs = {key: value for key, value in vars(args).items() if key not in _NOT_INPUTS}
     if args.subcommand == "triangle" and not args.min_obstacle:
         inputs["tolerance"] = None
-    doc = certificates.produce(args.subcommand, inputs, jobs=getattr(args, "jobs", 1))
+    doc = certificates.produce(args.subcommand, inputs)
     _emit(doc, args, out)
     result = doc.result
     if result.get("counterexamples") or result.get("holds") is False or result.get("refuted"):

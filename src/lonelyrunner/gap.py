@@ -11,12 +11,10 @@ brackets the same value and serves as a cross-check.
 
 from __future__ import annotations
 
-import os
-from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
-from math import gcd, isqrt
+from itertools import combinations
+from math import comb, gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -184,16 +182,18 @@ def lonely_time(speeds: Sequence[int], focus: int) -> LonelyReport:
     distance ||(s_j - s_focus) t|| from runner j, so its best separation is
     the gap of the differences.
     """
-    runners = tuple(int(s) for s in speeds)
+    runners = tuple(speeds)
     n = len(runners)
     if n < 2:
         raise ValueError("need at least two runners")
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in runners):
+        raise ValueError(f"runner speeds must be integers, got {list(runners)!r}")
     if len(set(runners)) != n:
         raise ValueError("runner speeds must be distinct")
     if any(s < 0 for s in runners):
         raise ValueError("runner speeds must be >= 0")
-    if not 0 <= focus < n:
-        raise ValueError(f"focus index {focus} out of range")
+    if isinstance(focus, bool) or not isinstance(focus, int) or not 0 <= focus < n:
+        raise ValueError(f"focus must be an integer index below {n}, got {focus!r}")
     diffs = SpeedSet(abs(s - runners[focus]) for i, s in enumerate(runners) if i != focus)
     cert = exact_gap(diffs)
     return LonelyReport(
@@ -270,86 +270,69 @@ def _witness_table(k: int, max_speed: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _sweep_block(
-    first: int, k: int, max_speed: int, table: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], Optional[Fraction]]]:
-    """(S, delta(S)) for the gcd-1 k-subsets of {1..max_speed} whose
-    smallest speed is ``first``, in lexicographic order; delta is None for
-    the sets that ``table`` (see :func:`_witness_table`) proves to lie above
-    1/(k+1)."""
-    block = []
-    for rest in combinations(range(first + 1, max_speed + 1), k - 1):
-        if gcd(first, *rest) == 1:
-            s = (first,) + rest
-            witnesses = table[first]
-            for v in rest:
-                witnesses &= table[v]
-            block.append((s, None if witnesses else exact_gap(SpeedSet(s)).delta))
-    return block
+def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """Yield (S, delta(S)) for the gcd-1 k-subsets S of {1..max_speed} with
+    delta(S) <= 1/(k+1), in lexicographic order.
 
+    Every other gcd-1 set has a residue witness: a reduced time a/n with
+    n <= 2*max_speed - 1 at which every speed s of S has ||s*a/n|| > 1/(k+1),
+    that is a nonzero AND of the rows of :func:`_witness_table`.  The witness
+    is complete at that range of n, since delta(S) is attained at a time with
+    denominator s_i + s_j <= 2*max_speed - 1, so the sets without one are
+    exactly those with delta(S) <= 1/(k+1), and only they reach
+    :func:`exact_gap`.
 
-def sweep(
-    k: int, max_speed: int, jobs: int = 1
-) -> Iterator[tuple[tuple[int, ...], Optional[Fraction]]]:
-    """Yield (S, delta) for every gcd-1 k-subset S of {1..max_speed}, in
-    lexicographic order.
-
-    ``delta`` is None when a residue witness proves delta(S) > 1/(k+1): a
-    reduced time a/n with n <= 2*max_speed - 1 at which every speed s of S
-    has ||s*a/n|| > 1/(k+1).  Such a set is neither tight nor a
-    counterexample to the 1/(k+1) bound, and its exact value is not
-    computed.  Every other set carries its exact delta(S), which is then at
-    most 1/(k+1).  The witness is complete at that range of n, since delta(S)
-    is attained at a time with denominator s_i + s_j <= 2*max_speed - 1: so
-    None appears exactly on the sets with delta(S) > 1/(k+1).
-
-    Sets with a common factor are skipped: delta is invariant under scaling
-    all speeds by a constant.  The work is one block per smallest speed;
-    blocks run inline when ``jobs == 1`` and in a pool of ``jobs`` worker
-    processes otherwise, and arrive in order either way.  The witness table
-    is built once per call and sent with each block.  ``jobs`` must lie in
-    1..os.cpu_count(); it is checked before any worker starts.
+    The walk is depth first over increasing speeds and carries the AND of
+    the rows and the gcd of the prefix, so each candidate last speed costs
+    one AND.  Sets with a common factor are skipped: delta is invariant
+    under scaling all speeds by a constant.
     """
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise ValueError(f"jobs must be between 1 and the CPU count {cpus}, got {jobs}")
     table = _witness_table(k, max_speed)
-    firsts = range(1, max_speed - k + 2)
-    if k == 1:
-        firsts = firsts[:1]  # a 1-set has gcd 1 only as {1}
-    with ExitStack() as stack:
-        mapper = map
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(jobs)).map
-        blocks = mapper(_sweep_block, firsts, repeat(k), repeat(max_speed), repeat(table))
-        for block in blocks:
-            yield from block
+    def walk(prefix, rows, common, low):
+        if len(prefix) == k - 1:
+            for v in range(low, max_speed + 1):
+                if not rows & table[v] and gcd(common, v) == 1:
+                    s = prefix + (v,)
+                    yield s, exact_gap(s).delta
+            return
+        for v in range(low, max_speed - k + len(prefix) + 2):
+            yield from walk(prefix + (v,), rows & table[v], gcd(common, v), v + 1)
+
+    yield from walk((), -1, 0, 1)  # -1: every column covers the empty prefix
 
 
-def verify_lrc(k: int, max_speed: int, jobs: int = 1) -> LrcSweepReport:
+def _gcd1_subset_count(k: int, max_speed: int) -> int:
+    """Number of k-subsets of {1..max_speed} with gcd 1.
+
+    The k-subsets of the multiples of d number C(max_speed//d, k); those
+    with gcd exactly d are what remains after removing the ones whose gcd
+    is a larger multiple of d, counted from the largest d down.
+    """
+    exact = [0] * (max_speed // k + 1)
+    for d in range(max_speed // k, 0, -1):
+        exact[d] = comb(max_speed // d, k) - sum(exact[2 * d :: d])
+    return exact[1]
+
+
+def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
     """Check delta(S) >= 1/(k+1) for every gcd-1 k-subset of {1..max_speed}.
 
-    A counterexample is collected, not raised -- it would refute the
-    conjecture.  Both lists come out in lexicographic order.
+    ``checked`` counts those sets; only the ones at or below the bound are
+    visited (see :func:`sweep`).  A counterexample is collected, not raised
+    -- it would refute the conjecture.  Both lists come out in lexicographic
+    order.
     """
-    if not 1 <= k <= 6:
-        raise ValueError("k must be between 1 and 6 (desk scale)")
+    if not 1 <= k <= 7:
+        raise ValueError("k must be between 1 and 7 (desk scale)")
     if max_speed < k:
         raise ValueError("max_speed must be at least k")
     bound = Fraction(1, k + 1)
-    checked = 0
     tight: list[tuple[int, ...]] = []
     bad: list[tuple[int, ...]] = []
-    for s, delta in sweep(k, max_speed, jobs):
-        checked += 1
-        if delta is None:
-            continue
-        if delta == bound:
-            tight.append(s)
-        elif delta < bound:
-            bad.append(s)
+    for s, delta in sweep(k, max_speed):  # delta <= bound
+        (tight if delta == bound else bad).append(s)
+    checked = _gcd1_subset_count(k, max_speed)
     return LrcSweepReport(k, max_speed, bound, checked, tuple(tight), tuple(bad))
 
 

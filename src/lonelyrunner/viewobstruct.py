@@ -36,11 +36,12 @@ class Direction:
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[int]):
-        items = tuple(int(c) for c in coords)
+        items = tuple(coords)
         if not items:
             raise ValueError("direction must have at least one coordinate")
-        if any(c < 1 for c in items):
-            raise ValueError("direction coordinates must be positive integers")
+        for c in items:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+                raise ValueError(f"direction coordinates must be positive integers, got {c!r}")
         g = gcd(*items)
         object.__setattr__(self, "coords", tuple(c // g for c in items))
 
@@ -141,19 +142,18 @@ class KPrimeScanReport:
     cap: Fraction
 
 
-def kprime_scan(k: int, max_coord: int, jobs: int = 1) -> KPrimeScanReport:
+def kprime_scan(k: int, max_coord: int) -> KPrimeScanReport:
     """Supremum of minimal obstruction scales over all directions with
     coordinates up to ``max_coord``.
 
     A direction's scale is 1 - 2*delta of its set of coordinate values, and
     adding a value never raises delta, so the supremum is 1 - 2*min delta(S)
     over the gcd-1 k-subsets S of {1..max_coord} (max_coord >= k), taken from
-    the shared :func:`~lonelyrunner.gap.sweep`.  The sets the sweep settles by
-    a residue witness (delta None, proven above 1/(k+1)) cannot win: the box
-    always holds {1, ..., k}, whose delta is exactly 1/(k+1), so the minimum
-    is taken over the exact values alone.  The observed supremum can
-    never exceed (k-1)/k; the report states whether it equals the conjectured
-    value (k-1)/(k+1), attained by the direction (1, 2, ..., k).
+    the shared :func:`~lonelyrunner.gap.sweep`.  The sweep yields only the
+    sets with delta <= 1/(k+1); the others cannot win, since the box always
+    holds {1, ..., k}, whose delta is exactly 1/(k+1).  The observed supremum
+    can never exceed (k-1)/k; the report states whether it equals the
+    conjectured value (k-1)/(k+1), attained by the direction (1, 2, ..., k).
 
     Ties break to the lexicographically smallest k-set.  For k <= 7 this is
     also the lexicographically smallest direction among all ordered k-tuples
@@ -166,10 +166,7 @@ def kprime_scan(k: int, max_coord: int, jobs: int = 1) -> KPrimeScanReport:
         raise ValueError("k must be at least 2")
     if max_coord < k:
         raise ValueError("max_coord must be at least k")
-    coords, delta = min(
-        (item for item in sweep(k, max_coord, jobs) if item[1] is not None),
-        key=lambda item: item[1],
-    )
+    coords, delta = min(sweep(k, max_coord), key=lambda item: item[1])
     best = 1 - 2 * delta
     cap = Fraction(k - 1, k)
     if best > cap:

@@ -183,6 +183,18 @@ class TestValidation:
         doc.result["residues"] = [0, 0]
         assert certificates.validate_document(doc) != []
 
+    REFUTED_1_3 = certificates.CertificateDocument("conj34", {"speeds": [1, 3]}, {"refuted": True})
+
+    def test_conj34_refutation_the_engine_makes_is_valid(self, monkeypatch):
+        monkeypatch.setattr(fieldsearch, "conj34_witness", lambda speeds: None)
+        assert certificates.validate_document(self.REFUTED_1_3) == []
+
+    def test_conj34_false_refutation_is_invalid(self):
+        # The engine finds a witness for {1, 3}, so the rebuilt document has
+        # no "refuted" key.
+        issues = certificates.validate_document(self.REFUTED_1_3)
+        assert len(issues) == 1 and "['refuted']" in issues[0]
+
     def test_conj34_accepts_another_valid_witness(self):
         # The engine's witness for {1, 2} is (3, 1, 0); (3, 2, 0) certifies
         # the same bound and is checked on its own merits.

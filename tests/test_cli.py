@@ -1,9 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
-import concurrent.futures
 import io
 import json
-import os
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -71,17 +69,6 @@ class TestSweepCommands:
         assert doc["result"]["observed_sup"] == {"num": 1, "den": 3}
         assert doc["result"]["extremal"] == [1, 2]
 
-    @pytest.mark.parametrize("jobs", [0, -1, os.cpu_count() + 1])
-    @pytest.mark.parametrize("command", [["verify", "--max-speed", "8"], ["kscan", "--max-coord", "8"]])
-    def test_jobs_out_of_range_is_usage_error(self, command, jobs, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        code, out, err = invoke(command + ["--k", "3", "--jobs", str(jobs)])
-        assert code == 1 and out == ""
-        assert "jobs" in err
-
     def test_lonely(self):
         code, doc = invoke_json(["lonely", "--speeds", "0,1,2,3", "--focus", "0"])
         assert code == 0
@@ -141,7 +128,7 @@ class TestCounterexampleExit:
 
     def test_verify_counterexample(self, monkeypatch):
         report = gap.LrcSweepReport(2, 3, Fraction(1, 3), 3, ((1, 2),), ((2, 3),))
-        monkeypatch.setattr(gap, "verify_lrc", lambda k, m, jobs: report)
+        monkeypatch.setattr(gap, "verify_lrc", lambda k, m: report)
         code, doc = invoke_json(["verify", "--k", "2", "--max-speed", "3"])
         assert code == 2 and doc["result"]["counterexamples"] == [[2, 3]]
 
@@ -411,13 +398,11 @@ class TestCliAndCheckerAgree:
             ["gap", "--speeds", "1,2", "--grid"],
             ["lonely", "--speeds", "3,0,7,2", "--focus", "2"],
             ["verify", "--k", "3", "--max-speed", "10"],
-            ["verify", "--k", "2", "--max-speed", "12", "--jobs", "2"],
             ["kappa", "--speeds", "1,3,4,7"],
             ["obstruct", "--direction", "2,4,6"],
             ["obstruct", "--direction", "1,2", "--alpha", "1/3"],
             ["obstruct", "--direction", "1,2", "--alpha", "1/4"],
             ["kscan", "--k", "3", "--max-coord", "8"],
-            ["kscan", "--k", "3", "--max-coord", "8", "--jobs", "2"],
             ["billiard", "--slope", "1/2"],
             ["billiard", "--slope", "2/3", "--alpha", "1/5", "--segments", "20"],
             ["triangle", "--slope", "sqrt3*1/5"],
@@ -436,8 +421,6 @@ class TestCliAndCheckerAgree:
         ids=" ".join,
     )
     def test_every_document_passes_check(self, argv, tmp_path):
-        if "--jobs" in argv and (os.cpu_count() or 1) < 2:
-            pytest.skip("needs two cores")
         path = tmp_path / "doc.json"
         code, out, err = invoke(argv + ["--json", str(path)])
         assert code in (0, 3) and out == "", err
@@ -466,8 +449,6 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     assert len(README_CALLS) >= 14
     monkeypatch.chdir(tmp_path)
     for argv in README_CALLS:
-        if "--jobs" in argv and int(argv[argv.index("--jobs") + 1]) > (os.cpu_count() or 1):
-            continue
         code, out, err = invoke(argv)
         assert code == 0, f"lrc {' '.join(argv)} exited {code}: {err}"
         if "--json" in argv:

@@ -1,6 +1,7 @@
 """Tests for the exact gap engine and its sweeps."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -327,6 +328,17 @@ class TestLonely:
         with pytest.raises(ValueError):
             lonely_time((-1, 2), 0)
 
+    @pytest.mark.parametrize("speeds", [(0, 1.9, 3), (0, 2.0, 3), (True, 2, 3), (0, "2", 3)])
+    def test_rejects_non_integer_speeds(self, speeds):
+        # Truncating would answer for the speeds (0, 1, 3).
+        with pytest.raises(ValueError):
+            lonely_time(speeds, 0)
+
+    @pytest.mark.parametrize("focus", [True, 1.0])
+    def test_rejects_non_integer_focus(self, focus):
+        with pytest.raises(ValueError):
+            lonely_time((0, 1, 2), focus)
+
 
 class TestVerifyLrc:
     def test_three_runner_sweep(self):
@@ -347,11 +359,6 @@ class TestVerifyLrc:
         assert report.holds
         assert (1, 2, 3) in report.tight
 
-    def test_parallel_matches_serial(self):
-        serial = verify_lrc(2, 12)
-        parallel = verify_lrc(2, 12, jobs=2)
-        assert serial == parallel
-
     @pytest.mark.parametrize("k, max_speed", [(1, 4), (2, 16), (3, 12), (4, 10)])
     def test_matches_plain_enumeration(self, k, max_speed):
         bound = Fraction(1, k + 1)
@@ -362,11 +369,24 @@ class TestVerifyLrc:
         assert report.tight == tuple(c for c in sets if deltas[c] == bound)
         assert report.counterexamples == tuple(c for c in sets if deltas[c] < bound)
 
+    def test_eight_runners(self):
+        # The sporadic tight 7-sets of Goddyn and Wong's catalogue next to
+        # {1..7}; the 8-runner case itself is Rosenfeld's (2025) theorem.
+        report = verify_lrc(7, 20)
+        assert report.counterexamples == ()
+        assert report.tight == ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 7, 12), (1, 4, 5, 6, 7, 11, 13))
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_gcd1_count_matches_enumeration(self, k):
+        for max_speed in range(k, 25):
+            expected = sum(1 for c in combinations(range(1, max_speed + 1), k) if gcd(*c) == 1)
+            assert gap._gcd1_subset_count(k, max_speed) == expected, max_speed
+
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_lrc(0, 5)
         with pytest.raises(ValueError):
-            verify_lrc(7, 10)
+            verify_lrc(8, 10)
         with pytest.raises(ValueError):
             verify_lrc(3, 2)
 
@@ -384,18 +404,17 @@ def count_exact_gap_calls(monkeypatch) -> list:
 
 
 class TestSweepPrefilter:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("k, max_speed", [(1, 6), (2, 14), (3, 11), (4, 10), (5, 9)])
-    def test_matches_plain_exact_gap(self, k, max_speed, jobs):
+    @pytest.mark.parametrize(
+        "k, max_speed", [(1, 6), (2, 14), (3, 11), (4, 10), (5, 9), (6, 10), (3, 4), (4, 9), (6, 6)]
+    )
+    def test_matches_plain_exact_gap(self, k, max_speed):
         bound = Fraction(1, k + 1)
-        sets = [c for c in combinations(range(1, max_speed + 1), k) if gcd(*c) == 1]
-        items = list(sweep(k, max_speed, jobs))
-        assert [s for s, _ in items] == sets
-        for s, delta in items:
-            exact = exact_gap(s).delta
-            assert (delta is None) == (exact > bound), s
-            if delta is not None:
-                assert delta == exact, s
+        expected = [
+            (c, delta)
+            for c in combinations(range(1, max_speed + 1), k)
+            if gcd(*c) == 1 and (delta := exact_gap(c).delta) <= bound
+        ]
+        assert list(sweep(k, max_speed)) == expected
 
     # (2, 3), (3, 4), (3, 7), (4, 5), (4, 9): some set is above 1/(k+1) only
     # at a time with denominator exactly 2*max_speed - 1, so these sizes pin
@@ -421,7 +440,9 @@ class TestSweepPrefilter:
         assert len(calls) == expected
 
     def test_k1_is_linear_in_max_speed(self):
+        start = time.process_time()
         report = verify_lrc(1, 10**5)
+        assert time.process_time() - start < 0.5
         assert report.checked == 1
         assert report.tight == ((1,),)
 

@@ -28,6 +28,12 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction(())
 
+    @pytest.mark.parametrize("coords", [(2.7, 4), (2.0, 4), (True, 2), ("3", 4)])
+    def test_rejects_non_integers(self, coords):
+        # Truncating would read (2.7, 4) as the direction (1, 2).
+        with pytest.raises(ValueError):
+            Direction(coords)
+
     def test_speed_set_collapses_repeats(self):
         assert Direction((2, 2, 3)).speed_set() == SpeedSet([2, 3])
 
@@ -122,9 +128,6 @@ class TestKPrimeScan:
         assert report.observed_sup == Fraction(1, 2)
         assert report.extremal.coords == (1, 2, 3)
         assert report.matches_conjecture
-
-    def test_parallel_matches_serial(self):
-        assert kprime_scan(2, 8, jobs=2) == kprime_scan(2, 8)
 
     @pytest.mark.parametrize(
         "k, max_coord",
