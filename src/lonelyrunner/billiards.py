@@ -16,14 +16,17 @@ up cell always exits through its right edge, and a down cell exits through
 its top or right edge -- or through its top-right corner, which is a lattice
 vertex (a table corner after folding).
 
-The walk and its contact tests run on integers.  The slope is written
-(a + b*sqrt3)/d with integers a, b, d, and a point is measured as X = 2x,
-Y = 6y/sqrt3, which makes every corner and incenter of the tiling an
-integer pair.  The ray's side of a point is then the sign of
+The walk, its contact tests and the path folds run on integers.  The slope
+is written (a + b*sqrt3)/d with integers a, b, d, and a point is measured
+as X = 2x, Y = 6y/sqrt3, which makes every corner and incenter of the
+tiling an integer pair.  The ray's side of a point is then the sign of
 6d*(sigma*x - y) = 3aX + (3bX - dY)*sqrt3, a pair of integers P + Q*sqrt3
 whose sign :func:`~lonelyrunner.arith.sqrt3_sign` decides by integer
-comparison.  Q(sqrt 3) values appear only in what the module returns: cell
-corners, path crossing points and the fold isometries.
+comparison.  A path crossing lies a fraction (p + q*sqrt3)/n of the way
+along a tiling edge and folds by the colours of the edge's two lattice
+vertices, so Q(sqrt 3) values appear only in what the module returns: cell
+corners and path strike points.  The square's fold and its obstacle test
+run on integers too, after clearing denominators.
 """
 
 from __future__ import annotations
@@ -77,11 +80,10 @@ def _check_count(value, message: str, least: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fold_coordinate(u: Fraction) -> Fraction:
-    if u < 0:
-        raise ValueError("point must lie in the closed first quadrant")
-    r = u % 2
-    return 1 - abs(1 - r)
+def _fold_units(u: int, m: int) -> Fraction:
+    """The triangle-wave fold 1 - |1 - (u/m mod 2)| of u/m, for integers
+    u >= 0 and m >= 1, taken modulo 2m."""
+    return Fraction(m - abs(m - u % (2 * m)), m)
 
 
 def fold_ray_point(point: Iterable[RationalLike]) -> Point:
@@ -92,7 +94,9 @@ def fold_ray_point(point: Iterable[RationalLike]) -> Point:
     diagonal-reflection rule for corner hits automatically.
     """
     x, y = (Fraction(u) for u in point)
-    return _fold_coordinate(x), _fold_coordinate(y)
+    if x < 0 or y < 0:
+        raise ValueError("point must lie in the closed first quadrant")
+    return _fold_units(x.numerator, x.denominator), _fold_units(y.numerator, y.denominator)
 
 
 @dataclass(frozen=True)
@@ -112,27 +116,28 @@ def square_path_segments(slope: RationalLike, n_segments: int) -> SquarePath:
 
     Breakpoints are the ray's crossings of integer grid lines, merged in
     increasing order; a simultaneous crossing is a corner hit and consumes a
-    single breakpoint.
+    single breakpoint.  For the slope p/q they are merged as integers
+    X = p*x: the ray meets the vertical lines at the multiples of p and the
+    horizontal lines at the multiples of q, and the crossing at X is the
+    ray point (X/p, X/q).
     """
     slope = Fraction(slope)
     if slope <= 0:
         raise ValueError("slope must be positive")
     _check_count(n_segments, "need at least one segment")
     p, q = slope.numerator, slope.denominator
-    crossings: list[Fraction] = [Fraction(0)]
-    i = j = 1
+    crossings = [0]
+    vertical, horizontal = p, q
     while len(crossings) <= n_segments:
-        x_vert = Fraction(i)
-        x_horiz = Fraction(j * q, p)
-        if x_vert <= x_horiz:
-            crossings.append(x_vert)
-            i += 1
-            if x_vert == x_horiz:
-                j += 1  # corner: both grid lines crossed at once
+        if vertical <= horizontal:
+            crossings.append(vertical)
+            if vertical == horizontal:
+                horizontal += q  # corner: both grid lines crossed at once
+            vertical += p
         else:
-            crossings.append(x_horiz)
-            j += 1
-    folded = [fold_ray_point((x, slope * x)) for x in crossings]
+            crossings.append(horizontal)
+            horizontal += q
+    folded = [(_fold_units(x, p), _fold_units(x, q)) for x in crossings]
     segments = tuple((folded[n], folded[n + 1]) for n in range(n_segments))
     return SquarePath(slope, segments)
 
@@ -149,32 +154,51 @@ def square_min_obstacle(slope: RationalLike) -> Fraction:
     return min_scale_for_direction((slope.denominator, slope.numerator))
 
 
-def _segment_box_contact(a: Point, b: Point, center: Fraction, half: Fraction) -> str:
-    """Classify a segment against the closed axis-aligned box center +/- half:
-    'miss', 'boundary' (touches without entering), or 'interior'."""
-    t_lo, t_hi = Fraction(0), Fraction(1)
+def _segment_box_contact(axes: Iterable[tuple[tuple[int, int], tuple[int, int]]]) -> str:
+    """Classify a segment against a closed axis-aligned box: 'miss',
+    'boundary' (touches without entering), or 'interior'.  ``axes`` holds,
+    per axis, the segment's (start, end) and the box's (low, high), all
+    integers after scaling that axis."""
+    # The segment is start + t*(end - start) for t in [0, 1]; each axis cuts
+    # out [t_lo, t_hi], kept as integer fractions with positive denominators.
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
     interior_possible = True
-    for axis in (0, 1):
-        w_lo, w_hi = center - half, center + half
-        start = a[axis]
-        d = b[axis] - a[axis]
+    for (start, end), (w_lo, w_hi) in axes:
+        d = end - start
         if d == 0:
             if start < w_lo or start > w_hi:
                 return "miss"
             if start == w_lo or start == w_hi:
                 interior_possible = False
+            continue
+        if d > 0:
+            ta, tb = w_lo - start, w_hi - start
         else:
-            ta = (w_lo - start) / d
-            tb = (w_hi - start) / d
-            if ta > tb:
-                ta, tb = tb, ta
-            t_lo = max(t_lo, ta)
-            t_hi = min(t_hi, tb)
-    if t_lo > t_hi:
+            ta, tb, d = start - w_hi, start - w_lo, -d
+        if ta * lo_den > lo_num * d:
+            lo_num, lo_den = ta, d
+        if tb * hi_den < hi_num * d:
+            hi_num, hi_den = tb, d
+    if lo_num * hi_den > hi_num * lo_den:
         return "miss"
-    if interior_possible and t_lo < t_hi:
+    if interior_possible and lo_num * hi_den < hi_num * lo_den:
         return "interior"
     return "boundary"
+
+
+def _cleared_axis(
+    segments: tuple[tuple[Point, Point], ...], axis: int, u: int, v: int
+) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """The segments' endpoints on ``axis`` and the window of the centered
+    (u/v)-square, (v-u)/2v .. (v+u)/2v, all times one common denominator."""
+    scale = lcm(2 * v, *{point[axis].denominator for segment in segments for point in segment})
+
+    def cleared(c: Fraction) -> int:
+        return c.numerator * (scale // c.denominator)
+
+    ends = [(cleared(a[axis]), cleared(b[axis])) for a, b in segments]
+    half = scale // (2 * v)
+    return ends, ((v - u) * half, (v + u) * half)
 
 
 def square_obstacle_contact(path: SquarePath, alpha) -> str:
@@ -183,9 +207,11 @@ def square_obstacle_contact(path: SquarePath, alpha) -> str:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    xs, x_window = _cleared_axis(path.segments, 0, alpha.numerator, alpha.denominator)
+    ys, y_window = _cleared_axis(path.segments, 1, alpha.numerator, alpha.denominator)
     result = "miss"
-    for a, b in path.segments:
-        contact = _segment_box_contact(a, b, _HALF, alpha / 2)
+    for x, y in zip(xs, ys):
+        contact = _segment_box_contact(((x, x_window), (y, y_window)))
         if contact == "interior":
             return "interior"
         if contact == "boundary":
@@ -394,73 +420,6 @@ def triangle_min_obstacle(
 
 
 @dataclass(frozen=True)
-class _Isometry:
-    """Affine isometry of the plane with entries in Q(sqrt 3)."""
-
-    m00: QuadExt
-    m01: QuadExt
-    m10: QuadExt
-    m11: QuadExt
-    tx: QuadExt
-    ty: QuadExt
-
-    def apply(self, p: QPoint) -> QPoint:
-        x, y = p
-        return (
-            self.m00 * x + self.m01 * y + self.tx,
-            self.m10 * x + self.m11 * y + self.ty,
-        )
-
-    def compose(self, other: "_Isometry") -> "_Isometry":
-        """self after other (matrix product self . other)."""
-        return _Isometry(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-            self.m00 * other.tx + self.m01 * other.ty + self.tx,
-            self.m10 * other.tx + self.m11 * other.ty + self.ty,
-        )
-
-
-_IDENTITY = _Isometry(QuadExt(1), QuadExt(0), QuadExt(0), QuadExt(1), QuadExt(0), QuadExt(0))
-
-_Q_HALF = QuadExt(_HALF)
-_Q_SQRT3_HALF = QuadExt(0, _HALF)
-
-
-def _reflect_horizontal(level: int) -> _Isometry:
-    """Reflection across y = level * sqrt(3)/2."""
-    return _Isometry(
-        QuadExt(1), QuadExt(0), QuadExt(0), QuadExt(-1), QuadExt(0), 2 * level * _ROW_H
-    )
-
-
-def _reflect_rising(level: int) -> _Isometry:
-    """Reflection across x - y/sqrt3 = level (the slope +sqrt3 family)."""
-    return _Isometry(
-        -_Q_HALF,
-        _Q_SQRT3_HALF,
-        _Q_SQRT3_HALF,
-        _Q_HALF,
-        QuadExt(Fraction(3 * level, 2)),
-        QuadExt(0, Fraction(-level, 2)),
-    )
-
-
-def _reflect_falling(level: int) -> _Isometry:
-    """Reflection across x + y/sqrt3 = level (the slope -sqrt3 family)."""
-    return _Isometry(
-        -_Q_HALF,
-        -_Q_SQRT3_HALF,
-        -_Q_SQRT3_HALF,
-        _Q_HALF,
-        QuadExt(Fraction(3 * level, 2)),
-        QuadExt(0, Fraction(level, 2)),
-    )
-
-
-@dataclass(frozen=True)
 class TrianglePath:
     """Billiard path in the unit equilateral triangle (corners (0,0), (1,0),
     (1/2, sqrt3/2)); one segment per boundary strike.
@@ -474,48 +433,82 @@ class TrianglePath:
     terminated_at_corner: bool
 
 
+def _ratio(num: tuple[int, int], den: tuple[int, int]) -> tuple[int, int, int]:
+    """Integers (p, q, n) with (p + q*sqrt3)/n = num/den, for nonzero
+    num = num[0] + num[1]*sqrt3 and den of the same form.  This multiplies
+    through by the conjugate of den; n, the norm of den, may be negative
+    but is never zero, because sqrt3 is irrational."""
+    (num_p, num_q), (den_p, den_q) = num, den
+    return (
+        num_p * den_p - 3 * num_q * den_q,
+        num_q * den_p - num_p * den_q,
+        den_p * den_p - 3 * den_q * den_q,
+    )
+
+
+# Table corners (0,0), (1,0), (1/2, sqrt3/2) as (2x, 2y/sqrt3).  Every fold
+# isometry preserves the tiling's 3-colouring, so it sends the lattice
+# vertex V(i, j) = (i + j/2, j*sqrt3/2) to corner (i + 2j) % 3.
+_CORNERS = ((0, 0), (2, 0), (1, 1))
+
+
+def _fold(v0: tuple[int, int], v1: tuple[int, int], tp: int, tq: int, n: int) -> QPoint:
+    """The point a fraction t = (tp + tq*sqrt3)/n of the way from lattice
+    vertex v0 to lattice vertex v1, folded into the base triangle: the
+    same fraction of the way between their corners."""
+    x0, y0 = _CORNERS[(v0[0] + 2 * v0[1]) % 3]
+    x1, y1 = _CORNERS[(v1[0] + 2 * v1[1]) % 3]
+    dx, dy = x1 - x0, y1 - y0
+    return (
+        QuadExt(Fraction(x0 * n + dx * tp, 2 * n), Fraction(dx * tq, 2 * n)),
+        QuadExt(Fraction(3 * dy * tq, 2 * n), Fraction(y0 * n + dy * tp, 2 * n)),
+    )
+
+
 def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
     """Fold the ray y = slope*x into the base triangle through ``n_strikes``
     boundary hits, all coordinates exact in Q(sqrt 3).
 
-    Maintains the fold isometry of the current cell: each crossing of a
-    tiling line composes the corresponding reflection, and crossing points
-    map to strike points on the table boundary.  The walk decides which
-    line is crossed; the crossing points are computed in Q(sqrt 3).
+    The walk decides which tiling edge the ray leaves each cell by.  The
+    crossing lies a fraction t of the way along that edge, between two
+    lattice vertices, and folds to the same fraction of the way between
+    their table corners.  With the tiling coordinates u1 = 2y/sqrt3,
+    u2 = x - y/sqrt3 and u3 = x + y/sqrt3, t is u1 - row where the ray
+    meets u3 = level or u2 = level, and u2 - col where it meets
+    u1 = level; the ray's u1/u3, u2/u1 and u1/u2 are constants, so t is
+    computed in integers.
     """
     s = _wedge_slope(slope)
     _check_count(n_strikes, "need at least one strike")
-    rise = s * QuadExt(0, Fraction(1, 3))  # growth of y/sqrt3 per unit x
-    fold = _IDENTITY
+    a, b, d = _cleared(s)
+    # 3d times the growth of u1, u2 and u3 per unit x.
+    g1, g2, g3 = (6 * b, 2 * a), (3 * d - 3 * b, -a), (3 * d + 3 * b, a)
+    falling, top, rising = _ratio(g1, g3), _ratio(g2, g1), _ratio(g1, g2)
     previous: QPoint = (QuadExt(0), QuadExt(0))
     segments: list[tuple[QPoint, QPoint]] = []
     terminated = False
-    cells = _walk(*_cleared(s))
+    cells = _walk(a, b, d)
     row, col, points_up, _, _ = next(cells)
     for next_row, next_col, next_up, _, _ in cells:
-        if points_up:
-            level = row + col + 1
-            x = level / (1 + rise)
-            reflection = _reflect_falling(level)
-        elif next_col == col:
-            level = row + 1
-            x = level / (2 * rise)
-            reflection = _reflect_horizontal(level)
-        elif next_row == row:
-            level = col + 1
-            x = level / (1 - rise)
-            reflection = _reflect_rising(level)
+        if points_up:  # right edge, on u3 = level
+            level, (p, q, n), offset = row + col + 1, falling, row
+            v0, v1 = (col + 1, row), (col, row + 1)
+        elif next_col == col:  # top edge, on u1 = level
+            level, (p, q, n), offset = row + 1, top, col
+            v0, v1 = (col, row + 1), (col + 1, row + 1)
+        elif next_row == row:  # right edge, on u2 = level
+            level, (p, q, n), offset = col + 1, rising, row
+            v0, v1 = (col + 1, row), (col + 1, row + 1)
         else:
             # Lattice vertex: folds to a table corner; the path stops.
-            x = (row + 1) / (2 * rise)
-            segments.append((previous, fold.apply((x, s * x))))
+            corner = (col + 1, row + 1)
+            segments.append((previous, _fold(corner, corner, 0, 0, 1)))
             terminated = True
             break
-        current = fold.apply((x, s * x))
+        current = _fold(v0, v1, level * p - offset * n, level * q, n)
         segments.append((previous, current))
         if len(segments) == n_strikes:
             break
         previous = current
-        fold = fold.compose(reflection)
         row, col, points_up = next_row, next_col, next_up
     return TrianglePath(s, tuple(segments), terminated)

@@ -287,6 +287,8 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     one AND.  Sets with a common factor are skipped: delta is invariant
     under scaling all speeds by a constant.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     table = _witness_table(k, max_speed)
 
     def walk(prefix, rows, common, low):
@@ -299,7 +301,7 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         for v in range(low, max_speed - k + len(prefix) + 2):
             yield from walk(prefix + (v,), rows & table[v], gcd(common, v), v + 1)
 
-    yield from walk((), -1, 0, 1)  # -1: every column covers the empty prefix
+    return walk((), -1, 0, 1)  # -1: every column covers the empty prefix
 
 
 def _gcd1_subset_count(k: int, max_speed: int) -> int:

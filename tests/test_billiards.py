@@ -3,19 +3,21 @@
 The square path generator is checked against a naive step-by-step
 reflection simulator; the triangle cell walk is checked against a floating
 ray march.  Both oracles are independent of the unfolding implementation.
+The integer walk and folds are also checked, value for value, against
+copies of the Q(sqrt 3) and Fraction code they replaced.
 """
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from lonelyrunner.arith import QuadExt, SQRT3
 from lonelyrunner.billiards import (
-    _reflect_falling,
-    _reflect_horizontal,
-    _reflect_rising,
+    SquarePath,
+    TrianglePath,
     fold_ray_point,
     square_min_obstacle,
     square_obstacle_contact,
@@ -526,13 +528,266 @@ class TestIntegerWalkDifferential:
                 ), (horizon, tolerance)
 
 
+# ---------------------------------------------------------------------------
+# Reference folds: the triangle fold by composed reflections, and the square
+# fold and slab test in Fractions, that the integer folds replaced; copied
+# here as the references of the differential tests below.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Isometry:
+    """Affine isometry of the plane with entries in Q(sqrt 3)."""
+
+    m00: QuadExt
+    m01: QuadExt
+    m10: QuadExt
+    m11: QuadExt
+    tx: QuadExt
+    ty: QuadExt
+
+    def apply(self, p):
+        x, y = p
+        return (
+            self.m00 * x + self.m01 * y + self.tx,
+            self.m10 * x + self.m11 * y + self.ty,
+        )
+
+    def compose(self, other: "Isometry") -> "Isometry":
+        """self after other (matrix product self . other)."""
+        return Isometry(
+            self.m00 * other.m00 + self.m01 * other.m10,
+            self.m00 * other.m01 + self.m01 * other.m11,
+            self.m10 * other.m00 + self.m11 * other.m10,
+            self.m10 * other.m01 + self.m11 * other.m11,
+            self.m00 * other.tx + self.m01 * other.ty + self.tx,
+            self.m10 * other.tx + self.m11 * other.ty + self.ty,
+        )
+
+
+IDENTITY = Isometry(QuadExt(1), QuadExt(0), QuadExt(0), QuadExt(1), QuadExt(0), QuadExt(0))
+Q_HALF = QuadExt(F(1, 2))
+Q_SQRT3_HALF = QuadExt(0, F(1, 2))
+
+
+def reflect_horizontal(level: int) -> Isometry:
+    """Reflection across y = level * sqrt(3)/2."""
+    return Isometry(
+        QuadExt(1), QuadExt(0), QuadExt(0), QuadExt(-1), QuadExt(0), 2 * level * Q_SQRT3_HALF
+    )
+
+
+def reflect_rising(level: int) -> Isometry:
+    """Reflection across x - y/sqrt3 = level (the slope +sqrt3 family)."""
+    return Isometry(
+        -Q_HALF,
+        Q_SQRT3_HALF,
+        Q_SQRT3_HALF,
+        Q_HALF,
+        QuadExt(F(3 * level, 2)),
+        QuadExt(0, F(-level, 2)),
+    )
+
+
+def reflect_falling(level: int) -> Isometry:
+    """Reflection across x + y/sqrt3 = level (the slope -sqrt3 family)."""
+    return Isometry(
+        -Q_HALF,
+        -Q_SQRT3_HALF,
+        -Q_SQRT3_HALF,
+        Q_HALF,
+        QuadExt(F(3 * level, 2)),
+        QuadExt(0, F(level, 2)),
+    )
+
+
 def reflect_point(kind, level, p):
     iso = {
-        "h": _reflect_horizontal,
-        "r": _reflect_rising,
-        "f": _reflect_falling,
+        "h": reflect_horizontal,
+        "r": reflect_rising,
+        "f": reflect_falling,
     }[kind](level)
     return iso.apply(p)
+
+
+def ref_triangle_path(slope: QuadExt, n_strikes: int) -> TrianglePath:
+    # Keep the fold isometry of the current cell: each crossing composes the
+    # reflection across the crossed line, and each crossing point, computed
+    # in Q(sqrt 3), is mapped by the fold of the cell it leaves.
+    rise = slope * QuadExt(0, F(1, 3))  # growth of y/sqrt3 per unit x
+    fold = IDENTITY
+    previous = (QuadExt(0), QuadExt(0))
+    segments = []
+    terminated = False
+    cells = ref_walk(slope, n_strikes + 1)
+    for cell, after in zip(cells, cells[1:]):
+        row, col = cell.row, cell.col
+        if cell.points_up:
+            level = row + col + 1
+            x = level / (1 + rise)
+            reflection = reflect_falling(level)
+        elif after.col == col:
+            level = row + 1
+            x = level / (2 * rise)
+            reflection = reflect_horizontal(level)
+        elif after.row == row:
+            level = col + 1
+            x = level / (1 - rise)
+            reflection = reflect_rising(level)
+        else:
+            x = (row + 1) / (2 * rise)
+            segments.append((previous, fold.apply((x, slope * x))))
+            terminated = True
+            break
+        current = fold.apply((x, slope * x))
+        segments.append((previous, current))
+        previous = current
+        fold = fold.compose(reflection)
+    return TrianglePath(slope, tuple(segments), terminated)
+
+
+def ref_fold_coordinate(u: Fraction) -> Fraction:
+    r = u % 2
+    return 1 - abs(1 - r)
+
+
+def ref_square_path(slope: Fraction, n_segments: int) -> SquarePath:
+    p, q = slope.numerator, slope.denominator
+    crossings = [F(0)]
+    i = j = 1
+    while len(crossings) <= n_segments:
+        x_vert = F(i)
+        x_horiz = F(j * q, p)
+        if x_vert <= x_horiz:
+            crossings.append(x_vert)
+            i += 1
+            if x_vert == x_horiz:
+                j += 1
+        else:
+            crossings.append(x_horiz)
+            j += 1
+    folded = [(ref_fold_coordinate(x), ref_fold_coordinate(slope * x)) for x in crossings]
+    return SquarePath(slope, tuple((folded[n], folded[n + 1]) for n in range(n_segments)))
+
+
+def ref_segment_box_contact(a, b, center: Fraction, half: Fraction) -> str:
+    t_lo, t_hi = F(0), F(1)
+    interior_possible = True
+    for axis in (0, 1):
+        w_lo, w_hi = center - half, center + half
+        start = a[axis]
+        d = b[axis] - a[axis]
+        if d == 0:
+            if start < w_lo or start > w_hi:
+                return "miss"
+            if start == w_lo or start == w_hi:
+                interior_possible = False
+        else:
+            ta = (w_lo - start) / d
+            tb = (w_hi - start) / d
+            if ta > tb:
+                ta, tb = tb, ta
+            t_lo = max(t_lo, ta)
+            t_hi = min(t_hi, tb)
+    if t_lo > t_hi:
+        return "miss"
+    if interior_possible and t_lo < t_hi:
+        return "interior"
+    return "boundary"
+
+
+def ref_square_contact(path: SquarePath, alpha: Fraction) -> str:
+    result = "miss"
+    for a, b in path.segments:
+        contact = ref_segment_box_contact(a, b, F(1, 2), alpha / 2)
+        if contact == "interior":
+            return "interior"
+        if contact == "boundary":
+            result = "boundary"
+    return result
+
+
+def random_wedge_slope(rng: random.Random, kind: str) -> QuadExt:
+    """A slope inside (0, sqrt3): sqrt3*p/q, p/q, or a + b*sqrt3 with a and
+    b both nonzero."""
+    while True:
+        if kind == "sqrt3":
+            q = rng.randint(2, 14)
+            return QuadExt(0, F(rng.randint(1, q - 1), q))
+        if kind == "rational":
+            slope = QuadExt(F(rng.randint(1, 40), rng.randint(1, 24)))
+        else:
+            slope = QuadExt(
+                F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 12)),
+                F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 12)),
+            )
+        if slope.sign() > 0 and (SQRT3 - slope).sign() > 0:
+            return slope
+
+
+class TestIntegerFoldDifferential:
+    def test_triangle_paths_match_isometry_fold(self):
+        rng = random.Random(814)
+        kinds = (("sqrt3", 40), ("rational", 25), ("mixed", 25))
+        cases = [(kind, rng.randint(1, 60)) for kind, count in kinds for _ in range(count)]
+        cases += [("sqrt3", 60)] * 25  # long enough to reach the corner
+        terminated = 0
+        for kind, strikes in cases:
+            slope = random_wedge_slope(rng, kind)
+            path = triangle_path_segments(slope, strikes)
+            assert path == ref_triangle_path(slope, strikes), (slope, strikes)
+            terminated += path.terminated_at_corner
+        assert terminated >= 50
+
+    def test_square_paths_and_contacts_match_fraction_fold(self):
+        rng = random.Random(815)
+        for _ in range(150):
+            slope = F(rng.randint(1, 30), rng.randint(1, 30))
+            segments = rng.randint(1, 60)
+            path = square_path_segments(slope, segments)
+            assert path == ref_square_path(slope, segments), (slope, segments)
+            scale = square_min_obstacle(slope)
+            alphas = [F(rng.randint(1, 99), 100), F(1, rng.randint(2, 60))]
+            alphas += [a for a in (scale, scale - F(1, 10**6), scale + F(1, 10**6)) if 0 < a < 1]
+            for alpha in alphas:
+                assert square_obstacle_contact(path, alpha) == ref_square_contact(path, alpha)
+
+    def test_hand_built_segments_match_fraction_slab_test(self):
+        rng = random.Random(816)
+
+        def coordinate(window):
+            roll = rng.random()
+            if roll < 0.2:
+                return rng.choice(window)  # on the obstacle's edge
+            if roll < 0.3:
+                return rng.randint(-1, 2)  # an int, not a Fraction
+            return F(rng.randint(-12, 36), rng.randint(1, 24))
+
+        for _ in range(3000):
+            alpha = F(rng.randint(1, 49), rng.randint(50, 99))
+            window = (F(1, 2) - alpha / 2, F(1, 2) + alpha / 2)
+            a = (coordinate(window), coordinate(window))
+            b = (coordinate(window), coordinate(window))
+            shape = rng.random()
+            if shape < 0.15:
+                b = (a[0], b[1])  # vertical
+            elif shape < 0.3:
+                b = (b[0], a[1])  # horizontal
+            elif shape < 0.35:
+                b = a  # a single point
+            path = SquarePath(F(1), ((a, b),))
+            expected = ref_square_contact(path, alpha)
+            assert square_obstacle_contact(path, alpha) == expected, (a, b, alpha)
+
+    def test_hand_built_paths_match_fraction_slab_test(self):
+        # Several segments with unrelated denominators share one cleared scale.
+        rng = random.Random(817)
+        for _ in range(300):
+            alpha = F(rng.randint(1, 99), 100)
+            coordinates = [F(rng.randint(0, 40), rng.randint(1, 20)) for _ in range(12)]
+            points = list(zip(coordinates[::2], coordinates[1::2]))[: rng.randint(2, 6)]
+            path = SquarePath(F(1), tuple(zip(points, points[1:])))
+            assert square_obstacle_contact(path, alpha) == ref_square_contact(path, alpha)
 
 
 class TestTriangleObstacleInvariance:

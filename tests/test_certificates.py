@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,49 @@ class TestTriangleHorizon:
         assert certificates.validate_document(_with_count(doc, "horizon", 10_000)) == []
         issues = certificates.validate_document(_with_count(doc, "horizon", horizon))
         assert issues and "malformed" in issues[0]
+
+
+class TestPathCounts:
+    """A path document's count input is the length of its stored path.  A
+    count the path does not bear out is reported before the rebuild, so a
+    tiny document naming a huge count costs no more than its size."""
+
+    SLOPE = F(16, 11)  # neither path meets a corner, so neither rebuild stops early
+
+    def _documents(self):
+        square = billiards.square_path_segments(self.SLOPE, 2)
+        min_obstacle = billiards.square_min_obstacle(self.SLOPE)
+        slope = QuadExt(self.SLOPE)
+        triangle = billiards.triangle_path_segments(slope, 2)
+        return [
+            ("segments", certificates.billiard_document(square, min_obstacle, None, None)),
+            ("strikes", certificates.triangle_document(slope, None, 10_000, None, triangle)),
+        ]
+
+    def test_huge_count_is_invalid_at_once(self):
+        for key, doc in self._documents():
+            assert certificates.validate_document(_with_count(doc, key, 2)) == []
+            tampered = _with_count(doc, key, 10**9)
+            start = time.process_time()
+            issues = certificates.validate_document(tampered)
+            assert time.process_time() - start < 0.5, key
+            assert issues == [f"{key} mismatch: inputs name 1000000000, the stored path has 2"]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_near_count_is_a_mismatch(self, count):
+        for key, doc in self._documents():
+            issues = certificates.validate_document(_with_count(doc, key, count))
+            assert issues == [f"{key} mismatch: inputs name {count}, the stored path has 2"]
+
+    def test_path_that_is_not_a_list_is_malformed(self):
+        for key, doc in self._documents():
+            doc = copy.deepcopy(doc)
+            if key == "segments":
+                doc.result["path"] = {"segments": doc.result["path"]}
+            else:
+                doc.result["path"]["segments"] = 2
+            issues = certificates.validate_document(doc)
+            assert issues and "malformed" in issues[0]
 
 
 # ---------------------------------------------------------------------------

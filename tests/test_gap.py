@@ -416,6 +416,12 @@ class TestSweepPrefilter:
         ]
         assert list(sweep(k, max_speed)) == expected
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        # Raised by the call itself, before any set is walked.
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            sweep(k, 5)
+
     # (2, 3), (3, 4), (3, 7), (4, 5), (4, 9): some set is above 1/(k+1) only
     # at a time with denominator exactly 2*max_speed - 1, so these sizes pin
     # the witness range.

@@ -6,8 +6,9 @@ invocation's output must be exactly that document as ``lrc-cert/1`` prints
 it: two-space indent, keys in the given order, one trailing newline.  So any
 change to the engines or the document layer that alters a byte fails here;
 ``lrc-cert/1`` documents stay byte-identical across refactors.  There is one
-document per command, with its optional flags set, and a few whose gap
-witness pair is not the first pair (0, 1).
+document per command, with its optional flags set, a few whose gap
+witness pair is not the first pair (0, 1), and long billiard paths, written
+with the helpers ``r``, ``q`` and ``chain``.
 """
 
 import io
@@ -16,6 +17,22 @@ import json
 import pytest
 
 from lonelyrunner.cli import run
+
+
+def r(num, den):
+    """A rational as a document encodes it."""
+    return {'num': num, 'den': den}
+
+
+def q(a_num, a_den, b_num, b_den):
+    """The element a + b*sqrt3 of Q(sqrt 3) as a document encodes it."""
+    return {'a': r(a_num, a_den), 'b': r(b_num, b_den)}
+
+
+def chain(points):
+    """The segments [start, end] of the path through ``points``."""
+    return [[list(a), list(b)] for a, b in zip(points, points[1:])]
+
 
 PINNED = [
     (
@@ -204,6 +221,110 @@ PINNED = [
                                 'multiplier': 1,
                                 'band': 1,
                                 'residues': [2, 3, 4, 5, 6, 7]}}},
+    ),
+    # Long paths, captured before the folds moved to integers.  The second
+    # stops at a corner after 4 of its 60 strikes.
+    (
+        ['triangle', '--slope', '16/11', '--strikes', '40'],
+        {'version': 'lrc-cert/1',
+         'command': 'triangle',
+         'inputs': {'slope': q(16, 11, 0, 1),
+                    'alpha': None,
+                    'horizon': 10000,
+                    'strikes': 40,
+                    'tolerance': None},
+         'result': {'hit': None,
+                    'path': {'segments': chain([
+                                 (q(0, 1, 0, 1), q(0, 1, 0, 1)),
+                                 (q(363, 107, -176, 107), q(528, 107, -256, 107)),
+                                 (q(3, 4, -11, 64), q(-33, 64, 3, 4)),
+                                 (q(-1131, 107, 704, 107), q(0, 1, 0, 1)),
+                                 (q(3, 2, -11, 32), q(33, 32, -1, 2)),
+                                 (q(1857, 214, -528, 107), q(-1584, 107, 1857, 214)),
+                                 (q(-3, 2, 33, 32), q(0, 1, 0, 1)),
+                                 (q(2583, 214, -704, 107), q(2112, 107, -2369, 214)),
+                                 (q(3, 2, -11, 16), q(-33, 16, 3, 2)),
+                                 (q(-2988, 107, 1760, 107), q(0, 1, 0, 1)),
+                                 (q(9, 4, -55, 64), q(165, 64, -5, 4)),
+                                 (q(1857, 107, -1056, 107), q(-3168, 107, 1857, 107)),
+                                 (q(-3, 1, 33, 16), q(0, 1, 0, 1)),
+                                 (q(2220, 107, -1232, 107), q(3696, 107, -2113, 107)),
+                                 (q(9, 4, -77, 64), q(-231, 64, 9, 4)),
+                                 (q(-4845, 107, 2816, 107), q(0, 1, 0, 1)),
+                                 (q(3, 1, -11, 8), q(33, 8, -2, 1)),
+                                 (q(5571, 214, -1584, 107), q(-4752, 107, 5571, 214)),
+                                 (q(-9, 2, 99, 32), q(0, 1, 0, 1)),
+                                 (q(6297, 214, -1760, 107), q(5280, 107, -6083, 214)),
+                                 (q(3, 1, -55, 32), q(-165, 32, 3, 1)),
+                                 (q(-6702, 107, 3872, 107), q(0, 1, 0, 1)),
+                                 (q(-279, 107, 176, 107), q(528, 107, -279, 107)),
+                                 (q(3714, 107, -2112, 107), q(6336, 107, -3607, 107)),
+                                 (q(15, 4, -121, 64), q(-363, 64, 15, 4)),
+                                 (q(-7833, 107, 4576, 107), q(0, 1, 0, 1)),
+                                 (q(9, 2, -33, 16), q(99, 16, -7, 2)),
+                                 (q(8559, 214, -2464, 107), q(-7392, 107, 8559, 214)),
+                                 (q(-15, 2, 143, 32), q(0, 1, 0, 1)),
+                                 (q(9285, 214, -2640, 107), q(7920, 107, -9071, 214)),
+                                 (q(9, 2, -77, 32), q(-231, 32, 9, 2)),
+                                 (q(-9690, 107, 5632, 107), q(0, 1, 0, 1)),
+                                 (q(21, 4, -165, 64), q(495, 64, -17, 4)),
+                                 (q(5208, 107, -2992, 107), q(-8976, 107, 5208, 107)),
+                                 (q(-9, 1, 11, 2), q(0, 1, 0, 1)),
+                                 (q(5571, 107, -3168, 107), q(9504, 107, -5464, 107)),
+                                 (q(21, 4, -187, 64), q(-561, 64, 21, 4)),
+                                 (q(-11547, 107, 6688, 107), q(0, 1, 0, 1)),
+                                 (q(6, 1, -99, 32), q(297, 32, -5, 1)),
+                                 (q(12273, 214, -3520, 107), q(-10560, 107, 12273, 214)),
+                                 (q(-21, 2, 209, 32), q(0, 1, 0, 1)),
+                             ]),
+                             'terminated_at_corner': False},
+                    'min_obstacle': None}},
+    ),
+    (
+        ['triangle', '--slope', 'sqrt3*1/5', '--strikes', '60'],
+        {'version': 'lrc-cert/1',
+         'command': 'triangle',
+         'inputs': {'slope': q(0, 1, 1, 5),
+                    'alpha': None,
+                    'horizon': 10000,
+                    'strikes': 4,
+                    'tolerance': None},
+         'result': {'hit': None,
+                    'path': {'segments': chain([
+                                 (q(0, 1, 0, 1), q(0, 1, 0, 1)), (q(5, 6, 0, 1), q(0, 1, 1, 6)),
+                                 (q(1, 2, 0, 1), q(0, 1, 0, 1)), (q(1, 6, 0, 1), q(0, 1, 1, 6)),
+                                 (q(1, 1, 0, 1), q(0, 1, 0, 1)),
+                             ]),
+                             'terminated_at_corner': True},
+                    'min_obstacle': None}},
+    ),
+    (
+        ['billiard', '--slope', '6/17', '--alpha', '82/115', '--segments', '46'],
+        {'version': 'lrc-cert/1',
+         'command': 'billiard',
+         'inputs': {'slope': r(6, 17),
+                    'alpha': r(82, 115),
+                    'segments': 46},
+         'result': {'min_obstacle': r(1, 23),
+                    'path': chain([
+                        (r(0, 1), r(0, 1)), (r(1, 1), r(6, 17)), (r(0, 1), r(12, 17)),
+                        (r(5, 6), r(1, 1)), (r(1, 1), r(16, 17)), (r(0, 1), r(10, 17)),
+                        (r(1, 1), r(4, 17)), (r(1, 3), r(0, 1)), (r(0, 1), r(2, 17)),
+                        (r(1, 1), r(8, 17)), (r(0, 1), r(14, 17)), (r(1, 2), r(1, 1)),
+                        (r(1, 1), r(14, 17)), (r(0, 1), r(8, 17)), (r(1, 1), r(2, 17)),
+                        (r(2, 3), r(0, 1)), (r(0, 1), r(4, 17)), (r(1, 1), r(10, 17)),
+                        (r(0, 1), r(16, 17)), (r(1, 6), r(1, 1)), (r(1, 1), r(12, 17)),
+                        (r(0, 1), r(6, 17)), (r(1, 1), r(0, 1)), (r(0, 1), r(6, 17)),
+                        (r(1, 1), r(12, 17)), (r(1, 6), r(1, 1)), (r(0, 1), r(16, 17)),
+                        (r(1, 1), r(10, 17)), (r(0, 1), r(4, 17)), (r(2, 3), r(0, 1)),
+                        (r(1, 1), r(2, 17)), (r(0, 1), r(8, 17)), (r(1, 1), r(14, 17)),
+                        (r(1, 2), r(1, 1)), (r(0, 1), r(14, 17)), (r(1, 1), r(8, 17)),
+                        (r(0, 1), r(2, 17)), (r(1, 3), r(0, 1)), (r(1, 1), r(4, 17)),
+                        (r(0, 1), r(10, 17)), (r(1, 1), r(16, 17)), (r(5, 6), r(1, 1)),
+                        (r(0, 1), r(12, 17)), (r(1, 1), r(6, 17)), (r(0, 1), r(0, 1)),
+                        (r(1, 1), r(6, 17)), (r(0, 1), r(12, 17)),
+                    ]),
+                    'contact': 'interior'}},
     ),
 ]
 
