@@ -24,7 +24,6 @@ from .billiards import (
     square_obstacle_contact,
     square_path_segments,
     triangle_cell,
-    triangle_cells_along_ray,
     triangle_min_obstacle,
     triangle_obstruction_check,
     triangle_path_segments,
@@ -95,7 +94,6 @@ __all__ = [
     "square_obstacle_contact",
     "square_path_segments",
     "triangle_cell",
-    "triangle_cells_along_ray",
     "triangle_min_obstacle",
     "triangle_obstruction_check",
     "triangle_path_segments",

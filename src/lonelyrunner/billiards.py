@@ -25,8 +25,12 @@ whose sign :func:`~lonelyrunner.arith.sqrt3_sign` decides by integer
 comparison.  A path crossing lies a fraction (p + q*sqrt3)/n of the way
 along a tiling edge and folds by the colours of the edge's two lattice
 vertices, so Q(sqrt 3) values appear only in what the module returns: cell
-corners and path strike points.  The square's fold and its obstacle test
-run on integers too, after clearing denominators.
+corners and path strike points.
+
+The square runs on integers as well.  Its path is folded from the ray's
+merged grid crossings, and its obstacle test is a comparison per grid cell.
+The unfolded ray of slope p/q meets the centered alpha-square of cell (i, j)
+exactly when |p(2i+1) - q(2j+1)| <= alpha*(p+q).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .arith import QuadExt, SQRT3, RationalLike, sqrt3_sign
-from .viewobstruct import min_scale_for_direction
 
 __all__ = [
     "Point",
@@ -52,7 +55,6 @@ __all__ = [
     "square_min_obstacle",
     "square_obstacle_contact",
     "triangle_cell",
-    "triangle_cells_along_ray",
     "triangle_obstruction_check",
     "triangle_path_segments",
     "triangle_min_obstacle",
@@ -103,120 +105,97 @@ def fold_ray_point(point: Iterable[RationalLike]) -> Point:
 class SquarePath:
     """Billiard path in the unit square: the fold of the ray y = slope*x.
 
-    Consecutive segments share an endpoint on the boundary and obey the
-    reflection law; unfolding the segments recovers collinear ray points.
+    The slope and the number of segments determine the path; the segments
+    are what :func:`square_path_segments` folds for them.  Consecutive
+    segments share an endpoint on the boundary and obey the reflection law;
+    unfolding the segments recovers collinear ray points.
     """
 
     slope: Fraction
     segments: tuple[tuple[Point, Point], ...]
 
 
+def _square_slope(slope: RationalLike) -> tuple[int, int]:
+    slope = Fraction(slope)
+    if slope <= 0:
+        raise ValueError("slope must be positive")
+    return slope.numerator, slope.denominator
+
+
+def _crossings(p: int, q: int) -> Iterator[int]:
+    """The ray y = (p/q)*x's crossings of integer grid lines as X = p*x, in
+    increasing order from X = 0: the ray meets the vertical lines at the
+    multiples of p and the horizontal lines at the multiples of q, and the
+    crossing at X is the ray point (X/p, X/q).  A simultaneous crossing is
+    a corner hit and is yielded once.
+
+    The ray runs from the crossing X_k to the next one inside the grid cell
+    (X_k // p, X_k // q).
+    """
+    x, vertical, horizontal = 0, p, q
+    while True:
+        yield x
+        x = min(vertical, horizontal)
+        if x == vertical:
+            vertical += p
+        if x == horizontal:
+            horizontal += q
+
+
 def square_path_segments(slope: RationalLike, n_segments: int) -> SquarePath:
     """First ``n_segments`` table segments of the slope's billiard path.
 
-    Breakpoints are the ray's crossings of integer grid lines, merged in
-    increasing order; a simultaneous crossing is a corner hit and consumes a
-    single breakpoint.  For the slope p/q they are merged as integers
-    X = p*x: the ray meets the vertical lines at the multiples of p and the
-    horizontal lines at the multiples of q, and the crossing at X is the
-    ray point (X/p, X/q).
+    Breakpoints are the ray's grid crossings (see :func:`_crossings`), each
+    folded onto the table coordinatewise.
     """
-    slope = Fraction(slope)
-    if slope <= 0:
-        raise ValueError("slope must be positive")
+    p, q = _square_slope(slope)
     _check_count(n_segments, "need at least one segment")
-    p, q = slope.numerator, slope.denominator
-    crossings = [0]
-    vertical, horizontal = p, q
-    while len(crossings) <= n_segments:
-        if vertical <= horizontal:
-            crossings.append(vertical)
-            if vertical == horizontal:
-                horizontal += q  # corner: both grid lines crossed at once
-            vertical += p
-        else:
-            crossings.append(horizontal)
-            horizontal += q
+    crossings = islice(_crossings(p, q), n_segments + 1)
     folded = [(_fold_units(x, p), _fold_units(x, q)) for x in crossings]
     segments = tuple((folded[n], folded[n + 1]) for n in range(n_segments))
-    return SquarePath(slope, segments)
+    return SquarePath(Fraction(p, q), segments)
 
 
 def square_min_obstacle(slope: RationalLike) -> Fraction:
-    """Minimal scale of the centered square every slope-path must meet.
+    """Minimal scale of the centered square every slope-path must meet:
+    ((p+q) mod 2)/(p+q) for the reduced slope p/q.
 
-    Unfolding reduces this to view obstruction for the direction (q, p) of
-    the reduced slope p/q, so the value is 1 - 2*delta({p, q}) exactly.
+    Unfolded, the path is the ray y = (p/q)*x, and every grid cell (i, j)
+    carries a centered square; the ray meets the alpha-square of (i, j)
+    exactly when |p(2i+1) - q(2j+1)| <= alpha*(p+q).  These values have the
+    parity of p + q, so none is below (p+q) mod 2.  That value is attained
+    by a cell the ray crosses: p*i - q*j takes every integer on the cells
+    with i, j >= 0, since gcd(p, q) = 1, and the ray crosses exactly the
+    cells with |p(2i+1) - q(2j+1)| < p + q.  By view-obstruction duality
+    this is 1 - 2*delta({p, q}).
     """
-    slope = Fraction(slope)
-    if slope <= 0:
-        raise ValueError("slope must be positive")
-    return min_scale_for_direction((slope.denominator, slope.numerator))
-
-
-def _segment_box_contact(axes: Iterable[tuple[tuple[int, int], tuple[int, int]]]) -> str:
-    """Classify a segment against a closed axis-aligned box: 'miss',
-    'boundary' (touches without entering), or 'interior'.  ``axes`` holds,
-    per axis, the segment's (start, end) and the box's (low, high), all
-    integers after scaling that axis."""
-    # The segment is start + t*(end - start) for t in [0, 1]; each axis cuts
-    # out [t_lo, t_hi], kept as integer fractions with positive denominators.
-    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
-    interior_possible = True
-    for (start, end), (w_lo, w_hi) in axes:
-        d = end - start
-        if d == 0:
-            if start < w_lo or start > w_hi:
-                return "miss"
-            if start == w_lo or start == w_hi:
-                interior_possible = False
-            continue
-        if d > 0:
-            ta, tb = w_lo - start, w_hi - start
-        else:
-            ta, tb, d = start - w_hi, start - w_lo, -d
-        if ta * lo_den > lo_num * d:
-            lo_num, lo_den = ta, d
-        if tb * hi_den < hi_num * d:
-            hi_num, hi_den = tb, d
-    if lo_num * hi_den > hi_num * lo_den:
-        return "miss"
-    if interior_possible and lo_num * hi_den < hi_num * lo_den:
-        return "interior"
-    return "boundary"
-
-
-def _cleared_axis(
-    segments: tuple[tuple[Point, Point], ...], axis: int, u: int, v: int
-) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    """The segments' endpoints on ``axis`` and the window of the centered
-    (u/v)-square, (v-u)/2v .. (v+u)/2v, all times one common denominator."""
-    scale = lcm(2 * v, *{point[axis].denominator for segment in segments for point in segment})
-
-    def cleared(c: Fraction) -> int:
-        return c.numerator * (scale // c.denominator)
-
-    ends = [(cleared(a[axis]), cleared(b[axis])) for a, b in segments]
-    half = scale // (2 * v)
-    return ends, ((v - u) * half, (v + u) * half)
+    p, q = _square_slope(slope)
+    return Fraction((p + q) % 2, p + q)
 
 
 def square_obstacle_contact(path: SquarePath, alpha) -> str:
     """How the path meets the centered alpha-square G(alpha): 'miss',
-    'boundary' (grazing only), or 'interior'."""
+    'boundary' (grazing only), or 'interior'.
+
+    Folding carries each cell's centered square onto the table's, so the
+    path meets G(alpha) as its unfolded ray meets the squares of the cells
+    it crosses: with c = |p(2i+1) - q(2j+1)| least over those cells, the
+    contact is 'interior' when alpha*(p+q) > c, 'boundary' at equality and
+    'miss' below.  Only the slope and the segment count are read.
+    """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    xs, x_window = _cleared_axis(path.segments, 0, alpha.numerator, alpha.denominator)
-    ys, y_window = _cleared_axis(path.segments, 1, alpha.numerator, alpha.denominator)
-    result = "miss"
-    for x, y in zip(xs, ys):
-        contact = _segment_box_contact(((x, x_window), (y, y_window)))
-        if contact == "interior":
-            return "interior"
-        if contact == "boundary":
-            result = "boundary"
-    return result
+    p, q = path.slope.numerator, path.slope.denominator
+    least = min(
+        abs(p * (2 * (x // p) + 1) - q * (2 * (x // q) + 1))
+        for x in islice(_crossings(p, q), len(path.segments))
+    )
+    reach = alpha.numerator * (p + q)  # alpha*(p+q) and least, times alpha's denominator
+    least *= alpha.denominator
+    if reach > least:
+        return "interior"
+    return "boundary" if reach == least else "miss"
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +281,6 @@ def _walk(a: int, b: int, d: int) -> Iterator[tuple[int, int, bool, int, int]]:
             row += 1
         if exit_sign >= 0:  # right edge, or the top-right vertex
             col += 1
-
-
-def triangle_cells_along_ray(slope, horizon: int) -> list[TriangleCell]:
-    """The first ``horizon`` tiling cells crossed by the ray y = slope*x.
-
-    The walk starts in the base triangle and advances by exact crossing
-    comparisons; a simultaneous crossing (lattice vertex) jumps diagonally
-    to the next up cell.
-    """
-    s = _wedge_slope(slope)
-    _check_count(horizon, "horizon must be at least 1")
-    walk = islice(_walk(*_cleared(s)), horizon)
-    return [triangle_cell(row, col, points_up) for row, col, points_up, _, _ in walk]
 
 
 class TriangleHit(NamedTuple):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import QuadExt
-from . import certificates, fieldsearch, render
+from . import billiards, certificates, fieldsearch, render
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -232,12 +232,16 @@ _DEFAULT_TILING_RAYS = "sqrt3*1/5,sqrt3*1/8,sqrt3*1/11"
 
 
 def _cmd_render(args, out) -> int:
+    for flag in ("extent", "segments", "strikes"):
+        value = getattr(args, flag)
+        if value is not None:
+            billiards._check_count(value, f"--{flag} must be at least 1")
     params: dict = {}
     if args.scene == "obstruction2d":
         params["alpha"] = _parse_rational(args.alpha if args.alpha else "1/3")
         rays = args.rays if args.rays else "2,1/2,1/5"
         params["rays"] = [_parse_rational(r) for r in rays.split(",")]
-        if args.extent:
+        if args.extent is not None:
             params["extent"] = args.extent
     elif args.scene == "square_billiard":
         if not args.slope:
@@ -245,7 +249,7 @@ def _cmd_render(args, out) -> int:
         params["slope"] = _parse_rational(args.slope)
         if args.alpha:
             params["alpha"] = _parse_rational(args.alpha)
-        if args.segments:
+        if args.segments is not None:
             params["segments"] = args.segments
     elif args.scene == "triangle_billiard":
         if not args.slope:
@@ -253,13 +257,13 @@ def _cmd_render(args, out) -> int:
         params["slope"] = _parse_slope(args.slope)
         if args.alpha:
             params["alpha"] = _parse_rational(args.alpha)
-        if args.strikes:
+        if args.strikes is not None:
             params["strikes"] = args.strikes
     elif args.scene == "triangle_tiling":
         params["alpha"] = _parse_rational(args.alpha if args.alpha else "1/4")
         rays = args.rays if args.rays else _DEFAULT_TILING_RAYS
         params["rays"] = [_parse_slope(r) for r in rays.split(",")]
-        if args.extent:
+        if args.extent is not None:
             params["extent"] = args.extent
     text = render.render_svg(args.scene, **params)
     if args.svg:

@@ -120,7 +120,8 @@ def gap_grid_oracle(speeds: SpeedSet | Iterable[int], resolution: int | None = N
     Independent of the candidate enumeration above.  Since f_S is piecewise
     linear with slopes bounded by the largest speed, the grid value brackets
     the true gap:  oracle <= delta(S) <= oracle + s_max/(2N).  The default
-    resolution N = 64 * s_max * k makes the bracket width 1/(128 k).
+    resolution N = 64 * s_max * k makes the bracket width 1/(128 k).  The
+    scan multiplies in int64, so s_max * (N - 1) must be below 2**62.
     """
     sset = SpeedSet.of(speeds)
     members = sset.speeds
@@ -128,33 +129,15 @@ def gap_grid_oracle(speeds: SpeedSet | Iterable[int], resolution: int | None = N
     n = 64 * s_max * len(members) if resolution is None else int(resolution)
     if n < 2 * s_max:
         raise ValueError(f"resolution {n} below 2 * max speed = {2 * s_max}")
-    if s_max * (n - 1) < 2 ** 62:  # products stay exact in int64
-        grid = np.arange(n, dtype=np.int64)
-        low: np.ndarray | None = None
-        for s in members:
-            r = (s * grid) % n
-            np.minimum(r, n - r, out=r)
-            low = r if low is None else np.minimum(low, r)
-        best = int(low.max())
-    else:
-        best = _grid_max_bigint(members, n)
-    return Fraction(best, n)
-
-
-def _grid_max_bigint(members: tuple[int, ...], n: int) -> int:
-    """Arbitrary-precision fallback for the grid scan."""
-    best = 0
-    for m in range(n):
-        value = n
-        for s in members:
-            r = s * m % n
-            if n - r < r:
-                r = n - r
-            if r < value:
-                value = r
-        if value > best:
-            best = value
-    return best
+    if s_max * (n - 1) >= 2**62:
+        raise ValueError(f"resolution {n}: max speed * (resolution - 1) must be below 2**62")
+    grid = np.arange(n, dtype=np.int64)
+    low: np.ndarray | None = None
+    for s in members:
+        r = (s * grid) % n
+        np.minimum(r, n - r, out=r)
+        low = r if low is None else np.minimum(low, r)
+    return Fraction(int(low.max()), n)
 
 
 @dataclass(frozen=True)

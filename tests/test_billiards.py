@@ -11,9 +11,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from lonelyrunner import billiards
 from lonelyrunner.arith import QuadExt, SQRT3
 from lonelyrunner.billiards import (
     SquarePath,
@@ -23,7 +25,6 @@ from lonelyrunner.billiards import (
     square_obstacle_contact,
     square_path_segments,
     triangle_cell,
-    triangle_cells_along_ray,
     triangle_min_obstacle,
     triangle_obstruction_check,
     triangle_path_segments,
@@ -168,13 +169,14 @@ class TestSquareObstacle:
         assert square_obstacle_contact(path, F(1, 3) - F(1, 60)) == "miss"
 
     def test_duality_against_gap(self):
-        from lonelyrunner.viewobstruct import min_scale_for_direction
+        # View-obstruction duality: the minimal scale is 1 - 2*delta({p, q}).
+        from lonelyrunner.gap import exact_gap
 
-        rng = random.Random(804)
-        for _ in range(60):
-            slope = F(rng.randint(1, 12), rng.randint(1, 12))
-            expect = min_scale_for_direction((slope.denominator, slope.numerator))
-            assert square_min_obstacle(slope) == expect
+        for p in range(1, 41):
+            for q in range(1, 41):
+                slope = F(p, q)
+                delta = exact_gap({slope.numerator, slope.denominator}).delta
+                assert square_min_obstacle(slope) == 1 - 2 * delta, slope
 
     def test_contact_agrees_with_min_obstacle(self):
         # Long paths: above the minimal scale the obstacle is met, below it
@@ -256,15 +258,21 @@ def float_cell_walk(slope_value: float, horizon: int):
     return cells
 
 
+def cells_along_ray(slope: QuadExt, horizon: int):
+    """The first ``horizon`` cells of the integer walk, as TriangleCells."""
+    walk = islice(billiards._walk(*billiards._cleared(slope)), horizon)
+    return [triangle_cell(row, col, points_up) for row, col, points_up, _, _ in walk]
+
+
 class TestTriangleWalk:
     def test_starts_at_base_cell(self):
-        cells = triangle_cells_along_ray(QuadExt(0, F(1, 5)), 4)
+        cells = cells_along_ray(QuadExt(0, F(1, 5)), 4)
         first = cells[0]
         assert (first.row, first.col, first.points_up) == (0, 0, True)
         assert first.vertices[0] == (QuadExt(0), QuadExt(0))
 
     def test_bisector_walk(self):
-        cells = triangle_cells_along_ray(QuadExt(0, F(1, 3)), 6)
+        cells = cells_along_ray(QuadExt(0, F(1, 3)), 6)
         labels = [(c.row, c.col, c.points_up) for c in cells]
         assert labels == [
             (0, 0, True),
@@ -276,7 +284,7 @@ class TestTriangleWalk:
         ]
 
     def test_extremal_ray_walk_alternates(self):
-        cells = triangle_cells_along_ray(QuadExt(0, F(1, 5)), 20)
+        cells = cells_along_ray(QuadExt(0, F(1, 5)), 20)
         assert [c.points_up for c in cells] == [True, False] * 10
 
     def test_walk_matches_float_march(self):
@@ -286,7 +294,7 @@ class TestTriangleWalk:
                 slope = QuadExt(0, F(rng.randint(1, 9), 10))  # sqrt3 * b
             else:
                 slope = QuadExt(F(rng.randint(1, 16), 10))  # rational < 1.7
-            cells = triangle_cells_along_ray(slope, 40)
+            cells = cells_along_ray(slope, 40)
             walked = [(c.row, c.col, c.points_up) for c in cells]
             sampled = float_cell_walk(float(slope), 30)
             # Every sampled cell appears in the walk, in order.
@@ -308,7 +316,7 @@ class TestTriangleWalk:
                 if rng.random() < 0.5
                 else QuadExt(F(rng.randint(1, 17), 10))
             )
-            cells = triangle_cells_along_ray(slope, 200)
+            cells = cells_along_ray(slope, 200)
             for a, b in zip(cells, cells[1:]):
                 if a.points_up:
                     assert (b.row, b.col, b.points_up) == (a.row, a.col, False)
@@ -327,14 +335,18 @@ class TestTriangleWalk:
             assert sy == 3 * cell.incenter[1]
 
     def test_slope_validation(self):
-        with pytest.raises(ValueError):
-            triangle_cells_along_ray(QuadExt(0), 5)
-        with pytest.raises(ValueError):
-            triangle_cells_along_ray(SQRT3, 5)
-        with pytest.raises(ValueError):
-            triangle_cells_along_ray(QuadExt(2), 5)  # 2 > sqrt3
-        with pytest.raises(ValueError):
-            triangle_cells_along_ray(QuadExt(1), 0)
+        def check(slope, horizon):
+            return triangle_obstruction_check(slope, F(1, 4), horizon)
+
+        for engine in (check, triangle_min_obstacle):
+            with pytest.raises(ValueError):
+                engine(QuadExt(0), 5)
+            with pytest.raises(ValueError):
+                engine(SQRT3, 5)
+            with pytest.raises(ValueError):
+                engine(QuadExt(2), 5)  # 2 > sqrt3
+            with pytest.raises(ValueError):
+                engine(QuadExt(1), 0)
 
 
 class TestTriangleObstruction:
@@ -405,8 +417,6 @@ class TestCountValidation:
     @pytest.mark.parametrize("count", [True, False, 2.0, "3", None])
     def test_non_int_counts_rejected(self, count):
         slope = QuadExt(0, F(1, 5))
-        with pytest.raises(ValueError):
-            triangle_cells_along_ray(slope, count)
         with pytest.raises(ValueError):
             triangle_obstruction_check(slope, F(1, 4), count)
         with pytest.raises(ValueError):
@@ -508,7 +518,7 @@ class TestIntegerWalkDifferential:
     @pytest.mark.parametrize("slope", DIFF_SLOPES, ids=str)
     def test_matches_quadext_reference(self, slope):
         cells = ref_walk(slope, DIFF_HORIZON)
-        assert triangle_cells_along_ray(slope, DIFF_HORIZON) == cells
+        assert cells_along_ray(slope, DIFF_HORIZON) == cells
         prepared = ref_prepare(slope, cells)
         for alpha in DIFF_ALPHAS:
             ref = ref_first_contact(prepared, alpha)
@@ -740,54 +750,26 @@ class TestIntegerFoldDifferential:
         assert terminated >= 50
 
     def test_square_paths_and_contacts_match_fraction_fold(self):
+        # Every threshold k/(p+q) on every path of 1 to 2(p+q) segments.  A
+        # path's least contact scale is one of these thresholds, and it lies
+        # above square_min_obstacle when the path is too short to reach the
+        # cell that attains the minimum.
+        rank = {"miss": 0, "boundary": 1, "interior": 2}
         rng = random.Random(815)
-        for _ in range(150):
+        for _ in range(25):
             slope = F(rng.randint(1, 30), rng.randint(1, 30))
-            segments = rng.randint(1, 60)
-            path = square_path_segments(slope, segments)
-            assert path == ref_square_path(slope, segments), (slope, segments)
-            scale = square_min_obstacle(slope)
-            alphas = [F(rng.randint(1, 99), 100), F(1, rng.randint(2, 60))]
-            alphas += [a for a in (scale, scale - F(1, 10**6), scale + F(1, 10**6)) if 0 < a < 1]
-            for alpha in alphas:
-                assert square_obstacle_contact(path, alpha) == ref_square_contact(path, alpha)
-
-    def test_hand_built_segments_match_fraction_slab_test(self):
-        rng = random.Random(816)
-
-        def coordinate(window):
-            roll = rng.random()
-            if roll < 0.2:
-                return rng.choice(window)  # on the obstacle's edge
-            if roll < 0.3:
-                return rng.randint(-1, 2)  # an int, not a Fraction
-            return F(rng.randint(-12, 36), rng.randint(1, 24))
-
-        for _ in range(3000):
-            alpha = F(rng.randint(1, 49), rng.randint(50, 99))
-            window = (F(1, 2) - alpha / 2, F(1, 2) + alpha / 2)
-            a = (coordinate(window), coordinate(window))
-            b = (coordinate(window), coordinate(window))
-            shape = rng.random()
-            if shape < 0.15:
-                b = (a[0], b[1])  # vertical
-            elif shape < 0.3:
-                b = (b[0], a[1])  # horizontal
-            elif shape < 0.35:
-                b = a  # a single point
-            path = SquarePath(F(1), ((a, b),))
-            expected = ref_square_contact(path, alpha)
-            assert square_obstacle_contact(path, alpha) == expected, (a, b, alpha)
-
-    def test_hand_built_paths_match_fraction_slab_test(self):
-        # Several segments with unrelated denominators share one cleared scale.
-        rng = random.Random(817)
-        for _ in range(300):
-            alpha = F(rng.randint(1, 99), 100)
-            coordinates = [F(rng.randint(0, 40), rng.randint(1, 20)) for _ in range(12)]
-            points = list(zip(coordinates[::2], coordinates[1::2]))[: rng.randint(2, 6)]
-            path = SquarePath(F(1), tuple(zip(points, points[1:])))
-            assert square_obstacle_contact(path, alpha) == ref_square_contact(path, alpha)
+            total = slope.numerator + slope.denominator
+            longest = ref_square_path(slope, 2 * total)
+            paths = [square_path_segments(slope, n) for n in range(1, 2 * total + 1)]
+            for n, path in enumerate(paths, 1):
+                assert path == SquarePath(slope, longest.segments[:n]), (slope, n)
+            for k in range(1, total):
+                alpha = F(k, total)
+                expected = "miss"
+                for segment, path in zip(longest.segments, paths):
+                    single = ref_square_contact(SquarePath(slope, (segment,)), alpha)
+                    expected = max(expected, single, key=rank.get)
+                    assert square_obstacle_contact(path, alpha) == expected, (path, alpha)
 
 
 class TestTriangleObstacleInvariance:

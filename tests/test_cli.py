@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +49,20 @@ class TestGapCommand:
         code, doc = invoke_json(["gap", "--speeds", "1,2", "--grid"])
         assert code == 0
         assert doc["result"]["grid_oracle"]["resolution"] == 64 * 2 * 2
+
+    def test_grid_past_int64_exits_one_at_once(self):
+        # max speed * (grid - 1) >= 2**62 cannot be scanned in int64; a
+        # per-point scan of 4e18 points would never finish, so this runs in
+        # a child process that must exit well within the timeout.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["gap", "--speeds", "1,2", "--grid", "4000000000000000000"]
+        done = subprocess.run(
+            [sys.executable, "-m", "lonelyrunner", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert "2**62" in done.stderr
 
     def test_bad_speeds(self):
         code, _, err = invoke(["gap", "--speeds", "1,x"])
@@ -333,6 +350,25 @@ class TestRenderCommand:
     def test_missing_slope(self):
         code, _, err = invoke(["render", "--scene", "square_billiard"])
         assert code == 1 and err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "--scene", "square_billiard", "--slope", "1/2", "--segments", "0"],
+            ["render", "--scene", "triangle_billiard", "--slope", "1/1", "--strikes", "0"],
+            ["render", "--scene", "obstruction2d", "--extent", "0"],
+            ["render", "--scene", "triangle_tiling", "--extent", "-2"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_below_one_exits_one_without_svg(self, argv, tmp_path):
+        # A zero count is a count, not a missing flag: it is rejected, not
+        # replaced by the scene's default.
+        code, out, err = invoke(argv)
+        assert code == 1 and out == "" and "at least 1" in err
+        target = tmp_path / "figure.svg"
+        code, _, _ = invoke(argv + ["--svg", str(target)])
+        assert code == 1 and not target.exists()
 
 
 class TestDeterminism:
