@@ -182,10 +182,6 @@ class QuadExt:
 
     # -- conversions ----------------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * 3 ** 0.5
 

@@ -5,6 +5,12 @@ engine-specific result payload.  Every rational is serialized as an integer
 pair ``{"num": .., "den": ..}`` -- certificates are exact, so decimal
 strings or floats never appear.
 
+``serialize`` writes a document in the format of ``json.dumps(payload,
+indent=2)`` plus a newline: two-space indent, ASCII-escaped strings, keys in
+the order the builder put them.  It writes that format itself: given an indent,
+the standard library leaves its C encoder for its pure-Python one, which is
+about 2.5 times slower on these documents.
+
 ``produce(command, inputs)`` is the one rule from a command's inputs to its
 document; ``lrc <command>`` and ``lrc check`` both call it.
 ``validate_document`` holds a re-run document to that rule: it must be
@@ -24,6 +30,7 @@ import json
 import marshal
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .arith import QuadExt, SpeedSet, is_prime
@@ -105,7 +112,36 @@ def serialize(doc: CertificateDocument) -> str:
         "inputs": doc.inputs,
         "result": doc.result,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at the nesting
+    that ``indent`` (a newline and the current indentation) marks.  Keys are
+    strings, as in every document."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)
 
 
 def parse(text: str) -> CertificateDocument:

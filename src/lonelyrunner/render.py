@@ -173,7 +173,11 @@ SCENES = ("obstruction2d", "square_billiard", "triangle_billiard", "triangle_til
 
 
 def render_svg(scene: str, **params) -> str:
-    """Render one of the four supported scenes to SVG 1.1 text."""
+    """Render one of the four supported scenes to SVG 1.1 text.  An obstacle
+    scale ``alpha``, where given, lies strictly between 0 and 1."""
+    alpha = params.get("alpha")
+    if alpha is not None and not 0 < alpha < 1:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     if scene == "obstruction2d":
         return _obstruction2d(
             params["alpha"], list(params["rays"]), int(params.get("extent", 6))

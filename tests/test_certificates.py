@@ -1,7 +1,9 @@
 """Round-trip and re-validation tests for certificate documents."""
 
 import copy
+import io
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ import pytest
 
 from lonelyrunner.arith import QuadExt, SpeedSet
 from lonelyrunner import billiards, certificates, fieldsearch, gap, viewobstruct
+from lonelyrunner.cli import run
+from tests.test_pinned_documents import PINNED
 
 F = Fraction
 
@@ -599,3 +603,120 @@ class TestInvisibleInputs:
     def test_budget_at_the_witness_prime_is_valid(self):
         doc = _with_count(DOCS["invisible"], "prime_budget", 5)
         assert certificates.validate_document(doc) == []
+
+
+# ---------------------------------------------------------------------------
+# serialize against the standard library's encoder
+# ---------------------------------------------------------------------------
+
+
+def _stdlib_bytes(doc):
+    """The format ``serialize`` writes, as the standard library writes it."""
+    payload = {
+        "version": doc.version,
+        "command": doc.command,
+        "inputs": doc.inputs,
+        "result": doc.result,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _assert_stdlib_bytes(doc):
+    assert certificates.serialize(doc) == _stdlib_bytes(doc)
+
+
+# Strings with quotes, backslashes, JSON punctuation, control characters and
+# non-ASCII text (one character outside the Basic Multilingual Plane).
+NASTY_CHARS = 'ab"\\/{}[]:, \b\f\n\r\t\x00\x1f\x7f\u00e9\u2603\U0001f600'
+ODD_FLOATS = [0.5, -2.5, 1e300, 1e-7, float("inf"), float("-inf"), float("nan")]
+
+
+def _nasty_string(rng):
+    return "".join(rng.choice(NASTY_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _leaf(rng):
+    return rng.choice(
+        [
+            lambda: rng.randrange(-(2**70), 2**70),  # beyond 2**64 either way
+            lambda: rng.randrange(-3, 4),
+            lambda: rng.choice([True, 1, False, 0, None]),
+            lambda: (True, 1, False, 0),  # bools beside the ints they equal
+            lambda: rng.choice(ODD_FLOATS),
+            lambda: _nasty_string(rng),
+            lambda: rng.choice([{}, [], ()]),
+        ]
+    )()
+
+
+def _nested(rng, depth=0):
+    """A random value, nested at least 6 deep: a container of one or two
+    items at depths 0 to 5, then a leaf or a container of up to two items,
+    with only leaves at depth 9."""
+    if depth >= 9 or (depth >= 6 and rng.random() < 0.5):
+        return _leaf(rng)
+    items = [_nested(rng, depth + 1) for _ in range(rng.randrange(depth < 6, 3))]
+    kind = rng.choice(["dict", "list", "tuple"])
+    if kind == "dict":
+        return {_nasty_string(rng) + str(i): item for i, item in enumerate(items)}
+    return items if kind == "list" else tuple(items)
+
+
+def _walk(value, depth=0):
+    """Every value nested in ``value``, itself included, with its depth."""
+    yield value, depth
+    if isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _walk(item, depth + 1)
+
+
+class TestSerializeBytes:
+    """``serialize`` writes exactly the bytes of ``json.dumps(payload,
+    indent=2)`` and a newline, the format of ``lrc-cert/1``."""
+
+    @pytest.mark.parametrize("command", sorted(DOCS))
+    def test_built_documents(self, command):
+        _assert_stdlib_bytes(DOCS[command])
+
+    def test_pinned_documents(self):
+        for _, document in PINNED:
+            _assert_stdlib_bytes(certificates.CertificateDocument(**document))
+
+    def test_tampered_documents(self):
+        for build, _, edit in CASES + WITNESS_CASES:
+            doc = copy.deepcopy(build())
+            edit(doc.result, doc.inputs)
+            _assert_stdlib_bytes(doc)
+
+    def test_check_report_with_hostile_issues(self, tmp_path):
+        stored = json.loads(certificates.serialize(DOCS["gap"]))
+        stored["result"]["delta"] = {"num": 'q"\\{}\t\u00e9', "den": ["\u2603", {"x": None}]}
+        target = tmp_path / "hostile.json"
+        target.write_text(json.dumps(stored))
+        out = io.StringIO()
+        assert run(["check", str(target)], out=out) == 2
+        report = json.loads(out.getvalue())
+        issues = report["result"]["issues"]
+        assert any(
+            issue.startswith("malformed document: not a rational encoding: {")
+            and all(c in issue for c in '"\\{}\u00e9\u2603')
+            for issue in issues
+        )
+        assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+
+    def test_seeded_nested_values(self):
+        rng = random.Random(20121)
+        values = [_nested(rng) for _ in range(150)]
+        for value in values:
+            _assert_stdlib_bytes(certificates.CertificateDocument("nested", {"value": value}, {}))
+        # The generator reaches every branch of the encoder.
+        assert min(max(depth for _, depth in _walk(value)) for value in values) >= 6
+        found = [item for value in values for item, _ in _walk(value)]
+        for kind in (dict, list, tuple):
+            assert any(type(item) is kind and not item for item in found)
+            assert any(type(item) is kind and item for item in found)
+        assert any(type(item) is int and item >= 2**64 for item in found)
+        assert any(type(item) is int and item <= -(2**64) for item in found)
+        assert any(item is None for item in found)
+        assert any(type(item) is float for item in found)
+        assert any(item == (True, 1, False, 0) for item in found)

@@ -370,6 +370,26 @@ class TestRenderCommand:
         code, _, _ = invoke(argv + ["--svg", str(target)])
         assert code == 1 and not target.exists()
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "2", "-1/2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "--scene", "obstruction2d"],
+            ["render", "--scene", "square_billiard", "--slope", "1/2"],
+            ["render", "--scene", "triangle_billiard", "--slope", "sqrt3*1/5"],
+            ["render", "--scene", "triangle_tiling"],
+        ],
+        ids=lambda argv: argv[2],
+    )
+    def test_alpha_outside_unit_interval_exits_one_without_svg(self, argv, alpha, tmp_path):
+        argv = argv + [f"--alpha={alpha}"]  # the = form lets argparse take "-1/2"
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert "alpha must lie strictly between 0 and 1" in err
+        target = tmp_path / "figure.svg"
+        code, _, _ = invoke(argv + ["--svg", str(target)])
+        assert code == 1 and not target.exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
