@@ -121,7 +121,8 @@ def gap_grid_oracle(speeds: SpeedSet | Iterable[int], resolution: int | None = N
     linear with slopes bounded by the largest speed, the grid value brackets
     the true gap:  oracle <= delta(S) <= oracle + s_max/(2N).  The default
     resolution N = 64 * s_max * k makes the bracket width 1/(128 k).  The
-    scan multiplies in int64, so s_max * (N - 1) must be below 2**62.
+    scan multiplies in int64, so s_max * (N - 1) must be below 2**62, and
+    it holds a few arrays of N integers, so N may not exceed 2**22.
     """
     sset = SpeedSet.of(speeds)
     members = sset.speeds
@@ -131,6 +132,8 @@ def gap_grid_oracle(speeds: SpeedSet | Iterable[int], resolution: int | None = N
         raise ValueError(f"resolution {n} below 2 * max speed = {2 * s_max}")
     if s_max * (n - 1) >= 2**62:
         raise ValueError(f"resolution {n}: max speed * (resolution - 1) must be below 2**62")
+    if n > 2**22:
+        raise ValueError(f"resolution {n} above the limit of 2**22 grid points")
     grid = np.arange(n, dtype=np.int64)
     low: np.ndarray | None = None
     for s in members:
@@ -205,31 +208,34 @@ class LrcSweepReport:
         return not self.counterexamples
 
 
-def _witness_table(k: int, max_speed: int) -> tuple[int, ...]:
-    """Residue witnesses for the k-subsets of {1..max_speed}, by speed.
+_BLOCK = 4096  # columns per transpose, bounding the transient strings
+
+
+def _columns(k: int, max_speed: int) -> tuple[list[int], list[int]]:
+    """The distinct residue-witness columns for the k-subsets of
+    {1..max_speed}: ``(far_rows, columns)``.
 
     A reduced time a/n, 2 <= n <= 2*max_speed - 1 and a <= n/2, is far for
     the speeds s that the band witness (n, a, m) keeps outside its band at
     the strict radius m = n//(k+1) (see :class:`fieldsearch.BandWitness`),
-    that is ||s*a/n|| > 1/(k+1).  Each distinct set of far speeds with at
-    least k members is one column; entry s of the result is the bitset of
-    the columns in which s is far (entry 0 is unused).  A k-set S with
-    AND of the entries of S nonzero has a time where every speed is far, so
-    delta(S) > 1/(k+1).  The converse holds as well: delta(S) is attained at
-    some a/(s_i + s_j), and s_i + s_j <= 2*max_speed - 1; f_S(t) = f_S(1 - t)
-    puts a reduced form of that time in the range.
+    that is ||s*a/n|| > 1/(k+1); the other speeds are near.  Each distinct
+    set of far speeds with at least k members is one column, and the
+    columns are ordered by far count, largest first, so that column 0 has
+    the smallest near set.  Entry s of ``far_rows`` is the bitset of the
+    columns in which s is far (entry 0 is unused); entry j of ``columns`` is
+    the bitset of the speeds far in column j, speed s at bit max_speed - s.
 
-    There are O(max_speed**2) columns, so the table holds O(max_speed**3)
-    bits; it is built from byte slices, not bit by bit.  For k = 1 the
-    strict radius n//2 leaves no residue far, so the table is all zeros and
-    is returned without the scan.
+    There are O(max_speed**2) columns, so the rows hold O(max_speed**3)
+    bits; they are transposed from strings of flags, a block of columns at
+    a time, not bit by bit.  For k = 1 the strict radius n//2 leaves no
+    residue far, so there is no column and the scan is skipped.
     """
     from .fieldsearch import BandWitness  # fieldsearch imports this module
 
-    table = [0] * (max_speed + 1)
+    far_rows = [0] * (max_speed + 1)
     if k == 1:
-        return tuple(table)
-    seen = set()
+        return far_rows, []
+    distinct = set()
     for n in range(2, 2 * max_speed):
         # far[r] is b"1" when m < r < n - m, and reps[i] == far[i % n] for
         # every i <= max_speed * n/2, so the slice of reps with step a holds
@@ -237,20 +243,20 @@ def _witness_table(k: int, max_speed: int) -> tuple[int, ...]:
         m = BandWitness.radius(n, k, strict=True)
         far = b"0" * (m + 1) + b"1" * (n - 2 * m - 1) + b"0" * m
         reps = far * (max_speed // 2 + 1)
-        columns = []
-        for a in range(1, n // 2 + 1):
-            if gcd(a, n) == 1:
-                column = reps[a : a * max_speed + 1 : a]
-                mask = int(column, 2)
-                if mask.bit_count() >= k and mask not in seen:
-                    seen.add(mask)
-                    columns.append(column)
-        if columns:
-            # Transpose: byte s-1 of each column, in column order, is row s.
-            block = b"".join(columns)
-            for s in range(1, max_speed + 1):
-                table[s] = table[s] << len(columns) | int(block[s - 1 :: max_speed], 2)
-    return tuple(table)
+        distinct.update([int(reps[a : a * max_speed + 1 : a], 2) for a in range(1, n // 2 + 1) if gcd(a, n) == 1])
+    # Far count ascending, so the last column, with the smallest near set,
+    # becomes bit 0 of the rows.
+    masks = sorted((mask for mask in distinct if mask.bit_count() >= k), key=int.bit_count)
+    del distinct  # the masks now hold the columns; free the set before the transpose
+    width = f"0{max_speed}b"
+    for i in range(0, len(masks), _BLOCK):
+        # Transpose: char s-1 of each column, in column order, is row s.
+        block = "".join([format(mask, width) for mask in masks[i : i + _BLOCK]])
+        size = len(block) // max_speed
+        for s in range(1, max_speed + 1):
+            far_rows[s] = far_rows[s] << size | int(block[s - 1 :: max_speed], 2)
+    masks.reverse()
+    return far_rows, masks
 
 
 def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
@@ -259,32 +265,50 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
 
     Every other gcd-1 set has a residue witness: a reduced time a/n with
     n <= 2*max_speed - 1 at which every speed s of S has ||s*a/n|| > 1/(k+1),
-    that is a nonzero AND of the rows of :func:`_witness_table`.  The witness
-    is complete at that range of n, since delta(S) is attained at a time with
-    denominator s_i + s_j <= 2*max_speed - 1, so the sets without one are
-    exactly those with delta(S) <= 1/(k+1), and only they reach
+    that is, S lies inside the far set of a column of :func:`_columns`.  The
+    witness is complete at that range of n, since delta(S) is attained at a
+    time with denominator s_i + s_j <= 2*max_speed - 1, so the sets without
+    one are exactly those with delta(S) <= 1/(k+1), and only they reach
     :func:`exact_gap`.
 
-    The walk is depth first over increasing speeds and carries the AND of
-    the rows and the gcd of the prefix, so each candidate last speed costs
-    one AND.  Sets with a common factor are skipped: delta is invariant
-    under scaling all speeds by a constant.
+    A set has no witness exactly when it meets the near set of every
+    column, so the sweep enumerates these hitting sets and visits no other.
+    Depth first, it carries ``rows``, the columns the speeds chosen so far
+    have not hit (the AND of their far rows), and ``pool``, the speeds still
+    allowed.  It takes the lowest column of ``rows``, the one with the
+    smallest near set, and branches on each of its near speeds in ``pool``,
+    least first, dropping each from ``pool`` after its branch, so no set is
+    reached twice.  A set the walk never reaches meets none of those near
+    speeds, so it lies inside the far set of a branching column and is
+    witnessed.  Once ``rows`` is 0, every completion from ``pool`` is
+    witness-free.  The sets found are sorted, since the walk's own order
+    need not be lexicographic.  Sets with a common factor are skipped:
+    delta is invariant under scaling all speeds by a constant.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    table = _witness_table(k, max_speed)
+    far_rows, columns = _columns(k, max_speed)
+    found = []
+    width = f"0{max_speed}b"  # speed s is char s-1, bit max_speed - s
 
-    def walk(prefix, rows, common, low):
-        if len(prefix) == k - 1:
-            for v in range(low, max_speed + 1):
-                if not rows & table[v] and gcd(common, v) == 1:
-                    s = prefix + (v,)
-                    yield s, exact_gap(s).delta
+    def walk(chosen, rows, pool, left):
+        if rows == 0:
+            rest = [s for s, bit in enumerate(format(pool, width), 1) if bit == "1"]
+            found.extend(chosen + tail for tail in combinations(rest, left))
             return
-        for v in range(low, max_speed - k + len(prefix) + 2):
-            yield from walk(prefix + (v,), rows & table[v], gcd(common, v), v + 1)
+        if left == 0:
+            return  # a full set with a column unhit: witnessed
+        branch = pool & ~columns[(rows & -rows).bit_length() - 1]  # its near speeds in the pool
+        while branch and pool.bit_count() >= left:
+            high = 1 << branch.bit_length() - 1  # the least speed first
+            s = max_speed + 1 - high.bit_length()
+            walk(chosen + (s,), rows & far_rows[s], pool ^ high, left - 1)
+            pool ^= high
+            branch ^= high
 
-    return walk((), -1, 0, 1)  # -1: every column covers the empty prefix
+    walk((), (1 << len(columns)) - 1, (1 << max_speed) - 1, k)
+    sets = sorted(tuple(sorted(s)) for s in found)
+    return ((s, exact_gap(s).delta) for s in sets if gcd(*s) == 1)
 
 
 def _gcd1_subset_count(k: int, max_speed: int) -> int:
@@ -301,15 +325,16 @@ def _gcd1_subset_count(k: int, max_speed: int) -> int:
 
 
 def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
-    """Check delta(S) >= 1/(k+1) for every gcd-1 k-subset of {1..max_speed}.
+    """Check delta(S) >= 1/(k+1) for every gcd-1 k-subset of {1..max_speed},
+    for 1 <= k <= 8.
 
-    ``checked`` counts those sets; only the ones at or below the bound are
-    visited (see :func:`sweep`).  A counterexample is collected, not raised
-    -- it would refute the conjecture.  Both lists come out in lexicographic
-    order.
+    ``checked`` counts those sets in closed form (:func:`_gcd1_subset_count`);
+    only the ones at or below the bound are enumerated, as hitting sets (see
+    :func:`sweep`).  A counterexample is collected, not raised -- it would
+    refute the conjecture.  Both lists come out in lexicographic order.
     """
-    if not 1 <= k <= 7:
-        raise ValueError("k must be between 1 and 7 (desk scale)")
+    if not 1 <= k <= 8:
+        raise ValueError("k must be between 1 and 8 (desk scale)")
     if max_speed < k:
         raise ValueError("max_speed must be at least k")
     bound = Fraction(1, k + 1)

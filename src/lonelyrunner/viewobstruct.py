@@ -155,12 +155,14 @@ def kprime_scan(k: int, max_coord: int) -> KPrimeScanReport:
     can never exceed (k-1)/k; the report states whether it equals the
     conjectured value (k-1)/(k+1), attained by the direction (1, 2, ..., k).
 
-    Ties break to the lexicographically smallest k-set.  For k <= 7 this is
-    also the lexicographically smallest direction among all ordered k-tuples
-    with repetition.  By the seven-runner theorem a set of j <= 6 values has
-    delta >= 1/(j+1), so a set of fewer than k <= 7 values cannot tie the
-    minimum, which is at most delta({1..k}) = 1/(k+1); and the smallest
-    ordering of a set is its sorted one.
+    Ties break to the lexicographically smallest k-set, for every k.  For
+    k <= 7 this is also the lexicographically smallest direction among all
+    ordered k-tuples with repetition.  By the seven-runner theorem a set of
+    j <= 6 values has delta >= 1/(j+1), so a set of fewer than k <= 7
+    values cannot tie the minimum, which is at most delta({1..k}) =
+    1/(k+1); and the smallest ordering of a set is its sorted one.  For
+    k >= 8 that argument needs sets of seven or more values, which the
+    theorem does not cover, so only the k-set statement is claimed there.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -272,6 +272,15 @@ class TestTriangleHorizon:
         assert issues and "malformed" in issues[0]
 
 
+class TestGridLimit:
+    def test_huge_grid_is_malformed_at_once(self):
+        doc = _with_count(DOCS["gap"], "grid", 10**9)
+        start = time.process_time()
+        issues = certificates.validate_document(doc)
+        assert time.process_time() - start < 0.5
+        assert issues and "malformed" in issues[0] and "2**22" in issues[0]
+
+
 class TestPathCounts:
     """A path document's count input is the length of its stored path.  A
     count the path does not bear out is reported before the rebuild, so a

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,6 +64,15 @@ class TestGapCommand:
         )
         assert done.returncode == 1 and done.stdout == ""
         assert "2**62" in done.stderr
+
+    @pytest.mark.parametrize("grid", [["--grid", "1000000000"], ["--grid"]])
+    def test_grid_above_the_limit_exits_one_at_once(self, grid):
+        # The default resolution 64 * max speed * k is capped as well.
+        start = time.process_time()
+        code, out, err = invoke(["gap", "--speeds", "1,100000000", *grid])
+        assert time.process_time() - start < 0.5
+        assert code == 1 and out == ""
+        assert "2**22" in err
 
     def test_bad_speeds(self):
         code, _, err = invoke(["gap", "--speeds", "1,x"])

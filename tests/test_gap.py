@@ -275,6 +275,13 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             gap_grid_oracle((1, 7), 13)
 
+    def test_resolution_limit(self):
+        value = gap_grid_oracle((1, 2), 2**22)
+        assert Fraction(1, 3) - Fraction(1, 2**22) <= value <= Fraction(1, 3)
+        for speeds, n in [((1, 2), 2**22 + 1), ((1, 100_000_000), None)]:
+            with pytest.raises(ValueError, match=r"limit of 2\*\*22"):
+                gap_grid_oracle(speeds, n)
+
     def test_default_resolution_bracket(self):
         rng = random.Random(505)
         for _ in range(40):
@@ -397,13 +404,113 @@ class TestVerifyLrc:
             expected = sum(1 for c in combinations(range(1, max_speed + 1), k) if gcd(*c) == 1)
             assert gap._gcd1_subset_count(k, max_speed) == expected, max_speed
 
+    # What the sweep finds in larger boxes.  k = 7 is the 8-runner case,
+    # Rosenfeld's (2025) theorem; at k = 8 "no counterexample" is computed
+    # for the box, not a theorem.
+    @pytest.mark.parametrize(
+        "k, max_speed, tight",
+        [
+            (4, 100, ((1, 2, 3, 4), (1, 3, 4, 7))),
+            (5, 60, ((1, 2, 3, 4, 5), (1, 3, 4, 5, 9))),
+            (7, 60, ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 7, 12), (1, 4, 5, 6, 7, 11, 13))),
+            (8, 40, ((1, 2, 3, 4, 5, 6, 7, 8),)),
+        ],
+    )
+    def test_larger_boxes(self, k, max_speed, tight):
+        report = verify_lrc(k, max_speed)
+        assert report.counterexamples == ()
+        assert report.tight == tight
+
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_lrc(0, 5)
         with pytest.raises(ValueError):
-            verify_lrc(8, 10)
+            verify_lrc(9, 10)
         with pytest.raises(ValueError):
             verify_lrc(3, 2)
+
+
+# The sweep before it enumerated hitting sets, copied here as the reference
+# of the differential test below: one bitset of witness columns per speed,
+# and a depth-first walk over every k-subset that spends one AND on each.
+
+
+def reference_witness_table(k: int, max_speed: int) -> tuple[int, ...]:
+    """Entry s is the bitset of the distinct columns (far sets of at least
+    k speeds at a reduced a/n, n <= 2*max_speed - 1) in which s is far."""
+    from lonelyrunner.fieldsearch import BandWitness
+
+    table = [0] * (max_speed + 1)
+    if k == 1:
+        return tuple(table)
+    seen = set()
+    for n in range(2, 2 * max_speed):
+        m = BandWitness.radius(n, k, strict=True)
+        far = b"0" * (m + 1) + b"1" * (n - 2 * m - 1) + b"0" * m
+        reps = far * (max_speed // 2 + 1)
+        columns = []
+        for a in range(1, n // 2 + 1):
+            if gcd(a, n) == 1:
+                column = reps[a : a * max_speed + 1 : a]
+                mask = int(column, 2)
+                if mask.bit_count() >= k and mask not in seen:
+                    seen.add(mask)
+                    columns.append(column)
+        if columns:
+            block = b"".join(columns)
+            for s in range(1, max_speed + 1):
+                table[s] = table[s] << len(columns) | int(block[s - 1 :: max_speed], 2)
+    return tuple(table)
+
+
+def reference_sweep(k: int, max_speed: int, table=None) -> list:
+    """(S, delta(S)) for the gcd-1 k-subsets whose AND of rows is zero."""
+    if table is None:
+        table = reference_witness_table(k, max_speed)
+    found = []
+
+    def walk(prefix, rows, common, low):
+        if len(prefix) == k - 1:
+            for v in range(low, max_speed + 1):
+                if not rows & table[v] and gcd(common, v) == 1:
+                    s = prefix + (v,)
+                    found.append((s, exact_gap(s).delta))
+            return
+        for v in range(low, max_speed - k + len(prefix) + 2):
+            walk(prefix + (v,), rows & table[v], gcd(common, v), v + 1)
+
+    walk((), -1, 0, 1)
+    return found
+
+
+# Every size of the benchmark's sweep ladder: verify, then kscan.
+LADDER_SIZES = (
+    [(3, m) for m in (10, 14, 18, 22)]
+    + [(4, m) for m in range(8, 18)]
+    + [(5, m) for m in range(7, 14)]
+    + [(6, m) for m in range(7, 12)]
+    + [(3, m) for m in range(4, 15)]
+    + [(4, m) for m in (4, 5, 6)]
+)
+
+
+class TestSweepReference:
+    @pytest.mark.parametrize("k, max_speed", sorted(set(LADDER_SIZES)) + [(6, 30), (7, 30), (8, 14)])
+    def test_matches_the_and_walk(self, k, max_speed):
+        assert list(sweep(k, max_speed)) == reference_sweep(k, max_speed)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_and_walk_on_random_columns(self, monkeypatch, seed):
+        # Column families the residue scan never builds: unsorted, with
+        # large near sets and few columns.
+        rng = random.Random(seed)
+        k, max_speed = rng.randint(2, 4), rng.randint(8, 14)
+        speeds = range(1, max_speed + 1)
+        fars = [set(rng.sample(speeds, rng.randint(k, max_speed - 1))) for _ in range(rng.randint(1, 6))]
+        far_rows = [0] + [sum(1 << j for j, far in enumerate(fars) if s in far) for s in speeds]
+        columns = [sum(1 << max_speed - s for s in far) for far in fars]
+        monkeypatch.setattr(gap, "_columns", lambda k, max_speed: (far_rows, columns))
+        assert list(sweep(k, max_speed)) == reference_sweep(k, max_speed, far_rows)
 
 
 def count_exact_gap_calls(monkeypatch) -> list:
