@@ -66,8 +66,10 @@ class QuadExt:
     b: Fraction
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # A Fraction is kept as it is: Fraction(Fraction) would only copy
+        # it, after a costly numbers.Rational check.
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     # -- field operations ---------------------------------------------------
 

@@ -22,10 +22,12 @@ as X = 2x, Y = 6y/sqrt3, which makes every corner and incenter of the
 tiling an integer pair.  The ray's side of a point is then the sign of
 6d*(sigma*x - y) = 3aX + (3bX - dY)*sqrt3, a pair of integers P + Q*sqrt3
 whose sign :func:`~lonelyrunner.arith.sqrt3_sign` decides by integer
-comparison.  A path crossing lies a fraction (p + q*sqrt3)/n of the way
-along a tiling edge and folds by the colours of the edge's two lattice
-vertices, so Q(sqrt 3) values appear only in what the module returns: cell
-corners and path strike points.
+comparison.  The slope's own range check, 0 < sigma < sqrt3, is two such
+signs.  An obstacle hit is named by its cell's (row, col, orientation).
+A path crossing lies a fraction (p + q*sqrt3)/n of the way along a tiling
+edge and folds by the colours of the edge's two lattice vertices, so
+Q(sqrt 3) values appear only in path strike points and in
+:func:`triangle_cell`, whose corners the renderer draws.
 
 The square runs on integers as well.  Its path is folded from the ray's
 merged grid crossings, and its obstacle test is a comparison per grid cell.
@@ -41,7 +43,7 @@ from itertools import islice
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .arith import QuadExt, SQRT3, RationalLike, sqrt3_sign
+from .arith import QuadExt, RationalLike, sqrt3_sign
 
 __all__ = [
     "Point",
@@ -240,18 +242,17 @@ def triangle_cell(row: int, col: int, points_up: bool) -> TriangleCell:
     return TriangleCell(row, col, points_up, vertices, incenter)
 
 
-def _wedge_slope(slope) -> QuadExt:
+def _cleared(slope) -> tuple[int, int, int]:
+    """Integers (a, b, d) with slope = (a + b*sqrt3)/d and d >= 1, for a
+    slope strictly between 0 and sqrt3: since d > 0, that is a + b*sqrt3
+    and (d - b)*sqrt3 - a both positive."""
     s = slope if isinstance(slope, QuadExt) else QuadExt(Fraction(slope))
-    if s.sign() <= 0 or (SQRT3 - s).sign() <= 0:
+    d = lcm(s.a.denominator, s.b.denominator)
+    a = s.a.numerator * (d // s.a.denominator)
+    b = s.b.numerator * (d // s.b.denominator)
+    if sqrt3_sign(a, b) <= 0 or sqrt3_sign(-a, d - b) <= 0:
         raise ValueError("slope must lie strictly between 0 and sqrt(3)")
-    return s
-
-
-def _cleared(slope: QuadExt) -> tuple[int, int, int]:
-    """Integers (a, b, d) with slope = (a + b*sqrt3)/d and d >= 1."""
-    a, b = slope.a, slope.b
-    d = lcm(a.denominator, b.denominator)
-    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+    return a, b, d
 
 
 def _walk(a: int, b: int, d: int) -> Iterator[tuple[int, int, bool, int, int]]:
@@ -284,11 +285,15 @@ def _walk(a: int, b: int, d: int) -> Iterator[tuple[int, int, bool, int, int]]:
 
 
 class TriangleHit(NamedTuple):
-    """First obstacle contact along the walk; ``grazing`` means the ray
-    touches the scaled triangle without crossing its interior."""
+    """First obstacle contact along the walk: the ``index``-th cell walked,
+    at (row, col, points_up); ``triangle_cell`` builds its geometry.
+    ``grazing`` means the ray touches the scaled triangle without crossing
+    its interior."""
 
     index: int
-    cell: TriangleCell
+    row: int
+    col: int
+    points_up: bool
     grazing: bool
 
 
@@ -297,11 +302,9 @@ _UP_CORNERS = ((-1, -1), (1, -1), (0, 2))
 _DOWN_CORNERS = ((0, -2), (-1, 1), (1, 1))
 
 
-def _first_contact(
-    a: int, b: int, d: int, alpha: Fraction, horizon: int
-) -> Optional[tuple[int, int, int, bool, bool]]:
-    """(index, row, col, points_up, grazing) of the first of ``horizon``
-    cells whose alpha-scaled obstacle the ray meets, or None.
+def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Optional[TriangleHit]:
+    """The first of ``horizon`` cells whose alpha-scaled obstacle the ray
+    meets, or None.
 
     The scaled corner is (1-alpha)*incenter + alpha*corner, so with
     alpha = p/q the ray's side of it has the sign of q*G_center +
@@ -326,7 +329,7 @@ def _first_contact(
         )
         if signs[0] == signs[1] == signs[2] != 0:
             continue
-        return index, row, col, points_up, 1 not in signs or -1 not in signs
+        return TriangleHit(index, row, col, points_up, 1 not in signs or -1 not in signs)
     return None
 
 
@@ -336,16 +339,12 @@ def triangle_obstruction_check(slope, alpha, horizon: int) -> Optional[TriangleH
     A None is horizon-qualified: the ray avoided the first ``horizon``
     obstacles, which proves nothing beyond that range.
     """
-    s = _wedge_slope(slope)
+    a, b, d = _cleared(slope)
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     _check_count(horizon, "horizon must be at least 1")
-    found = _first_contact(*_cleared(s), alpha, horizon)
-    if found is None:
-        return None
-    index, row, col, points_up, grazing = found
-    return TriangleHit(index, triangle_cell(row, col, points_up), grazing)
+    return _first_contact(a, b, d, alpha, horizon)
 
 
 def triangle_min_obstacle(
@@ -359,12 +358,11 @@ def triangle_min_obstacle(
     0).  The bracket narrows to the requested width; scale 1 always hits
     since the full cell contains the ray segment crossing it.
     """
-    s = _wedge_slope(slope)
+    a, b, d = _cleared(slope)
     _check_count(horizon, "horizon must be at least 1")
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    a, b, d = _cleared(s)
 
     def hits(alpha: Fraction) -> bool:
         return _first_contact(a, b, d, alpha, horizon) is not None
@@ -444,9 +442,8 @@ def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
     u1 = level; the ray's u1/u3, u2/u1 and u1/u2 are constants, so t is
     computed in integers.
     """
-    s = _wedge_slope(slope)
+    a, b, d = _cleared(slope)
     _check_count(n_strikes, "need at least one strike")
-    a, b, d = _cleared(s)
     # 3d times the growth of u1, u2 and u3 per unit x.
     g1, g2, g3 = (6 * b, 2 * a), (3 * d - 3 * b, -a), (3 * d + 3 * b, a)
     falling, top, rising = _ratio(g1, g3), _ratio(g2, g1), _ratio(g1, g2)
@@ -477,4 +474,4 @@ def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
             break
         previous = current
         row, col, points_up = next_row, next_col, next_up
-    return TrianglePath(s, tuple(segments), terminated)
+    return TrianglePath(QuadExt(Fraction(a, d), Fraction(b, d)), tuple(segments), terminated)

@@ -301,9 +301,9 @@ def triangle_document(
             hit_payload = {
                 "found": True,
                 "index": hit.index,
-                "row": hit.cell.row,
-                "col": hit.cell.col,
-                "orientation": "up" if hit.cell.points_up else "down",
+                "row": hit.row,
+                "col": hit.col,
+                "orientation": "up" if hit.points_up else "down",
                 "grazing": hit.grazing,
             }
     path_payload = None

@@ -168,7 +168,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", help="obstacle scale")
     p.add_argument("--slope", help="path slope (billiard scenes)")
     p.add_argument("--rays", help="comma-separated ray slopes (obstruction scenes)")
-    p.add_argument("--extent", type=int, help="drawn extent in cells")
+    p.add_argument("--extent", type=int, help="drawn extent in cells, at most 100")
     p.add_argument("--segments", type=int, help="square path segments")
     p.add_argument("--strikes", type=int, help="triangle path strikes")
     p.add_argument("--svg", metavar="PATH", help="write SVG here instead of stdout")

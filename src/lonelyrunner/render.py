@@ -22,6 +22,9 @@ from .billiards import (
 __all__ = ["SCENES", "render_svg"]
 
 _STROKE = 0.012
+# obstruction2d draws extent**2 squares and triangle_tiling about
+# 1.5*extent**2 cells, all held as one string.
+_MAX_EXTENT = 100
 
 
 def _fmt(value) -> str:
@@ -174,10 +177,13 @@ SCENES = ("obstruction2d", "square_billiard", "triangle_billiard", "triangle_til
 
 def render_svg(scene: str, **params) -> str:
     """Render one of the four supported scenes to SVG 1.1 text.  An obstacle
-    scale ``alpha``, where given, lies strictly between 0 and 1."""
+    scale ``alpha``, where given, lies strictly between 0 and 1, and an
+    ``extent`` is at most 100 cells."""
     alpha = params.get("alpha")
     if alpha is not None and not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    if params.get("extent", 0) > _MAX_EXTENT:
+        raise ValueError(f"extent must be at most {_MAX_EXTENT} cells")
     if scene == "obstruction2d":
         return _obstruction2d(
             params["alpha"], list(params["rays"]), int(params.get("extent", 6))

@@ -413,6 +413,54 @@ class TestTriangleMinObstacle:
         assert triangle_min_obstacle(QuadExt(0, F(1, 5)), 10_000) == (F(255, 1024), F(1, 4))
 
 
+SLOPE_MESSAGE = "slope must lie strictly between 0 and sqrt(3)"
+OUTSIDE_WEDGE = [
+    QuadExt(0),
+    SQRT3,
+    QuadExt(F(-1, 2)),
+    QuadExt(2),
+    QuadExt(F(1, 10**12), 1),  # just above sqrt3
+]
+
+
+class TestWedgeSlope:
+    @pytest.mark.parametrize("slope", OUTSIDE_WEDGE, ids=str)
+    def test_outside_rejected_first_by_every_engine(self, slope):
+        # The slope is reported ahead of a bad alpha, horizon, tolerance or
+        # strike count.
+        engines = [
+            lambda: triangle_obstruction_check(slope, F(1, 4), 5),
+            lambda: triangle_obstruction_check(slope, F(0), 5),
+            lambda: triangle_obstruction_check(slope, F(3, 2), 5),
+            lambda: triangle_obstruction_check(slope, F(1, 4), 0),
+            lambda: triangle_obstruction_check(slope, F(0), 0),
+            lambda: triangle_min_obstacle(slope, 5),
+            lambda: triangle_min_obstacle(slope, 0),
+            lambda: triangle_min_obstacle(slope, 5, F(0)),
+            lambda: triangle_path_segments(slope, 3),
+            lambda: triangle_path_segments(slope, 0),
+        ]
+        for engine in engines:
+            with pytest.raises(ValueError) as info:
+                engine()
+            assert str(info.value) == SLOPE_MESSAGE
+
+    def test_just_below_sqrt3_accepted(self):
+        # The ray hugs the wedge's upper edge, far from the first incenters.
+        slope = QuadExt(F(-1, 10**12), 1)
+        assert triangle_obstruction_check(slope, F(1, 4), 5) is None
+        assert triangle_min_obstacle(slope, 5, F(1, 16)) == (F(15, 16), F(1))
+        path = triangle_path_segments(slope, 3)
+        assert path.slope == slope and len(path.segments) == 3
+
+    def test_rationals_coerced(self):
+        assert triangle_path_segments(F(1, 2), 1).slope == QuadExt(F(1, 2))
+        assert triangle_path_segments(1, 1).slope == QuadExt(1)
+        for slope in (0, F(7, 4), -1):
+            with pytest.raises(ValueError, match=r"sqrt\(3\)"):
+                triangle_path_segments(slope, 1)
+
+
 class TestCountValidation:
     @pytest.mark.parametrize("count", [True, False, 2.0, "3", None])
     def test_non_int_counts_rejected(self, count):
@@ -529,13 +577,43 @@ class TestIntegerWalkDifferential:
                 horizons |= {ref[0], ref[0] + 1}
             for horizon in sorted(h for h in horizons if 1 <= h <= DIFF_HORIZON):
                 hit = triangle_obstruction_check(slope, alpha, horizon)
-                got = None if hit is None else (hit.index, hit.cell, hit.grazing)
-                assert got == (ref if ref is not None and ref[0] < horizon else None), (alpha, horizon)
+                got = None
+                if hit is not None:
+                    got = (hit.index, (hit.row, hit.col, hit.points_up), hit.grazing)
+                want = None
+                if ref is not None and ref[0] < horizon:
+                    index, cell, grazing = ref
+                    want = (index, (cell.row, cell.col, cell.points_up), grazing)
+                assert got == want, (alpha, horizon)
         for horizon in (1, 17, 100):
             for tolerance in (F(1, 64), F(1, 1024)):
                 assert triangle_min_obstacle(slope, horizon, tolerance) == ref_min_obstacle(
                     prepared[:horizon], tolerance
                 ), (horizon, tolerance)
+
+    @pytest.mark.parametrize("slope", DIFF_SLOPES, ids=str)
+    def test_hit_cell_geometry_is_reachable(self, slope):
+        # A hit names its cell by integers; triangle_cell rebuilds the same
+        # geometry as the reference walk, and the ray meets that cell's
+        # obstacle by the reference's Q(sqrt 3) contact test.
+        prepared = ref_prepare(slope, ref_walk(slope, DIFF_HORIZON))
+        for alpha in DIFF_ALPHAS:
+            hit = triangle_obstruction_check(slope, alpha, DIFF_HORIZON)
+            if hit is None:
+                continue
+            cell, g_center, g_vertices = prepared[hit.index]
+            assert triangle_cell(hit.row, hit.col, hit.points_up) == cell
+            assert ref_contact(g_center, g_vertices, alpha) == hit.grazing
+
+    def test_hits_build_no_cell(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("triangle_cell called")
+
+        monkeypatch.setattr(billiards, "triangle_cell", refuse)
+        slope = QuadExt(0, F(1, 5))
+        hit = billiards.triangle_obstruction_check(slope, F(1, 4), 50)
+        assert hit == (0, 0, 0, True, True)
+        assert billiards.triangle_obstruction_check(slope, F(1, 5), 200) is None
 
 
 # ---------------------------------------------------------------------------

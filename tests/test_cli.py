@@ -219,6 +219,24 @@ class TestGeometryCommands:
         bracket = doc["result"]["min_obstacle"]
         assert bracket["hi"] == {"num": 1, "den": 4}
 
+    @pytest.mark.parametrize("slope", ["0", "sqrt3", "-1/2", "2"])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--alpha", "1/4"],
+            ["--alpha", "0"],
+            ["--alpha", "3/2"],
+            ["--strikes", "3"],
+            ["--min-obstacle", "--tolerance", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_triangle_slope_outside_wedge_exits_one(self, slope, extra):
+        # The slope is reported ahead of a bad alpha or tolerance.
+        code, out, err = invoke(["triangle", f"--slope={slope}", *extra])
+        assert (code, out) == (1, "")
+        assert err == "error: slope must lie strictly between 0 and sqrt(3)\n"
+
     def test_rational_slope_parsing(self):
         code, doc = invoke_json(
             ["triangle", "--slope", "3/2", "--alpha", "1/2", "--horizon", "50"]
@@ -397,6 +415,19 @@ class TestRenderCommand:
         assert (code, out) == (1, "")
         assert "alpha must lie strictly between 0 and 1" in err
         target = tmp_path / "figure.svg"
+        code, _, _ = invoke(argv + ["--svg", str(target)])
+        assert code == 1 and not target.exists()
+
+
+    @pytest.mark.parametrize("extent", [101, 10**6])
+    @pytest.mark.parametrize("scene", ["obstruction2d", "triangle_tiling"])
+    def test_extent_above_limit_exits_one_at_once(self, scene, extent, tmp_path):
+        target = tmp_path / "figure.svg"
+        argv = ["render", "--scene", scene, "--extent", str(extent)]
+        start = time.process_time()
+        code, out, err = invoke(argv)
+        assert time.process_time() - start < 0.5
+        assert (code, out, err) == (1, "", "error: extent must be at most 100 cells\n")
         code, _, _ = invoke(argv + ["--svg", str(target)])
         assert code == 1 and not target.exists()
 

@@ -8,7 +8,8 @@ change to the engines or the document layer that alters a byte fails here;
 ``lrc-cert/1`` documents stay byte-identical across refactors.  There is one
 document per command, with its optional flags set, a few whose gap
 witness pair is not the first pair (0, 1), and long billiard paths, written
-with the helpers ``r``, ``q`` and ``chain``.
+with the helpers ``r``, ``q`` and ``chain``.  ``TRIANGLE_HITS`` pins
+triangle obstruction answers past the base cell, each with its exit code.
 """
 
 import io
@@ -329,10 +330,54 @@ PINNED = [
 ]
 
 
+def triangle_hit(slope, alpha, horizon, hit):
+    """A triangle obstruction document with no path and no bracket."""
+    return {'version': 'lrc-cert/1',
+            'command': 'triangle',
+            'inputs': {'slope': slope,
+                       'alpha': alpha,
+                       'horizon': horizon,
+                       'strikes': None,
+                       'tolerance': None},
+            'result': {'hit': hit, 'path': None, 'min_obstacle': None}}
+
+
+TRIANGLE_HITS = [
+    (
+        ['triangle', '--slope', '7/8', '--alpha', '251/1000', '--horizon', '2000'],
+        0,
+        triangle_hit(q(7, 8, 0, 1), r(251, 1000), 2000,
+                     {'found': True, 'index': 3, 'row': 1, 'col': 0,
+                      'orientation': 'down', 'grazing': False}),
+    ),
+    (
+        ['triangle', '--slope', 'sqrt3*2/3', '--alpha', '3/10', '--horizon', '2000'],
+        0,
+        triangle_hit(q(0, 1, 2, 3), r(3, 10), 2000,
+                     {'found': True, 'index': 2, 'row': 1, 'col': 0,
+                      'orientation': 'up', 'grazing': False}),
+    ),
+    (
+        ['triangle', '--slope', 'sqrt3*1/5', '--alpha', '1/5', '--horizon', '150'],
+        3,  # no hit within the horizon
+        triangle_hit(q(0, 1, 1, 5), r(1, 5), 150, {'found': False}),
+    ),
+]
+
+
 @pytest.mark.parametrize("argv, document", PINNED, ids=[" ".join(a) for a, _ in PINNED])
 def test_document_bytes(argv, document):
     out = io.StringIO()
     assert run(argv, out=out) == 0
+    assert out.getvalue() == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, document", TRIANGLE_HITS, ids=[" ".join(a) for a, _, _ in TRIANGLE_HITS]
+)
+def test_triangle_hit_bytes(argv, code, document):
+    out = io.StringIO()
+    assert run(argv, out=out) == code
     assert out.getvalue() == json.dumps(document, indent=2) + "\n"
 
 
