@@ -297,9 +297,11 @@ class TriangleHit(NamedTuple):
     grazing: bool
 
 
-# Corners minus incenter, in (X, Y) units, for up and down cells.
-_UP_CORNERS = ((-1, -1), (1, -1), (0, 2))
-_DOWN_CORNERS = ((0, -2), (-1, 1), (1, 1))
+# Corners minus incenter, in (X, Y) units, for up and down cells: the one
+# with the highest side value G, then the one with the lowest (see
+# _first_contact).
+_UP_CORNERS = ((1, -1), (0, 2))
+_DOWN_CORNERS = ((0, -2), (-1, 1))
 
 
 def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Optional[TriangleHit]:
@@ -312,6 +314,18 @@ def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Opt
     Obstacles are closed: the ray misses only when all three corners lie
     strictly on one side, and it grazes when no two lie strictly on
     opposite sides (a zero sign is the ray through a scaled corner).
+
+    Two corners decide this.  A corner at (dX, dY) from the incenter has
+    G_corner - G_center = d*(3*sigma*dX - sqrt3*dY), whose bracket is
+    3*sigma + sqrt3 at (1, -1), sqrt3 - 3*sigma at (-1, -1) and -2*sqrt3
+    at (0, 2) in an up cell; 2*sqrt3 at (0, -2), 3*sigma - sqrt3 at (1, 1)
+    and -3*sigma - sqrt3 at (-1, 1) in a down cell.  Since 0 < sigma < sqrt3,
+    these are ordered the same way in every cell, so the first corner
+    listed in _UP_CORNERS or _DOWN_CORNERS has the highest G of its cell's
+    scaled corners and the second the lowest.  The ray misses when the
+    highest sign is negative or the lowest positive; otherwise the highest
+    is >= 0 and the lowest <= 0, and the ray grazes exactly when one of
+    them is 0.
     """
     p, q = alpha.numerator, alpha.denominator
     offsets = {
@@ -321,15 +335,14 @@ def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Opt
     for index, (row, col, points_up, cp, cq) in enumerate(islice(_walk(a, b, d), horizon)):
         cp *= q
         cq *= q
-        (p0, q0), (p1, q1), (p2, q2) = offsets[points_up]
-        signs = (
-            sqrt3_sign(cp + p0, cq + q0),
-            sqrt3_sign(cp + p1, cq + q1),
-            sqrt3_sign(cp + p2, cq + q2),
-        )
-        if signs[0] == signs[1] == signs[2] != 0:
+        (high_p, high_q), (low_p, low_q) = offsets[points_up]
+        high = sqrt3_sign(cp + high_p, cq + high_q)
+        if high < 0:
             continue
-        return TriangleHit(index, row, col, points_up, 1 not in signs or -1 not in signs)
+        low = sqrt3_sign(cp + low_p, cq + low_q)
+        if low > 0:
+            continue
+        return TriangleHit(index, row, col, points_up, high == 0 or low == 0)
     return None
 
 

@@ -557,8 +557,21 @@ DIFF_SLOPES = [
     QuadExt(2, F(-1, 2)),
     QuadExt(F(3, 7), F(3, 11)),
     QuadExt(F(1, 97), F(50, 101)),
+    # near the edges of the wedge 0 < sigma < sqrt3, where _first_contact's
+    # highest and lowest corners are closest to a tie with the third
+    QuadExt(F(1, 10**6)),
+    QuadExt(F(-1, 10**6), 1),
+    QuadExt(0, F(999, 1000)),
 ]
-DIFF_ALPHAS = [F(1, 4), F(1, 4) - F(1, 10**9), F(1, 4) + F(1, 10**9), F(1, 3), F(99, 100)]
+DIFF_ALPHAS = [
+    F(1, 4),
+    F(1, 4) - F(1, 10**9),
+    F(1, 4) + F(1, 10**9),
+    F(1, 3),
+    F(99, 100),
+    F(1, 1000),
+    F(999, 1000),
+]
 DIFF_HORIZON = 300
 
 

@@ -654,8 +654,63 @@ def _leaf(rng):
             lambda: rng.choice(ODD_FLOATS),
             lambda: _nasty_string(rng),
             lambda: rng.choice([{}, [], ()]),
+            lambda: _rational_shaped(rng),
+            lambda: _quadext_shaped(rng),
         ]
     )()
+
+
+def _int_value(rng):
+    return rng.choice([rng.randrange(-3, 4), rng.randrange(2**64, 2**70), -rng.randrange(2**64, 2**70)])
+
+
+def _rational_shaped(rng):
+    """An encoded rational, which ``serialize`` writes from a template, or a
+    near miss of one, which takes the generic path."""
+    num, den = _int_value(rng), _int_value(rng)
+    odd = rng.choice([True, False, 0.5, float("nan"), "1", _nasty_string(rng)])
+    return rng.choice(
+        [
+            # The exact shape is listed twice, so it is drawn most often.
+            lambda: {"num": num, "den": den},
+            lambda: {"num": num, "den": den},
+            lambda: {"den": den, "num": num},
+            lambda: {"num": odd, "den": den},
+            lambda: {"num": num, "den": odd},
+            lambda: {"num": num, "den": den, "x": num},
+        ]
+    )()
+
+
+def _quadext_shaped(rng):
+    """An encoded Q(sqrt 3) element or a near miss of one; its parts are
+    rationals or their near misses."""
+    a, b = _rational_shaped(rng), _rational_shaped(rng)
+    odd = rng.choice([1, None, [], [1, 2], "b", {"num": 1}])
+    return rng.choice(
+        [
+            # As above, the exact shape is drawn most often.
+            lambda: {"a": a, "b": b},
+            lambda: {"a": a, "b": b},
+            lambda: {"b": b, "a": a},
+            lambda: {"a": a, "b": odd},
+            lambda: {"a": a, "b": b, "c": b},
+        ]
+    )()
+
+
+def _is_rational(item):
+    """Written from the rational template."""
+    return (
+        type(item) is dict
+        and list(item) == ["num", "den"]
+        and all(type(v) is int for v in item.values())
+    )
+
+
+def _is_quadext(item):
+    """Written from the Q(sqrt 3) template."""
+    return type(item) is dict and list(item) == ["a", "b"] and all(map(_is_rational, item.values()))
 
 
 def _nested(rng, depth=0):
@@ -729,3 +784,22 @@ class TestSerializeBytes:
         assert any(item is None for item in found)
         assert any(type(item) is float for item in found)
         assert any(item == (True, 1, False, 0) for item in found)
+        # Both templates, and each near miss of them.
+        dicts = [item for item in found if type(item) is dict]
+        rational_keys = [item for item in dicts if list(item) == ["num", "den"]]
+        for kind in (bool, float, str):
+            assert any(kind in map(type, item.values()) for item in rational_keys)
+        assert any(_is_rational(item) and abs(item["num"]) >= 2**64 for item in dicts)
+        assert any(_is_rational(item) and abs(item["den"]) >= 2**64 for item in dicts)
+        assert any(list(item) == ["den", "num"] for item in dicts)
+        assert any(list(item) == ["num", "den", "x"] for item in dicts)
+        assert any(_is_quadext(item) for item in dicts)
+        assert any(_is_quadext(item) and abs(item["b"]["den"]) >= 2**64 for item in dicts)
+        assert any(list(item) == ["b", "a"] and all(map(_is_rational, item.values())) for item in dicts)
+        assert any(list(item) == ["a", "b", "c"] for item in dicts)
+        quadext_keys = [item for item in dicts if list(item) == ["a", "b"]]
+        assert any(_is_rational(item["a"]) and type(item["b"]) is not dict for item in quadext_keys)
+        assert any(
+            _is_rational(item["a"]) and type(item["b"]) is dict and not _is_rational(item["b"])
+            for item in quadext_keys
+        )

@@ -228,14 +228,31 @@ class TestGeometryCommands:
             ["--alpha", "3/2"],
             ["--strikes", "3"],
             ["--min-obstacle", "--tolerance", "0"],
+            [],
+            ["--horizon", "0"],
         ],
-        ids=" ".join,
+        ids=lambda extra: " ".join(extra) or "slope-only",
     )
     def test_triangle_slope_outside_wedge_exits_one(self, slope, extra):
-        # The slope is reported ahead of a bad alpha or tolerance.
+        # The slope is reported ahead of a bad alpha, horizon or tolerance,
+        # and refused when nothing else is asked.
         code, out, err = invoke(["triangle", f"--slope={slope}", *extra])
         assert (code, out) == (1, "")
         assert err == "error: slope must lie strictly between 0 and sqrt(3)\n"
+
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_check_reports_edited_slope_outside_wedge(self, b, tmp_path):
+        _, out, _ = invoke(["triangle", "--slope", "sqrt3*1/5"])
+        data = json.loads(out)
+        data["inputs"]["slope"]["b"] = {"num": b, "den": 1}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data))
+        code, doc = invoke_json(["check", str(path)])
+        assert code == 2
+        assert doc["result"] == {
+            "valid": False,
+            "issues": ["malformed document: slope must lie strictly between 0 and sqrt(3)"],
+        }
 
     def test_rational_slope_parsing(self):
         code, doc = invoke_json(
