@@ -10,8 +10,11 @@ document per command, with its optional flags set, a few whose gap
 witness pair is not the first pair (0, 1), and long billiard paths, written
 with the helpers ``r``, ``q`` and ``chain``.  ``TRIANGLE_HITS`` pins
 triangle obstruction answers past the base cell, each with its exit code.
+``SVG_DIGESTS`` pins the sha256 of every render scene's SVG: the defaults,
+three obstacle scales each, and the tiled scenes at extents 1 to 100.
 """
 
+import hashlib
 import io
 import json
 
@@ -363,6 +366,71 @@ TRIANGLE_HITS = [
         triangle_hit(q(0, 1, 1, 5), r(1, 5), 150, {'found': False}),
     ),
 ]
+
+
+SVG_DIGESTS = [
+    (['--scene', 'obstruction2d'],
+     '9bd7431b1e3e2b4a11f4c489c911a019275eeef1e170958e039eadf728ed5dc2'),
+    (['--scene', 'obstruction2d', '--alpha', '1/1000'],
+     '7edb2f05610b33cf68f91dd2c9a85fef7f211ac6289544f84d1b0539a7a2b95e'),
+    (['--scene', 'obstruction2d', '--alpha', '1/2'],
+     '2e5d6ecf3d92a1c20b1a7bab6f343c12efff2fe9faf442b6b3e551f0874be59b'),
+    (['--scene', 'obstruction2d', '--alpha', '99/100'],
+     'b6b953cdb69d85e21df141abb3293513143229bc3656c8b07fdc7ada1ebe1eac'),
+    (['--scene', 'obstruction2d', '--extent', '1'],
+     '3795915969c1604783a9399f26690c6759bb37bc785bf1b78261747a4b5a183b'),
+    (['--scene', 'obstruction2d', '--extent', '8'],
+     'b08e43c8383515773db20e4c4a71976b259ce2d55b60c53407ae4400c1fe715a'),
+    (['--scene', 'obstruction2d', '--extent', '37'],
+     '6abac74f4b515ead6c753b151e5bae9ffb08d00fb6fe61c9f561149a52fcdd10'),
+    (['--scene', 'obstruction2d', '--extent', '100'],
+     '397aa8b0e991a963bd2282e293b5e5897bca0cdd11b7540f000d4d8870506b43'),
+    (['--scene', 'triangle_tiling'],
+     '7d55d1928941d38d53803f6467e996175dbacce62317534cd7427260a6edf7dd'),
+    (['--scene', 'triangle_tiling', '--alpha', '1/1000'],
+     'c94271d41fdfe1fb7dcb04a0184fa710d6405a59ba6662501d1292fab86435fa'),
+    (['--scene', 'triangle_tiling', '--alpha', '1/2'],
+     '001a549e2fe0c4fd6bbe0fec23bce527ec3d633f62378d9238fc5a5a24bb1a7e'),
+    (['--scene', 'triangle_tiling', '--alpha', '99/100'],
+     '42b6b253210e295f3f51a74d368f5267932272f0329cb186c9a8ec3fb98778ad'),
+    (['--scene', 'triangle_tiling', '--extent', '1'],
+     '192c998debcd51617c9844066e821d48c7590a868ee48f486c14e5b52bcb10da'),
+    (['--scene', 'triangle_tiling', '--extent', '8'],
+     '7d55d1928941d38d53803f6467e996175dbacce62317534cd7427260a6edf7dd'),
+    (['--scene', 'triangle_tiling', '--extent', '37'],
+     '89097cdc54bea9199f811e7915e86f90acb905fe4c1583300adcdcb3759d388b'),
+    (['--scene', 'triangle_tiling', '--extent', '100'],
+     'fcaf6b8d85eb866c6b61a60812e0b35538cdfa5963a52029fff14cd59d02e926'),
+    (['--scene', 'obstruction2d', '--rays', '3,1,1/9,17/5'],
+     'ee324123808d51da5e33205e2e3aa471e036fabf6ff78933aea8c35c846921aa'),
+    (['--scene', 'triangle_tiling', '--rays', '1,sqrt3*1/2,1/7,sqrt3*99/100'],
+     '929fa7e9c9447a889aeebb6c66c6ccfca2633a986d79f187b1dabaeac852ec27'),
+    (['--scene', 'square_billiard', '--slope', '6/17'],
+     '29ae8ddb596468e0030981c052b0e54445bc02d35446cfdba321dac4f83f9059'),
+    (['--scene', 'square_billiard', '--slope', '6/17', '--alpha', '1/1000'],
+     'b29ac0da2bb80878de0841acb05dd9eeb74a91aa796c9b8648bb032b32039fa3'),
+    (['--scene', 'square_billiard', '--slope', '6/17', '--alpha', '1/3'],
+     'cc50b821a1afb18560e9d77bc4cc1de5a26d4045f789f2e18fe420f220ef0bec'),
+    (['--scene', 'square_billiard', '--slope', '6/17', '--alpha', '99/100'],
+     'e5f93d6353ddd8d633db920841022bd133646b0b446b7c4b69060d426d40716e'),
+    (['--scene', 'triangle_billiard', '--slope', '16/11'],
+     'fc1b54cca03d8991f3ef2b9e47043e62c5a9028e41afbbb739a2fa4f7614a37d'),
+    (['--scene', 'triangle_billiard', '--slope', '16/11', '--alpha', '1/1000'],
+     '7830a55796cc62d4942c979d2442763a89d961aa3ed2e48255aa2e7b6999cc75'),
+    (['--scene', 'triangle_billiard', '--slope', '16/11', '--alpha', '1/3'],
+     '978cc2a10e379dee9b1937f85d9a565a38ea0b159959b4e606270ecdd4fbcc1d'),
+    (['--scene', 'triangle_billiard', '--slope', '16/11', '--alpha', '99/100'],
+     '5f17f69a12d7aa7079532073c30d8dc939e922c014140b822d60d45431f105a9'),
+    (['--scene', 'triangle_billiard', '--slope', 'sqrt3*1/5', '--alpha', '1/4', '--strikes', '40'],
+     'af7cf1d33ae47387788054748cb670a0cefedceb3448cf84ebba630ea52ed994'),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SVG_DIGESTS, ids=[" ".join(a) for a, _ in SVG_DIGESTS])
+def test_svg_bytes(argv, digest):
+    out = io.StringIO()
+    assert run(["render", *argv], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, document", PINNED, ids=[" ".join(a) for a, _ in PINNED])
