@@ -1,9 +1,11 @@
-"""Exact number kernel: rationals, the ordered field Q(sqrt 3), the torus
-norm, and small-prime iteration.
+"""Exact number kernel: rationals, values in Q(sqrt 3) and the exact sign
+of ``p + q*sqrt(3)``, the torus norm, and small-prime iteration.
 
 Nothing in this module (or anything built on it) ever rounds.  Rationals are
 stdlib :class:`fractions.Fraction` values -- always reduced, denominator
-positive, so equality is structural.
+positive, so equality is structural.  The engines compute in integers and
+decide a sign in Q(sqrt 3) with :func:`sqrt3_sign`; :class:`QuadExt` only
+carries an exact slope or point in and out of them.
 Floats appear only in the SVG renderer, which converts at the last moment.
 """
 
@@ -55,10 +57,14 @@ def sqrt3_sign(p: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class QuadExt:
-    """An element ``a + b*sqrt(3)`` of the real quadratic field Q(sqrt 3).
+    """An element ``a + b*sqrt(3)`` of the real quadratic field Q(sqrt 3), as
+    a plain value: a slope, a path point or a cell corner.  It has no
+    arithmetic and no order; the engines compute on the integers of its
+    cleared form.
 
     Because sqrt(3) is irrational the representation (a, b) is unique, so
-    structural equality is numeric equality.  The sign of a value is decided
+    structural equality is numeric equality; a rational element equals, and
+    hashes like, its int or Fraction.  The sign of a value is decided
     exactly by :func:`sqrt3_sign` on integers, after clearing denominators.
     """
 
@@ -71,78 +77,6 @@ class QuadExt:
         object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
         object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
-    # -- field operations ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(value: "QuadExt | RationalLike") -> "QuadExt | None":
-        if isinstance(value, QuadExt):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QuadExt(value)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadExt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadExt(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadExt(
-            self.a * other.a + 3 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt":
-        # (a + b sqrt3)^-1 = (a - b sqrt3) / (a^2 - 3 b^2); the norm form
-        # a^2 - 3 b^2 vanishes only at zero because sqrt(3) is irrational.
-        norm = self.a * self.a - 3 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-        return QuadExt(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b)
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
-    # -- exact order --------------------------------------------------------
-
     def sign(self) -> int:
         """Exact sign of ``a + b*sqrt(3)``: one of -1, 0, +1."""
         # Multiplying by the positive integer a.denominator * b.denominator
@@ -150,33 +84,12 @@ class QuadExt:
         a, b = self.a, self.b
         return sqrt3_sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
-    def _cmp(self, other) -> int:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign()
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+        if isinstance(other, QuadExt):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __hash__(self):
         # A rational element equals its Fraction, so it must hash like one.

@@ -27,7 +27,9 @@ signs.  An obstacle hit is named by its cell's (row, col, orientation).
 A path crossing lies a fraction (p + q*sqrt3)/n of the way along a tiling
 edge and folds by the colours of the edge's two lattice vertices, so
 Q(sqrt 3) values appear only in path strike points and in
-:func:`triangle_cell`, whose corners the renderer draws.
+:func:`triangle_cell`, which builds a cell's corners from its integer
+incenter and the corner offsets in _CELL_CORNERS; the renderer draws cells
+from the same integers.
 
 The square runs on integers as well.  Its path is folded from the ray's
 merged grid crossings, and its obstacle test is a comparison per grid cell.
@@ -64,9 +66,6 @@ __all__ = [
 
 Point = tuple[Fraction, Fraction]
 QPoint = tuple[QuadExt, QuadExt]
-
-_HALF = Fraction(1, 2)
-_ROW_H = QuadExt(0, _HALF)  # sqrt(3)/2, the tiling row height
 
 
 def _check_count(value, message: str, least: int = 1) -> None:
@@ -217,28 +216,28 @@ class TriangleCell:
     incenter: QPoint
 
 
+# A cell's corners minus its incenter, in (X, Y) units and in the order of
+# TriangleCell.vertices, keyed by points_up.
+_CELL_CORNERS = {True: ((-1, -1), (1, -1), (0, 2)), False: ((0, -2), (-1, 1), (1, 1))}
+
+
+def _incenter(row: int, col: int, points_up: bool) -> tuple[int, int]:
+    """The incenter (X, Y) of the cell at (row, col): X = 2col + row + 1,
+    Y = 3row + 1 for an up cell, and (X + 1, Y + 1) for the down cell."""
+    x, y = 2 * col + row + 1, 3 * row + 1
+    return (x, y) if points_up else (x + 1, y + 1)
+
+
 def triangle_cell(row: int, col: int, points_up: bool) -> TriangleCell:
     """Construct the cell at (row, col) with the given orientation."""
     if row < 0 or col < 0:
         raise ValueError("wedge cells have row >= 0 and col >= 0")
-    j, i = row, col
-    y_base = j * _ROW_H
-    y_top = (j + 1) * _ROW_H
-    offset = Fraction(i) + Fraction(j, 2)
-    if points_up:
-        vertices = (
-            (QuadExt(offset), y_base),
-            (QuadExt(offset + 1), y_base),
-            (QuadExt(offset + _HALF), y_top),
-        )
-        incenter = (QuadExt(offset + _HALF), QuadExt(0, Fraction(3 * j + 1, 6)))
-    else:
-        vertices = (
-            (QuadExt(offset + 1), y_base),
-            (QuadExt(offset + _HALF), y_top),
-            (QuadExt(offset + 1 + _HALF), y_top),
-        )
-        incenter = (QuadExt(offset + 1), QuadExt(0, Fraction(3 * j + 2, 6)))
+    x, y = _incenter(row, col, points_up)
+    vertices = tuple(
+        (QuadExt(Fraction(x + dx, 2)), QuadExt(0, Fraction(y + dy, 6)))
+        for dx, dy in _CELL_CORNERS[points_up]
+    )
+    incenter = (QuadExt(Fraction(x, 2)), QuadExt(0, Fraction(y, 6)))
     return TriangleCell(row, col, points_up, vertices, incenter)
 
 
@@ -297,11 +296,10 @@ class TriangleHit(NamedTuple):
     grazing: bool
 
 
-# Corners minus incenter, in (X, Y) units, for up and down cells: the one
-# with the highest side value G, then the one with the lowest (see
-# _first_contact).
-_UP_CORNERS = ((1, -1), (0, 2))
-_DOWN_CORNERS = ((0, -2), (-1, 1))
+# The corners of up and down cells with the highest side value G, then the
+# one with the lowest (see _first_contact).
+_UP_CORNERS = _CELL_CORNERS[True][1:]
+_DOWN_CORNERS = _CELL_CORNERS[False][:2]
 
 
 def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Optional[TriangleHit]:

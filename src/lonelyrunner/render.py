@@ -2,20 +2,25 @@
 
 This is the one place floats are allowed: geometry is computed exactly
 upstream and converted at emission time with a fixed 6-decimal format, so
-identical inputs yield byte-identical SVG.  Each figure embeds its exact
-inputs in a leading comment.
+identical inputs yield byte-identical SVG.  Triangle cells are drawn from
+the walk's integer (X, Y) = (2x, 6y/sqrt3) cell units, each coordinate one
+correctly rounded division.  Each figure embeds its exact inputs in a
+leading comment.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import QuadExt, SQRT3
+from .arith import QuadExt
 from .billiards import (
+    _CELL_CORNERS,
     SquarePath,
     TrianglePath,
+    _cleared,
+    _incenter,
+    _square_slope,
     square_path_segments,
-    triangle_cell,
     triangle_path_segments,
 )
 
@@ -25,6 +30,7 @@ _STROKE = 0.012
 # obstruction2d draws extent**2 squares and triangle_tiling about
 # 1.5*extent**2 cells, all held as one string.
 _MAX_EXTENT = 100
+_SQRT3 = 3 ** 0.5
 
 
 def _fmt(value) -> str:
@@ -74,6 +80,8 @@ class _Canvas:
 
 
 def _obstruction2d(alpha: Fraction, rays: list[Fraction], extent: int = 6) -> str:
+    for slope in rays:
+        _square_slope(slope)  # refuses a slope that is not positive
     canvas = _Canvas(
         f"scene=obstruction2d alpha={alpha} "
         f"rays=[{', '.join(str(r) for r in rays)}] extent={extent}"
@@ -119,23 +127,30 @@ def _square_billiard(slope: Fraction, alpha: Fraction | None, segments: int = 12
     return canvas.document((0, 1), (0, 1))
 
 
-def _scaled_triangle(cell, alpha: Fraction):
-    cx, cy = cell.incenter
-    pts = []
-    for vx, vy in cell.vertices:
-        sx = (1 - alpha) * cx + alpha * vx
-        sy = (1 - alpha) * cy + alpha * vy
-        pts.append((float(sx), float(sy)))
-    return pts
+def _cell_corners(row: int, col: int, points_up: bool, alpha: Fraction = Fraction(1)):
+    """The corners of the tiling cell at (row, col), scaled by ``alpha``
+    about its incenter (X, Y), as floats.
+
+    With alpha = p/q, the corner (dX, dY) from the incenter lies at
+    x = (qX + p*dX)/(2q) and y = (qY + p*dY)/(6q) * sqrt3.  Python rounds
+    an int/int division correctly, so these are the floats that
+    ``QuadExt.__float__`` gives for the exact Q(sqrt 3) corners.
+    """
+    x, y = _incenter(row, col, points_up)
+    p, q = alpha.numerator, alpha.denominator
+    return [
+        ((q * x + p * dx) / (2 * q), (q * y + p * dy) / (6 * q) * _SQRT3)
+        for dx, dy in _CELL_CORNERS[points_up]
+    ]
 
 
 def _triangle_billiard(slope: QuadExt, alpha: Fraction | None, strikes: int = 10) -> str:
     path: TrianglePath = triangle_path_segments(slope, strikes)
     canvas = _Canvas(f"scene=triangle_billiard slope={slope} alpha={alpha} strikes={strikes}")
-    apex = float(SQRT3) / 2
+    apex = _SQRT3 / 2
     canvas.polygon([(0, 0), (1, 0), (0.5, apex)], fill="none")
     if alpha is not None:
-        canvas.polygon(_scaled_triangle(triangle_cell(0, 0, True), alpha))
+        canvas.polygon(_cell_corners(0, 0, True, alpha))
     for a, b in path.segments:
         canvas.line((float(a[0]), float(a[1])), (float(b[0]), float(b[1])), stroke="#9c2b2b")
     last = path.segments[-1][1]
@@ -144,26 +159,23 @@ def _triangle_billiard(slope: QuadExt, alpha: Fraction | None, strikes: int = 10
 
 
 def _triangle_tiling(alpha: Fraction, rays: list[QuadExt], extent: int = 8) -> str:
+    for slope in rays:
+        _cleared(slope)  # refuses a ray outside the wedge
     canvas = _Canvas(
         f"scene=triangle_tiling alpha={alpha} "
         f"rays=[{', '.join(str(r) for r in rays)}] extent={extent}"
     )
-    top = float(SQRT3) / 2 * extent
+    top = _SQRT3 / 2 * extent
     canvas.line((0, 0), (extent, 0), stroke="#40404a")
     canvas.line((0, 0), (extent / 2, top), stroke="#40404a")
     for row in range(extent):
-        base = Fraction(row, 2)
         for col in range(extent):
-            if float(base + col + 1) <= extent:
-                cell = triangle_cell(row, col, True)
-                canvas.polygon([(float(x), float(y)) for x, y in cell.vertices], fill="none",
-                               stroke="#b0b4c0", width=_STROKE / 2)
-                canvas.polygon(_scaled_triangle(cell, alpha))
-            if float(base + col + Fraction(3, 2)) <= extent:
-                cell = triangle_cell(row, col, False)
-                canvas.polygon([(float(x), float(y)) for x, y in cell.vertices], fill="none",
-                               stroke="#b0b4c0", width=_STROKE / 2)
-                canvas.polygon(_scaled_triangle(cell, alpha))
+            for points_up in (True, False):
+                # Drawn when its rightmost corner, at X + 1, is within x <= extent.
+                if _incenter(row, col, points_up)[0] + 1 <= 2 * extent:
+                    canvas.polygon(_cell_corners(row, col, points_up), fill="none",
+                                   stroke="#b0b4c0", width=_STROKE / 2)
+                    canvas.polygon(_cell_corners(row, col, points_up, alpha))
     for idx, slope in enumerate(rays):
         dash = "0.08,0.05" if idx == 2 else None  # third reference ray is dashed
         s = float(slope)
@@ -178,11 +190,14 @@ SCENES = ("obstruction2d", "square_billiard", "triangle_billiard", "triangle_til
 def render_svg(scene: str, **params) -> str:
     """Render one of the four supported scenes to SVG 1.1 text.  An obstacle
     scale ``alpha``, where given, lies strictly between 0 and 1, and an
-    ``extent`` is at most 100 cells."""
+    ``extent`` is 1 to 100 cells."""
     alpha = params.get("alpha")
     if alpha is not None and not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if params.get("extent", 0) > _MAX_EXTENT:
+    extent = params.get("extent", 1)
+    if extent < 1:
+        raise ValueError("extent must be at least 1 cell")
+    if extent > _MAX_EXTENT:
         raise ValueError(f"extent must be at most {_MAX_EXTENT} cells")
     if scene == "obstruction2d":
         return _obstruction2d(

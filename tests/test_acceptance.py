@@ -29,6 +29,7 @@ from lonelyrunner.viewobstruct import (
     min_scale_for_direction,
     obstruction_witness,
 )
+from tests.quadfield import lift
 from tests.test_billiards import reflect_point
 
 F = Fraction
@@ -295,6 +296,7 @@ def test_criterion_12_invariant_suite():
                 kind, level = "r", col + 1
 
             def scaled(cell):
+                cell = lift(cell)
                 cx, cy = cell.incenter
                 return {
                     ((1 - alpha) * cx + alpha * vx, (1 - alpha) * cy + alpha * vy)

@@ -1,20 +1,21 @@
 """Unit tests for the exact number kernel."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from lonelyrunner import arith
 from lonelyrunner.arith import (
-    QuadExt,
-    SQRT3,
     SpeedSet,
     is_prime,
     next_prime_not_dividing,
     sqrt3_sign,
     torus_norm,
 )
+from tests.quadfield import SQRT3, QuadExt
 
 
 def brute_torus_norm(x: Fraction) -> Fraction:
@@ -114,6 +115,24 @@ class TestQuadExt:
 
     def test_float_conversion(self):
         assert abs(float(QuadExt(1, 1)) - (1 + math.sqrt(3))) < 1e-12
+
+    def test_library_value_has_no_arithmetic_or_order(self):
+        # The field operations and the order live in tests.quadfield; the
+        # library's QuadExt only carries a value.
+        value = arith.QuadExt(1, 1)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(value, 1)
+            with pytest.raises(TypeError):
+                op(1, value)
+        with pytest.raises(TypeError):
+            -value
+        with pytest.raises(TypeError):
+            abs(value)
+        assert value == QuadExt(1, 1) and hash(value) == hash(QuadExt(1, 1))
+        assert arith.QuadExt(Fraction(1, 2)) == Fraction(1, 2) and arith.QuadExt(2) == 2
+        assert arith.QuadExt(0, 1) != 0 and arith.QuadExt(1) != "1"
 
 
 def fraction_sign(a: Fraction, b: Fraction) -> int:

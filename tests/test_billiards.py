@@ -16,7 +16,6 @@ from itertools import islice
 import pytest
 
 from lonelyrunner import billiards
-from lonelyrunner.arith import QuadExt, SQRT3
 from lonelyrunner.billiards import (
     SquarePath,
     TrianglePath,
@@ -29,6 +28,7 @@ from lonelyrunner.billiards import (
     triangle_obstruction_check,
     triangle_path_segments,
 )
+from tests.quadfield import SQRT3, QuadExt, lift
 
 F = Fraction
 
@@ -328,7 +328,7 @@ class TestTriangleWalk:
     def test_incenter_is_centroid(self):
         rng = random.Random(808)
         for _ in range(200):
-            cell = triangle_cell(rng.randint(0, 8), rng.randint(0, 8), rng.random() < 0.5)
+            cell = lift(triangle_cell(rng.randint(0, 8), rng.randint(0, 8), rng.random() < 0.5))
             sx = sum((v[0] for v in cell.vertices), QuadExt(0))
             sy = sum((v[1] for v in cell.vertices), QuadExt(0))
             assert sx == 3 * cell.incenter[0]
@@ -886,6 +886,7 @@ class TestTriangleObstacleInvariance:
                 kind, level = "r", col + 1
 
             def scaled(cell):
+                cell = lift(cell)
                 cx, cy = cell.incenter
                 return {
                     ((1 - alpha) * cx + alpha * vx, (1 - alpha) * cy + alpha * vy)
@@ -967,7 +968,7 @@ class TestTrianglePath:
                 if rng.random() < 0.5
                 else QuadExt(F(rng.randint(1, 16), 10))
             )
-            path = triangle_path_segments(slope, rng.randint(1, 12))
+            path = lift(triangle_path_segments(slope, rng.randint(1, 12)))
             for a, b in path.segments:
                 assert point_in_base_triangle(a)
                 assert point_in_base_triangle(b)
@@ -983,7 +984,7 @@ class TestTrianglePath:
                 if rng.random() < 0.5
                 else QuadExt(F(rng.randint(1, 16), 10))
             )
-            path = triangle_path_segments(slope, rng.randint(2, 10))
+            path = lift(triangle_path_segments(slope, rng.randint(2, 10)))
             segs = path.segments
             for (a, b), (_, c) in zip(segs, segs[1:]):
                 side = base_side_of(b)

@@ -368,6 +368,10 @@ class TestCheckCommand:
         assert code == 1 and err
 
 
+WEDGE_MESSAGE = "error: slope must lie strictly between 0 and sqrt(3)\n"
+POSITIVE_MESSAGE = "error: slope must be positive\n"
+
+
 class TestRenderCommand:
     @pytest.mark.parametrize(
         "argv",
@@ -448,6 +452,28 @@ class TestRenderCommand:
         code, _, _ = invoke(argv + ["--svg", str(target)])
         assert code == 1 and not target.exists()
 
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scene", "triangle_tiling", "--rays", "2"], WEDGE_MESSAGE),
+            (["--scene", "triangle_tiling", "--rays", "0"], WEDGE_MESSAGE),
+            (["--scene", "triangle_tiling", "--rays", "sqrt3"], WEDGE_MESSAGE),
+            (["--scene", "triangle_tiling", "--rays", "1/2,2"], WEDGE_MESSAGE),
+            (["--scene", "obstruction2d", "--rays=-1"], POSITIVE_MESSAGE),
+            (["--scene", "obstruction2d", "--rays", "0"], POSITIVE_MESSAGE),
+            (["--scene", "obstruction2d", "--rays", "1/2,0"], POSITIVE_MESSAGE),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_ray_outside_the_scene_exits_one_without_svg(self, argv, message, tmp_path):
+        # The slopes that triangle_billiard and square_billiard refuse, with
+        # the same messages.
+        code, out, err = invoke(["render", *argv])
+        assert (code, out, err) == (1, "", message)
+        target = tmp_path / "figure.svg"
+        code, _, _ = invoke(["render", *argv, "--svg", str(target)])
+        assert code == 1 and not target.exists()
 
 class TestDeterminism:
     @pytest.mark.parametrize(

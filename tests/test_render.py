@@ -1,0 +1,32 @@
+"""Library-level tests of the SVG renderer."""
+
+from fractions import Fraction
+
+import pytest
+
+from lonelyrunner import billiards, render
+from lonelyrunner.arith import QuadExt
+
+F = Fraction
+
+
+class TestRenderSvg:
+    @pytest.mark.parametrize("extent", [0, -3])
+    def test_extent_below_one_refused(self, extent):
+        with pytest.raises(ValueError, match="extent must be at least 1"):
+            render.render_svg("triangle_tiling", alpha=F(1, 4), rays=[QuadExt(0, F(1, 5))], extent=extent)
+        with pytest.raises(ValueError, match="extent must be at least 1"):
+            render.render_svg("obstruction2d", alpha=F(1, 3), rays=[F(1, 2)], extent=extent)
+
+    def test_cells_drawn_without_triangle_cell(self, monkeypatch):
+        # The tiling and the billiard's obstacle are drawn from integer cell
+        # units; no Q(sqrt 3) cell is built.
+        def refuse(*args):
+            raise AssertionError("triangle_cell called")
+
+        monkeypatch.setattr(billiards, "triangle_cell", refuse)
+        monkeypatch.setattr(render, "triangle_cell", refuse, raising=False)
+        tiling = render.render_svg("triangle_tiling", alpha=F(1, 4), rays=[QuadExt(0, F(1, 5))], extent=3)
+        assert tiling.count("<polygon") == 2 * 12  # each cell's outline and obstacle
+        table = render.render_svg("triangle_billiard", slope=QuadExt(1), alpha=F(1, 3), strikes=4)
+        assert table.count("<polygon") == 2
