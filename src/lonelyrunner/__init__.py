@@ -8,7 +8,6 @@ figure renderings.
 
 from .arith import (
     QuadExt,
-    SQRT3,
     SpeedSet,
     is_prime,
     next_prime_not_dividing,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QuadExt",
-    "SQRT3",
     "SpeedSet",
     "is_prime",
     "next_prime_not_dividing",

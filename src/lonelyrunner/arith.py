@@ -20,7 +20,6 @@ __all__ = [
     "torus_norm",
     "sqrt3_sign",
     "QuadExt",
-    "SQRT3",
     "is_prime",
     "next_prime_not_dividing",
     "SpeedSet",
@@ -109,9 +108,6 @@ class QuadExt:
         if self.a == 0:
             return f"{self.b}*sqrt3"
         return f"{self.a} + {self.b}*sqrt3"
-
-
-SQRT3 = QuadExt(0, 1)
 
 
 def is_prime(n: int) -> bool:

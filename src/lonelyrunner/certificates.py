@@ -192,7 +192,10 @@ def _encode_leaf(value: dict, indent: str) -> Optional[str]:
 
 
 def parse(text: str) -> CertificateDocument:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("certificate document is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("certificate document must be a JSON object")
     for key in ("version", "command", "inputs", "result"):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import QuadExt
-from . import billiards, certificates, fieldsearch, render
+from . import certificates, fieldsearch, render
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -142,10 +142,7 @@ def build_parser() -> _Parser:
         help="bisect for the minimal obstructing scale within the horizon",
     )
     p.add_argument(
-        "--tolerance",
-        type=_rational_input,
-        default="1/1024",
-        help="bracket width for --min-obstacle",
+        "--tolerance", type=_rational_input, help="bracket width for --min-obstacle (1/1024)"
     )
     p.add_argument("--json", **json_flag)
 
@@ -165,7 +162,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("render", help="render a figure as SVG")
     p.add_argument("--scene", required=True, choices=render.SCENES)
-    p.add_argument("--alpha", help="obstacle scale")
+    p.add_argument("--alpha", type=_parse_rational, help="obstacle scale")
     p.add_argument("--slope", help="path slope (billiard scenes)")
     p.add_argument("--rays", help="comma-separated ray slopes (obstruction scenes)")
     p.add_argument("--extent", type=int, help="drawn extent in cells, at most 100")
@@ -193,8 +190,11 @@ def _cmd_produce(args, out) -> int:
     """Flags to document-form inputs, the producer, and an exit code read
     from the document."""
     inputs = {key: value for key, value in vars(args).items() if key not in _NOT_INPUTS}
-    if args.subcommand == "triangle" and not args.min_obstacle:
-        inputs["tolerance"] = None
+    if args.subcommand == "triangle":
+        if args.tolerance is not None and not args.min_obstacle:
+            raise UsageError("--tolerance needs --min-obstacle")
+        if args.min_obstacle and args.tolerance is None:
+            inputs["tolerance"] = _rational_input("1/1024")
     doc = certificates.produce(args.subcommand, inputs)
     _emit(doc, args, out)
     result = doc.result
@@ -228,43 +228,22 @@ def _cmd_check(args, out) -> int:
     return EXIT_OK if not issues else EXIT_COUNTEREXAMPLE
 
 
-_DEFAULT_TILING_RAYS = "sqrt3*1/5,sqrt3*1/8,sqrt3*1/11"
+_NOT_PARAMS = ("subcommand", "scene", "svg")
 
 
 def _cmd_render(args, out) -> int:
-    for flag in ("extent", "segments", "strikes"):
-        value = getattr(args, flag)
-        if value is not None:
-            billiards._check_count(value, f"--{flag} must be at least 1")
-    params: dict = {}
-    if args.scene == "obstruction2d":
-        params["alpha"] = _parse_rational(args.alpha if args.alpha else "1/3")
-        rays = args.rays if args.rays else "2,1/2,1/5"
-        params["rays"] = [_parse_rational(r) for r in rays.split(",")]
-        if args.extent is not None:
-            params["extent"] = args.extent
-    elif args.scene == "square_billiard":
-        if not args.slope:
-            raise UsageError("square_billiard needs --slope")
-        params["slope"] = _parse_rational(args.slope)
-        if args.alpha:
-            params["alpha"] = _parse_rational(args.alpha)
-        if args.segments is not None:
-            params["segments"] = args.segments
-    elif args.scene == "triangle_billiard":
-        if not args.slope:
-            raise UsageError("triangle_billiard needs --slope")
-        params["slope"] = _parse_slope(args.slope)
-        if args.alpha:
-            params["alpha"] = _parse_rational(args.alpha)
-        if args.strikes is not None:
-            params["strikes"] = args.strikes
-    elif args.scene == "triangle_tiling":
-        params["alpha"] = _parse_rational(args.alpha if args.alpha else "1/4")
-        rays = args.rays if args.rays else _DEFAULT_TILING_RAYS
-        params["rays"] = [_parse_slope(r) for r in rays.split(",")]
-        if args.extent is not None:
-            params["extent"] = args.extent
+    """The flags that were given, parsed, to ``render.render_svg``, which
+    binds them to the scene's drawing signature and its defaults."""
+    params = {
+        key: value
+        for key, value in vars(args).items()
+        if value is not None and key not in _NOT_PARAMS
+    }
+    parse_slope = _parse_slope if args.scene.startswith("triangle_") else _parse_rational
+    if "slope" in params:
+        params["slope"] = parse_slope(params["slope"])
+    if "rays" in params:
+        params["rays"] = [parse_slope(ray) for ray in params["rays"].split(",")]
     text = render.render_svg(args.scene, **params)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:

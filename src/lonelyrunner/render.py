@@ -10,6 +10,7 @@ leading comment.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 from .arith import QuadExt
@@ -17,6 +18,7 @@ from .billiards import (
     _CELL_CORNERS,
     SquarePath,
     TrianglePath,
+    _check_count,
     _cleared,
     _incenter,
     _square_slope,
@@ -79,7 +81,11 @@ class _Canvas:
         return f"<!-- {self.comment} -->\n{header}\n{body}\n</svg>\n"
 
 
-def _obstruction2d(alpha: Fraction, rays: list[Fraction], extent: int = 6) -> str:
+def _obstruction2d(
+    alpha: Fraction = Fraction(1, 3),
+    rays: tuple[Fraction, ...] = (Fraction(2), Fraction(1, 2), Fraction(1, 5)),
+    extent: int = 6,
+) -> str:
     for slope in rays:
         _square_slope(slope)  # refuses a slope that is not positive
     canvas = _Canvas(
@@ -106,7 +112,7 @@ def _obstruction2d(alpha: Fraction, rays: list[Fraction], extent: int = 6) -> st
     return canvas.document((0, extent), (0, extent))
 
 
-def _square_billiard(slope: Fraction, alpha: Fraction | None, segments: int = 12) -> str:
+def _square_billiard(slope: Fraction, alpha: Fraction | None = None, segments: int = 12) -> str:
     path: SquarePath = square_path_segments(slope, segments)
     canvas = _Canvas(f"scene=square_billiard slope={slope} alpha={alpha} segments={segments}")
     canvas.polygon([(0, 0), (1, 0), (1, 1), (0, 1)], fill="none")
@@ -144,7 +150,7 @@ def _cell_corners(row: int, col: int, points_up: bool, alpha: Fraction = Fractio
     ]
 
 
-def _triangle_billiard(slope: QuadExt, alpha: Fraction | None, strikes: int = 10) -> str:
+def _triangle_billiard(slope: QuadExt, alpha: Fraction | None = None, strikes: int = 10) -> str:
     path: TrianglePath = triangle_path_segments(slope, strikes)
     canvas = _Canvas(f"scene=triangle_billiard slope={slope} alpha={alpha} strikes={strikes}")
     apex = _SQRT3 / 2
@@ -158,7 +164,15 @@ def _triangle_billiard(slope: QuadExt, alpha: Fraction | None, strikes: int = 10
     return canvas.document((0, 1), (0, apex))
 
 
-def _triangle_tiling(alpha: Fraction, rays: list[QuadExt], extent: int = 8) -> str:
+def _triangle_tiling(
+    alpha: Fraction = Fraction(1, 4),
+    rays: tuple[QuadExt, ...] = (
+        QuadExt(0, Fraction(1, 5)),
+        QuadExt(0, Fraction(1, 8)),
+        QuadExt(0, Fraction(1, 11)),
+    ),
+    extent: int = 8,
+) -> str:
     for slope in rays:
         _cleared(slope)  # refuses a ray outside the wedge
     canvas = _Canvas(
@@ -184,35 +198,37 @@ def _triangle_tiling(alpha: Fraction, rays: list[QuadExt], extent: int = 8) -> s
     return canvas.document((0, extent), (0, top))
 
 
-SCENES = ("obstruction2d", "square_billiard", "triangle_billiard", "triangle_tiling")
+# Each scene's drawing function; its signature states the scene's
+# parameters and their defaults.
+_DRAW = {
+    "obstruction2d": _obstruction2d,
+    "square_billiard": _square_billiard,
+    "triangle_billiard": _triangle_billiard,
+    "triangle_tiling": _triangle_tiling,
+}
+SCENES = tuple(_DRAW)
 
 
 def render_svg(scene: str, **params) -> str:
-    """Render one of the four supported scenes to SVG 1.1 text.  An obstacle
-    scale ``alpha``, where given, lies strictly between 0 and 1, and an
-    ``extent`` is 1 to 100 cells."""
+    """Render one of the four supported scenes to SVG 1.1 text.  ``params``
+    are bound to the scene's drawing signature, so a parameter the scene
+    does not take, or a required one left out, is refused.  An obstacle
+    scale ``alpha``, where given, lies strictly between 0 and 1; a count
+    (``extent``, ``segments``, ``strikes``) is an int of at least 1, and an
+    ``extent`` is at most 100 cells."""
+    draw = _DRAW.get(scene)
+    if draw is None:
+        raise ValueError(f"unknown scene {scene!r}; expected one of {', '.join(SCENES)}")
+    try:
+        inspect.signature(draw).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"scene {scene}: {exc}") from None
     alpha = params.get("alpha")
     if alpha is not None and not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    extent = params.get("extent", 1)
-    if extent < 1:
-        raise ValueError("extent must be at least 1 cell")
-    if extent > _MAX_EXTENT:
+    for name in ("extent", "segments", "strikes"):
+        if name in params:
+            _check_count(params[name], f"{name} must be at least 1")
+    if params.get("extent", 0) > _MAX_EXTENT:
         raise ValueError(f"extent must be at most {_MAX_EXTENT} cells")
-    if scene == "obstruction2d":
-        return _obstruction2d(
-            params["alpha"], list(params["rays"]), int(params.get("extent", 6))
-        )
-    if scene == "square_billiard":
-        return _square_billiard(
-            params["slope"], params.get("alpha"), int(params.get("segments", 12))
-        )
-    if scene == "triangle_billiard":
-        return _triangle_billiard(
-            params["slope"], params.get("alpha"), int(params.get("strikes", 10))
-        )
-    if scene == "triangle_tiling":
-        return _triangle_tiling(
-            params["alpha"], list(params["rays"]), int(params.get("extent", 8))
-        )
-    raise ValueError(f"unknown scene {scene!r}; expected one of {', '.join(SCENES)}")
+    return draw(**params)

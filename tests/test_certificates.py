@@ -112,6 +112,12 @@ class TestSerialization:
                 '{"version": "nope", "command": "gap", "inputs": {}, "result": {}}'
             )
 
+    @pytest.mark.parametrize("depth", [990, 1_500, 5_000])
+    def test_parse_refuses_deep_nesting(self, depth):
+        # json.loads recurses once per level and raises RecursionError.
+        with pytest.raises(ValueError, match="nested too deeply"):
+            certificates.parse("[" * depth + "]" * depth)
+
 
 class TestValidation:
     @pytest.mark.parametrize("command", sorted(DOCS))

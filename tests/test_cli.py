@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import hashlib
 import io
 import json
 import os
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from lonelyrunner import fieldsearch, gap, viewobstruct
+from lonelyrunner import fieldsearch, gap, render, viewobstruct
+from lonelyrunner.arith import QuadExt
 from lonelyrunner.cli import run
+from tests.test_pinned_documents import SVG_DIGESTS
 
 
 def invoke(argv):
@@ -211,6 +214,16 @@ class TestGeometryCommands:
         assert code == 0
         assert len(doc["result"]["path"]["segments"]) == 10
 
+    def test_tolerance_without_min_obstacle_exits_one(self, tmp_path):
+        # The bracket width is only read by --min-obstacle; without it the
+        # flag would be dropped and the document would read "tolerance": null.
+        argv = ["triangle", "--slope", "16/11", "--tolerance", "1/8"]
+        code, out, err = invoke(argv)
+        assert (code, out, err) == (1, "", "--tolerance needs --min-obstacle\n")
+        target = tmp_path / "doc.json"
+        code, _, _ = invoke(argv + ["--json", str(target)])
+        assert code == 1 and not target.exists()
+
     def test_triangle_min_obstacle(self):
         code, doc = invoke_json(
             ["triangle", "--slope", "sqrt3*1/5", "--min-obstacle", "--horizon", "300"]
@@ -367,6 +380,18 @@ class TestCheckCommand:
         code, _, err = invoke(["check", "/nonexistent/cert.json"])
         assert code == 1 and err
 
+    def test_deep_nesting_exits_one_without_traceback(self):
+        # json.loads recurses once per nesting level; a child process shows
+        # what reaches stderr.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-m", "lonelyrunner", "check", "-"],
+            input="[" * 5000 + "]" * 5000, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "certificate document is nested too deeply\n"
+
 
 WEDGE_MESSAGE = "error: slope must lie strictly between 0 and sqrt(3)\n"
 POSITIVE_MESSAGE = "error: slope must be positive\n"
@@ -474,6 +499,44 @@ class TestRenderCommand:
         target = tmp_path / "figure.svg"
         code, _, _ = invoke(["render", *argv, "--svg", str(target)])
         assert code == 1 and not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--scene", "triangle_billiard", "--slope", "1/2", "--segments", "3"], "segments"),
+            (["--scene", "square_billiard", "--slope", "1/2",
+              "--extent", "5", "--rays", "3", "--strikes", "4"], "rays"),
+            (["--scene", "obstruction2d", "--slope", "1/2"], "slope"),
+            (["--scene", "square_billiard", "--slope", "1/2", "--strikes", "3"], "strikes"),
+            (["--scene", "triangle_tiling", "--segments", "2"], "segments"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_flag_the_scene_does_not_take_exits_one_without_svg(self, argv, flag, tmp_path):
+        code, out, err = invoke(["render", *argv])
+        assert (code, out) == (1, "")
+        assert err == f"error: scene {argv[1]}: got an unexpected keyword argument {flag!r}\n"
+        target = tmp_path / "figure.svg"
+        code, _, _ = invoke(["render", *argv, "--svg", str(target)])
+        assert code == 1 and not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv, required",
+        [
+            (["--scene", "obstruction2d"], {}),
+            (["--scene", "square_billiard", "--slope", "6/17"], {"slope": Fraction(6, 17)}),
+            (["--scene", "triangle_billiard", "--slope", "16/11"],
+             {"slope": QuadExt(Fraction(16, 11))}),
+            (["--scene", "triangle_tiling"], {}),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_library_defaults_draw_the_pinned_cli_default(self, argv, required):
+        # Each default is stated once, in the scene's drawing signature.
+        text = render.render_svg(argv[1], **required)
+        pinned = {tuple(a): digest for a, digest in SVG_DIGESTS}
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[tuple(argv)]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -18,6 +18,26 @@ class TestRenderSvg:
         with pytest.raises(ValueError, match="extent must be at least 1"):
             render.render_svg("obstruction2d", alpha=F(1, 3), rays=[F(1, 2)], extent=extent)
 
+    @pytest.mark.parametrize(
+        "scene, params",
+        [
+            ("obstruction2d", {"extent": 2.5}),
+            ("triangle_tiling", {"extent": 2.5}),
+            ("square_billiard", {"slope": F(1, 2), "segments": True}),
+            ("triangle_billiard", {"slope": QuadExt(1), "strikes": True}),
+        ],
+    )
+    def test_count_that_is_not_an_int_refused(self, scene, params):
+        # Neither is a count, although int() would take both.
+        with pytest.raises(ValueError, match="count must be an integer"):
+            render.render_svg(scene, **params)
+
+    def test_parameter_unknown_or_missing_refused(self):
+        with pytest.raises(ValueError, match="scene triangle_billiard: .*'segments'"):
+            render.render_svg("triangle_billiard", slope=QuadExt(1), segments=3)
+        with pytest.raises(ValueError, match="scene square_billiard: .*'slope'"):
+            render.render_svg("square_billiard")
+
     def test_cells_drawn_without_triangle_cell(self, monkeypatch):
         # The tiling and the billiard's obstacle are drawn from integer cell
         # units; no Q(sqrt 3) cell is built.
