@@ -203,6 +203,8 @@ def parse(text: str) -> CertificateDocument:
             raise ValueError(f"certificate document missing {key!r}")
     if data["version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {data['version']!r}")
+    if not isinstance(data["command"], str):
+        raise ValueError("certificate document command must be a string")
     return CertificateDocument(
         command=data["command"],
         inputs=data["inputs"],

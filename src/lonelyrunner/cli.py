@@ -33,6 +33,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, "_Parser"]  # set on the top-level parser: its subparsers by name
+
     def error(self, message):  # argparse would sys.exit(2); remap to exit 1
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
@@ -75,6 +77,7 @@ def build_parser() -> _Parser:
     """The argparse tree, built once per process and shared by every call."""
     parser = _Parser(prog="lrc", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    parser.commands = sub.choices
 
     json_flag = dict(metavar="PATH", help="write the JSON document here instead of stdout")
 
@@ -256,15 +259,30 @@ def _cmd_render(args, out) -> int:
 _COMMANDS = {"check": _cmd_check, "render": _cmd_render}
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` gives, with the same
+    errors.  A named subcommand's parser reads the rest of argv directly;
+    the top-level parse runs only to report a missing or unknown
+    subcommand or to print the top-level help."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+        if args.subcommand is None:
+            raise UsageError(parser.format_usage())
+        return args
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def run(argv: Sequence[str], out=None, err=None) -> int:
     """Dispatch one CLI invocation; returns the exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-        if args.subcommand is None:
-            raise UsageError(parser.format_usage())
+        args = _parse(list(argv))
         handler = _COMMANDS.get(args.subcommand, _cmd_produce)
         return handler(args, out)
     except UsageError as exc:

@@ -3,10 +3,12 @@
 The supremum of the piecewise-linear function f_S(t) = min_i ||s_i t|| over a
 set S of distinct positive integer speeds is attained at a rational time of
 the form a / (s_i + s_j) for a pair of distinct speeds.  Because
-f_S(t) = f_S(1 - t), the distinct such times in lowest terms up to 1/2
-suffice: ``exact_gap`` evaluates each of them once, in integers, and returns
-the exact maximum together with a witness.  An independent grid scan
-brackets the same value and serves as a cross-check.
+f_S(t) = f_S(1 - t), such times up to 1/2 suffice.  ``exact_gap`` tests all
+times a/n of one pair sum n at once, as a byte mask per speed against a
+threshold that starts at the lower bound 1/(2k); it evaluates only the
+survivors exactly, in integers, and returns the exact maximum together with
+a witness.  An independent grid scan brackets the same value and serves as
+a cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, isqrt
+from math import comb, gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -52,16 +54,47 @@ class GapCertificate:
     per_speed_norms: tuple[Fraction, ...]
 
 
+_ROW_BYTES = 1 << 20  # cap on the repeated flag string of one pair sum
+# Up to this many times a/n at one pair sum, testing each costs less than
+# building the masks: the small tight sets of the sweeps have only such sums.
+_FEW_TIMES = 8
+_MAX_PAIR_SUM = 2**22  # the largest pair sum exact_gap takes, the grid's limit
+
+
+def _row(reps: bytes, n: int, r: int, h: int) -> bytearray:
+    """Byte a of the result, a = 0..h, is ``reps[r*a % n]``: the row of step
+    r from ``reps``, a string of period n at least two periods long, when
+    one slice of it would not reach r*h."""
+    row = bytearray(h + 1)
+    a = x = 0
+    last = len(reps) - 1
+    while a <= h:
+        # Each slice starts inside the first period and runs to the end.
+        count = min((last - x) // r + 1, h + 1 - a)
+        row[a : a + count] = reps[x : x + count * r : r]
+        a += count
+        x = (x + count * r) % n
+    return row
+
+
 def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
     """Exact global maximum of f_S over one period, with certificate.
 
-    The candidates are the times a/(s_i + s_j) in lowest terms: every a/d
-    with d >= 2 dividing some pair sum, gcd(a, d) == 1 and a <= d/2, since
-    f_S(t) = f_S(1 - t) lets the first half period stand for the whole.
-    Each is evaluated once, in integers.  Ties break toward the smallest
-    time, so the witness is the least maximizer in [0, 1], which always lies
-    in the first half.  ``witness_pair`` names the first pair (i, j), in
-    lexicographic order, whose sum the witness denominator divides.
+    The candidates are the times a/n for each distinct pair sum
+    n = s_i + s_j and 1 <= a <= n/2, since f_S(t) = f_S(1 - t) lets the
+    first half period stand for the whole.  Pair sums are visited in
+    ascending order against a threshold that starts at the lower bound
+    1/(2k), which every k-set meets, and rises to the best value found.
+    At each n, one mask per speed marks the a whose residue s*a mod n lies
+    at least the threshold from 0; only the times that survive the AND of
+    the masks are evaluated, in integers.  A pair sum with at most 8
+    times skips the masks and evaluates each time, and one that some speed
+    divides is skipped whole.  Ties survive, and break toward
+    the smallest time, so the witness is the least maximizer in [0, 1],
+    which always lies in the first half.  ``witness_pair`` names the first
+    pair (i, j), in lexicographic order, whose sum the witness denominator
+    in lowest terms divides.  A set whose largest pair sum exceeds 2**22
+    raises ``ValueError``.
     """
     sset = SpeedSet.of(speeds)
     members = sset.speeds
@@ -70,46 +103,66 @@ def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
         s = members[0]
         t = Fraction(1, 2 * s)
         return GapCertificate(sset, Fraction(1, 2), t, None, (Fraction(1, 2),))
+    if members[-1] + members[-2] > _MAX_PAIR_SUM:
+        raise ValueError(f"largest pair sum {members[-1] + members[-2]} above the limit of 2**22")
 
     pairs = list(combinations(range(k), 2))
     sums = [members[i] + members[j] for i, j in pairs]
-    dens = set()
-    for n in set(sums):
-        for q in range(1, isqrt(n) + 1):
-            if n % q == 0:
-                dens.add(q)
-                dens.add(n // q)
-    dens.discard(1)
-
-    # All comparisons run on integers: f_S(a/den) = num/den with
-    # num = min over s of min(s*a mod den, den - s*a mod den).  Any order of
-    # the denominators gives the same result.  The gcd filter evaluates each
-    # time once and keeps best_den in lowest terms, as witness_pair needs.
-    best_num, best_den, best_a = -1, 1, 0
-    for den in sorted(dens, reverse=True):
-        for a in range(1, den // 2 + 1):
-            if gcd(a, den) != 1:
-                continue
-            num = den
-            limit = best_num * den
+    # The incumbent value is best_num/best_den and its time best_a/best_den.
+    # It starts at the bound 1/(2k) at time 1, later than every candidate,
+    # so that a maximizer at the bound still replaces it.
+    best_num, best_den, best_a = 1, 2 * k, 2 * k
+    for n in sorted(set(sums)):
+        # Residue x survives when min(x, n - x) >= m, the least residue at
+        # or above the threshold.  A speed that is 0 mod n holds every time
+        # a/n at 0, so that n drops out.
+        m = -(-best_num * n // best_den)
+        residues = members if n > members[-1] else [s % n for s in members]
+        if 2 * m > n or 0 in residues:
+            continue
+        h = n // 2
+        if h <= _FEW_TIMES:
+            survivors = b"\0" + b"\1" * h  # test every time a/n
+        else:
+            flags = b"\0" * m + b"\1" * (n + 1 - 2 * m) + b"\0" * (m - 1)
+            # A folded residue r is at most h, so r*h + 1 bytes hold its row.
+            reps = flags * min(h * h // n + 1, max(2, _ROW_BYTES // n))
+            size = len(reps)
+            alive = -1
+            for r in residues:
+                if n - r < r:
+                    r = n - r
+                # Byte a of the row is the flag of r*a mod n, one bit per byte.
+                row = reps[: r * h + 1 : r] if r * h < size else _row(reps, n, r, h)
+                alive &= int.from_bytes(row, "little")
+                if not alive:
+                    break
+            survivors = alive.to_bytes(h + 1, "little")
+        a = survivors.find(1)
+        while a > 0:
+            num = n
+            limit = best_num * n
             for s in members:
-                r = s * a % den
-                if den - r < r:
-                    r = den - r
+                r = s * a % n
+                if n - r < r:
+                    r = n - r
                 if r < num:
                     num = r
                     if num * best_den < limit:
                         break  # strictly below the incumbent; skip
             else:
                 scaled = num * best_den
-                if scaled > limit or (scaled == limit and a * best_den < best_a * den):
-                    best_num, best_den, best_a = num, den, a
+                if scaled > limit or (scaled == limit and a * best_den < best_a * n):
+                    best_num, best_den, best_a = num, n, a
+            a = survivors.find(1, a + 1)
 
+    g = gcd(best_a, best_den)  # g divides every residue s*a mod n, so num too
+    best_num, best_den, best_a = best_num // g, best_den // g, best_a // g
     n, (i, j) = next((n, pair) for n, pair in zip(sums, pairs) if n % best_den == 0)
-    residues = [s * best_a % best_den for s in members]
-    norms = tuple(Fraction(min(r, best_den - r), best_den) for r in residues)
+    nums = [min(r, best_den - r) for r in (s * best_a % best_den for s in members)]
+    assert best_num == min(nums)
+    norms = tuple(Fraction(r, best_den) for r in nums)
     delta = Fraction(best_num, best_den)
-    assert delta == min(norms)
     pair = (i, j, best_a * n // best_den)
     return GapCertificate(sset, delta, Fraction(best_a, best_den), pair, norms)
 

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from lonelyrunner import fieldsearch, gap, render, viewobstruct
+from lonelyrunner import cli, fieldsearch, gap, render, viewobstruct
 from lonelyrunner.arith import QuadExt
-from lonelyrunner.cli import run
+from lonelyrunner.cli import UsageError, build_parser, run
 from tests.test_pinned_documents import SVG_DIGESTS
 
 
@@ -76,6 +76,13 @@ class TestGapCommand:
         assert time.process_time() - start < 0.5
         assert code == 1 and out == ""
         assert "2**22" in err
+
+    def test_pair_sum_above_the_limit_exits_one_at_once(self):
+        start = time.process_time()
+        code, out, err = invoke(["gap", "--speeds", "1,4194304"])
+        assert time.process_time() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == "error: largest pair sum 4194305 above the limit of 2**22\n"
 
     def test_bad_speeds(self):
         code, _, err = invoke(["gap", "--speeds", "1,x"])
@@ -380,6 +387,39 @@ class TestCheckCommand:
         code, _, err = invoke(["check", "/nonexistent/cert.json"])
         assert code == 1 and err
 
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [
+            ("gap", {"speeds": [1, 4194304], "grid": None}),
+            ("lonely", {"speeds": [0, 1, 4194304], "focus": 0}),
+            ("kappa", {"speeds": [1, 4194304]}),
+            ("obstruct", {"direction": [1, 4194304], "alpha": None}),
+        ],
+    )
+    def test_pair_sum_above_the_limit_is_malformed_at_once(self, tmp_path, command, inputs):
+        # A hostile document naming speeds whose largest pair sum exceeds
+        # 2**22 is refused before any candidate time is tested.
+        path = tmp_path / "doc.json"
+        doc = {"version": "lrc-cert/1", "command": command, "inputs": inputs, "result": {}}
+        path.write_text(json.dumps(doc))
+        start = time.process_time()
+        code, checked = invoke_json(["check", str(path)])
+        assert time.process_time() - start < 0.5
+        assert code == 2 and checked["result"]["valid"] is False
+        issues = checked["result"]["issues"]
+        assert issues == ["malformed document: largest pair sum 4194305 above the limit of 2**22"]
+
+    @pytest.mark.parametrize("depth", [1, 600])
+    def test_command_that_is_not_a_string_exits_one(self, tmp_path, depth):
+        # The report would echo the command; a list nested 600 deep once
+        # overflowed the encoder's recursion.
+        command = "[" * depth + '"gap"' + "]" * depth
+        path = tmp_path / "doc.json"
+        path.write_text('{"version": "lrc-cert/1", "command": %s, "inputs": {}, "result": {}}' % command)
+        code, out, err = invoke(["check", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "certificate document command must be a string\n"
+
     def test_deep_nesting_exits_one_without_traceback(self):
         # json.loads recurses once per nesting level; a child process shows
         # what reaches stderr.
@@ -576,6 +616,78 @@ class TestUsage:
         code, doc = invoke_json(["gap", "--speeds", "2,3"])
         assert code == 0 and doc["command"] == "gap"
         assert doc["result"]["delta"] == {"num": 2, "den": 5}
+
+
+def _argparse_stderr(argv):
+    """What ``run`` wrote to stderr when the top-level parser read every
+    argv: argparse's own error, or the usage alone without a subcommand."""
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        return str(exc).rstrip() + "\n"
+    assert args.subcommand is None
+    return build_parser().format_usage().rstrip() + "\n"
+
+
+class TestDispatch:
+    """``run`` hands argv straight to the named subcommand's parser; the
+    namespace and every usage error must be those of the full parse."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--speeds", "3,7", "--grid"],
+            ["lonely", "--speeds", "3,0,7", "--focus", "1"],
+            ["verify", "--max-speed", "10", "--k", "3"],
+            ["kappa", "--speeds=1,3,4,7"],
+            ["obstruct", "--direction", "2,3", "--alpha", "1/3", "--json", "x.json"],
+            ["kscan", "--k", "2", "--max-coord", "6"],
+            ["billiard", "--slope", "2/3", "--segments", "5"],
+            ["triangle", "--slope", "sqrt3*1/5", "--min-obstacle", "--strikes", "3"],
+            ["invisible", "--speeds", "1,2,3", "--d", "1"],
+            ["conj34", "--speeds", "2,3,7"],
+            ["check", "-"],
+            ["render", "--scene", "triangle_tiling", "--extent", "5"],
+        ],
+        ids=" ".join,
+    )
+    def test_namespace_equals_the_full_parse(self, argv, monkeypatch):
+        seen = []
+
+        def capture(args, out):
+            seen.append(args)
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_produce", capture)
+        monkeypatch.setattr(cli, "_COMMANDS", {"check": capture, "render": capture})
+        assert run(argv) == 0
+        # Key order too: a document's inputs follow the namespace's order.
+        assert list(vars(seen[0]).items()) == list(vars(build_parser().parse_args(argv)).items())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--speeds", "1,2", "extra"],
+            ["gap", "--speeds", "1,2", "--bogus"],
+            ["gap", "--speeds", "1,2", "--", "x"],
+            [],
+            ["bogus"],
+            ["--speeds", "1", "gap"],
+            ["gap"],
+            ["verify", "--k", "x", "--max-speed", "3"],
+        ],
+        ids=repr,
+    )
+    def test_usage_errors_are_those_of_the_full_parse(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, out, err) == (1, "", _argparse_stderr(argv))
+
+    def test_leftover_arguments_are_reported_by_the_top_level_parser(self):
+        code, _, err = invoke(["gap", "--speeds", "1,2", "extra"])
+        assert code == 1
+        assert err == "lrc: unrecognized arguments: extra\nusage: lrc [-h] SUBCOMMAND ...\n"
+        code, _, err = invoke(["gap", "--speeds", "1,2", "--", "x"])
+        assert err.startswith("lrc: unrecognized arguments: -- x\n")
 
 
 class TestCliAndCheckerAgree:

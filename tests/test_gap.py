@@ -142,6 +142,20 @@ class TestExactGap:
         with pytest.raises(ValueError):
             exact_gap(())
 
+    def test_pair_sum_above_the_limit_raises_at_once(self):
+        start = time.process_time()
+        with pytest.raises(ValueError, match=r"2\*\*22"):
+            exact_gap((1, 2**22))
+        with pytest.raises(ValueError, match=r"2\*\*22"):
+            exact_gap((5, 10**12, 10**12 + 1))
+        assert time.process_time() - start < 0.5
+
+    def test_pair_sum_at_the_limit(self):
+        cert = exact_gap((1, 2**22 - 1))
+        half = Fraction(1, 2)
+        assert (cert.delta, cert.witness_time, cert.witness_pair) == (half, half, (0, 1, 2**21))
+        assert cert.per_speed_norms == (half, half)
+
 
 def reference_exact_gap(speeds) -> gap.GapCertificate:
     """Reference for the whole certificate: every a/(s_i+s_j) for every pair
@@ -225,6 +239,42 @@ class TestReducedCandidates:
         assert len(tied) >= 3
         self._assert_same(speeds)
         assert exact_gap(speeds).witness_time == tied[0]
+
+    def test_instance_shaped_sets(self):
+        # k = 20..45 speeds drawn from 1..2k, as the single-instance commands
+        # are given, and {1..n} past the sizes above.
+        rng = random.Random(802)
+        for k in (20, 27, 33, 38, 45):
+            self._assert_same(rng.sample(range(1, 2 * k + 1), k))
+        for n in (45, 50, 55, 60):
+            self._assert_same(range(1, n + 1))
+
+    def test_speed_divisible_by_a_pair_sum(self):
+        # A speed that is 0 mod a pair sum n holds every time a/n at 0, so
+        # that n drops out whole; the other sums still decide the gap.
+        rng = random.Random(803)
+        for speeds in [(1, 2, 3), (1, 3, 4), (2, 3, 10), (1, 4, 5, 10), (3, 5, 16, 24)]:
+            self._assert_same(speeds)
+        for _ in range(100):
+            s, t = rng.sample(range(1, 40), 2)
+            extra = rng.sample(range(1, 60), rng.randint(0, 4))
+            self._assert_same([s, t, (s + t) * rng.randint(1, 3), *extra])
+
+    @pytest.mark.parametrize("speeds", [(1, 10**5), (1234, 2345, 3001)])
+    def test_large_pair_sums(self, speeds):
+        self._assert_same(speeds)
+
+    @pytest.mark.parametrize("name, value", [("_ROW_BYTES", 64), ("_FEW_TIMES", 0)])
+    def test_mask_paths(self, monkeypatch, name, value):
+        # A repeated flag string of 64 bytes is too short for most rows, so
+        # they are written slice by slice; with no times tested one by one,
+        # even the smallest pair sums go through the masks, ties included.
+        monkeypatch.setattr(gap, name, value)
+        rng = random.Random(804)
+        for _ in range(150):
+            self._assert_same(rng.sample(range(1, 81), rng.randint(2, 10)))
+        for speeds in [range(1, 41), (1, 10**5), (1234, 2345, 3001), (1, 3, 4, 7), (3, 6), (1, 7, 14)]:
+            self._assert_same(speeds)
 
     def test_witness_pair_is_the_first_pair_the_denominator_divides(self):
         rng = random.Random(801)
