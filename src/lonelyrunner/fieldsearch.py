@@ -8,7 +8,7 @@ has ||s*x/n|| >= (m+1)/n, so delta(S) >= (m+1)/n; n need not be prime.
 For a k-speed set the radius that certifies 1/(k+1) has two forms: the
 non-strict m = (n-1)//(k+1), the least m with (m+1)/n >= 1/(k+1), which
 ``conj34_witness`` uses, and the strict m = n//(k+1), the least with
-(m+1)/n > 1/(k+1), from which ``gap.sweep`` builds its witness columns.
+(m+1)/n > 1/(k+1).
 
 ``invisible_subset`` works modulo a prime p that divides no speed.  A
 counting argument over the k x (p-1) residue matrix guarantees multipliers

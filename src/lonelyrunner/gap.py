@@ -129,11 +129,18 @@ def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
             reps = flags * min(h * h // n + 1, max(2, _ROW_BYTES // n))
             size = len(reps)
             alive = -1
+            built = set()  # the steps whose row _row has built at this n
             for r in residues:
                 if n - r < r:
                     r = n - r
                 # Byte a of the row is the flag of r*a mod n, one bit per byte.
-                row = reps[: r * h + 1 : r] if r * h < size else _row(reps, n, r, h)
+                if r * h < size:
+                    row = reps[: r * h + 1 : r]
+                elif r in built:
+                    continue  # two speeds fold to one step: its row is in alive
+                else:
+                    built.add(r)
+                    row = _row(reps, n, r, h)
                 alive &= int.from_bytes(row, "little")
                 if not alive:
                     break
@@ -265,42 +272,84 @@ _BLOCK = 4096  # columns per transpose, bounding the transient strings
 
 
 def _columns(k: int, max_speed: int) -> tuple[list[int], list[int]]:
-    """The distinct residue-witness columns for the k-subsets of
-    {1..max_speed}: ``(far_rows, columns)``.
+    """The witness columns for the k-subsets of {1..max_speed}, one per
+    local maximum of the far set over time: ``(far_rows, columns)``.
 
-    A reduced time a/n, 2 <= n <= 2*max_speed - 1 and a <= n/2, is far for
-    the speeds s that the band witness (n, a, m) keeps outside its band at
-    the strict radius m = n//(k+1) (see :class:`fieldsearch.BandWitness`),
-    that is ||s*a/n|| > 1/(k+1); the other speeds are near.  Each distinct
-    set of far speeds with at least k members is one column, and the
-    columns are ordered by far count, largest first, so that column 0 has
-    the smallest near set.  Entry s of ``far_rows`` is the bitset of the
-    columns in which s is far (entry 0 is unused); entry j of ``columns`` is
-    the bitset of the speeds far in column j, speed s at bit max_speed - s.
+    With c = k + 1, speed s is far at time t when ||s*t|| > 1/c and near
+    otherwise.  On 0 < t < 1/2 its far set changes only at the breakpoints
+    t = x/(s*c) with x = 1 or c - 1 mod c and 2x < s*c: the speed turns far
+    at x = 1 mod c and near again at x = -1 mod c.  Between two consecutive
+    distinct breakpoints, and from the last one up to 1/2, the far set is
+    constant on an open interval, and any rational a/n inside it is a
+    witness time: every speed of that far set F has ||s*a/n|| > 1/c, so
+    every subset of F has delta > 1/(k+1).  Conversely, if delta(S) > 1/c
+    the open set {t : min ||s*t|| > 1/c} is not empty; by the symmetry
+    t -> 1 - t it meets (0, 1/2] off the finitely many breakpoints, inside
+    one such interval, whose far set contains S.  So these far sets witness
+    exactly the sets with delta > 1/(k+1).
+
+    The breakpoints are sorted exactly, in integers: two distinct values
+    x/s, x'/s' with s, s' <= max_speed differ by at least 1/max_speed**2,
+    so the key ``x * K // s`` with K = 2*max_speed**2 keeps their order and
+    gives equal breakpoints equal keys.  All the toggles of one key are
+    applied together, since a mask between coincident breakpoints is the
+    far set of no interval.  An interval is kept only when the breakpoint
+    before it added a speed and the one after it removed one (the last
+    interval: when the last breakpoint added one); any other lies inside a
+    neighbour's far set.  Each distinct far set with at least k members is
+    one column, and the columns are ordered by far count, largest first,
+    so that column 0 has the smallest near set.  Entry s of ``far_rows`` is
+    the bitset of the columns in which s is far (entry 0 is unused); entry
+    j of ``columns`` is the bitset of the speeds far in column j, speed s
+    at bit max_speed - s.
 
     There are O(max_speed**2) columns, so the rows hold O(max_speed**3)
     bits; they are transposed from strings of flags, a block of columns at
-    a time, not bit by bit.  For k = 1 the strict radius n//2 leaves no
-    residue far, so there is no column and the scan is skipped.
+    a time, not bit by bit.  For k = 1 no speed is ever farther than 1/2,
+    so there is no column and the scan is skipped.
     """
-    from .fieldsearch import BandWitness  # fieldsearch imports this module
-
     far_rows = [0] * (max_speed + 1)
     if k == 1:
         return far_rows, []
+    c = k + 1
+    scale = 2 * max_speed * max_speed
+    shift = max_speed.bit_length()
+    # One int per breakpoint: its key, then the bit of its speed.
+    points = [
+        x * scale // s << shift | max_speed - s
+        for s in range(1, max_speed + 1)
+        for first in (1, c - 1)
+        for x in range(first, (s * c + 1) // 2, c)
+    ]
+    points.sort()
+    low = (1 << shift) - 1
     distinct = set()
-    for n in range(2, 2 * max_speed):
-        # far[r] is b"1" when m < r < n - m, and reps[i] == far[i % n] for
-        # every i <= max_speed * n/2, so the slice of reps with step a holds
-        # the far flags of the speeds 1..max_speed at a/n.
-        m = BandWitness.radius(n, k, strict=True)
-        far = b"0" * (m + 1) + b"1" * (n - 2 * m - 1) + b"0" * m
-        reps = far * (max_speed // 2 + 1)
-        distinct.update([int(reps[a : a * max_speed + 1 : a], 2) for a in range(1, n // 2 + 1) if gcd(a, n) == 1])
+    # far is the far set so far, before the far set of the interval before
+    # the key at last, and rose whether the key ahead of that interval
+    # added a speed.
+    far = before = rose = 0
+    last = -1
+    for point in points:
+        key = point >> shift
+        if key != last:
+            # The key at last is complete: keep the interval before it if
+            # it rose into that interval and falls out of it here.
+            if rose and before & ~far:
+                distinct.add(before)
+            rose = far & ~before
+            before = far
+            last = key
+        far ^= 1 << (point & low)
+    if rose and before & ~far:
+        distinct.add(before)
+    if far & ~before:
+        distinct.add(far)  # the last interval, up to 1/2
+    del points
     # Far count ascending, so the last column, with the smallest near set,
-    # becomes bit 0 of the rows.
-    masks = sorted((mask for mask in distinct if mask.bit_count() >= k), key=int.bit_count)
+    # becomes bit 0 of the rows; ties go by mask, not by the set's order.
+    masks = sorted((mask for mask in distinct if mask.bit_count() >= k), reverse=True)
     del distinct  # the masks now hold the columns; free the set before the transpose
+    masks.sort(key=int.bit_count)
     width = f"0{max_speed}b"
     for i in range(0, len(masks), _BLOCK):
         # Transpose: char s-1 of each column, in column order, is row s.
@@ -316,13 +365,14 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield (S, delta(S)) for the gcd-1 k-subsets S of {1..max_speed} with
     delta(S) <= 1/(k+1), in lexicographic order.
 
-    Every other gcd-1 set has a residue witness: a reduced time a/n with
-    n <= 2*max_speed - 1 at which every speed s of S has ||s*a/n|| > 1/(k+1),
-    that is, S lies inside the far set of a column of :func:`_columns`.  The
-    witness is complete at that range of n, since delta(S) is attained at a
-    time with denominator s_i + s_j <= 2*max_speed - 1, so the sets without
-    one are exactly those with delta(S) <= 1/(k+1), and only they reach
-    :func:`exact_gap`.
+    Every other gcd-1 set has a witness: it lies inside the far set of a
+    column of :func:`_columns`, the speeds s with ||s*t|| > 1/(k+1) on one
+    open interval of times t between breakpoints of that condition, so any
+    rational a/n inside the interval proves delta(S) > 1/(k+1).  The columns
+    are complete: if delta(S) > 1/(k+1), the open set of times at which
+    every speed of S is that far is not empty, and it meets (0, 1/2] inside
+    such an interval.  So the sets without a witness are exactly those with
+    delta(S) <= 1/(k+1), and only they reach :func:`exact_gap`.
 
     A set has no witness exactly when it meets the near set of every
     column, so the sweep enumerates these hitting sets and visits no other.

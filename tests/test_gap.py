@@ -156,6 +156,19 @@ class TestExactGap:
         assert (cert.delta, cert.witness_time, cert.witness_pair) == (half, half, (0, 1, 2**21))
         assert cert.per_speed_norms == (half, half)
 
+    def test_one_row_per_folded_step(self, monkeypatch):
+        # Both speeds fold to the step 2**21 - 1 at the one pair sum 2**22,
+        # whose row no single slice of the flag string holds: _row builds
+        # it once, and the certificate is the same.
+        steps = []
+        build = gap._row
+        monkeypatch.setattr(gap, "_row", lambda reps, n, r, h: steps.append(r) or build(reps, n, r, h))
+        cert = exact_gap((2**21 - 1, 2**21 + 1))
+        assert steps == [2**21 - 1]
+        half = Fraction(1, 2)
+        assert (cert.delta, cert.witness_time, cert.witness_pair) == (half, half, (0, 1, 2**21))
+        assert cert.per_speed_norms == (half, half)
+
 
 def reference_exact_gap(speeds) -> gap.GapCertificate:
     """Reference for the whole certificate: every a/(s_i+s_j) for every pair
@@ -561,6 +574,80 @@ class TestSweepReference:
         columns = [sum(1 << max_speed - s for s in far) for far in fars]
         monkeypatch.setattr(gap, "_columns", lambda k, max_speed: (far_rows, columns))
         assert list(sweep(k, max_speed)) == reference_sweep(k, max_speed, far_rows)
+
+
+def speeds_of(mask: int, max_speed: int) -> tuple[int, ...]:
+    """The speeds of a column mask, speed s at bit max_speed - s."""
+    return tuple(s for s in range(1, max_speed + 1) if mask >> max_speed - s & 1)
+
+
+def breakpoint_columns(k: int, max_speed: int) -> set:
+    """The far sets of at least k speeds that are local maxima over the
+    open intervals between the distinct breakpoints t = x/(s*(k+1)) of
+    (0, 1/2), as masks.  The breakpoints are Fractions, and each far set is
+    read off at its interval's midpoint, not toggled."""
+    c = k + 1
+    points = {
+        Fraction(x, s * c)
+        for s in range(1, max_speed + 1)
+        for x in range(1, (s * c + 1) // 2)
+        if x % c in (1, c - 1)
+    }
+    ends = [Fraction(0)] + sorted(points) + [Fraction(1, 2)]
+    fars = []
+    for lo, hi in zip(ends, ends[1:]):
+        t = (lo + hi) / 2
+        p, q = t.numerator, t.denominator
+        fars.append(sum(1 << max_speed - s for s in range(1, max_speed + 1) if c * min(s * p % q, q - s * p % q) > q))
+    # The last interval reaches past 1/2 to its mirror image, so the far set
+    # after it is the one before it.
+    fars.append(fars[-2])
+    return {
+        far
+        for before, far, after in zip(fars, fars[1:], fars[2:])
+        if far & ~before and far & ~after and far.bit_count() >= k
+    }
+
+
+# The ladder plus larger boxes, with every k the sweeps take above 1.
+COLUMN_SIZES = sorted(set(LADDER_SIZES)) + [(2, 3), (2, 60), (3, 40), (4, 40), (5, 30), (7, 30), (8, 20)]
+
+
+class TestBreakpointColumns:
+    @pytest.mark.parametrize("k, max_speed", COLUMN_SIZES)
+    def test_every_column_is_a_witness(self, k, max_speed):
+        # Sound: every subset of a column's far set has delta > 1/(k+1).
+        bound = Fraction(1, k + 1)
+        for column in gap._columns(k, max_speed)[1]:
+            assert exact_gap(speeds_of(column, max_speed)).delta > bound, column
+
+    @pytest.mark.parametrize("k, max_speed", COLUMN_SIZES)
+    def test_dominates_every_residue_column(self, k, max_speed):
+        # Complete: each column of the scan over every reduced a/n,
+        # n <= 2*max_speed - 1, lies inside some breakpoint column.
+        table = reference_witness_table(k, max_speed)
+        columns = gap._columns(k, max_speed)[1]
+        for j in range(max(table).bit_length()):
+            old = sum(1 << max_speed - s for s in range(1, max_speed + 1) if table[s] >> j & 1)
+            assert any(old & ~column == 0 for column in columns), speeds_of(old, max_speed)
+
+    @pytest.mark.parametrize("k, max_speed", COLUMN_SIZES + [(2, 100), (6, 40)])
+    def test_equals_the_exact_breakpoint_intervals(self, k, max_speed):
+        far_rows, columns = gap._columns(k, max_speed)
+        assert len(set(columns)) == len(columns)
+        assert set(columns) == breakpoint_columns(k, max_speed)
+        counts = [column.bit_count() for column in columns]
+        assert counts == sorted(counts, reverse=True)
+        for s in range(1, max_speed + 1):
+            expected = sum(1 << j for j, column in enumerate(columns) if column >> max_speed - s & 1)
+            assert far_rows[s] == expected, s
+
+    def test_coincident_breakpoints_toggle_together(self):
+        # At t = 1/3 speed 4 turns far as speed 2 turns near: no column
+        # holds both, since delta({2, 4}) is exactly 1/3.
+        for max_speed in (4, 10, 30):
+            both = 1 << max_speed - 2 | 1 << max_speed - 4
+            assert all(column & both != both for column in gap._columns(2, max_speed)[1])
 
 
 def count_exact_gap_calls(monkeypatch) -> list:
