@@ -18,7 +18,6 @@ from .billiards import (
     TriangleCell,
     TriangleHit,
     TrianglePath,
-    fold_ray_point,
     square_min_obstacle,
     square_obstacle_contact,
     square_path_segments,
@@ -87,7 +86,6 @@ __all__ = [
     "TriangleCell",
     "TriangleHit",
     "TrianglePath",
-    "fold_ray_point",
     "square_min_obstacle",
     "square_obstacle_contact",
     "square_path_segments",

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .arith import QuadExt, RationalLike, sqrt3_sign
 
@@ -54,7 +54,6 @@ __all__ = [
     "TrianglePath",
     "TriangleCell",
     "TriangleHit",
-    "fold_ray_point",
     "square_path_segments",
     "square_min_obstacle",
     "square_obstacle_contact",
@@ -85,21 +84,10 @@ def _check_count(value, message: str, least: int = 1) -> None:
 
 def _fold_units(u: int, m: int) -> Fraction:
     """The triangle-wave fold 1 - |1 - (u/m mod 2)| of u/m, for integers
-    u >= 0 and m >= 1, taken modulo 2m."""
+    u >= 0 and m >= 1, taken modulo 2m.  A corner of the cell grid folds to
+    a corner of the table, which realizes the diagonal-reflection rule for
+    corner hits."""
     return Fraction(m - abs(m - u % (2 * m)), m)
-
-
-def fold_ray_point(point: Iterable[RationalLike]) -> Point:
-    """Map an unfolded ray point back onto the unit billiard table.
-
-    Coordinatewise triangle-wave fold u -> 1 - |1 - (u mod 2)|; a corner of
-    the cell grid folds to a corner of the table, which realizes the
-    diagonal-reflection rule for corner hits automatically.
-    """
-    x, y = (Fraction(u) for u in point)
-    if x < 0 or y < 0:
-        raise ValueError("point must lie in the closed first quadrant")
-    return _fold_units(x.numerator, x.denominator), _fold_units(y.numerator, y.denominator)
 
 
 @dataclass(frozen=True)

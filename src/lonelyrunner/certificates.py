@@ -429,7 +429,9 @@ def _produce_gap(inputs: dict) -> CertificateDocument:
     speeds = SpeedSet(inputs["speeds"])
     grid = None
     if inputs["grid"] is not None:
-        # 0 asks for the default resolution; the document records the one used.
+        # 0 asks for the default resolution N = 64 * max speed * k, which
+        # makes the oracle's bracket width s_max/(2N) = 1/(128 k); the
+        # document records the one used.
         resolution = _count(inputs, "grid", least=0) or 64 * speeds.max * len(speeds)
         grid = (resolution, gap.gap_grid_oracle(speeds, resolution))
     return gap_document(gap.exact_gap(speeds), grid)

@@ -201,7 +201,9 @@ def _cmd_produce(args, out) -> int:
     doc = certificates.produce(args.subcommand, inputs)
     _emit(doc, args, out)
     result = doc.result
-    if result.get("counterexamples") or result.get("holds") is False or result.get("refuted"):
+    if result.get("counterexamples") or result.get("refuted") or any(
+        result.get(key) is False for key in ("holds", "matches_conjecture", "lonely")
+    ):
         return EXIT_COUNTEREXAMPLE
     if doc.command == "triangle" and result["hit"] == {"found": False}:
         return EXIT_EXHAUSTED  # no hit within the horizon: unsettled

@@ -5,10 +5,8 @@ Everything here rests on one object, the band witness ``(n, x, m)``: a
 modulus n, a multiplier x and a band radius m such that every residue
 x*s mod n lies strictly between m and n - m.  At time x/n each speed then
 has ||s*x/n|| >= (m+1)/n, so delta(S) >= (m+1)/n; n need not be prime.
-For a k-speed set the radius that certifies 1/(k+1) has two forms: the
-non-strict m = (n-1)//(k+1), the least m with (m+1)/n >= 1/(k+1), which
-``conj34_witness`` uses, and the strict m = n//(k+1), the least with
-(m+1)/n > 1/(k+1).
+For a k-speed set the radius that certifies 1/(k+1) is m = (n-1)//(k+1),
+the least m with (m+1)/n >= 1/(k+1).
 
 ``invisible_subset`` works modulo a prime p that divides no speed.  A
 counting argument over the k x (p-1) residue matrix guarantees multipliers
@@ -56,10 +54,9 @@ class BandWitness(NamedTuple):
     m: int
 
     @staticmethod
-    def radius(n: int, k: int, strict: bool = False) -> int:
-        """The least m whose bound (m+1)/n reaches 1/(k+1), or exceeds it
-        when ``strict``: (n-1)//(k+1), or n//(k+1)."""
-        return (n if strict else n - 1) // (k + 1)
+    def radius(n: int, k: int) -> int:
+        """The least m whose bound (m+1)/n reaches 1/(k+1): (n-1)//(k+1)."""
+        return (n - 1) // (k + 1)
 
     @property
     def bound(self) -> Fraction:
@@ -175,7 +172,7 @@ def conj34_witness(speeds: SpeedSet | Iterable[int]) -> Optional[BandWitness]:
     """Band witness (n, x, m) certifying delta(S) >= 1/(k+1).
 
     Takes n = s_i + s_j and x = a from the exact-gap witness pair, with the
-    non-strict radius m = (n-1)//(k+1); the residues avoid the band exactly
+    radius m = (n-1)//(k+1); the residues avoid the band exactly
     because delta(S) >= 1/(k+1).  Returns None when delta(S) < 1/(k+1),
     which would refute the conjecture.  The modulus n need not be prime; the
     check is plain modular arithmetic.

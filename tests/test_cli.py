@@ -179,6 +179,23 @@ class TestCounterexampleExit:
         code, doc = invoke_json(["conj34", "--speeds", "1,3"])
         assert code == 2 and doc["result"] == {"refuted": True}
 
+    def test_kscan_below_conjecture(self, monkeypatch):
+        # A box holding a set with delta < 1/(k+1): its scale 1 - 2*delta
+        # exceeds the conjectured (k-1)/(k+1).
+        report = viewobstruct.KPrimeScanReport(
+            2, 5, Fraction(3, 5), viewobstruct.Direction((1, 4)), False, Fraction(1, 2)
+        )
+        monkeypatch.setattr(viewobstruct, "kprime_scan", lambda k, m: report)
+        code, doc = invoke_json(["kscan", "--k", "2", "--max-coord", "5"])
+        assert code == 2 and doc["result"]["matches_conjecture"] is False
+
+    def test_lonely_runner_never_lonely(self, monkeypatch):
+        speeds = (0, 1, 2)
+        report = gap.LonelyReport(speeds, 0, Fraction(1, 4), Fraction(1, 4), False, Fraction(1, 4))
+        monkeypatch.setattr(gap, "lonely_time", lambda s, focus: report)
+        code, doc = invoke_json(["lonely", "--speeds", "0,1,2", "--focus", "0"])
+        assert code == 2 and doc["result"]["lonely"] is False
+
 
 class TestGeometryCommands:
     def test_obstruct_with_witness(self):

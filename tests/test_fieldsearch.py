@@ -38,7 +38,7 @@ class TestBandAvoidance:
                 m = BandWitness.radius(n, k)
                 assert BandWitness(n, 1, m).bound >= Fraction(1, k + 1)
                 assert m == 0 or BandWitness(n, 1, m - 1).bound < Fraction(1, k + 1)
-                strict = BandWitness.radius(n, k, strict=True)
+                strict = n // (k + 1)
                 assert BandWitness(n, 1, strict).bound > Fraction(1, k + 1)
                 assert strict == 0 or BandWitness(n, 1, strict - 1).bound <= Fraction(1, k + 1)
 
@@ -195,7 +195,7 @@ class TestConj34:
 
     def test_succeeds_on_sweep(self):
         report = verify_lrc(2, 20)
-        assert report.holds
+        assert report.counterexamples == ()
         from itertools import combinations
         from math import gcd
 

@@ -341,18 +341,14 @@ class TestGridOracle:
     def test_resolution_limit(self):
         value = gap_grid_oracle((1, 2), 2**22)
         assert Fraction(1, 3) - Fraction(1, 2**22) <= value <= Fraction(1, 3)
-        for speeds, n in [((1, 2), 2**22 + 1), ((1, 100_000_000), None)]:
+        for speeds, n in [((1, 2), 2**22 + 1), ((1, 100_000_000), 64 * 100_000_000 * 2)]:
             with pytest.raises(ValueError, match=r"limit of 2\*\*22"):
                 gap_grid_oracle(speeds, n)
 
-    def test_default_resolution_bracket(self):
-        rng = random.Random(505)
-        for _ in range(40):
-            s = random_speed_set(rng, max_k=4, max_speed=25)
-            oracle = gap_grid_oracle(s)
-            delta = exact_gap(s).delta
-            width = Fraction(1, 128 * len(s))
-            assert oracle <= delta <= oracle + width
+    @pytest.mark.parametrize("resolution", [300.9, True, None, "300"])
+    def test_rejects_non_integer_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            gap_grid_oracle((1, 2), resolution)
 
     def test_bigint_fallback_matches_numpy_path(self):
         # The int64 scan against a per-point scan in Python integers.
@@ -428,20 +424,19 @@ class TestLonely:
 class TestVerifyLrc:
     def test_three_runner_sweep(self):
         report = verify_lrc(2, 50)
-        assert report.holds
         assert report.counterexamples == ()
         assert (1, 2) in report.tight
         assert report.bound == Fraction(1, 3)
 
     def test_k1_trivial(self):
         report = verify_lrc(1, 5)
-        assert report.holds
+        assert report.counterexamples == ()
         assert report.checked == 1  # gcd filter keeps only {1}
         assert report.tight == ((1,),)
 
     def test_small_k3(self):
         report = verify_lrc(3, 10)
-        assert report.holds
+        assert report.counterexamples == ()
         assert (1, 2, 3) in report.tight
 
     @pytest.mark.parametrize("k, max_speed", [(1, 4), (2, 16), (3, 12), (4, 10)])
@@ -501,14 +496,12 @@ class TestVerifyLrc:
 def reference_witness_table(k: int, max_speed: int) -> tuple[int, ...]:
     """Entry s is the bitset of the distinct columns (far sets of at least
     k speeds at a reduced a/n, n <= 2*max_speed - 1) in which s is far."""
-    from lonelyrunner.fieldsearch import BandWitness
-
     table = [0] * (max_speed + 1)
     if k == 1:
         return tuple(table)
     seen = set()
     for n in range(2, 2 * max_speed):
-        m = BandWitness.radius(n, k, strict=True)
+        m = n // (k + 1)
         far = b"0" * (m + 1) + b"1" * (n - 2 * m - 1) + b"0" * m
         reps = far * (max_speed // 2 + 1)
         columns = []
