@@ -46,12 +46,11 @@ from .gap import (
 )
 from .render import render_svg
 from .viewobstruct import (
-    Direction,
     KPrimeScanReport,
-    ObstructionWitness,
     kprime_scan,
     min_scale_for_direction,
     obstruction_witness,
+    primitive_direction,
 )
 
 __version__ = "0.1.0"
@@ -76,12 +75,11 @@ __all__ = [
     "conj34_witness",
     "invisible_subset",
     "residue_matrix_scan",
-    "Direction",
     "KPrimeScanReport",
-    "ObstructionWitness",
     "kprime_scan",
     "min_scale_for_direction",
     "obstruction_witness",
+    "primitive_direction",
     "SquarePath",
     "TriangleCell",
     "TriangleHit",

@@ -24,6 +24,9 @@ order and whitespace do not count).  ``obstruct``, ``invisible`` and
 and their own witness, which is then checked: the search that found the
 witness is not re-run, so any valid witness passes, but inputs, keys and
 every value derived from the witness are held to the same JSON equality.
+Each witness is checked as a band witness (n, x, m) of
+:mod:`~lonelyrunner.fieldsearch`; an ``obstruct`` document stores its
+hit time x/n, from which the cube centers are rebuilt.
 A refuted ``conj34`` document has no witness and is re-run.
 """
 
@@ -34,6 +37,7 @@ import marshal
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import ceil
 from typing import Any, Optional
 
 from .arith import QuadExt, SpeedSet, is_prime
@@ -282,21 +286,25 @@ def kappa_document(speeds: SpeedSet, lower, upper, delta, holds: bool) -> Certif
 
 
 def obstruct_document(
-    direction: viewobstruct.Direction,
+    direction: tuple[int, ...],
     alpha: Optional[Fraction],
     min_scale: Fraction,
-    witness: Optional[viewobstruct.ObstructionWitness],
+    hit_time: Optional[Fraction],
 ) -> CertificateDocument:
+    """The cube the ray is in at ``hit_time`` is centered, in each
+    coordinate y, at the half-integer nearest y, the lower one on a tie:
+    ceil(y) - 1/2."""
     encoded = None
-    if witness is not None:
+    if hit_time is not None:
+        centers = [ceil(c * hit_time) - Fraction(1, 2) for c in direction]
         encoded = {
-            "hit_time": encode_rational(witness.hit_time),
-            "cube_center": [encode_rational(c) for c in witness.cube_center],
+            "hit_time": encode_rational(hit_time),
+            "cube_center": [encode_rational(c) for c in centers],
         }
     return CertificateDocument(
         command="obstruct",
         inputs={
-            "direction": list(direction.coords),
+            "direction": list(direction),
             "alpha": None if alpha is None else encode_rational(alpha),
         },
         result={"min_scale": encode_rational(min_scale), "witness": encoded},
@@ -309,7 +317,7 @@ def kscan_document(report: viewobstruct.KPrimeScanReport) -> CertificateDocument
         inputs={"k": report.k, "max_coord": report.max_coord},
         result={
             "observed_sup": encode_rational(report.observed_sup),
-            "extremal": list(report.extremal.coords),
+            "extremal": list(report.extremal),
             "matches_conjecture": report.matches_conjecture,
             "cap": encode_rational(report.cap),
         },
@@ -454,11 +462,12 @@ def _produce_kappa(inputs: dict) -> CertificateDocument:
 
 
 def _produce_obstruct(inputs: dict) -> CertificateDocument:
-    direction = viewobstruct.Direction(inputs["direction"])
+    direction = viewobstruct.primitive_direction(inputs["direction"])
     alpha = _optional_rational(inputs["alpha"])
-    cert = gap.exact_gap(direction.speed_set())
+    cert = gap.exact_gap(SpeedSet(direction))
     witness = None if alpha is None else viewobstruct.obstruction_witness(direction, alpha, cert)
-    return obstruct_document(direction, alpha, 1 - 2 * cert.delta, witness)
+    hit_time = None if witness is None else Fraction(witness.x, witness.n)
+    return obstruct_document(direction, alpha, 1 - 2 * cert.delta, hit_time)
 
 
 def _produce_kscan(inputs: dict) -> CertificateDocument:
@@ -490,9 +499,15 @@ def _produce_triangle(inputs: dict) -> CertificateDocument:
     return triangle_document(slope, alpha, horizon, hit, path, bracket)
 
 
+def _invisible_inputs(inputs: dict) -> tuple[SpeedSet, int, int]:
+    """The speeds, ``d`` and prime budget of an ``invisible`` document, read
+    by one rule for ``produce`` and for the validator."""
+    return SpeedSet(inputs["speeds"]), _count(inputs, "d", least=0), _count(inputs, "prime_budget")
+
+
 def _produce_invisible(inputs: dict) -> CertificateDocument:
-    speeds, budget = SpeedSet(inputs["speeds"]), inputs["prime_budget"]
-    cert = fieldsearch.invisible_subset(speeds, inputs["d"], prime_budget=budget)
+    speeds, d, budget = _invisible_inputs(inputs)
+    cert = fieldsearch.invisible_subset(speeds, d, prime_budget=budget)
     return invisible_document(cert, budget)
 
 
@@ -629,33 +644,28 @@ def _check_grid_bracket(doc: CertificateDocument, issues: list[str]) -> None:
 
 
 def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
-    direction = viewobstruct.Direction(doc.inputs["direction"])
+    """The stored hit time t = x/n must be a band witness over the
+    direction's speeds at scale alpha; the centers are rebuilt from t."""
+    direction = viewobstruct.primitive_direction(doc.inputs["direction"])
     alpha = _optional_rational(doc.inputs["alpha"])
     min_scale = viewobstruct.min_scale_for_direction(direction)
     stored = doc.result["witness"]
-    witness = None
-    if stored is not None:
-        t = decode_rational(stored["hit_time"])
-        centers = tuple(decode_rational(c) for c in stored["cube_center"])
-        witness = viewobstruct.ObstructionWitness(direction, alpha, t, centers)
-    _compare(doc, obstruct_document(direction, alpha, min_scale, witness), issues)
+    t = None if stored is None else decode_rational(stored["hit_time"])
+    _compare(doc, obstruct_document(direction, alpha, min_scale, t), issues)
     if alpha is None:
-        _check(issues, witness is None, "witness without a queried alpha")
+        _check(issues, t is None, "witness without a queried alpha")
         return
     _check(issues, 0 < alpha < 1, "alpha must lie strictly between 0 and 1")
-    if witness is None:
+    if t is None:
         _check(issues, alpha < min_scale, "missing witness at an obstructing scale")
         return
     _check(issues, alpha >= min_scale, "witness below the minimal scale")
-    _check(issues, len(centers) == len(direction.coords), "cube_center arity mismatch")
-    for c, center in zip(direction.coords, centers):
-        m = center - Fraction(1, 2)
-        _check(issues, m.denominator == 1 and m >= 0, f"bad cube center {center}")
-        _check(
-            issues,
-            abs(c * t - center) * 2 <= alpha,
-            f"ray exits the cube in coordinate with speed {c}",
-        )
+    if t <= 0:
+        issues.append("hit time must be positive")
+        return
+    n = t.denominator
+    radius = fieldsearch.BandWitness.radius(n, (1 - alpha) / 2)
+    _check_band_witness(issues, n, t.numerator % n, radius, SpeedSet(direction))
 
 
 def _check_band_witness(
@@ -676,9 +686,7 @@ def _check_band_witness(
 
 
 def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
-    original = SpeedSet(doc.inputs["speeds"])
-    d = _count(doc.inputs, "d", least=0)
-    budget = _count(doc.inputs, "prime_budget")
+    original, d, budget = _invisible_inputs(doc.inputs)
     _check(issues, d < len(original), "d must be below the number of speeds")
     res = doc.result
     kept = SpeedSet(res["kept"])
@@ -717,7 +725,7 @@ def _validate_conj34(doc: CertificateDocument, issues: list[str]) -> None:
         _compare(doc, conj34_document(speeds, witness), issues)
         _check(
             issues,
-            witness.m >= fieldsearch.BandWitness.radius(witness.n, k),
+            witness.m >= fieldsearch.BandWitness.radius(witness.n, Fraction(1, k + 1)),
             "band radius too small to certify 1/(k+1)",
         )
 

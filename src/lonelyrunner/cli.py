@@ -176,14 +176,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(doc: certificates.CertificateDocument, args, out) -> None:
-    text = certificates.serialize(doc)
-    target = getattr(args, "json", None)
-    if target:
+def _emit(text: str, target, out) -> None:
+    """``text`` to the file ``target`` if one is named, else to ``out``."""
+    if not target:
+        out.write(text)
+        return
+    try:
         with open(target, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        out.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {target}: {exc}")
 
 
 _NOT_INPUTS = ("subcommand", "json", "min_obstacle")
@@ -199,7 +201,7 @@ def _cmd_produce(args, out) -> int:
         if args.min_obstacle and args.tolerance is None:
             inputs["tolerance"] = _rational_input("1/1024")
     doc = certificates.produce(args.subcommand, inputs)
-    _emit(doc, args, out)
+    _emit(certificates.serialize(doc), args.json, out)
     result = doc.result
     if result.get("counterexamples") or result.get("refuted") or any(
         result.get(key) is False for key in ("holds", "matches_conjecture", "lonely")
@@ -229,7 +231,7 @@ def _cmd_check(args, out) -> int:
         inputs={"target_command": doc.command},
         result={"valid": not issues, "issues": issues},
     )
-    _emit(report, args, out)
+    _emit(certificates.serialize(report), args.json, out)
     return EXIT_OK if not issues else EXIT_COUNTEREXAMPLE
 
 
@@ -249,12 +251,7 @@ def _cmd_render(args, out) -> int:
         params["slope"] = parse_slope(params["slope"])
     if "rays" in params:
         params["rays"] = [parse_slope(ray) for ray in params["rays"].split(",")]
-    text = render.render_svg(args.scene, **params)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        out.write(text)
+    _emit(render.render_svg(args.scene, **params), args.svg, out)
     return EXIT_OK
 
 

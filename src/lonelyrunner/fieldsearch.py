@@ -5,8 +5,9 @@ Everything here rests on one object, the band witness ``(n, x, m)``: a
 modulus n, a multiplier x and a band radius m such that every residue
 x*s mod n lies strictly between m and n - m.  At time x/n each speed then
 has ||s*x/n|| >= (m+1)/n, so delta(S) >= (m+1)/n; n need not be prime.
-For a k-speed set the radius that certifies 1/(k+1) is m = (n-1)//(k+1),
-the least m with (m+1)/n >= 1/(k+1).
+The least radius that certifies a bound b is ``BandWitness.radius(n, b)``,
+ceil(n*b) - 1: b = 1/(k+1) for a k-speed set here, b = (1 - alpha)/2 for a
+cube hit at scale alpha in :mod:`~lonelyrunner.viewobstruct`.
 
 ``invisible_subset`` works modulo a prime p that divides no speed.  A
 counting argument over the k x (p-1) residue matrix guarantees multipliers
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import SpeedSet, is_prime, next_prime_not_dividing
@@ -54,9 +56,9 @@ class BandWitness(NamedTuple):
     m: int
 
     @staticmethod
-    def radius(n: int, k: int) -> int:
-        """The least m whose bound (m+1)/n reaches 1/(k+1): (n-1)//(k+1)."""
-        return (n - 1) // (k + 1)
+    def radius(n: int, bound: Fraction) -> int:
+        """The least m whose bound (m+1)/n reaches ``bound``: ceil(n*bound) - 1."""
+        return ceil(n * bound) - 1
 
     @property
     def bound(self) -> Fraction:
@@ -172,7 +174,7 @@ def conj34_witness(speeds: SpeedSet | Iterable[int]) -> Optional[BandWitness]:
     """Band witness (n, x, m) certifying delta(S) >= 1/(k+1).
 
     Takes n = s_i + s_j and x = a from the exact-gap witness pair, with the
-    radius m = (n-1)//(k+1); the residues avoid the band exactly
+    least radius m that certifies 1/(k+1); the residues avoid the band exactly
     because delta(S) >= 1/(k+1).  Returns None when delta(S) < 1/(k+1),
     which would refute the conjecture.  The modulus n need not be prime; the
     check is plain modular arithmetic.
@@ -186,7 +188,7 @@ def conj34_witness(speeds: SpeedSet | Iterable[int]) -> Optional[BandWitness]:
         return None
     i, j, a = cert.witness_pair
     n = sset[i] + sset[j]
-    witness = BandWitness(n, a % n, BandWitness.radius(n, k))
+    witness = BandWitness(n, a % n, BandWitness.radius(n, Fraction(1, k + 1)))
     if not witness.avoids(sset):
         raise ArithmeticError(f"a residue of {sset} entered the band of {witness}")
     return witness

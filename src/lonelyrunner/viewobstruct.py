@@ -3,8 +3,10 @@
 For a ray r(t) = (a_1 t, ..., a_k t) through the positive orthant, the
 smallest cube scale that the ray cannot avoid is 1 - 2*delta over the set of
 coordinate values: the ray point is within alpha/2 of a cube center in every
-coordinate exactly when min_i ||a_i t|| >= (1 - alpha)/2.  Everything here is
-exact.
+coordinate exactly when min_i ||a_i t|| >= (1 - alpha)/2.  At t = x/n that
+is a :class:`~lonelyrunner.fieldsearch.BandWitness` (n, x, m) over the
+coordinates, with m = ``BandWitness.radius(n, (1 - alpha)/2)``.  Everything
+here is exact.
 """
 
 from __future__ import annotations
@@ -15,119 +17,61 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .arith import SpeedSet
+from .fieldsearch import BandWitness
 from .gap import GapCertificate, exact_gap, sweep
 
 __all__ = [
-    "Direction",
-    "ObstructionWitness",
     "KPrimeScanReport",
+    "primitive_direction",
     "min_scale_for_direction",
     "obstruction_witness",
     "kprime_scan",
 ]
 
 
-class Direction:
-    """A rational ray direction, normalized to a coprime tuple of positive
-    integers."""
-
-    __slots__ = ("coords",)
-
-    coords: tuple[int, ...]
-
-    def __init__(self, coords: Iterable[int]):
-        items = tuple(coords)
-        if not items:
-            raise ValueError("direction must have at least one coordinate")
-        for c in items:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise ValueError(f"direction coordinates must be positive integers, got {c!r}")
-        g = gcd(*items)
-        object.__setattr__(self, "coords", tuple(c // g for c in items))
-
-    @classmethod
-    def of(cls, value: "Direction | Iterable[int]") -> "Direction":
-        return value if isinstance(value, cls) else cls(value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Direction is immutable")
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __eq__(self, other):
-        if isinstance(other, Direction):
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"Direction({self.coords!r})"
-
-    def speed_set(self) -> SpeedSet:
-        """Distinct coordinate values; repeats collapse since f_S depends
-        only on the set of values."""
-        return SpeedSet(set(self.coords))
+def primitive_direction(coords: Iterable[int]) -> tuple[int, ...]:
+    """A rational ray direction as a coprime tuple of positive integers: the
+    coordinates divided by their gcd."""
+    items = tuple(coords)
+    if not items:
+        raise ValueError("direction must have at least one coordinate")
+    for c in items:
+        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+            raise ValueError(f"direction coordinates must be positive integers, got {c!r}")
+    g = gcd(*items)
+    return tuple(c // g for c in items)
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
-    """A time at which the ray sits inside one alpha-scaled cube: for every
-    coordinate, |direction[i] * hit_time - cube_center[i]| <= alpha/2."""
-
-    direction: Direction
-    alpha: Fraction
-    hit_time: Fraction
-    cube_center: tuple[Fraction, ...]
-
-
-def min_scale_for_direction(direction: Direction | Iterable[int]) -> Fraction:
+def min_scale_for_direction(direction: Iterable[int]) -> Fraction:
     """Infimum of cube scales obstructing the ray; equals 1 - 2*delta."""
-    d = Direction.of(direction)
-    return 1 - 2 * exact_gap(d.speed_set()).delta
-
-
-def _nearest_center(y: Fraction) -> Fraction:
-    """Half-integer center m + 1/2 (m >= 0) nearest to y > 0, preferring the
-    smaller center on ties."""
-    z = y - Fraction(1, 2)
-    floor = z.numerator // z.denominator
-    m = floor if z - floor <= Fraction(1, 2) else floor + 1
-    return m + Fraction(1, 2)
+    return 1 - 2 * exact_gap(SpeedSet(primitive_direction(direction))).delta
 
 
 def obstruction_witness(
-    direction: Direction | Iterable[int], alpha, cert: Optional[GapCertificate] = None
-) -> Optional[ObstructionWitness]:
-    """Cube actually hit at scale alpha, or None below the minimal scale.
+    direction: Iterable[int], alpha, cert: Optional[GapCertificate] = None
+) -> Optional[BandWitness]:
+    """Band witness (n, x, m) of a cube hit at scale alpha, or None below the
+    minimal scale.
 
-    The hit time is the exact-gap witness of the collapsed coordinate set:
-    there the smallest torus norm equals delta, so each coordinate is within
-    (1 - 2*delta)/2 <= alpha/2 of its nearest half-integer.  Cubes are
-    closed, so grazing the boundary counts.  ``cert`` is that set's
+    The hit time x/n is the exact-gap witness of the collapsed coordinate
+    set: there the smallest torus norm equals delta >= (1 - alpha)/2.  Cubes
+    are closed, so grazing the boundary counts.  ``cert`` is that set's
     :func:`~lonelyrunner.gap.exact_gap`, computed here when not given.
     """
-    d = Direction.of(direction)
+    speeds = SpeedSet(primitive_direction(direction))
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if cert is None:
-        cert = exact_gap(d.speed_set())
+        cert = exact_gap(speeds)
     if alpha < 1 - 2 * cert.delta:
         return None
     t = cert.witness_time
-    centers = []
-    for c in d.coords:
-        center = _nearest_center(c * t)
-        if abs(c * t - center) * 2 > alpha:
-            raise ArithmeticError("witness time failed the cube containment check")
-        centers.append(center)
-    return ObstructionWitness(d, alpha, t, tuple(centers))
+    n = t.denominator
+    witness = BandWitness(n, t.numerator % n, BandWitness.radius(n, (1 - alpha) / 2))
+    if not witness.avoids(speeds):
+        raise ArithmeticError("witness time failed the cube containment check")
+    return witness
 
 
 @dataclass(frozen=True)
@@ -137,7 +81,7 @@ class KPrimeScanReport:
     k: int
     max_coord: int
     observed_sup: Fraction
-    extremal: Direction
+    extremal: tuple[int, ...]
     matches_conjecture: bool
     cap: Fraction
 
@@ -177,7 +121,7 @@ def kprime_scan(k: int, max_coord: int) -> KPrimeScanReport:
         k=k,
         max_coord=max_coord,
         observed_sup=best,
-        extremal=Direction(coords),
+        extremal=coords,
         matches_conjecture=best == Fraction(k - 1, k + 1),
         cap=cap,
     )

@@ -133,7 +133,7 @@ def test_criterion_06_view_obstruction_duality():
                 assert min_scale_for_direction(coords) == cache[key]
         scan2 = kprime_scan(2, 20)
         assert scan2.observed_sup == F(1, 3)
-        assert scan2.extremal.coords == (1, 2)
+        assert scan2.extremal == (1, 2)
         scan3 = kprime_scan(3, 10)
         assert scan3.observed_sup == F(1, 2)
     report(6, "view-obstruction duality", watch)

@@ -29,12 +29,12 @@ def build_all_documents():
     docs["kappa"] = certificates.kappa_document(
         speeds, lower, upper, gap.exact_gap(speeds).delta, holds
     )
-    direction = viewobstruct.Direction((1, 2))
+    witness = viewobstruct.obstruction_witness((1, 2), F(1, 3))
     docs["obstruct"] = certificates.obstruct_document(
-        direction,
+        (1, 2),
         F(1, 3),
-        viewobstruct.min_scale_for_direction(direction),
-        viewobstruct.obstruction_witness(direction, F(1, 3)),
+        viewobstruct.min_scale_for_direction((1, 2)),
+        F(witness.x, witness.n),
     )
     docs["kscan"] = certificates.kscan_document(viewobstruct.kprime_scan(2, 5))
     path = billiards.square_path_segments(F(1, 2), 4)
@@ -628,6 +628,119 @@ class TestInvisibleInputs:
     def test_budget_at_the_witness_prime_is_valid(self):
         doc = _with_count(DOCS["invisible"], "prime_budget", 5)
         assert certificates.validate_document(doc) == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("d", True), ("d", -1), ("prime_budget", 100_000.5), ("prime_budget", 0)],
+        ids=["d true", "d negative", "budget a float", "budget zero"],
+    )
+    def test_produce_refuses_what_the_check_calls_malformed(self, key, value):
+        inputs = dict(DOCS["invisible"].inputs, **{key: value})
+        with pytest.raises(ValueError):
+            certificates.produce("invisible", inputs)
+        doc = _with_count(DOCS["invisible"], key, value)
+        issues = certificates.validate_document(doc)
+        assert len(issues) == 1 and issues[0].startswith("malformed document: ")
+
+
+# ---------------------------------------------------------------------------
+# obstruct verdicts against the cube-containment rule
+# ---------------------------------------------------------------------------
+
+
+def cube_containment_verdict(doc) -> bool:
+    """The rule an ``obstruct`` witness was once checked by, for documents
+    whose direction and min_scale are as produced: the ray at the stored hit
+    time lies in the closed cube of side alpha around each stored center,
+    a half-integer m + 1/2 with m >= 0, one center per coordinate."""
+    alpha = certificates._optional_rational(doc.inputs["alpha"])
+    min_scale = certificates.decode_rational(doc.result["min_scale"])
+    witness = doc.result["witness"]
+    if alpha is None:
+        return witness is None
+    if not 0 < alpha < 1:
+        return False
+    if witness is None:
+        return alpha < min_scale
+    t = certificates.decode_rational(witness["hit_time"])
+    centers = [certificates.decode_rational(c) for c in witness["cube_center"]]
+    direction = doc.inputs["direction"]
+    return (
+        alpha >= min_scale
+        and len(centers) == len(direction)
+        and all(
+            (center - F(1, 2)).denominator == 1
+            and center >= F(1, 2)
+            and abs(c * t - center) * 2 <= alpha
+            for c, center in zip(direction, centers)
+        )
+    )
+
+
+def _obstruct_variants(doc, rng):
+    """The document with its hit time, centers and alpha changed, each
+    edit kept in lowest terms so that only the witness decides."""
+    direction = tuple(doc.inputs["direction"])
+    alpha = certificates._optional_rational(doc.inputs["alpha"])
+    min_scale = certificates.decode_rational(doc.result["min_scale"])
+    yield doc
+    stored = doc.result["witness"]
+    if stored is None:
+        yield certificates.obstruct_document(direction, alpha, min_scale, F(1, 2))
+        return
+    t = certificates.decode_rational(stored["hit_time"])
+    times = [t + 1, t + 3, F(0), -t, t - 1, 1 - t, F(2), F(rng.randint(-9, 40), rng.randint(1, 40))]
+    for time_ in times:
+        moved = certificates.obstruct_document(direction, alpha, min_scale, time_)
+        yield moved  # the centers the time itself gives
+        kept = copy.deepcopy(moved)
+        kept.result["witness"]["cube_center"] = copy.deepcopy(stored["cube_center"])
+        yield kept
+    for j, center in enumerate(stored["cube_center"]):
+        for shift in (1, -1, F(1, 2)):
+            moved = copy.deepcopy(doc)
+            value = certificates.decode_rational(center) + shift
+            moved.result["witness"]["cube_center"][j] = certificates.encode_rational(value)
+            yield moved
+    for edit in (lambda cs: cs.append(cs[0]), lambda cs: cs.pop()):
+        moved = copy.deepcopy(doc)
+        edit(moved.result["witness"]["cube_center"])
+        yield moved
+    for other in (None, F(1, 100), F(1, 2), F(99, 100), F(0), F(1), F(rng.randint(1, 30), 31)):
+        moved = copy.deepcopy(doc)
+        moved.inputs["alpha"] = None if other is None else certificates.encode_rational(other)
+        yield moved
+    moved = copy.deepcopy(doc)
+    moved.result["witness"] = None
+    yield moved
+
+
+class TestObstructVerdicts:
+    def test_matches_the_cube_containment_rule(self):
+        rng = random.Random(2207)
+        verdicts = []
+        for _ in range(120):
+            coords = [rng.randint(1, 20) for _ in range(rng.randint(1, 4))]
+            q = rng.randint(2, 30)
+            alpha = certificates.encode_rational(F(rng.randint(1, q - 1), q))
+            inputs = {"direction": coords, "alpha": alpha}
+            for doc in _obstruct_variants(certificates.produce("obstruct", inputs), rng):
+                doc = certificates.parse(certificates.serialize(doc))
+                valid = certificates.validate_document(doc) == []
+                assert valid == cube_containment_verdict(doc), certificates.serialize(doc)
+                verdicts.append(valid)
+        assert verdicts.count(True) > 200 and verdicts.count(False) > 1000
+
+    def test_hit_time_must_be_positive(self):
+        # At -t and t - 1 every residue x*c mod n is mirrored or kept, so the
+        # band check alone passes; the centers rebuilt there are negative.
+        doc = DOCS["obstruct"]
+        t = certificates.decode_rational(doc.result["witness"]["hit_time"])
+        for time_ in (-t, t - 1):
+            moved = certificates.obstruct_document((1, 2), F(1, 3), F(1, 3), time_)
+            assert certificates.validate_document(moved) == ["hit time must be positive"]
+        shifted = certificates.obstruct_document((1, 2), F(1, 3), F(1, 3), t + 1)
+        assert certificates.validate_document(shifted) == []
 
 
 # ---------------------------------------------------------------------------

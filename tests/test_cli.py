@@ -183,7 +183,7 @@ class TestCounterexampleExit:
         # A box holding a set with delta < 1/(k+1): its scale 1 - 2*delta
         # exceeds the conjectured (k-1)/(k+1).
         report = viewobstruct.KPrimeScanReport(
-            2, 5, Fraction(3, 5), viewobstruct.Direction((1, 4)), False, Fraction(1, 2)
+            2, 5, Fraction(3, 5), (1, 4), False, Fraction(1, 2)
         )
         monkeypatch.setattr(viewobstruct, "kprime_scan", lambda k, m: report)
         code, doc = invoke_json(["kscan", "--k", "2", "--max-coord", "5"])
@@ -311,6 +311,11 @@ class TestFieldCommands:
         )
         assert code == 3 and "budget" in err
 
+    @pytest.mark.parametrize("budget, code", [("1", 3), ("0", 1), ("-5", 1)])
+    def test_budget_below_one_is_a_usage_error(self, budget, code):
+        argv = ["invisible", "--speeds", "1,2,3", "--d", "1", "--prime-budget", budget]
+        assert invoke(argv)[0] == code
+
     def test_conj34(self):
         code, doc = invoke_json(["conj34", "--speeds", "1,3"])
         assert code == 0
@@ -403,6 +408,22 @@ class TestCheckCommand:
     def test_missing_file(self):
         code, _, err = invoke(["check", "/nonexistent/cert.json"])
         assert code == 1 and err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--speeds", "1,2", "--json"],
+            ["check", "-", "--json"],
+            ["render", "--scene", "obstruction2d", "--svg"],
+        ],
+        ids=["json", "check json", "svg"],
+    )
+    def test_unwritable_output_path_exits_one(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(invoke(["gap", "--speeds", "1,2"])[1]))
+        path = tmp_path / "missing" / "out"
+        code, out, err = invoke(argv + [str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command, inputs",

@@ -35,12 +35,26 @@ class TestBandAvoidance:
     def test_radius_certifies_one_over_k_plus_one(self):
         for k in range(1, 9):
             for n in range(2, 60):
-                m = BandWitness.radius(n, k)
+                m = BandWitness.radius(n, Fraction(1, k + 1))
                 assert BandWitness(n, 1, m).bound >= Fraction(1, k + 1)
                 assert m == 0 or BandWitness(n, 1, m - 1).bound < Fraction(1, k + 1)
                 strict = n // (k + 1)
                 assert BandWitness(n, 1, strict).bound > Fraction(1, k + 1)
                 assert strict == 0 or BandWitness(n, 1, strict - 1).bound <= Fraction(1, k + 1)
+
+    def test_radius_at_one_over_k_plus_one_is_the_integer_formula(self):
+        for k in range(1, 30):
+            for n in range(1, 400):
+                assert BandWitness.radius(n, Fraction(1, k + 1)) == (n - 1) // (k + 1)
+
+    def test_radius_is_the_least_certifying_one(self):
+        rng = random.Random(905)
+        for _ in range(500):
+            n = rng.randint(2, 300)
+            q = rng.randint(2, 60)
+            bound = Fraction(rng.randint(1, (q - 1) // 2 or 1), q)
+            m = BandWitness.radius(n, bound)
+            assert Fraction(m + 1, n) >= bound > Fraction(m, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):

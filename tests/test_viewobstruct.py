@@ -3,39 +3,43 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
 from lonelyrunner.arith import SpeedSet
+from lonelyrunner.fieldsearch import BandWitness
 from lonelyrunner.gap import exact_gap
 from lonelyrunner.viewobstruct import (
-    Direction,
     kprime_scan,
     min_scale_for_direction,
     obstruction_witness,
+    primitive_direction,
 )
 
 
-class TestDirection:
+def nearest_center(y):
+    """A half-integer m + 1/2 (m >= 0) nearest to y > 0."""
+    return floor(y) + Fraction(1, 2)
+
+
+class TestPrimitiveDirection:
     def test_normalizes_gcd(self):
-        assert Direction((2, 4)).coords == (1, 2)
-        assert Direction((6, 10, 15)).coords == (6, 10, 15)
+        assert primitive_direction((2, 4)) == (1, 2)
+        assert primitive_direction((6, 10, 15)) == (6, 10, 15)
+        assert primitive_direction([4, 4, 6]) == (2, 2, 3)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Direction((0, 1))
-        with pytest.raises(ValueError):
-            Direction(())
+        with pytest.raises(ValueError, match="positive integers"):
+            primitive_direction((0, 1))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            primitive_direction(())
 
     @pytest.mark.parametrize("coords", [(2.7, 4), (2.0, 4), (True, 2), ("3", 4)])
     def test_rejects_non_integers(self, coords):
         # Truncating would read (2.7, 4) as the direction (1, 2).
         with pytest.raises(ValueError):
-            Direction(coords)
-
-    def test_speed_set_collapses_repeats(self):
-        assert Direction((2, 2, 3)).speed_set() == SpeedSet([2, 3])
+            primitive_direction(coords)
 
 
 class TestMinScale:
@@ -71,10 +75,9 @@ class TestMinScale:
 class TestObstructionWitness:
     def test_examples(self):
         w = obstruction_witness((1, 2), Fraction(1, 3))
-        assert w is not None  # grazing counts: cubes are closed
+        assert w == BandWitness(3, 1, 0)  # grazing counts: cubes are closed
         w = obstruction_witness((1, 1), Fraction(1, 100))
-        assert w.hit_time == Fraction(1, 2)
-        assert w.cube_center == (Fraction(1, 2), Fraction(1, 2))
+        assert w == BandWitness(2, 1, 0)  # t = 1/2, the center of the first cube
         assert obstruction_witness((1, 2), Fraction(1, 4)) is None
 
     def test_containment_invariant(self):
@@ -86,11 +89,12 @@ class TestObstructionWitness:
             if not 0 < alpha < 1:
                 continue
             w = obstruction_witness(coords, alpha)
-            assert w is not None
-            for c, center in zip(Direction(coords).coords, w.cube_center):
-                assert abs(c * w.hit_time - center) * 2 <= alpha
-                assert (center - Fraction(1, 2)).denominator == 1
-                assert center >= Fraction(1, 2)
+            assert w is not None and w.bound >= (1 - alpha) / 2
+            t = Fraction(w.x, w.n)
+            coords = primitive_direction(coords)
+            assert t == exact_gap(SpeedSet(coords)).witness_time
+            for c in coords:
+                assert abs(c * t - nearest_center(c * t)) * 2 <= alpha
 
     def test_monotonicity_in_alpha(self):
         rng = random.Random(704)
@@ -115,7 +119,7 @@ class TestKPrimeScan:
     def test_two_dimensional_scan(self):
         report = kprime_scan(2, 10)
         assert report.observed_sup == Fraction(1, 3)
-        assert report.extremal.coords == (1, 2)
+        assert report.extremal == (1, 2)
         assert report.matches_conjecture
         assert report.cap == Fraction(1, 2)
 
@@ -126,7 +130,7 @@ class TestKPrimeScan:
     def test_three_dimensional_scan(self):
         report = kprime_scan(3, 6)
         assert report.observed_sup == Fraction(1, 2)
-        assert report.extremal.coords == (1, 2, 3)
+        assert report.extremal == (1, 2, 3)
         assert report.matches_conjecture
 
     @pytest.mark.parametrize(
@@ -146,7 +150,7 @@ class TestKPrimeScan:
                     best, best_coords = scale, c
         report = kprime_scan(k, max_coord)
         assert report.observed_sup == best
-        assert report.extremal.coords == best_coords
+        assert report.extremal == best_coords
 
     def test_validation(self):
         with pytest.raises(ValueError):
