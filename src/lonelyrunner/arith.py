@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 __all__ = [
     "RationalLike",
@@ -139,56 +139,31 @@ def next_prime_not_dividing(lower: int, speeds: Iterable[int]) -> int:
         p += 1
 
 
-class SpeedSet:
-    """A finite set of distinct positive integer speeds, stored sorted.
+class SpeedSet(tuple):
+    """A finite set of distinct positive integer speeds: the sorted tuple of
+    its members.
 
     Construction normalizes to set semantics (duplicates collapse) and
-    rejects empty input and non-positive or non-integer entries.
+    rejects empty input and non-positive or non-integer entries.  A
+    SpeedSet passed in is returned as it is.
     """
 
-    __slots__ = ("speeds",)
+    __slots__ = ()
 
-    speeds: tuple[int, ...]
-
-    def __init__(self, speeds: Iterable[int]):
+    def __new__(cls, speeds: Iterable[int]) -> "SpeedSet":
+        if isinstance(speeds, cls):
+            return speeds
         items = sorted(set(speeds))
         if not items:
             raise ValueError("speed set must be nonempty")
         for s in items:
             if not isinstance(s, int) or isinstance(s, bool) or s < 1:
                 raise ValueError(f"speeds must be integers >= 1, got {s!r}")
-        object.__setattr__(self, "speeds", tuple(items))
-
-    @classmethod
-    def of(cls, value: "SpeedSet | Iterable[int]") -> "SpeedSet":
-        return value if isinstance(value, cls) else cls(value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpeedSet is immutable")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.speeds)
-
-    def __len__(self) -> int:
-        return len(self.speeds)
-
-    def __contains__(self, value) -> bool:
-        return value in self.speeds
-
-    def __getitem__(self, index: int) -> int:
-        return self.speeds[index]
+        return super().__new__(cls, items)
 
     @property
     def max(self) -> int:
-        return self.speeds[-1]
-
-    def __eq__(self, other):
-        if isinstance(other, SpeedSet):
-            return self.speeds == other.speeds
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.speeds)
+        return self[-1]
 
     def __repr__(self) -> str:
-        return f"SpeedSet({{{', '.join(map(str, self.speeds))}}})"
+        return f"SpeedSet({{{', '.join(map(str, self))}}})"

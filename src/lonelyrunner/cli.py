@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -106,7 +107,10 @@ def build_parser() -> _Parser:
     p.add_argument("--max-speed", type=int, required=True)
     p.add_argument("--json", **json_flag)
 
-    p = sub.add_parser("kappa", help="per-instance bound sandwich 1/(2k) .. 1/(k+1)")
+    p = sub.add_parser(
+        "kappa",
+        help="the lower bound 1/(2k) that every k-set meets, and 1/(k+1), the infimum over k-sets",
+    )
     p.add_argument("--speeds", type=_parse_speeds, required=True)
     p.add_argument("--json", **json_flag)
 
@@ -300,7 +304,16 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader of stdout is gone: exit as for an unwritable --json
+        # path, and point stdout at os.devnull so the flush at exit is quiet.
+        sys.stderr.write(f"cannot write stdout: {exc}\n")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -86,7 +86,7 @@ def _require_admissible(p: int, speeds: SpeedSet) -> None:
 
 
 def residue_matrix_scan(
-    speeds: SpeedSet | Iterable[int], p: int, m: int, d: int
+    speeds: Iterable[int], p: int, m: int, d: int
 ) -> Optional[int]:
     """Smallest x in 1..p-1 whose residue column meets the band +/-{1..m}
     at most d times.
@@ -95,7 +95,7 @@ def residue_matrix_scan(
     set x*S.  Existence is guaranteed whenever 2m <= p(d+1)/(k+eps) for
     some eps > 0 with p > k/eps + 1; outside that regime None is possible.
     """
-    sset = SpeedSet.of(speeds)
+    sset = SpeedSet(speeds)
     _require_admissible(p, sset)
     if m < 0 or 2 * m >= p:
         raise ValueError(f"band radius {m} must satisfy 0 <= m < {p}/2")
@@ -127,7 +127,7 @@ class SubsetCertificate:
 
 
 def invisible_subset(
-    speeds: SpeedSet | Iterable[int], d: int, prime_budget: int = 100_000
+    speeds: Iterable[int], d: int, prime_budget: int = 100_000
 ) -> SubsetCertificate:
     """Drop up to d speeds so the remaining gap reaches (d+1)/(2k).
 
@@ -139,7 +139,7 @@ def invisible_subset(
     :class:`PrimeBudgetExhausted` when the next prime would exceed the
     budget.
     """
-    sset = SpeedSet.of(speeds)
+    sset = SpeedSet(speeds)
     k = len(sset)
     if not 0 <= d < k:
         raise ValueError(f"d must satisfy 0 <= d < {k}")
@@ -170,7 +170,7 @@ def invisible_subset(
         step += 1
 
 
-def conj34_witness(speeds: SpeedSet | Iterable[int]) -> Optional[BandWitness]:
+def conj34_witness(speeds: Iterable[int]) -> Optional[BandWitness]:
     """Band witness (n, x, m) certifying delta(S) >= 1/(k+1).
 
     Takes n = s_i + s_j and x = a from the exact-gap witness pair, with the
@@ -179,7 +179,7 @@ def conj34_witness(speeds: SpeedSet | Iterable[int]) -> Optional[BandWitness]:
     which would refute the conjecture.  The modulus n need not be prime; the
     check is plain modular arithmetic.
     """
-    sset = SpeedSet.of(speeds)
+    sset = SpeedSet(speeds)
     k = len(sset)
     if k < 2:
         raise ValueError("need at least two speeds")

@@ -77,7 +77,7 @@ def _row(reps: bytes, n: int, r: int, h: int) -> bytearray:
     return row
 
 
-def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
+def exact_gap(speeds: Iterable[int]) -> GapCertificate:
     """Exact global maximum of f_S over one period, with certificate.
 
     The candidates are the times a/n for each distinct pair sum
@@ -96,13 +96,12 @@ def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
     in lowest terms divides.  A set whose largest pair sum exceeds 2**22
     raises ``ValueError``.
     """
-    sset = SpeedSet.of(speeds)
-    members = sset.speeds
+    members = SpeedSet(speeds)
     k = len(members)
     if k == 1:
         s = members[0]
         t = Fraction(1, 2 * s)
-        return GapCertificate(sset, Fraction(1, 2), t, None, (Fraction(1, 2),))
+        return GapCertificate(members, Fraction(1, 2), t, None, (Fraction(1, 2),))
     if members[-1] + members[-2] > _MAX_PAIR_SUM:
         raise ValueError(f"largest pair sum {members[-1] + members[-2]} above the limit of 2**22")
 
@@ -171,10 +170,10 @@ def exact_gap(speeds: SpeedSet | Iterable[int]) -> GapCertificate:
     norms = tuple(Fraction(r, best_den) for r in nums)
     delta = Fraction(best_num, best_den)
     pair = (i, j, best_a * n // best_den)
-    return GapCertificate(sset, delta, Fraction(best_a, best_den), pair, norms)
+    return GapCertificate(members, delta, Fraction(best_a, best_den), pair, norms)
 
 
-def gap_grid_oracle(speeds: SpeedSet | Iterable[int], resolution: int) -> Fraction:
+def gap_grid_oracle(speeds: Iterable[int], resolution: int) -> Fraction:
     """Maximum of f_S over the uniform grid {m/N : 0 <= m < N}, N = resolution.
 
     Independent of the candidate enumeration above.  Since f_S is piecewise
@@ -183,8 +182,7 @@ def gap_grid_oracle(speeds: SpeedSet | Iterable[int], resolution: int) -> Fracti
     multiplies in int64, so s_max * (N - 1) must be below 2**62, and it
     holds a few arrays of N integers, so N may not exceed 2**22.
     """
-    sset = SpeedSet.of(speeds)
-    members = sset.speeds
+    members = SpeedSet(speeds)
     s_max = members[-1]
     if isinstance(resolution, bool) or not isinstance(resolution, int):
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
@@ -446,12 +444,12 @@ def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
     return LrcSweepReport(k, max_speed, bound, checked, tuple(tight), tuple(bad))
 
 
-def check_kappa_bounds(speeds: SpeedSet | Iterable[int]) -> tuple[Fraction, Fraction, bool]:
-    """The sandwich (1/(2k), 1/(k+1)) for a k-speed set.
+def check_kappa_bounds(speeds: Iterable[int]) -> tuple[Fraction, Fraction, bool]:
+    """The lower bound 1/(2k) that every k-set meets, and 1/(k+1), the
+    infimum over k-sets.
 
-    Only the lower bound constrains each instance; the upper bound is an
-    infimum statement over all k-sets, witnessed by {1, ..., k}.  Returns
-    (lower, upper, lower <= delta(S)).
+    Only the lower bound constrains each instance; {1, ..., k} attains the
+    infimum.  Returns (lower, upper, lower <= delta(S)).
     """
     return kappa_bounds(exact_gap(speeds))
 

@@ -1,7 +1,9 @@
 """Unit tests for the exact number kernel."""
 
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -217,26 +219,51 @@ class TestPrimes:
 class TestSpeedSet:
     def test_normalizes_sorted_unique(self):
         s = SpeedSet([3, 1, 2, 3])
-        assert s.speeds == (1, 2, 3)
-        assert len(s) == 3 and 2 in s and s.max == 3
+        assert isinstance(s, tuple)
+        assert s == (1, 2, 3) and tuple(s) == (1, 2, 3)
+        assert len(s) == 3 and 2 in s and s.max == 3 and s[0] == 1
         assert list(s) == [1, 2, 3]
+        assert repr(s) == "SpeedSet({1, 2, 3})"
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            SpeedSet([])
-        with pytest.raises(ValueError):
-            SpeedSet([0, 1])
-        with pytest.raises(ValueError):
-            SpeedSet([-2])
-        with pytest.raises(ValueError):
-            SpeedSet([Fraction(1, 2)])
+    def test_a_speed_set_is_returned_as_is(self):
+        s = SpeedSet([2, 1])
+        assert SpeedSet(s) is s
+        assert SpeedSet((1, 2)) is not s and SpeedSet((1, 2)) == s
+
+    @pytest.mark.parametrize(
+        "speeds, message",
+        [
+            ([], "speed set must be nonempty"),
+            ([0, 1], "speeds must be integers >= 1, got 0"),
+            ([-2], "speeds must be integers >= 1, got -2"),
+            ([Fraction(1, 2)], "speeds must be integers >= 1, got Fraction(1, 2)"),
+            ([True, 2], "speeds must be integers >= 1, got True"),
+            ([1, 2.0], "speeds must be integers >= 1, got 2.0"),
+        ],
+    )
+    def test_rejects_bad_input(self, speeds, message):
+        with pytest.raises(ValueError) as info:
+            SpeedSet(speeds)
+        assert str(info.value) == message
 
     def test_equality_and_hash(self):
-        assert SpeedSet([2, 1]) == SpeedSet([1, 2])
-        assert hash(SpeedSet([1, 2])) == hash(SpeedSet([2, 1]))
-        assert SpeedSet.of(SpeedSet([1])) is not None
+        assert SpeedSet([2, 1]) == SpeedSet([1, 2]) == (1, 2)
+        assert SpeedSet([1, 2]) != (2, 1) and SpeedSet([1, 2]) != [1, 2]
+        assert hash(SpeedSet([1, 2])) == hash(SpeedSet([2, 1])) == hash((1, 2))
 
     def test_immutable(self):
         s = SpeedSet([1, 2])
         with pytest.raises(AttributeError):
             s.speeds = (3,)
+        with pytest.raises(AttributeError):
+            s.max = 3
+        with pytest.raises(TypeError):
+            s[0] = 3
+        assert not hasattr(s, "__dict__")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        s = SpeedSet([5, 3, 7])
+        copies = [pickle.loads(pickle.dumps(s, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for t in copies + [copy.deepcopy(s), copy.copy(s)]:
+            assert type(t) is SpeedSet and t == s and t.max == 7
+            assert repr(t) == "SpeedSet({3, 5, 7})"

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import marshal
 import random
 import time
 from fractions import Fraction
@@ -557,12 +558,20 @@ class TestRebuiltVerdicts:
         issues = certificates.validate_document(doc)
         assert len(issues) == 1 and issues[0].startswith("malformed document: ")
 
-    def test_grid_bracket_is_still_checked(self, monkeypatch):
-        # The oracle is an independent check of exact_gap: a wrong oracle
-        # rebuilds into a document that matches itself but fails the bracket.
+    def test_grid_bracket_is_still_checked(self, tmp_path, monkeypatch):
+        # The oracle is an independent check of exact_gap: produce refuses a
+        # grid value that does not bracket delta, so the rebuild under
+        # lrc check refuses it as well.
+        target = tmp_path / "gap.json"
+        target.write_text(certificates.serialize(DOCS["gap"]))
+        assert DOCS["gap"].inputs["grid"] is not None
         monkeypatch.setattr(gap, "gap_grid_oracle", lambda speeds, n: F(0))
-        doc = certificates.produce("gap", {"speeds": [2, 3], "grid": 600})
-        assert certificates.validate_document(doc) == ["grid oracle does not bracket delta"]
+        with pytest.raises(ArithmeticError, match="grid oracle 0 does not bracket delta 2/5"):
+            certificates.produce("gap", {"speeds": [2, 3], "grid": 600})
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["check", str(target)], out=out, err=err) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("counterexample: grid oracle 0 does not bracket delta")
 
 
 class TestProduce:
@@ -584,6 +593,15 @@ class TestProduce:
         monkeypatch.setattr(fieldsearch, "conj34_witness", lambda speeds: None)
         doc = certificates.produce("conj34", {"speeds": [3, 1]})
         assert (doc.inputs, doc.result) == ({"speeds": [1, 3]}, {"refuted": True})
+
+    def test_outputs_hold_no_speed_set(self):
+        # marshal, which the check's comparison uses, refuses a tuple
+        # subclass such as SpeedSet.
+        for _, document in PINNED:
+            doc = certificates.produce(document["command"], document["inputs"])
+            payload = [doc.inputs, doc.result]
+            assert not any(isinstance(v, SpeedSet) for v, _ in _walk(payload)), doc.command
+            assert marshal.loads(marshal.dumps(payload, 2)) == payload
 
     @pytest.mark.parametrize(
         "command, inputs",
@@ -630,9 +648,35 @@ class TestInvisibleInputs:
         assert certificates.validate_document(doc) == []
 
     @pytest.mark.parametrize(
+        "prime, budget, issues",
+        [
+            (10**14 + 31, 10**5, ["prime 100000000000031 exceeds the prime budget 100000"]),
+            (5, 10**17, [f"malformed document: prime_budget {10**17} above the limit of 2**40"]),
+            (10**16 + 61, 10**17, [f"malformed document: prime_budget {10**17} above the limit of 2**40"]),
+            (2**40 - 87, 2**40, []),
+            (1048573 * 1048571, 2**40, [f"{1048573 * 1048571} is not prime"]),
+        ],
+        ids=["huge prime", "huge budget", "both", "largest prime within the cap", "semiprime near it"],
+    )
+    def test_hostile_prime_or_budget_is_settled_at_once(self, prime, budget, issues):
+        # The witness prime is trial-divided only once it is within the
+        # budget, and the budget is at most 2**40: at most 2**19 divisions.
+        doc = _with_count(DOCS["invisible"], "prime_budget", budget)
+        doc.result["witness"]["prime"] = prime
+        start = time.process_time()
+        assert certificates.validate_document(doc) == issues
+        assert time.process_time() - start < 0.5
+
+    @pytest.mark.parametrize(
         "key, value",
-        [("d", True), ("d", -1), ("prime_budget", 100_000.5), ("prime_budget", 0)],
-        ids=["d true", "d negative", "budget a float", "budget zero"],
+        [
+            ("d", True),
+            ("d", -1),
+            ("prime_budget", 100_000.5),
+            ("prime_budget", 0),
+            ("prime_budget", 2**40 + 1),
+        ],
+        ids=["d true", "d negative", "budget a float", "budget zero", "budget above 2**40"],
     )
     def test_produce_refuses_what_the_check_calls_malformed(self, key, value):
         inputs = dict(DOCS["invisible"].inputs, **{key: value})

@@ -316,6 +316,14 @@ class TestFieldCommands:
         argv = ["invisible", "--speeds", "1,2,3", "--d", "1", "--prime-budget", budget]
         assert invoke(argv)[0] == code
 
+    def test_budget_above_the_cap_is_a_usage_error(self):
+        argv = ["invisible", "--speeds", "1,2,3", "--d", "1", "--prime-budget", str(2**40 + 1)]
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: prime_budget {2**40 + 1} above the limit of 2**40\n"
+        argv[-1] = str(2**40)
+        assert invoke(argv)[0] == 0
+
     def test_conj34(self):
         code, doc = invoke_json(["conj34", "--speeds", "1,3"])
         assert code == 0
@@ -469,6 +477,28 @@ class TestCheckCommand:
         )
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "certificate document is nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gap", "--speeds", "1,2,3"], ["gap", "--speeds", ",".join(map(str, range(1, 301)))]],
+        ids=["small", "past the buffer"],
+    )
+    def test_closed_stdout_exits_one_without_traceback(self, argv):
+        # The pipe's read end is closed before the child starts, so every
+        # write to stdout fails.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "lonelyrunner", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == "cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 WEDGE_MESSAGE = "error: slope must lie strictly between 0 and sqrt(3)\n"
