@@ -153,13 +153,15 @@ class SpeedSet(tuple):
     def __new__(cls, speeds: Iterable[int]) -> "SpeedSet":
         if isinstance(speeds, cls):
             return speeds
-        items = sorted(set(speeds))
-        if not items:
-            raise ValueError("speed set must be nonempty")
+        items = list(speeds)
+        # Checked in input order, before anything compares them: the order
+        # of a set of mixed types depends on the hash seed.
         for s in items:
             if not isinstance(s, int) or isinstance(s, bool) or s < 1:
                 raise ValueError(f"speeds must be integers >= 1, got {s!r}")
-        return super().__new__(cls, items)
+        if not items:
+            raise ValueError("speed set must be nonempty")
+        return super().__new__(cls, sorted(set(items)))
 
     @property
     def max(self) -> int:

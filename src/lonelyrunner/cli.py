@@ -103,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("verify", help="exhaustive sweep of the gap bound 1/(k+1)")
-    p.add_argument("--k", type=int, required=True, help="number of speeds, 1 <= k <= 8")
+    p.add_argument("--k", type=int, required=True, help="number of speeds, 1 <= k <= 10")
     p.add_argument("--max-speed", type=int, required=True)
     p.add_argument("--json", **json_flag)
 

@@ -97,21 +97,33 @@ def exact_gap(speeds: Iterable[int]) -> GapCertificate:
     raises ``ValueError``.
     """
     members = SpeedSet(speeds)
+    num, den, a = _maximize(members)
+    if len(members) == 1:
+        return GapCertificate(members, Fraction(1, 2), Fraction(a, den), None, (Fraction(1, 2),))
+    pairs = combinations(range(len(members)), 2)
+    i, j = next((i, j) for i, j in pairs if (members[i] + members[j]) % den == 0)
+    pair = (i, j, a * (members[i] + members[j]) // den)
+    nums = [min(r, den - r) for r in (s * a % den for s in members)]
+    assert num == min(nums)
+    norms = tuple(Fraction(r, den) for r in nums)
+    return GapCertificate(members, Fraction(num, den), Fraction(a, den), pair, norms)
+
+
+def _maximize(members: Sequence[int]) -> tuple[int, int, int]:
+    """The search of :func:`exact_gap` on the sorted distinct speeds
+    ``members``: ``(num, den, a)`` with delta = num/den attained first at
+    the time a/den in lowest terms.  A single speed s gives (s, 2s, 1)."""
     k = len(members)
     if k == 1:
-        s = members[0]
-        t = Fraction(1, 2 * s)
-        return GapCertificate(members, Fraction(1, 2), t, None, (Fraction(1, 2),))
+        return members[0], 2 * members[0], 1
     if members[-1] + members[-2] > _MAX_PAIR_SUM:
         raise ValueError(f"largest pair sum {members[-1] + members[-2]} above the limit of 2**22")
 
-    pairs = list(combinations(range(k), 2))
-    sums = [members[i] + members[j] for i, j in pairs]
     # The incumbent value is best_num/best_den and its time best_a/best_den.
     # It starts at the bound 1/(2k) at time 1, later than every candidate,
     # so that a maximizer at the bound still replaces it.
     best_num, best_den, best_a = 1, 2 * k, 2 * k
-    for n in sorted(set(sums)):
+    for n in sorted({s + t for s, t in combinations(members, 2)}):
         # Residue x survives when min(x, n - x) >= m, the least residue at
         # or above the threshold.  A speed that is 0 mod n holds every time
         # a/n at 0, so that n drops out.
@@ -163,14 +175,7 @@ def exact_gap(speeds: Iterable[int]) -> GapCertificate:
             a = survivors.find(1, a + 1)
 
     g = gcd(best_a, best_den)  # g divides every residue s*a mod n, so num too
-    best_num, best_den, best_a = best_num // g, best_den // g, best_a // g
-    n, (i, j) = next((n, pair) for n, pair in zip(sums, pairs) if n % best_den == 0)
-    nums = [min(r, best_den - r) for r in (s * best_a % best_den for s in members)]
-    assert best_num == min(nums)
-    norms = tuple(Fraction(r, best_den) for r in nums)
-    delta = Fraction(best_num, best_den)
-    pair = (i, j, best_a * n // best_den)
-    return GapCertificate(members, delta, Fraction(best_a, best_den), pair, norms)
+    return best_num // g, best_den // g, best_a // g
 
 
 def gap_grid_oracle(speeds: Iterable[int], resolution: int) -> Fraction:
@@ -264,6 +269,7 @@ class LrcSweepReport:
 
 
 _BLOCK = 4096  # columns per transpose, bounding the transient strings
+_AND_COLUMNS = 8  # unhit columns whose near sets prune the walk's last speed
 
 
 def _columns(k: int, max_speed: int) -> tuple[list[int], list[int]]:
@@ -367,7 +373,8 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     are complete: if delta(S) > 1/(k+1), the open set of times at which
     every speed of S is that far is not empty, and it meets (0, 1/2] inside
     such an interval.  So the sets without a witness are exactly those with
-    delta(S) <= 1/(k+1), and only they reach :func:`exact_gap`.
+    delta(S) <= 1/(k+1), and only they reach the exact search of
+    :func:`exact_gap`, which yields their delta without its certificate.
 
     A set has no witness exactly when it meets the near set of every
     column, so the sweep enumerates these hitting sets and visits no other.
@@ -379,9 +386,21 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     reached twice.  A set the walk never reaches meets none of those near
     speeds, so it lies inside the far set of a branching column and is
     witnessed.  Once ``rows`` is 0, every completion from ``pool`` is
-    witness-free.  The sets found are sorted, since the walk's own order
-    need not be lexicographic.  Sets with a common factor are skipped:
-    delta is invariant under scaling all speeds by a constant.
+    witness-free.
+
+    With one speed left to choose the walk does not recurse.  A speed s
+    completes the set exactly when ``rows & far_rows[s]`` is 0, that is,
+    when s is near in every unhit column.  The recursion would branch on
+    the near speeds in ``pool`` of the lowest unhit column and keep those
+    that pass this test, and every speed that passes is near in that
+    column, so it finds exactly the speeds of ``pool`` that pass.  The last
+    level therefore ANDs ``pool`` with the near sets of the first (up to)
+    eight unhit columns, which drops only speeds that fail, stops once
+    nothing is left, and then tests each speed that survives.
+
+    The sets found are sorted, since the walk's own order need not be
+    lexicographic.  Sets with a common factor are skipped: delta is
+    invariant under scaling all speeds by a constant.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -394,8 +413,21 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
             rest = [s for s, bit in enumerate(format(pool, width), 1) if bit == "1"]
             found.extend(chosen + tail for tail in combinations(rest, left))
             return
-        if left == 0:
-            return  # a full set with a column unhit: witnessed
+        if left == 1:
+            # The one-speed completions: near in every unhit column.
+            near, unhit = pool, rows
+            for _ in range(_AND_COLUMNS):
+                near &= ~columns[(unhit & -unhit).bit_length() - 1]
+                unhit &= unhit - 1
+                if not near or not unhit:
+                    break
+            while near:
+                low = near & -near
+                s = max_speed + 1 - low.bit_length()
+                if not rows & far_rows[s]:
+                    found.append(chosen + (s,))
+                near ^= low
+            return
         branch = pool & ~columns[(rows & -rows).bit_length() - 1]  # its near speeds in the pool
         while branch and pool.bit_count() >= left:
             high = 1 << branch.bit_length() - 1  # the least speed first
@@ -406,7 +438,7 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
 
     walk((), (1 << len(columns)) - 1, (1 << max_speed) - 1, k)
     sets = sorted(tuple(sorted(s)) for s in found)
-    return ((s, exact_gap(s).delta) for s in sets if gcd(*s) == 1)
+    return ((s, Fraction(*_maximize(s)[:2])) for s in sets if gcd(*s) == 1)
 
 
 def _gcd1_subset_count(k: int, max_speed: int) -> int:
@@ -424,15 +456,15 @@ def _gcd1_subset_count(k: int, max_speed: int) -> int:
 
 def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
     """Check delta(S) >= 1/(k+1) for every gcd-1 k-subset of {1..max_speed},
-    for 1 <= k <= 8.
+    for 1 <= k <= 10.
 
     ``checked`` counts those sets in closed form (:func:`_gcd1_subset_count`);
     only the ones at or below the bound are enumerated, as hitting sets (see
     :func:`sweep`).  A counterexample is collected, not raised -- it would
     refute the conjecture.  Both lists come out in lexicographic order.
     """
-    if not 1 <= k <= 8:
-        raise ValueError("k must be between 1 and 8 (desk scale)")
+    if not 1 <= k <= 10:
+        raise ValueError("k must be between 1 and 10 (desk scale)")
     if max_speed < k:
         raise ValueError("max_speed must be at least k")
     bound = Fraction(1, k + 1)

@@ -662,6 +662,27 @@ class TestDeterminism:
         second = invoke(argv)
         assert first == second
 
+    def test_malformed_speeds_report_is_independent_of_the_hash_seed(self, tmp_path):
+        # Mixed types in a set iterate in an order that depends on the hash
+        # seed; the report must not.
+        _, out, _ = invoke(["gap", "--speeds", "1,29"])
+        doc = json.loads(out)
+        doc["inputs"]["speeds"] = ["x", 29]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        reports = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+            done = subprocess.run(
+                [sys.executable, "-m", "lonelyrunner", "check", str(path)],
+                capture_output=True, env=env, timeout=60,
+            )
+            reports.append((done.returncode, done.stdout, done.stderr))
+        assert reports[0] == reports[1]
+        assert b"got 'x'" in reports[0][1] + reports[0][2]
+
 
 class TestUsage:
     def test_no_subcommand(self):

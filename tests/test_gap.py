@@ -451,7 +451,7 @@ class TestVerifyLrc:
 
     def test_eight_runners(self):
         # The sporadic tight 7-sets of Goddyn and Wong's catalogue next to
-        # {1..7}; the 8-runner case itself is Rosenfeld's (2025) theorem.
+        # {1..7}.
         report = verify_lrc(7, 20)
         assert report.counterexamples == ()
         assert report.tight == ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 7, 12), (1, 4, 5, 6, 7, 11, 13))
@@ -462,9 +462,8 @@ class TestVerifyLrc:
             expected = sum(1 for c in combinations(range(1, max_speed + 1), k) if gcd(*c) == 1)
             assert gap._gcd1_subset_count(k, max_speed) == expected, max_speed
 
-    # What the sweep finds in larger boxes.  k = 7 is the 8-runner case,
-    # Rosenfeld's (2025) theorem; at k = 8 "no counterexample" is computed
-    # for the box, not a theorem.
+    # What the sweep finds in larger boxes.  For k >= 7 "no counterexample"
+    # is computed for the box, not cited.
     @pytest.mark.parametrize(
         "k, max_speed, tight",
         [
@@ -472,6 +471,8 @@ class TestVerifyLrc:
             (5, 60, ((1, 2, 3, 4, 5), (1, 3, 4, 5, 9))),
             (7, 60, ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 7, 12), (1, 4, 5, 6, 7, 11, 13))),
             (8, 40, ((1, 2, 3, 4, 5, 6, 7, 8),)),
+            (9, 40, ((1, 2, 3, 4, 5, 6, 7, 8, 9),)),
+            (10, 30, ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10),)),
         ],
     )
     def test_larger_boxes(self, k, max_speed, tight):
@@ -483,7 +484,7 @@ class TestVerifyLrc:
         with pytest.raises(ValueError):
             verify_lrc(0, 5)
         with pytest.raises(ValueError):
-            verify_lrc(9, 10)
+            verify_lrc(11, 12)
         with pytest.raises(ValueError):
             verify_lrc(3, 2)
 
@@ -551,7 +552,9 @@ LADDER_SIZES = (
 
 
 class TestSweepReference:
-    @pytest.mark.parametrize("k, max_speed", sorted(set(LADDER_SIZES)) + [(6, 30), (7, 30), (8, 14)])
+    @pytest.mark.parametrize(
+        "k, max_speed", sorted(set(LADDER_SIZES)) + [(6, 30), (7, 30), (8, 14), (9, 16), (10, 14)]
+    )
     def test_matches_the_and_walk(self, k, max_speed):
         assert list(sweep(k, max_speed)) == reference_sweep(k, max_speed)
 
@@ -643,15 +646,17 @@ class TestBreakpointColumns:
             assert all(column & both != both for column in gap._columns(2, max_speed)[1])
 
 
-def count_exact_gap_calls(monkeypatch) -> list:
-    """Route gap.exact_gap through a counter; returns the list it appends to."""
+def count_maximize_calls(monkeypatch) -> list:
+    """Route gap._maximize, the exact search that gives the sweep its delta,
+    through a counter; returns the list it appends to."""
     calls = []
+    maximize = gap._maximize
 
     def counted(speeds):
         calls.append(speeds)
-        return exact_gap(speeds)
+        return maximize(speeds)
 
-    monkeypatch.setattr(gap, "exact_gap", counted)
+    monkeypatch.setattr(gap, "_maximize", counted)
     return calls
 
 
@@ -681,7 +686,7 @@ class TestSweepPrefilter:
 
     @pytest.mark.parametrize("k, max_speed", [(1, 5)] + COMPLETENESS_SIZES)
     def test_verify_computes_only_tight_and_counterexamples(self, monkeypatch, k, max_speed):
-        calls = count_exact_gap_calls(monkeypatch)
+        calls = count_maximize_calls(monkeypatch)
         report = verify_lrc(k, max_speed)
         assert len(calls) == len(report.tight) + len(report.counterexamples)
 
@@ -693,7 +698,7 @@ class TestSweepPrefilter:
             for c in combinations(range(1, max_coord + 1), k)
             if gcd(*c) == 1 and exact_gap(c).delta <= bound
         )
-        calls = count_exact_gap_calls(monkeypatch)
+        calls = count_maximize_calls(monkeypatch)
         kprime_scan(k, max_coord)
         assert len(calls) == expected
 
