@@ -290,6 +290,25 @@ _UP_CORNERS = _CELL_CORNERS[True][1:]
 _DOWN_CORNERS = _CELL_CORNERS[False][:2]
 
 
+def _lattice_period(b: int, d: int) -> int:
+    """The walk's period on the lattice slope sqrt3*b/d, b/d in lowest
+    terms as :func:`_cleared` gives it: the index of its first step
+    through a lattice vertex.
+
+    The ray meets the lattice vertex V(i, j) = (i + j/2, j*sqrt3/2) exactly
+    when b/d = j/(2i + j) for coprime i, j >= 1.  In lowest terms that is
+    b = j, d - b = 2i when j is odd, and b = j/2, d - b = i when j is even
+    (then i is odd).  The walk reaches V(i, j) by i - 1 right and j - 1 top
+    exits of down cells, so after 2(i + j) - 2 cells it enters the up cell
+    (j, i), the translate of the base cell by V(i, j).  That translation
+    maps the ray, the tiling and every scaled obstacle onto themselves, so
+    the walk repeats from there, and every first contact has an index below
+    the period.
+    """
+    i, j = ((d - b) // 2, b) if (d - b) % 2 == 0 else (d - b, 2 * b)
+    return 2 * (i + j) - 2
+
+
 def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Optional[TriangleHit]:
     """The first of ``horizon`` cells whose alpha-scaled obstacle the ray
     meets, or None.
@@ -312,7 +331,13 @@ def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Opt
     highest sign is negative or the lowest positive; otherwise the highest
     is >= 0 and the lowest <= 0, and the ray grazes exactly when one of
     them is 0.
+
+    On a lattice slope (a == 0) at most one period is walked: see
+    :func:`_lattice_period`.  The cap is set once, so the per-cell loop is
+    the same for every slope.
     """
+    if a == 0:
+        horizon = min(horizon, _lattice_period(b, d))
     p, q = alpha.numerator, alpha.denominator
     offsets = {
         up: [(3 * a * p * dx, p * (3 * b * dx - d * dy)) for dx, dy in corners]
@@ -335,8 +360,12 @@ def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Opt
 def triangle_obstruction_check(slope, alpha, horizon: int) -> Optional[TriangleHit]:
     """First cell whose alpha-scaled obstacle the ray meets, or None.
 
-    A None is horizon-qualified: the ray avoided the first ``horizon``
-    obstacles, which proves nothing beyond that range.
+    On a lattice slope sqrt3*j/(2i+j) the walk repeats with period
+    P = 2(i+j) - 2 (see :func:`_lattice_period`), so a None over
+    min(horizon, P) cells is a miss over the whole ray, and the check
+    costs that many cells.  Off the lattice a None is horizon-qualified:
+    the ray avoided the first ``horizon`` obstacles, which proves nothing
+    beyond that range, and the cost grows with the horizon.
     """
     a, b, d = _cleared(slope)
     alpha = Fraction(alpha)
@@ -355,7 +384,10 @@ def triangle_min_obstacle(
 
     ``hi`` is always a verified hit; ``lo`` is a horizon-qualified miss (or
     0).  The bracket narrows to the requested width; scale 1 always hits
-    since the full cell contains the ray segment crossing it.
+    since the full cell contains the ray segment crossing it.  On a
+    lattice slope each probe walks min(horizon, P) cells of the period P
+    (see :func:`triangle_obstruction_check`), so ``lo`` is a miss over the
+    whole ray; off the lattice each probe's cost grows with the horizon.
     """
     a, b, d = _cleared(slope)
     _check_count(horizon, "horizon must be at least 1")

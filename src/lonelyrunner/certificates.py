@@ -619,14 +619,16 @@ def _stored_path_count(doc: CertificateDocument, issues: list[str]) -> bool:
     stored path.  Checked before the rebuild, it bounds the rebuild's cost
     by the document's size."""
     if doc.command == "billiard":
-        key, path = "segments", doc.result["path"]
+        key, path, shape = "segments", doc.result["path"], "a list"
     elif doc.command == "triangle" and doc.inputs["strikes"] is not None:
-        key, path = "strikes", doc.result["path"]["segments"]
+        stored = doc.result["path"]
+        path = stored.get("segments") if isinstance(stored, dict) else None
+        key, shape = "strikes", "an object holding a segments list"
     else:
         return True
     count = doc.inputs[key]
     if not isinstance(path, list):
-        raise ValueError(f"the stored path of a {doc.command} document must be a list")
+        raise ValueError(f"the stored path of a {doc.command} document must be {shape}")
     if count != len(path):
         issues.append(f"{key} mismatch: inputs name {count!r}, the stored path has {len(path)}")
         return False

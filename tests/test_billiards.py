@@ -632,6 +632,96 @@ class TestIntegerWalkDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Lattice slopes: _first_contact walks at most one period, checked against
+# its own loop with no cap, copied here as the reference.
+# ---------------------------------------------------------------------------
+
+
+def uncapped_first_contact(a, b, d, alpha, horizon):
+    p, q = alpha.numerator, alpha.denominator
+    offsets = {
+        up: [(3 * a * p * dx, p * (3 * b * dx - d * dy)) for dx, dy in corners]
+        for up, corners in ((True, billiards._UP_CORNERS), (False, billiards._DOWN_CORNERS))
+    }
+    walk = islice(billiards._walk(a, b, d), horizon)
+    for index, (row, col, points_up, cp, cq) in enumerate(walk):
+        cp *= q
+        cq *= q
+        (high_p, high_q), (low_p, low_q) = offsets[points_up]
+        high = billiards.sqrt3_sign(cp + high_p, cq + high_q)
+        if high < 0:
+            continue
+        low = billiards.sqrt3_sign(cp + low_p, cq + low_q)
+        if low > 0:
+            continue
+        return billiards.TriangleHit(index, row, col, points_up, high == 0 or low == 0)
+    return None
+
+
+def closed_form_min_obstacle(i, j):
+    """The least alpha whose obstacle the ray through V(i, j) meets: 0 when
+    i - j is divisible by 3, else min(r/(i+2j), (3-r)/(2i+j)) with
+    r = (i - j) mod 3."""
+    r = (i - j) % 3
+    return F(0) if r == 0 else min(F(r, i + 2 * j), F(3 - r, 2 * i + j))
+
+
+LATTICE_PAIRS = [(i, j) for i in range(1, 31) for j in range(1, 31) if math.gcd(i, j) == 1]
+LATTICE_ALPHAS = [
+    F(1, 1000),
+    F(1, 8),
+    F(1, 5),
+    F(1, 4) - F(1, 1000),
+    F(1, 4),
+    F(1, 4) + F(1, 1000),
+    F(1, 3),
+    F(1, 2),
+    F(3, 4),
+    F(999, 1000),
+]
+
+
+class TestLatticePeriod:
+    def test_period_is_first_vertex_step(self):
+        # The walk's first step through a lattice vertex leaves the down
+        # cell (row, col) for the up cell (row+1, col+1): that up cell's
+        # index is the period.
+        for i, j in LATTICE_PAIRS:
+            a, b, d = billiards._cleared(QuadExt(0, F(j, 2 * i + j)))
+            period = 2 * (i + j) - 2
+            assert (a, billiards._lattice_period(b, d)) == (0, period)
+            walk = billiards._walk(a, b, d)
+            previous = next(walk)
+            for index, cell in enumerate(walk, start=1):
+                if cell[:3] == (previous[0] + 1, previous[1] + 1, True):
+                    break
+                previous = cell
+            assert (index, cell[:2]) == (period, (j, i)), (i, j)
+
+    def test_capped_walk_matches_uncapped(self):
+        # An unreduced b/d gives a longer cap, never a shorter one.
+        for i, j in LATTICE_PAIRS:
+            _, b, d = billiards._cleared(QuadExt(0, F(j, 2 * i + j)))
+            period = 2 * (i + j) - 2
+            least = closed_form_min_obstacle(i, j)
+            alphas = list(LATTICE_ALPHAS)
+            if least:
+                alphas += [least, least - F(1, 10**6)]
+            for alpha in alphas:
+                ref = uncapped_first_contact(0, b, d, alpha, 10 * period)
+                assert ref is None or ref.index < period, (i, j, alpha)
+                if alpha == least:
+                    assert ref is not None and ref.grazing, (i, j)
+                elif least and alpha == least - F(1, 10**6):
+                    assert ref is None, (i, j)
+                for horizon in (period - 1, period, period + 1, 10 * period):
+                    want = ref if ref is None or ref.index < horizon else None
+                    for scale in (1, 2, 3):  # the slope reduced, then unreduced
+                        got = billiards._first_contact(0, scale * b, scale * d, alpha, horizon)
+                        assert got == want, (i, j, alpha, horizon, scale)
+
+
+# ---------------------------------------------------------------------------
 # Reference folds: the triangle fold by composed reflections, and the square
 # fold and slab test in Fractions, that the integer folds replaced; copied
 # here as the references of the differential tests below.

@@ -330,6 +330,45 @@ class TestPathCounts:
             issues = certificates.validate_document(doc)
             assert issues and "malformed" in issues[0]
 
+    @pytest.mark.parametrize("stored", [None, 2, [], {}, {"segments": None}])
+    def test_triangle_path_without_segments_list_is_malformed(self, stored):
+        doc = copy.deepcopy(self._documents()[1][1])
+        doc.result["path"] = stored
+        assert certificates.validate_document(doc) == [
+            "malformed document: the stored path of a triangle document must be "
+            "an object holding a segments list"
+        ]
+
+
+class TestLatticeHorizon:
+    """On a lattice slope the walk covers at most one period, so a document
+    naming a huge horizon costs no more to check than one period.  The
+    check rebuilds the document, so a valid one carries the rebuilt
+    answer: here the answer at a small horizon."""
+
+    SLOPE = QuadExt(0, F(1, 5))  # sqrt3/5: period 4 cells
+
+    def _check_in_time(self, doc):
+        doc = certificates.parse(certificates.serialize(doc))
+        start = time.process_time()
+        issues = certificates.validate_document(doc)
+        assert time.process_time() - start < 0.5
+        assert issues == []
+
+    def test_miss_at_huge_horizon(self):
+        hit = billiards.triangle_obstruction_check(self.SLOPE, F(1, 5), 150)
+        assert hit is None
+        self._check_in_time(certificates.triangle_document(self.SLOPE, F(1, 5), 10**9, hit, None))
+
+    def test_min_obstacle_at_huge_horizon(self):
+        tolerance = F(1, 1024)
+        bracket = billiards.triangle_min_obstacle(self.SLOPE, 10_000, tolerance)
+        assert bracket == (F(255, 1024), F(1, 4))
+        doc = certificates.triangle_document(
+            self.SLOPE, None, 10**9, None, None, bracket + (tolerance,)
+        )
+        self._check_in_time(doc)
+
 
 # ---------------------------------------------------------------------------
 # One tamper matrix over the seven commands whose check rebuilds the document
