@@ -25,11 +25,11 @@ whose sign :func:`~lonelyrunner.arith.sqrt3_sign` decides by integer
 comparison.  The slope's own range check, 0 < sigma < sqrt3, is two such
 signs.  An obstacle hit is named by its cell's (row, col, orientation).
 A path crossing lies a fraction (p + q*sqrt3)/n of the way along a tiling
-edge and folds by the colours of the edge's two lattice vertices, so
-Q(sqrt 3) values appear only in path strike points and in
-:func:`triangle_cell`, which builds a cell's corners from its integer
-incenter and the corner offsets in _CELL_CORNERS; the renderer draws cells
-from the same integers.
+edge and folds by the colours of the edge's two lattice vertices, so a
+path keeps its strike points as integers.  Q(sqrt 3) values appear only
+when a path's ``segments`` are read and in :func:`triangle_cell`, which
+builds a cell's corners from its integer incenter and the corner offsets
+in _CELL_CORNERS; the renderer draws cells from the same integers.
 
 The square runs on integers as well.  Its path is folded from the ray's
 merged grid crossings, and its obstacle test is a comparison per grid cell.
@@ -40,6 +40,7 @@ exactly when |p(2i+1) - q(2j+1)| <= alpha*(p+q).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -82,26 +83,46 @@ def _check_count(value, message: str, least: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fold_units(u: int, m: int) -> Fraction:
-    """The triangle-wave fold 1 - |1 - (u/m mod 2)| of u/m, for integers
-    u >= 0 and m >= 1, taken modulo 2m.  A corner of the cell grid folds to
-    a corner of the table, which realizes the diagonal-reflection rule for
-    corner hits."""
-    return Fraction(m - abs(m - u % (2 * m)), m)
-
-
 @dataclass(frozen=True)
 class SquarePath:
     """Billiard path in the unit square: the fold of the ray y = slope*x.
 
-    The slope and the number of segments determine the path; the segments
-    are what :func:`square_path_segments` folds for them.  Consecutive
-    segments share an endpoint on the boundary and obey the reflection law;
-    unfolding the segments recovers collinear ray points.
+    The slope and the number of segments determine the path, and they are
+    all it holds; two paths are equal when both are.  Its points are folded
+    once, in integers, on first use, and ``segments`` builds them as
+    Fractions when it is read.  Consecutive segments share an endpoint on
+    the boundary and obey the reflection law; unfolding the segments
+    recovers collinear ray points.
     """
 
     slope: Fraction
-    segments: tuple[tuple[Point, Point], ...]
+    n_segments: int
+
+    @cached_property
+    def _points(self) -> tuple[tuple[int, int], ...]:
+        """The ``n_segments + 1`` breakpoints as numerator pairs (x, y) of
+        the point (x/p, y/q), for the slope p/q.
+
+        Breakpoints are the ray's grid crossings (see :func:`_crossings`),
+        each folded onto the table coordinatewise.  The crossing X = p*x is
+        the ray point (X/p, X/q), and its triangle-wave fold
+        1 - |1 - (u mod 2)| in each coordinate u = X/m, m = p or q, is
+        (m - |m - X mod 2m|)/m.  A corner of the cell grid folds to a
+        corner of the table, which realizes the diagonal-reflection rule
+        for corner hits.
+        """
+        p, q = self.slope.numerator, self.slope.denominator
+        p2, q2 = 2 * p, 2 * q
+        return tuple(
+            (p - abs(p - x % p2), q - abs(q - x % q2))
+            for x in islice(_crossings(p, q), self.n_segments + 1)
+        )
+
+    @cached_property
+    def segments(self) -> tuple[tuple[Point, Point], ...]:
+        p, q = self.slope.numerator, self.slope.denominator
+        points = [(Fraction(x, p), Fraction(y, q)) for x, y in self._points]
+        return tuple(zip(points, points[1:]))
 
 
 def _square_slope(slope: RationalLike) -> tuple[int, int]:
@@ -133,16 +154,11 @@ def _crossings(p: int, q: int) -> Iterator[int]:
 
 def square_path_segments(slope: RationalLike, n_segments: int) -> SquarePath:
     """First ``n_segments`` table segments of the slope's billiard path.
-
-    Breakpoints are the ray's grid crossings (see :func:`_crossings`), each
-    folded onto the table coordinatewise.
-    """
+    The slope and the count are checked here; the path folds its points
+    when they are first read."""
     p, q = _square_slope(slope)
     _check_count(n_segments, "need at least one segment")
-    crossings = islice(_crossings(p, q), n_segments + 1)
-    folded = [(_fold_units(x, p), _fold_units(x, q)) for x in crossings]
-    segments = tuple((folded[n], folded[n + 1]) for n in range(n_segments))
-    return SquarePath(Fraction(p, q), segments)
+    return SquarePath(Fraction(p, q), n_segments)
 
 
 def square_min_obstacle(slope: RationalLike) -> Fraction:
@@ -178,7 +194,7 @@ def square_obstacle_contact(path: SquarePath, alpha) -> str:
     p, q = path.slope.numerator, path.slope.denominator
     least = min(
         abs(p * (2 * (x // p) + 1) - q * (2 * (x // q) + 1))
-        for x in islice(_crossings(p, q), len(path.segments))
+        for x in islice(_crossings(p, q), path.n_segments)
     )
     reach = alpha.numerator * (p + q)  # alpha*(p+q) and least, times alpha's denominator
     least *= alpha.denominator
@@ -419,13 +435,33 @@ class TrianglePath:
     """Billiard path in the unit equilateral triangle (corners (0,0), (1,0),
     (1/2, sqrt3/2)); one segment per boundary strike.
 
-    A strike at a table corner ends the path (``terminated_at_corner``); the
-    reflection there is not defined by the table geometry.
+    The slope and the strike count determine the path, and they are all it
+    holds; two paths are equal when both are.  Its points are folded once,
+    in integers, on first use (see :func:`_fold_triangle`), and
+    ``segments`` builds them in Q(sqrt 3) when it is read.  A strike at a
+    table corner ends the path (``terminated_at_corner``), so it may have
+    fewer segments than ``n_strikes``; the reflection there is not defined
+    by the table geometry.
     """
 
     slope: QuadExt
-    segments: tuple[tuple[QPoint, QPoint], ...]
-    terminated_at_corner: bool
+    n_strikes: int
+
+    @cached_property
+    def _folded(self) -> tuple[tuple[tuple[int, int, int, int, int], ...], bool]:
+        return _fold_triangle(*_cleared(self.slope), self.n_strikes)
+
+    @property
+    def terminated_at_corner(self) -> bool:
+        return self._folded[1]
+
+    @cached_property
+    def segments(self) -> tuple[tuple[QPoint, QPoint], ...]:
+        points = [
+            (QuadExt(Fraction(xa, n), Fraction(xb, n)), QuadExt(Fraction(ya, n), Fraction(yb, n)))
+            for xa, xb, ya, yb, n in self._folded[0]
+        ]
+        return tuple(zip(points, points[1:]))
 
 
 def _ratio(num: tuple[int, int], den: tuple[int, int]) -> tuple[int, int, int]:
@@ -447,22 +483,14 @@ def _ratio(num: tuple[int, int], den: tuple[int, int]) -> tuple[int, int, int]:
 _CORNERS = ((0, 0), (2, 0), (1, 1))
 
 
-def _fold(v0: tuple[int, int], v1: tuple[int, int], tp: int, tq: int, n: int) -> QPoint:
-    """The point a fraction t = (tp + tq*sqrt3)/n of the way from lattice
-    vertex v0 to lattice vertex v1, folded into the base triangle: the
-    same fraction of the way between their corners."""
-    x0, y0 = _CORNERS[(v0[0] + 2 * v0[1]) % 3]
-    x1, y1 = _CORNERS[(v1[0] + 2 * v1[1]) % 3]
-    dx, dy = x1 - x0, y1 - y0
-    return (
-        QuadExt(Fraction(x0 * n + dx * tp, 2 * n), Fraction(dx * tq, 2 * n)),
-        QuadExt(Fraction(3 * dy * tq, 2 * n), Fraction(y0 * n + dy * tp, 2 * n)),
-    )
-
-
-def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
-    """Fold the ray y = slope*x into the base triangle through ``n_strikes``
-    boundary hits, all coordinates exact in Q(sqrt 3).
+def _fold_triangle(
+    a: int, b: int, d: int, n_strikes: int
+) -> tuple[tuple[tuple[int, int, int, int, int], ...], bool]:
+    """The origin and the first ``n_strikes`` strike points of the ray
+    y = ((a + b*sqrt3)/d) * x, folded into the base triangle, and whether
+    the last is a table corner, which ends the path early.  A point is five
+    integers (xa, xb, ya, yb, n), n nonzero, for x = (xa + xb*sqrt3)/n and
+    y = (ya + yb*sqrt3)/n.
 
     The walk decides which tiling edge the ray leaves each cell by.  The
     crossing lies a fraction t of the way along that edge, between two
@@ -473,13 +501,10 @@ def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
     u1 = level; the ray's u1/u3, u2/u1 and u1/u2 are constants, so t is
     computed in integers.
     """
-    a, b, d = _cleared(slope)
-    _check_count(n_strikes, "need at least one strike")
     # 3d times the growth of u1, u2 and u3 per unit x.
     g1, g2, g3 = (6 * b, 2 * a), (3 * d - 3 * b, -a), (3 * d + 3 * b, a)
     falling, top, rising = _ratio(g1, g3), _ratio(g2, g1), _ratio(g1, g2)
-    previous: QPoint = (QuadExt(0), QuadExt(0))
-    segments: list[tuple[QPoint, QPoint]] = []
+    points = [(0, 0, 0, 0, 1)]
     terminated = False
     cells = _walk(a, b, d)
     row, col, points_up, _, _ = next(cells)
@@ -494,15 +519,30 @@ def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
             level, (p, q, n), offset = col + 1, rising, row
             v0, v1 = (col + 1, row), (col + 1, row + 1)
         else:
-            # Lattice vertex: folds to a table corner; the path stops.
-            corner = (col + 1, row + 1)
-            segments.append((previous, _fold(corner, corner, 0, 0, 1)))
+            # Lattice vertex V(col + 1, row + 1): its table corner (x, y),
+            # in the units of _CORNERS, is (x/2, y*sqrt3/2); the path stops.
+            x, y = _CORNERS[(col + 1 + 2 * (row + 1)) % 3]
+            points.append((x, 0, 0, y, 2))
             terminated = True
             break
-        current = _fold(v0, v1, level * p - offset * n, level * q, n)
-        segments.append((previous, current))
-        if len(segments) == n_strikes:
+        # t = (tp + tq*sqrt3)/n of the way from corner (x0, y0) to corner
+        # (x0 + dx, y0 + dy): x = (x0 + dx*t)/2, y = (y0 + dy*t)*sqrt3/2.
+        tp, tq = level * p - offset * n, level * q
+        x0, y0 = _CORNERS[(v0[0] + 2 * v0[1]) % 3]
+        x1, y1 = _CORNERS[(v1[0] + 2 * v1[1]) % 3]
+        dx, dy = x1 - x0, y1 - y0
+        points.append((x0 * n + dx * tp, dx * tq, 3 * dy * tq, y0 * n + dy * tp, 2 * n))
+        if len(points) > n_strikes:
             break
-        previous = current
         row, col, points_up = next_row, next_col, next_up
-    return TrianglePath(QuadExt(Fraction(a, d), Fraction(b, d)), tuple(segments), terminated)
+    return tuple(points), terminated
+
+
+def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
+    """The ray y = slope*x folded into the base triangle through
+    ``n_strikes`` boundary hits, all coordinates exact in Q(sqrt 3).  The
+    slope and the count are checked here; the path folds its points when
+    they are first read."""
+    a, b, d = _cleared(slope)
+    _check_count(n_strikes, "need at least one strike")
+    return TrianglePath(QuadExt(Fraction(a, d), Fraction(b, d)), n_strikes)

@@ -11,8 +11,11 @@ the order the builder put them.  It writes that format itself: given an indent,
 the standard library leaves its C encoder for its pure-Python one, which is
 about 2.5 times slower on these documents.  Each rational and each Q(sqrt 3)
 element, the two leaf shapes of every document, is written from a %-template
-built once per indentation; any other value, a near miss of those shapes
-included, is written value by value.
+built once per indentation, and so is each point: a list of two leaves of
+one shape.  Any other value, a near miss of those shapes included, is
+written value by value.  A list that occurs more than once in one payload,
+such as a path point that two segments share, is written once and its
+text reused.
 
 ``produce(command, inputs)`` is the one rule from a command's inputs to its
 document; ``lrc <command>`` and ``lrc check`` both call it.
@@ -37,7 +40,7 @@ import marshal
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import ceil
+from math import ceil, gcd
 from typing import Any, Optional
 
 from .arith import QuadExt, SpeedSet, is_prime
@@ -96,12 +99,13 @@ def decode_quadext(value: Any) -> QuadExt:
     return QuadExt(decode_rational(value["a"]), decode_rational(value["b"]))
 
 
-def _encode_qpoint(p: billiards.QPoint) -> list:
-    return [encode_quadext(p[0]), encode_quadext(p[1])]
-
-
-def _encode_point(p: billiards.Point) -> list:
-    return [encode_rational(p[0]), encode_rational(p[1])]
+def _encode_ratio(num: int, den: int) -> dict[str, int]:
+    """Encode num/den, for integers with den nonzero, as the Fraction it
+    equals: in lowest terms, with a positive denominator."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return {"num": num // g, "den": den // g}
 
 
 @dataclass
@@ -119,13 +123,18 @@ def serialize(doc: CertificateDocument) -> str:
         "inputs": doc.inputs,
         "result": doc.result,
     }
-    return _encode(payload, "\n") + "\n"
+    return _encode(payload, "\n", {}) + "\n"
 
 
-def _encode(value, indent: str) -> str:
+def _encode(value, indent: str, written: dict) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at the nesting
     that ``indent`` (a newline and the current indentation) marks.  Keys are
-    strings, as in every document."""
+    strings, as in every document.
+
+    ``written`` maps (id, indent) of each list already written in this
+    payload to its text, so a list that occurs more than once, such as a
+    path point shared by two segments, is written once.  Every list stays
+    alive in the payload while it is written, so no id is reused."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -136,16 +145,24 @@ def _encode(value, indent: str) -> str:
         if not value:
             return "{}"
         if len(value) == 2:
-            leaf = _encode_leaf(value, indent)
-            if leaf is not None:
-                return leaf
-        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in value.items()]
+            ints = _leaf_ints(value)
+            if ints is not None:
+                return (_TEMPLATES.get(indent) or _templates(indent))[0][len(ints)] % ints
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner, written) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        items = [_encode(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        key = (id(value), indent)
+        text = written.get(key)
+        if text is None:
+            if len(value) == 2 and type(value[0]) is dict:
+                text = _encode_point(value, indent)
+            if text is None:
+                items = [_encode(v, inner, written) for v in value]
+                text = "[" + inner + ("," + inner).join(items) + indent + "]"
+            written[key] = text
+        return text
     if value is None:
         return "null"
     if value is True:
@@ -155,16 +172,27 @@ def _encode(value, indent: str) -> str:
     return json.dumps(value)
 
 
-# %-templates of a rational and of a Q(sqrt 3) element, per indent.
-_TEMPLATES: dict[str, tuple[str, str]] = {}
+# Per indent, the %-templates of the two leaf shapes and of a point, a list
+# of two leaves of one shape, each keyed by how many ints a leaf takes: a
+# rational 2, a Q(sqrt 3) element 4.
+_TEMPLATES: dict[str, tuple[dict[int, str], dict[int, str]]] = {}
 
 
-def _templates(indent: str) -> tuple[str, str]:
+def _templates(indent: str) -> tuple[dict[int, str], dict[int, str]]:
+    inner = indent + "  "
+    points = {
+        n: "[" + inner + leaf + "," + inner + leaf + indent + "]"
+        for n, leaf in _leaf_templates(inner).items()
+    }
+    return _TEMPLATES.setdefault(indent, (_leaf_templates(indent), points))
+
+
+def _leaf_templates(indent: str) -> dict[int, str]:
     inner, deeper = indent + "  ", indent + "    "
     rational = "{" + inner + '"num": %d,' + inner + '"den": %d' + indent + "}"
     nested = "{" + deeper + '"num": %d,' + deeper + '"den": %d' + inner + "}"
     quadext = "{" + inner + '"a": ' + nested + "," + inner + '"b": ' + nested + indent + "}"
-    return _TEMPLATES.setdefault(indent, (rational, quadext))
+    return {2: rational, 4: quadext}
 
 
 def _rational_ints(value) -> Optional[tuple[int, int]]:
@@ -179,20 +207,28 @@ def _rational_ints(value) -> Optional[tuple[int, int]]:
     return None
 
 
-def _encode_leaf(value: dict, indent: str) -> Optional[str]:
-    """A two-key dict written from its template if it is an encoded
-    rational or Q(sqrt 3) element (keys "a", "b" in that order, each a
-    rational); None for any other dict."""
-    first, second = value
-    if first == "a" and second == "b":
-        a, b = _rational_ints(value["a"]), _rational_ints(value["b"])
-        if a is not None and b is not None:
-            return (_TEMPLATES.get(indent) or _templates(indent))[1] % (a + b)
-    elif first == "num" and second == "den":
-        ints = _rational_ints(value)
-        if ints is not None:
-            return (_TEMPLATES.get(indent) or _templates(indent))[0] % ints
+def _leaf_ints(value) -> Optional[tuple[int, ...]]:
+    """The ints of an encoded rational, (num, den), or of an encoded
+    Q(sqrt 3) element, a dict with exactly the keys "a", "b" in that order,
+    each a rational; None for any other value."""
+    if type(value) is dict and len(value) == 2:
+        first, second = value
+        if first == "num" and second == "den":
+            return _rational_ints(value)
+        if first == "a" and second == "b":
+            a, b = _rational_ints(value["a"]), _rational_ints(value["b"])
+            if a is not None and b is not None:
+                return a + b
     return None
+
+
+def _encode_point(value: list, indent: str) -> Optional[str]:
+    """A two-item list written from its template if both items are encoded
+    rationals or both encoded Q(sqrt 3) elements; None for any other."""
+    first, second = _leaf_ints(value[0]), _leaf_ints(value[1])
+    if first is None or second is None or len(first) != len(second):
+        return None
+    return (_TEMPLATES.get(indent) or _templates(indent))[1][len(first)] % (first + second)
 
 
 def parse(text: str) -> CertificateDocument:
@@ -330,16 +366,20 @@ def billiard_document(
     alpha: Optional[Fraction],
     contact: Optional[str],
 ) -> CertificateDocument:
+    """The path is encoded from its integer points, each point's list built
+    once and shared by the two segments that meet there."""
+    p, q = path.slope.numerator, path.slope.denominator
+    points = [[_encode_ratio(x, p), _encode_ratio(y, q)] for x, y in path._points]
     return CertificateDocument(
         command="billiard",
         inputs={
             "slope": encode_rational(path.slope),
             "alpha": None if alpha is None else encode_rational(alpha),
-            "segments": len(path.segments),
+            "segments": path.n_segments,
         },
         result={
             "min_obstacle": encode_rational(min_obstacle),
-            "path": [[_encode_point(a), _encode_point(b)] for a, b in path.segments],
+            "path": [list(segment) for segment in zip(points, points[1:])],
             "contact": contact,
         },
     )
@@ -367,11 +407,22 @@ def triangle_document(
                 "grazing": hit.grazing,
             }
     path_payload = None
+    strikes = None
     if path is not None:
+        # Encoded from the integer points, as in billiard_document.
+        folded, terminated = path._folded
+        points = [
+            [
+                {"a": _encode_ratio(xa, n), "b": _encode_ratio(xb, n)},
+                {"a": _encode_ratio(ya, n), "b": _encode_ratio(yb, n)},
+            ]
+            for xa, xb, ya, yb, n in folded
+        ]
         path_payload = {
-            "segments": [[_encode_qpoint(a), _encode_qpoint(b)] for a, b in path.segments],
-            "terminated_at_corner": path.terminated_at_corner,
+            "segments": [list(segment) for segment in zip(points, points[1:])],
+            "terminated_at_corner": terminated,
         }
+        strikes = len(folded) - 1
     bracket_payload = None
     tolerance = None
     if min_obstacle is not None:
@@ -383,7 +434,7 @@ def triangle_document(
             "slope": encode_quadext(slope),
             "alpha": None if alpha is None else encode_rational(alpha),
             "horizon": horizon,
-            "strikes": None if path is None else len(path.segments),
+            "strikes": strikes,
             "tolerance": None if tolerance is None else encode_rational(tolerance),
         },
         result={"hit": hit_payload, "path": path_payload, "min_obstacle": bracket_payload},
@@ -606,7 +657,10 @@ def _compare(doc: CertificateDocument, rebuilt: CertificateDocument, issues: lis
     """``inputs`` and ``result`` must equal the rebuilt ones as JSON."""
     # Fast path.  Format 2 of marshal tags every value's type (True, 1 and
     # 1.0 differ), keeps key order and shares no references, so equal bytes
-    # mean equal JSON, at a fraction of the cost of two JSON dumps.
+    # mean equal JSON, at a fraction of the cost of two JSON dumps.  A
+    # rebuilt path shares each point's list between two segments and a
+    # parsed one does not; format 2 writes a shared list in full each time,
+    # so the two marshal equal.
     stored, expected = [doc.inputs, doc.result], [rebuilt.inputs, rebuilt.result]
     if marshal.dumps(stored, 2) != marshal.dumps(expected, 2):
         _diagnose("inputs", doc.inputs, rebuilt.inputs, issues)

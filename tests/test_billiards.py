@@ -15,7 +15,7 @@ from itertools import islice
 
 import pytest
 
-from lonelyrunner import billiards
+from lonelyrunner import billiards, certificates
 from lonelyrunner.billiards import (
     SquarePath,
     TrianglePath,
@@ -803,7 +803,8 @@ def reflect_point(kind, level, p):
     return iso.apply(p)
 
 
-def ref_triangle_path(slope: QuadExt, n_strikes: int) -> TrianglePath:
+def ref_triangle_path(slope: QuadExt, n_strikes: int):
+    """The path's segments and whether it stopped at a corner."""
     # Keep the fold isometry of the current cell: each crossing composes the
     # reflection across the crossed line, and each crossing point, computed
     # in Q(sqrt 3), is mapped by the fold of the cell it leaves.
@@ -836,7 +837,7 @@ def ref_triangle_path(slope: QuadExt, n_strikes: int) -> TrianglePath:
         segments.append((previous, current))
         previous = current
         fold = fold.compose(reflection)
-    return TrianglePath(slope, tuple(segments), terminated)
+    return tuple(segments), terminated
 
 
 def ref_fold_coordinate(u: Fraction) -> Fraction:
@@ -844,7 +845,8 @@ def ref_fold_coordinate(u: Fraction) -> Fraction:
     return 1 - abs(1 - r)
 
 
-def ref_square_path(slope: Fraction, n_segments: int) -> SquarePath:
+def ref_square_path(slope: Fraction, n_segments: int):
+    """The path's segments."""
     p, q = slope.numerator, slope.denominator
     crossings = [F(0)]
     i = j = 1
@@ -860,7 +862,7 @@ def ref_square_path(slope: Fraction, n_segments: int) -> SquarePath:
             crossings.append(x_horiz)
             j += 1
     folded = [(ref_fold_coordinate(x), ref_fold_coordinate(slope * x)) for x in crossings]
-    return SquarePath(slope, tuple((folded[n], folded[n + 1]) for n in range(n_segments)))
+    return tuple((folded[n], folded[n + 1]) for n in range(n_segments))
 
 
 def ref_segment_box_contact(a, b, center: Fraction, half: Fraction) -> str:
@@ -889,9 +891,9 @@ def ref_segment_box_contact(a, b, center: Fraction, half: Fraction) -> str:
     return "boundary"
 
 
-def ref_square_contact(path: SquarePath, alpha: Fraction) -> str:
+def ref_square_contact(segments, alpha: Fraction) -> str:
     result = "miss"
-    for a, b in path.segments:
+    for a, b in segments:
         contact = ref_segment_box_contact(a, b, F(1, 2), alpha / 2)
         if contact == "interior":
             return "interior"
@@ -918,7 +920,49 @@ def random_wedge_slope(rng: random.Random, kind: str) -> QuadExt:
             return slope
 
 
+def ref_triangle_document(slope: QuadExt, segments, terminated: bool) -> certificates.CertificateDocument:
+    """The path-only triangle document of the reference fold's segments,
+    each point encoded on its own with ``encode_quadext``."""
+    encoded = [[[certificates.encode_quadext(c) for c in point] for point in s] for s in segments]
+    return certificates.CertificateDocument(
+        command="triangle",
+        inputs={
+            "slope": certificates.encode_quadext(slope),
+            "alpha": None,
+            "horizon": 10_000,
+            "strikes": len(segments),
+            "tolerance": None,
+        },
+        result={
+            "hit": None,
+            "path": {"segments": encoded, "terminated_at_corner": terminated},
+            "min_obstacle": None,
+        },
+    )
+
+
+def ref_billiard_document(slope: Fraction, segments) -> certificates.CertificateDocument:
+    """The billiard document of ``segments``, points encoded on their own
+    with ``encode_rational``, without an alpha."""
+    encoded = [[[certificates.encode_rational(c) for c in point] for point in s] for s in segments]
+    return certificates.CertificateDocument(
+        command="billiard",
+        inputs={"slope": certificates.encode_rational(slope), "alpha": None, "segments": len(segments)},
+        result={
+            "min_obstacle": certificates.encode_rational(square_min_obstacle(slope)),
+            "path": encoded,
+            "contact": None,
+        },
+    )
+
+
 class TestIntegerFoldDifferential:
+    """The integer folds and the documents encoded from their integers,
+    against the reference folds and documents encoded point by point with
+    ``encode_quadext``/``encode_rational``.  Rational and mixed slopes fold
+    crossings whose edge norm n is negative, so an encoder that keeps the
+    sign of its denominator fails here."""
+
     def test_triangle_paths_match_isometry_fold(self):
         rng = random.Random(814)
         kinds = (("sqrt3", 40), ("rational", 25), ("mixed", 25))
@@ -928,7 +972,11 @@ class TestIntegerFoldDifferential:
         for kind, strikes in cases:
             slope = random_wedge_slope(rng, kind)
             path = triangle_path_segments(slope, strikes)
-            assert path == ref_triangle_path(slope, strikes), (slope, strikes)
+            doc = certificates.triangle_document(slope, None, 10_000, None, path)
+            reference = ref_triangle_path(slope, strikes)
+            assert (path.segments, path.terminated_at_corner) == reference, (slope, strikes)
+            expected = certificates.serialize(ref_triangle_document(slope, *reference))
+            assert certificates.serialize(doc) == expected, (slope, strikes)
             terminated += path.terminated_at_corner
         assert terminated >= 50
 
@@ -945,14 +993,46 @@ class TestIntegerFoldDifferential:
             longest = ref_square_path(slope, 2 * total)
             paths = [square_path_segments(slope, n) for n in range(1, 2 * total + 1)]
             for n, path in enumerate(paths, 1):
-                assert path == SquarePath(slope, longest.segments[:n]), (slope, n)
+                doc = certificates.billiard_document(path, square_min_obstacle(slope), None, None)
+                assert path.segments == longest[:n], (slope, n)
+                expected = certificates.serialize(ref_billiard_document(slope, longest[:n]))
+                assert certificates.serialize(doc) == expected, (slope, n)
             for k in range(1, total):
                 alpha = F(k, total)
                 expected = "miss"
-                for segment, path in zip(longest.segments, paths):
-                    single = ref_square_contact(SquarePath(slope, (segment,)), alpha)
+                for segment, path in zip(longest, paths):
+                    single = ref_square_contact((segment,), alpha)
                     expected = max(expected, single, key=rank.get)
                     assert square_obstacle_contact(path, alpha) == expected, (path, alpha)
+
+
+class TestLazyPaths:
+    """A path holds its slope and count; its segments are built only when
+    read, never by a document or a contact test."""
+
+    def test_square_path(self):
+        slope, alpha = F(6, 17), F(82, 115)
+        path = square_path_segments(slope, 46)
+        contact = square_obstacle_contact(path, alpha)
+        certificates.billiard_document(path, square_min_obstacle(slope), alpha, contact)
+        assert "segments" not in vars(path)
+        assert path.segments == ref_square_path(slope, 46)
+
+    @pytest.mark.parametrize("slope", [QuadExt(F(16, 11)), QuadExt(0, F(1, 3))])
+    def test_triangle_path(self, slope):
+        path = triangle_path_segments(slope, 40)
+        certificates.triangle_document(slope, None, 10_000, None, path)
+        assert "segments" not in vars(path)
+        assert (path.segments, path.terminated_at_corner) == ref_triangle_path(slope, 40)
+
+    def test_equal_by_slope_and_count(self):
+        assert square_path_segments(F(2, 4), 3) == SquarePath(F(1, 2), 3)
+        assert square_path_segments(F(1, 2), 3) != SquarePath(F(1, 2), 4)
+        assert triangle_path_segments(F(1, 2), 3) == TrianglePath(QuadExt(F(1, 2)), 3)
+        # A path that stops at a corner keeps the count it was asked for.
+        bisector = QuadExt(0, F(1, 3))
+        assert triangle_path_segments(bisector, 10) != triangle_path_segments(bisector, 2)
+        assert triangle_path_segments(bisector, 10).segments == triangle_path_segments(bisector, 2).segments
 
 
 class TestTriangleObstacleInvariance:
@@ -1060,11 +1140,11 @@ class TestTrianglePath:
                 if rng.random() < 0.5
                 else QuadExt(F(rng.randint(1, 16), 10))
             )
-            path = lift(triangle_path_segments(slope, rng.randint(1, 12)))
-            for a, b in path.segments:
+            segments = lift(triangle_path_segments(slope, rng.randint(1, 12)).segments)
+            for a, b in segments:
                 assert point_in_base_triangle(a)
                 assert point_in_base_triangle(b)
-            for (_, b), (a2, _) in zip(path.segments, path.segments[1:]):
+            for (_, b), (a2, _) in zip(segments, segments[1:]):
                 assert b == a2
                 assert base_side_of(b) is not None  # strikes land on the boundary
 
@@ -1076,8 +1156,7 @@ class TestTrianglePath:
                 if rng.random() < 0.5
                 else QuadExt(F(rng.randint(1, 16), 10))
             )
-            path = lift(triangle_path_segments(slope, rng.randint(2, 10)))
-            segs = path.segments
+            segs = lift(triangle_path_segments(slope, rng.randint(2, 10)).segments)
             for (a, b), (_, c) in zip(segs, segs[1:]):
                 side = base_side_of(b)
                 d1 = (b[0] - a[0], b[1] - a[1])

@@ -1015,3 +1015,49 @@ class TestSerializeBytes:
             _is_rational(item["a"]) and type(item["b"]) is dict and not _is_rational(item["b"])
             for item in quadext_keys
         )
+
+    def test_seeded_points(self):
+        # A list of two leaves of one shape is written from the point
+        # template; a mixed pair or a near miss takes the generic path.
+        rng = random.Random(20122)
+
+        def rational(rng):
+            return {"num": _int_value(rng), "den": _int_value(rng)}
+
+        def quadext(rng):
+            return {"a": rational(rng), "b": rational(rng)}
+
+        leaves = (rational, quadext, _rational_shaped, _quadext_shaped)
+        points = [[rng.choice(leaves)(rng), rng.choice(leaves)(rng)] for _ in range(400)]
+        doc = certificates.CertificateDocument("points", {"points": points}, {"nested": [[p] for p in points]})
+        _assert_stdlib_bytes(doc)
+        for kind in (_is_rational, _is_quadext):
+            assert any(kind(a) and kind(b) for a, b in points)
+        assert any(_is_rational(a) and _is_quadext(b) for a, b in points)
+        assert any(_is_rational(a) and not _is_rational(b) and not _is_quadext(b) for a, b in points)
+
+    def test_shared_lists(self):
+        # A list that occurs more than once is written once per indent and
+        # reused; each occurrence still reads as the standard library
+        # writes it, at its own indent.
+        point = [{"num": 1, "den": 2}, {"num": -3, "den": 4}]
+        qpoint = [{"a": {"num": 1, "den": 2}, "b": {"num": 0, "den": 1}}] * 2
+        mixed = (point, [point, qpoint], 7, "s")
+        segments = [[point, qpoint], [qpoint, point], [point, point]]
+        payload = {"segments": segments, "again": segments, "deeper": [[segments, mixed]], "mixed": mixed}
+        _assert_stdlib_bytes(certificates.CertificateDocument("shared", payload, {"also": [mixed, point]}))
+
+    def test_path_documents_share_points(self):
+        square = billiards.square_path_segments(F(6, 17), 46)
+        doc = certificates.billiard_document(square, billiards.square_min_obstacle(F(6, 17)), None, None)
+        path = doc.result["path"]
+        assert all(a[1] is b[0] for a, b in zip(path, path[1:]))
+        _assert_stdlib_bytes(doc)
+        slope = QuadExt(F(16, 11))
+        triangle = billiards.triangle_path_segments(slope, 40)
+        doc = certificates.triangle_document(slope, None, 10_000, None, triangle)
+        segments = doc.result["path"]["segments"]
+        assert all(a[1] is b[0] for a, b in zip(segments, segments[1:]))
+        _assert_stdlib_bytes(doc)
+        # Parsed back, nothing is shared, and the document is still valid.
+        assert certificates.validate_document(certificates.parse(certificates.serialize(doc))) == []
