@@ -14,7 +14,10 @@ triangle of the same index sits immediately to its right.  Along a ray
 y = sigma * x with 0 < sigma < sqrt3 all three coordinates increase, so an
 up cell always exits through its right edge, and a down cell exits through
 its top or right edge -- or through its top-right corner, which is a lattice
-vertex (a table corner after folding).
+vertex (a table corner after folding).  The walk is therefore one step loop:
+the up cell (row, col), its down neighbour, then that down cell's exit to
+the next up cell, decided by :func:`_exit`, the one rule the contact test
+and the path fold share.
 
 The walk, its contact tests and the path folds run on integers.  The slope
 is written (a + b*sqrt3)/d with integers a, b, d, and a point is measured
@@ -188,7 +191,7 @@ def square_obstacle_contact(path: SquarePath, alpha) -> str:
     contact is 'interior' when alpha*(p+q) > c, 'boundary' at equality and
     'miss' below.  Only the slope and the segment count are read.
     """
-    alpha = Fraction(alpha)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     p, q = path.slope.numerator, path.slope.denominator
@@ -258,33 +261,18 @@ def _cleared(slope) -> tuple[int, int, int]:
     return a, b, d
 
 
-def _walk(a: int, b: int, d: int) -> Iterator[tuple[int, int, bool, int, int]]:
-    """Cells crossed by the ray y = ((a + b*sqrt3)/d) * x, in order, as
-    (row, col, points_up, P, Q) with P + Q*sqrt3 = 3aX + (3bX - dY)*sqrt3
-    the ray's side value at the cell's incenter (X, Y).
-
-    The incenter of the up cell (row, col) is X = 2col + row + 1,
-    Y = 3row + 1 and that of the down cell is (X + 1, Y + 1).  A down cell
-    exits through its top edge, its right edge or its top-right vertex as
-    the sign of (row+1)*(3d - 3b - a*sqrt3) - (col+1)*(6b + 2a*sqrt3) is
-    negative, positive or zero: the bracketed terms are 3d times the growth
-    per unit x of x - y/sqrt3 and of 2y/sqrt3.
+def _exit(row: int, col: int, g1: tuple[int, int], g2: tuple[int, int]) -> tuple[int, int]:
+    """The up cell the ray enters from the down cell (row, col): the walk's
+    one rule.  The ray leaves a down cell through its top edge u1 = row + 1,
+    its right edge u2 = col + 1, or the top-right vertex where they meet.
+    g1 and g2 are 3d times the growth of u1 = 2y/sqrt3 and u2 = x - y/sqrt3
+    per unit x, as pairs (P, Q) for P + Q*sqrt3, so the ray reaches the top
+    edge first, with the right edge, or last as (row+1)*g2 - (col+1)*g1 is
+    negative, zero or positive; the next up cell is one row up, one row up
+    and one column right, or one column right.
     """
-    top_p, top_q = 3 * d - 3 * b, -a
-    right_p, right_q = 6 * b, 2 * a
-    row = col = 0
-    while True:
-        x = 2 * col + row + 1
-        y = 3 * row + 1
-        yield row, col, True, 3 * a * x, 3 * b * x - d * y
-        yield row, col, False, 3 * a * (x + 1), 3 * b * (x + 1) - d * (y + 1)
-        exit_sign = sqrt3_sign(
-            (row + 1) * top_p - (col + 1) * right_p, (row + 1) * top_q - (col + 1) * right_q
-        )
-        if exit_sign <= 0:  # top edge, or the top-right vertex
-            row += 1
-        if exit_sign >= 0:  # right edge, or the top-right vertex
-            col += 1
+    sign = sqrt3_sign((row + 1) * g2[0] - (col + 1) * g1[0], (row + 1) * g2[1] - (col + 1) * g1[1])
+    return row + (sign <= 0), col + (sign >= 0)
 
 
 class TriangleHit(NamedTuple):
@@ -298,12 +286,6 @@ class TriangleHit(NamedTuple):
     col: int
     points_up: bool
     grazing: bool
-
-
-# The corners of up and down cells with the highest side value G, then the
-# one with the lowest (see _first_contact).
-_UP_CORNERS = _CELL_CORNERS[True][1:]
-_DOWN_CORNERS = _CELL_CORNERS[False][:2]
 
 
 def _lattice_period(b: int, d: int) -> int:
@@ -329,48 +311,66 @@ def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Opt
     """The first of ``horizon`` cells whose alpha-scaled obstacle the ray
     meets, or None.
 
+    The walk is one step loop: the up cell (row, col), its down neighbour,
+    then that cell's exit (see :func:`_exit`).  The ray's side value at a
+    point (X, Y) is G = P + Q*sqrt3 with P = 3aX and Q = 3bX - dY, which is
+    6d*(sigma*x - y); the up cell's incenter is X = 2col + row + 1,
+    Y = 3row + 1, and the down cell's is (X + 1, Y + 1).
+
     The scaled corner is (1-alpha)*incenter + alpha*corner, so with
     alpha = p/q the ray's side of it has the sign of q*G_center +
-    p*(G_corner - G_center), where G is the walk's integer side value.
-    Obstacles are closed: the ray misses only when all three corners lie
-    strictly on one side, and it grazes when no two lie strictly on
-    opposite sides (a zero sign is the ray through a scaled corner).
+    p*(G_corner - G_center).  Obstacles are closed: the ray misses only
+    when all three corners lie strictly on one side, and it grazes when no
+    two lie strictly on opposite sides (a zero sign is the ray through a
+    scaled corner).
 
     Two corners decide this.  A corner at (dX, dY) from the incenter has
     G_corner - G_center = d*(3*sigma*dX - sqrt3*dY), whose bracket is
     3*sigma + sqrt3 at (1, -1), sqrt3 - 3*sigma at (-1, -1) and -2*sqrt3
     at (0, 2) in an up cell; 2*sqrt3 at (0, -2), 3*sigma - sqrt3 at (1, 1)
     and -3*sigma - sqrt3 at (-1, 1) in a down cell.  Since 0 < sigma < sqrt3,
-    these are ordered the same way in every cell, so the first corner
-    listed in _UP_CORNERS or _DOWN_CORNERS has the highest G of its cell's
-    scaled corners and the second the lowest.  The ray misses when the
+    these are ordered the same way in every cell: an up cell's highest
+    scaled corner is at (1, -1) and its lowest at (0, 2), a down cell's
+    highest at (0, -2) and its lowest at (-1, 1).  The ray misses when the
     highest sign is negative or the lowest positive; otherwise the highest
     is >= 0 and the lowest <= 0, and the ray grazes exactly when one of
-    them is 0.
+    them is 0.  Times p, the offsets of those corners are (3ap, p(3b + d))
+    at (1, -1) and its negative at (-1, 1), and -2dp*sqrt3 at (0, 2) and
+    its negative at (0, -2).
 
     On a lattice slope (a == 0) at most one period is walked: see
-    :func:`_lattice_period`.  The cap is set once, so the per-cell loop is
-    the same for every slope.
+    :func:`_lattice_period`.  The cap is set once, so the loop is the same
+    for every slope.
     """
     if a == 0:
         horizon = min(horizon, _lattice_period(b, d))
     p, q = alpha.numerator, alpha.denominator
-    offsets = {
-        up: [(3 * a * p * dx, p * (3 * b * dx - d * dy)) for dx, dy in corners]
-        for up, corners in ((True, _UP_CORNERS), (False, _DOWN_CORNERS))
-    }
-    for index, (row, col, points_up, cp, cq) in enumerate(islice(_walk(a, b, d), horizon)):
-        cp *= q
-        cq *= q
-        (high_p, high_q), (low_p, low_q) = offsets[points_up]
-        high = sqrt3_sign(cp + high_p, cq + high_q)
-        if high < 0:
-            continue
-        low = sqrt3_sign(cp + low_p, cq + low_q)
-        if low > 0:
-            continue
-        return TriangleHit(index, row, col, points_up, high == 0 or low == 0)
-    return None
+    x_p, x_q, y_q = 3 * a * q, 3 * b * q, d * q  # q*G at (X, Y) is (x_p*X, x_q*X - y_q*Y)
+    side_p, side_q, edge = 3 * a * p, p * (3 * b + d), 2 * d * p
+    g1, g2 = (6 * b, 2 * a), (3 * d - 3 * b, -a)
+    row = col = index = 0
+    while True:
+        x = 2 * col + row + 1
+        cp, cq = x_p * x, x_q * x - y_q * (3 * row + 1)
+        high = sqrt3_sign(cp + side_p, cq + side_q)
+        if high >= 0:
+            low = sqrt3_sign(cp, cq - edge)
+            if low <= 0:
+                return TriangleHit(index, row, col, True, high == 0 or low == 0)
+        index += 1
+        if index == horizon:
+            return None
+        cp += x_p
+        cq += x_q - y_q
+        high = sqrt3_sign(cp, cq + edge)
+        if high >= 0:
+            low = sqrt3_sign(cp - side_p, cq - side_q)
+            if low <= 0:
+                return TriangleHit(index, row, col, False, high == 0 or low == 0)
+        index += 1
+        if index == horizon:
+            return None
+        row, col = _exit(row, col, g1, g2)
 
 
 def triangle_obstruction_check(slope, alpha, horizon: int) -> Optional[TriangleHit]:
@@ -384,8 +384,8 @@ def triangle_obstruction_check(slope, alpha, horizon: int) -> Optional[TriangleH
     beyond that range, and the cost grows with the horizon.
     """
     a, b, d = _cleared(slope)
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    if not 0 < alpha.numerator < alpha.denominator:  # 0 < alpha < 1
         raise ValueError("alpha must lie strictly between 0 and 1")
     _check_count(horizon, "horizon must be at least 1")
     return _first_contact(a, b, d, alpha, horizon)
@@ -407,7 +407,7 @@ def triangle_min_obstacle(
     """
     a, b, d = _cleared(slope)
     _check_count(horizon, "horizon must be at least 1")
-    tolerance = Fraction(tolerance)
+    tolerance = tolerance if type(tolerance) is Fraction else Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
 
@@ -492,9 +492,10 @@ def _fold_triangle(
     integers (xa, xb, ya, yb, n), n nonzero, for x = (xa + xb*sqrt3)/n and
     y = (ya + yb*sqrt3)/n.
 
-    The walk decides which tiling edge the ray leaves each cell by.  The
-    crossing lies a fraction t of the way along that edge, between two
-    lattice vertices, and folds to the same fraction of the way between
+    The walk decides which tiling edge the ray leaves each cell by: an up
+    cell its right edge, then its down neighbour the exit :func:`_exit`
+    gives.  The crossing lies a fraction t of the way along that edge,
+    between two lattice vertices, and folds to the same fraction of the way between
     their table corners.  With the tiling coordinates u1 = 2y/sqrt3,
     u2 = x - y/sqrt3 and u3 = x + y/sqrt3, t is u1 - row where the ray
     meets u3 = level or u2 = level, and u2 - col where it meets
@@ -506,25 +507,29 @@ def _fold_triangle(
     falling, top, rising = _ratio(g1, g3), _ratio(g2, g1), _ratio(g1, g2)
     points = [(0, 0, 0, 0, 1)]
     terminated = False
-    cells = _walk(a, b, d)
-    row, col, points_up, _, _ = next(cells)
-    for next_row, next_col, next_up, _, _ in cells:
+    row = col = 0
+    points_up = True
+    while len(points) <= n_strikes:
         if points_up:  # right edge, on u3 = level
             level, (p, q, n), offset = row + col + 1, falling, row
             v0, v1 = (col + 1, row), (col, row + 1)
-        elif next_col == col:  # top edge, on u1 = level
-            level, (p, q, n), offset = row + 1, top, col
-            v0, v1 = (col, row + 1), (col + 1, row + 1)
-        elif next_row == row:  # right edge, on u2 = level
-            level, (p, q, n), offset = col + 1, rising, row
-            v0, v1 = (col + 1, row), (col + 1, row + 1)
         else:
-            # Lattice vertex V(col + 1, row + 1): its table corner (x, y),
-            # in the units of _CORNERS, is (x/2, y*sqrt3/2); the path stops.
-            x, y = _CORNERS[(col + 1 + 2 * (row + 1)) % 3]
-            points.append((x, 0, 0, y, 2))
-            terminated = True
-            break
+            next_row, next_col = _exit(row, col, g1, g2)
+            if next_col == col:  # top edge, on u1 = level
+                level, (p, q, n), offset = row + 1, top, col
+                v0, v1 = (col, row + 1), (col + 1, row + 1)
+            elif next_row == row:  # right edge, on u2 = level
+                level, (p, q, n), offset = col + 1, rising, row
+                v0, v1 = (col + 1, row), (col + 1, row + 1)
+            else:
+                # Lattice vertex V(col + 1, row + 1): its table corner (x, y),
+                # in the units of _CORNERS, is (x/2, y*sqrt3/2); the path stops.
+                x, y = _CORNERS[(col + 1 + 2 * (row + 1)) % 3]
+                points.append((x, 0, 0, y, 2))
+                terminated = True
+                break
+            row, col = next_row, next_col
+        points_up = not points_up
         # t = (tp + tq*sqrt3)/n of the way from corner (x0, y0) to corner
         # (x0 + dx, y0 + dy): x = (x0 + dx*t)/2, y = (y0 + dy*t)*sqrt3/2.
         tp, tq = level * p - offset * n, level * q
@@ -532,9 +537,6 @@ def _fold_triangle(
         x1, y1 = _CORNERS[(v1[0] + 2 * v1[1]) % 3]
         dx, dy = x1 - x0, y1 - y0
         points.append((x0 * n + dx * tp, dx * tq, 3 * dy * tq, y0 * n + dy * tp, 2 * n))
-        if len(points) > n_strikes:
-            break
-        row, col, points_up = next_row, next_col, next_up
     return tuple(points), terminated
 
 

@@ -78,15 +78,13 @@ def encode_rational(x: Fraction) -> dict[str, int]:
 
 
 def decode_rational(value: Any) -> Fraction:
-    if (
-        not isinstance(value, dict)
-        or set(value) != {"num", "den"}
-        or not all(isinstance(value[k], int) for k in ("num", "den"))
-    ):
-        raise ValueError(f"not a rational encoding: {value!r}")
-    if value["den"] == 0:
-        raise ValueError(f"zero denominator in rational encoding: {value!r}")
-    return Fraction(value["num"], value["den"])
+    if isinstance(value, dict) and value.keys() == {"num", "den"}:
+        num, den = value["num"], value["den"]
+        if isinstance(num, int) and isinstance(den, int):
+            if den == 0:
+                raise ValueError(f"zero denominator in rational encoding: {value!r}")
+            return Fraction(num, den)
+    raise ValueError(f"not a rational encoding: {value!r}")
 
 
 def encode_quadext(q: QuadExt) -> dict[str, dict[str, int]]:
@@ -94,7 +92,7 @@ def encode_quadext(q: QuadExt) -> dict[str, dict[str, int]]:
 
 
 def decode_quadext(value: Any) -> QuadExt:
-    if not isinstance(value, dict) or set(value) != {"a", "b"}:
+    if not isinstance(value, dict) or value.keys() != {"a", "b"}:
         raise ValueError(f"not a quadratic-field encoding: {value!r}")
     return QuadExt(decode_rational(value["a"]), decode_rational(value["b"]))
 
@@ -541,18 +539,34 @@ def _produce_billiard(inputs: dict) -> CertificateDocument:
     return billiard_document(path, billiards.square_min_obstacle(slope), alpha, contact)
 
 
+# Off the lattice each bisection probe walks the whole horizon, so the
+# bracket costs a walk per bit of the tolerance.
+_MIN_TOLERANCE = Fraction(1, 2**64)
+
+
 def _produce_triangle(inputs: dict) -> CertificateDocument:
     slope = decode_quadext(inputs["slope"])
-    billiards._cleared(slope)  # the slope must lie in the wedge, whatever is asked
-    alpha = _optional_rational(inputs["alpha"])
-    horizon = _count(inputs, "horizon")
-    hit = None if alpha is None else billiards.triangle_obstruction_check(slope, alpha, horizon)
+    try:
+        alpha = _optional_rational(inputs["alpha"])
+        horizon = _count(inputs, "horizon")
+    except (KeyError, ValueError):
+        billiards._cleared(slope)  # a slope outside the wedge is reported first
+        raise
+    if alpha is None:
+        billiards._cleared(slope)  # the slope must lie in the wedge, whatever is asked
+        hit = None
+    else:
+        # The engine checks the slope before anything else, so the slope is
+        # cleared once.
+        hit = billiards.triangle_obstruction_check(slope, alpha, horizon)
     path = None
     if inputs["strikes"] is not None:
         path = billiards.triangle_path_segments(slope, _count(inputs, "strikes"))
     tolerance = _optional_rational(inputs["tolerance"])
     bracket = None
     if tolerance is not None:
+        if 0 < tolerance < _MIN_TOLERANCE:
+            raise ValueError(f"tolerance {tolerance} below the limit of 2**-64")
         bracket = billiards.triangle_min_obstacle(slope, horizon, tolerance) + (tolerance,)
     return triangle_document(slope, alpha, horizon, hit, path, bracket)
 

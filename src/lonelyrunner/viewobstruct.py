@@ -59,7 +59,7 @@ def obstruction_witness(
     :func:`~lonelyrunner.gap.exact_gap`, computed here when not given.
     """
     speeds = SpeedSet(primitive_direction(direction))
-    alpha = Fraction(alpha)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if cert is None:

@@ -4,7 +4,8 @@ The square path generator is checked against a naive step-by-step
 reflection simulator; the triangle cell walk is checked against a floating
 ray march.  Both oracles are independent of the unfolding implementation.
 The integer walk and folds are also checked, value for value, against
-copies of the Q(sqrt 3) and Fraction code they replaced.
+copies of the Q(sqrt 3) and Fraction code they replaced, and the step loop
+against the per-cell walk and fold it replaced (tests/walkref.py).
 """
 
 import math
@@ -27,6 +28,7 @@ from lonelyrunner.billiards import (
     triangle_obstruction_check,
     triangle_path_segments,
 )
+from tests import walkref
 from tests.quadfield import SQRT3, QuadExt, lift
 
 F = Fraction
@@ -261,8 +263,9 @@ def float_cell_walk(slope_value: float, horizon: int):
 
 
 def cells_along_ray(slope: QuadExt, horizon: int):
-    """The first ``horizon`` cells of the integer walk, as TriangleCells."""
-    walk = islice(billiards._walk(*billiards._cleared(slope)), horizon)
+    """The first ``horizon`` cells of the reference walk, as TriangleCells.
+    The engine's step loop is held to that walk by TestStepLoopDifferential."""
+    walk = islice(walkref.walk(*billiards._cleared(slope)), horizon)
     return [triangle_cell(row, col, points_up) for row, col, points_up, _, _ in walk]
 
 
@@ -633,7 +636,7 @@ class TestIntegerWalkDifferential:
 
 # ---------------------------------------------------------------------------
 # Lattice slopes: _first_contact walks at most one period, checked against
-# its own loop with no cap, copied here as the reference.
+# the reference walk's contact loop with no cap.
 # ---------------------------------------------------------------------------
 
 
@@ -641,9 +644,9 @@ def uncapped_first_contact(a, b, d, alpha, horizon):
     p, q = alpha.numerator, alpha.denominator
     offsets = {
         up: [(3 * a * p * dx, p * (3 * b * dx - d * dy)) for dx, dy in corners]
-        for up, corners in ((True, billiards._UP_CORNERS), (False, billiards._DOWN_CORNERS))
+        for up, corners in ((True, walkref.UP_CORNERS), (False, walkref.DOWN_CORNERS))
     }
-    walk = islice(billiards._walk(a, b, d), horizon)
+    walk = islice(walkref.walk(a, b, d), horizon)
     for index, (row, col, points_up, cp, cq) in enumerate(walk):
         cp *= q
         cq *= q
@@ -690,7 +693,7 @@ class TestLatticePeriod:
             a, b, d = billiards._cleared(QuadExt(0, F(j, 2 * i + j)))
             period = 2 * (i + j) - 2
             assert (a, billiards._lattice_period(b, d)) == (0, period)
-            walk = billiards._walk(a, b, d)
+            walk = walkref.walk(a, b, d)
             previous = next(walk)
             for index, cell in enumerate(walk, start=1):
                 if cell[:3] == (previous[0] + 1, previous[1] + 1, True):
@@ -719,6 +722,94 @@ class TestLatticePeriod:
                     for scale in (1, 2, 3):  # the slope reduced, then unreduced
                         got = billiards._first_contact(0, scale * b, scale * d, alpha, horizon)
                         assert got == want, (i, j, alpha, horizon, scale)
+
+
+# ---------------------------------------------------------------------------
+# The engine's step loop against the per-cell walk, contact test and fold it
+# replaced, frozen in tests/walkref.py.
+# ---------------------------------------------------------------------------
+
+
+def near_threshold_alphas(a, b, d, horizon, steps=12):
+    """The ends of a bisection bracket for the least alpha the reference
+    walk meets within ``horizon`` cells: the closest hit and miss found."""
+    lo, hi = F(0), F(1)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if walkref.first_contact(a, b, d, mid, horizon) is None:
+            lo = mid
+        else:
+            hi = mid
+    return [alpha for alpha in (lo, hi) if 0 < alpha < 1]
+
+
+def small_horizons(*extra):
+    # Odd horizons end on an up cell, even ones on a down cell.
+    return sorted({1, 2, 3, 4, 5, 6, 7, *extra} - {0})
+
+
+class TestStepLoopDifferential:
+    def test_lattice_slopes(self):
+        # Every coprime pair i, j <= 30, reduced and unreduced, at the
+        # closed-form least alpha (where the ray grazes), just around it and
+        # at the fixed alphas, over horizons around the period P.
+        for i, j in LATTICE_PAIRS:
+            _, b, d = billiards._cleared(QuadExt(0, F(j, 2 * i + j)))
+            period = 2 * (i + j) - 2
+            least = closed_form_min_obstacle(i, j)
+            alphas = list(LATTICE_ALPHAS)
+            if least:
+                alphas += [least, least - F(1, 10**6), least + F(1, 10**6)]
+            grazes = 0
+            for alpha in alphas:
+                for horizon in small_horizons(period - 1, period, period + 1, 2 * period + 1):
+                    for scale in (1, 2):
+                        sb, sd = scale * b, scale * d
+                        want = walkref.first_contact(0, sb, sd, alpha, horizon)
+                        got = billiards._first_contact(0, sb, sd, alpha, horizon)
+                        assert got == want, (i, j, alpha, horizon, scale)
+                        grazes += got is not None and got.grazing
+            assert grazes or not least, (i, j)
+
+    def test_off_lattice_slopes(self):
+        # 500 seeded rational and mixed slopes, each at fixed alphas and at
+        # the two ends of its own bisection bracket, over small horizons and
+        # horizons around the first hit.
+        rng = random.Random(816)
+        for n in range(500):
+            slope = random_wedge_slope(rng, ("rational", "mixed")[n % 2])
+            a, b, d = billiards._cleared(slope)
+            alphas = [F(1, 1000), F(1, 4), F(1, 2), F(rng.randint(1, 99), 100)]
+            alphas += near_threshold_alphas(a, b, d, 120)
+            for alpha in alphas:
+                first = walkref.first_contact(a, b, d, alpha, 120)
+                around = () if first is None else (first.index, first.index + 1, first.index + 2)
+                for horizon in small_horizons(119, 120, 121, *around):
+                    want = walkref.first_contact(a, b, d, alpha, horizon)
+                    assert billiards._first_contact(a, b, d, alpha, horizon) == want, (
+                        slope,
+                        alpha,
+                        horizon,
+                    )
+
+    def test_folds_match(self):
+        # Lattice slopes stop at a table corner after about P strikes.
+        rng = random.Random(817)
+        cases = []
+        for i, j in LATTICE_PAIRS:
+            period = 2 * (i + j) - 2
+            strikes = small_horizons(period - 1, period, period + 1)
+            cases += [(QuadExt(0, F(j, 2 * i + j)), n) for n in strikes]
+        for n in range(500):
+            slope = random_wedge_slope(rng, ("rational", "mixed")[n % 2])
+            cases += [(slope, k) for k in small_horizons(rng.randint(8, 80))]
+        terminated = 0
+        for slope, strikes in cases:
+            a, b, d = billiards._cleared(slope)
+            folded = billiards._fold_triangle(a, b, d, strikes)
+            assert folded == walkref.fold_triangle(a, b, d, strikes), (slope, strikes)
+            terminated += folded[1]
+        assert terminated >= len(LATTICE_PAIRS)
 
 
 # ---------------------------------------------------------------------------

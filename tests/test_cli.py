@@ -248,6 +248,34 @@ class TestGeometryCommands:
         code, _, _ = invoke(argv + ["--json", str(target)])
         assert code == 1 and not target.exists()
 
+    def test_tolerance_below_two_to_the_minus_64_exits_one(self, tmp_path):
+        # Off the lattice each bisection probe walks the whole horizon, so
+        # the bracket costs a walk per bit of the tolerance: it is capped.
+        tiny = f"1/{2**64 + 1}"
+        argv = ["triangle", "--slope", "16/11", "--min-obstacle", "--tolerance", tiny]
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: tolerance {tiny} below the limit of 2**-64\n"
+        target = tmp_path / "doc.json"
+        code, _, _ = invoke(argv + ["--json", str(target)])
+        assert code == 1 and not target.exists()
+
+    def test_tolerance_at_two_to_the_minus_64_is_bracketed(self, tmp_path):
+        argv = ["triangle", "--slope", "sqrt3*1/5", "--horizon", "50", "--min-obstacle"]
+        code, doc = invoke_json(argv + ["--tolerance", f"1/{2**64}"])
+        assert code == 0
+        assert doc["result"]["min_obstacle"]["hi"] == {"num": 1, "den": 4}
+        # The same document naming a smaller tolerance is malformed.
+        doc["inputs"]["tolerance"] = {"num": 1, "den": 2**65}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, report = invoke_json(["check", str(path)])
+        assert code == 2
+        assert report["result"] == {
+            "valid": False,
+            "issues": [f"malformed document: tolerance 1/{2**65} below the limit of 2**-64"],
+        }
+
     def test_triangle_min_obstacle(self):
         code, doc = invoke_json(
             ["triangle", "--slope", "sqrt3*1/5", "--min-obstacle", "--horizon", "300"]
