@@ -1,5 +1,6 @@
 """Exact number kernel: rationals, values in Q(sqrt 3) and the exact sign
-of ``p + q*sqrt(3)``, the torus norm, and small-prime iteration.
+of ``p + q*sqrt(3)``, the torus norm, small-prime iteration, and the input
+rules every engine shares: ``_check_count`` and ``_unit_scale``.
 
 Nothing in this module (or anything built on it) ever rounds.  Rationals are
 stdlib :class:`fractions.Fraction` values -- always reduced, denominator
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 __all__ = [
     "RationalLike",
@@ -26,6 +27,26 @@ __all__ = [
 ]
 
 RationalLike = Union[int, Fraction]
+
+
+def _check_count(value, message: str, least: int = 1, most: Optional[int] = None) -> int:
+    """``value`` if it is an int in [least, most], the one rule for every
+    count an engine or a document takes.  A bool is not a count, although
+    Python treats True as 1; an int out of range raises ``message``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"count must be an integer, got {value!r}")
+    if value < least or most is not None and value > most:
+        raise ValueError(message)
+    return value
+
+
+def _unit_scale(alpha: RationalLike) -> Fraction:
+    """The obstacle scale alpha as a Fraction, refused unless 0 < alpha < 1.
+    A Fraction is kept as it is, without Fraction()'s costly type check."""
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    if not 0 < alpha.numerator < alpha.denominator:  # the denominator is positive
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    return alpha
 
 
 def torus_norm(x: RationalLike) -> Fraction:

@@ -49,7 +49,7 @@ from itertools import islice
 from math import lcm
 from typing import Iterator, NamedTuple, Optional
 
-from .arith import QuadExt, RationalLike, sqrt3_sign
+from .arith import QuadExt, RationalLike, _check_count, _unit_scale, sqrt3_sign
 
 __all__ = [
     "Point",
@@ -69,16 +69,6 @@ __all__ = [
 
 Point = tuple[Fraction, Fraction]
 QPoint = tuple[QuadExt, QuadExt]
-
-
-def _check_count(value, message: str, least: int = 1) -> None:
-    """Reject a count that is not an int >= ``least`` (a cell, segment or
-    strike count here; any count of a certificate's inputs).  A bool is not
-    a count, although Python treats True as 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"count must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +181,7 @@ def square_obstacle_contact(path: SquarePath, alpha) -> str:
     contact is 'interior' when alpha*(p+q) > c, 'boundary' at equality and
     'miss' below.  Only the slope and the segment count are read.
     """
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _unit_scale(alpha)
     p, q = path.slope.numerator, path.slope.denominator
     least = min(
         abs(p * (2 * (x // p) + 1) - q * (2 * (x // q) + 1))
@@ -384,17 +372,21 @@ def triangle_obstruction_check(slope, alpha, horizon: int) -> Optional[TriangleH
     beyond that range, and the cost grows with the horizon.
     """
     a, b, d = _cleared(slope)
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    if not 0 < alpha.numerator < alpha.denominator:  # 0 < alpha < 1
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _unit_scale(alpha)
     _check_count(horizon, "horizon must be at least 1")
     return _first_contact(a, b, d, alpha, horizon)
 
 
+# The defaults of triangle_min_obstacle, which lrc triangle reads as well.
+_HORIZON = 10_000
+_TOLERANCE = Fraction(1, 1024)
+_MIN_TOLERANCE = Fraction(1, 2**64)  # one bisection probe per bit
+
+
 def triangle_min_obstacle(
     slope,
-    horizon: int = 10_000,
-    tolerance: RationalLike = Fraction(1, 1024),
+    horizon: int = _HORIZON,
+    tolerance: RationalLike = _TOLERANCE,
 ) -> tuple[Fraction, Fraction]:
     """Bisection bracket [lo, hi] for the minimal obstructing scale.
 
@@ -404,12 +396,15 @@ def triangle_min_obstacle(
     lattice slope each probe walks min(horizon, P) cells of the period P
     (see :func:`triangle_obstruction_check`), so ``lo`` is a miss over the
     whole ray; off the lattice each probe's cost grows with the horizon.
+    There is one probe per bit of the tolerance, which must be >= 2**-64.
     """
     a, b, d = _cleared(slope)
     _check_count(horizon, "horizon must be at least 1")
     tolerance = tolerance if type(tolerance) is Fraction else Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if tolerance < _MIN_TOLERANCE:
+        raise ValueError(f"tolerance {tolerance} below the limit of 2**-64")
 
     def hits(alpha: Fraction) -> bool:
         return _first_contact(a, b, d, alpha, horizon) is not None

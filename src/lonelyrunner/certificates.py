@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii
 from math import ceil, gcd
 from typing import Any, Optional
 
-from .arith import QuadExt, SpeedSet, is_prime
+from .arith import QuadExt, SpeedSet, _check_count, is_prime
 from . import billiards, fieldsearch, gap, viewobstruct
 
 __all__ = [
@@ -111,12 +111,11 @@ class CertificateDocument:
     command: str
     inputs: dict
     result: dict
-    version: str = SCHEMA_VERSION
 
 
 def serialize(doc: CertificateDocument) -> str:
     payload = {
-        "version": doc.version,
+        "version": SCHEMA_VERSION,
         "command": doc.command,
         "inputs": doc.inputs,
         "result": doc.result,
@@ -243,12 +242,7 @@ def parse(text: str) -> CertificateDocument:
         raise ValueError(f"unsupported schema version {data['version']!r}")
     if not isinstance(data["command"], str):
         raise ValueError("certificate document command must be a string")
-    return CertificateDocument(
-        command=data["command"],
-        inputs=data["inputs"],
-        result=data["result"],
-        version=data["version"],
-    )
+    return CertificateDocument(data["command"], data["inputs"], data["result"])
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +467,7 @@ def conj34_document(speeds: SpeedSet, witness: fieldsearch.BandWitness) -> Certi
 
 
 def _count(inputs: dict, key: str, least: int = 1) -> int:
-    value = inputs[key]
-    billiards._check_count(value, f"{key} must be at least {least}", least)
-    return value
+    return _check_count(inputs[key], f"{key} must be at least {least}", least)
 
 
 def _optional_rational(value: Any) -> Optional[Fraction]:
@@ -539,11 +531,6 @@ def _produce_billiard(inputs: dict) -> CertificateDocument:
     return billiard_document(path, billiards.square_min_obstacle(slope), alpha, contact)
 
 
-# Off the lattice each bisection probe walks the whole horizon, so the
-# bracket costs a walk per bit of the tolerance.
-_MIN_TOLERANCE = Fraction(1, 2**64)
-
-
 def _produce_triangle(inputs: dict) -> CertificateDocument:
     slope = decode_quadext(inputs["slope"])
     try:
@@ -564,9 +551,7 @@ def _produce_triangle(inputs: dict) -> CertificateDocument:
         path = billiards.triangle_path_segments(slope, _count(inputs, "strikes"))
     tolerance = _optional_rational(inputs["tolerance"])
     bracket = None
-    if tolerance is not None:
-        if 0 < tolerance < _MIN_TOLERANCE:
-            raise ValueError(f"tolerance {tolerance} below the limit of 2**-64")
+    if tolerance is not None:  # the engine refuses a tolerance below 2**-64
         bracket = billiards.triangle_min_obstacle(slope, horizon, tolerance) + (tolerance,)
     return triangle_document(slope, alpha, horizon, hit, path, bracket)
 
@@ -731,9 +716,8 @@ def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
     if t <= 0:
         issues.append("hit time must be positive")
         return
-    n = t.denominator
-    radius = fieldsearch.BandWitness.radius(n, (1 - alpha) / 2)
-    _check_band_witness(issues, n, t.numerator % n, radius, SpeedSet(direction))
+    witness = fieldsearch.BandWitness.at_time(t, (1 - alpha) / 2)
+    _check_band_witness(issues, *witness, SpeedSet(direction))
 
 
 def _check_band_witness(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import QuadExt
-from . import certificates, fieldsearch, render
+from . import billiards, certificates, fieldsearch, render
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -141,7 +141,7 @@ def build_parser() -> _Parser:
         "--slope", type=_slope_input, required=True, help="p/q or sqrt3*p/q, inside (0, sqrt3)"
     )
     p.add_argument("--alpha", type=_rational_input, help="obstacle scale to test along the walk")
-    p.add_argument("--horizon", type=int, default=10_000, help="cells to walk")
+    p.add_argument("--horizon", type=int, default=billiards._HORIZON, help="cells to walk")
     p.add_argument("--strikes", type=int, help="also fold this many path segments")
     p.add_argument(
         "--min-obstacle",
@@ -149,14 +149,16 @@ def build_parser() -> _Parser:
         help="bisect for the minimal obstructing scale within the horizon",
     )
     p.add_argument(
-        "--tolerance", type=_rational_input, help="bracket width for --min-obstacle (1/1024)"
+        "--tolerance",
+        type=_rational_input,
+        help=f"bracket width for --min-obstacle ({billiards._TOLERANCE})",
     )
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("invisible", help="drop d runners to certify a larger gap")
     p.add_argument("--speeds", type=_parse_speeds, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--prime-budget", type=int, default=100_000)
+    p.add_argument("--prime-budget", type=int, default=fieldsearch._PRIME_BUDGET)
     p.add_argument("--json", **json_flag)
 
     p = sub.add_parser("conj34", help="residue witness (n, x, m) for a speed set")
@@ -203,7 +205,7 @@ def _cmd_produce(args, out) -> int:
         if args.tolerance is not None and not args.min_obstacle:
             raise UsageError("--tolerance needs --min-obstacle")
         if args.min_obstacle and args.tolerance is None:
-            inputs["tolerance"] = _rational_input("1/1024")
+            inputs["tolerance"] = certificates.encode_rational(billiards._TOLERANCE)
     doc = certificates.produce(args.subcommand, inputs)
     _emit(certificates.serialize(doc), args.json, out)
     result = doc.result

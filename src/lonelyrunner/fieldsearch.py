@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, NamedTuple, Optional
 
-from .arith import SpeedSet, is_prime, next_prime_not_dividing
+from .arith import SpeedSet, _check_count, is_prime, next_prime_not_dividing
 from .gap import exact_gap
 
 __all__ = [
@@ -59,6 +59,12 @@ class BandWitness(NamedTuple):
     def radius(n: int, bound: Fraction) -> int:
         """The least m whose bound (m+1)/n reaches ``bound``: ceil(n*bound) - 1."""
         return ceil(n * bound) - 1
+
+    @classmethod
+    def at_time(cls, t: Fraction, bound: Fraction) -> "BandWitness":
+        """The witness at time t = x/n (in lowest terms, x mod n) that certifies ``bound``."""
+        n = t.denominator
+        return cls(n, t.numerator % n, cls.radius(n, bound))
 
     @property
     def bound(self) -> Fraction:
@@ -97,14 +103,15 @@ def residue_matrix_scan(
     """
     sset = SpeedSet(speeds)
     _require_admissible(p, sset)
-    if m < 0 or 2 * m >= p:
-        raise ValueError(f"band radius {m} must satisfy 0 <= m < {p}/2")
-    if not 0 <= d <= len(sset):
-        raise ValueError(f"d must be between 0 and {len(sset)}")
+    _check_count(m, f"band radius {m} must satisfy 0 <= m < {p}/2", least=0, most=(p - 1) // 2)
+    _check_count(d, f"d must be between 0 and {len(sset)}", least=0, most=len(sset))
     for x in range(1, p):
         if len(BandWitness(p, x, m).far(sset)) >= len(sset) - d:
             return x
     return None
+
+
+_PRIME_BUDGET = 100_000  # invisible_subset's default, and lrc invisible's
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ class SubsetCertificate:
 
 
 def invisible_subset(
-    speeds: Iterable[int], d: int, prime_budget: int = 100_000
+    speeds: Iterable[int], d: int, prime_budget: int = _PRIME_BUDGET
 ) -> SubsetCertificate:
     """Drop up to d speeds so the remaining gap reaches (d+1)/(2k).
 
@@ -141,8 +148,7 @@ def invisible_subset(
     """
     sset = SpeedSet(speeds)
     k = len(sset)
-    if not 0 <= d < k:
-        raise ValueError(f"d must satisfy 0 <= d < {k}")
+    _check_count(d, f"d must satisfy 0 <= d < {k}", least=0, most=k - 1)
     if prime_budget < 2:
         raise PrimeBudgetExhausted(f"prime budget {prime_budget} admits no prime")
     target = Fraction(d + 1, 2 * k)

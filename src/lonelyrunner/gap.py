@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import SpeedSet
+from .arith import SpeedSet, _check_count
 
 __all__ = [
     "GapCertificate",
@@ -402,8 +402,7 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     lexicographic.  Sets with a common factor are skipped: delta is
     invariant under scaling all speeds by a constant.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _check_count(k, f"k must be at least 1, got {k}")
     far_rows, columns = _columns(k, max_speed)
     found = []
     width = f"0{max_speed}b"  # speed s is char s-1, bit max_speed - s
@@ -463,10 +462,8 @@ def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
     :func:`sweep`).  A counterexample is collected, not raised -- it would
     refute the conjecture.  Both lists come out in lexicographic order.
     """
-    if not 1 <= k <= 10:
-        raise ValueError("k must be between 1 and 10 (desk scale)")
-    if max_speed < k:
-        raise ValueError("max_speed must be at least k")
+    _check_count(k, "k must be between 1 and 10 (desk scale)", most=10)
+    _check_count(max_speed, "max_speed must be at least k", least=k)
     bound = Fraction(1, k + 1)
     tight: list[tuple[int, ...]] = []
     bad: list[tuple[int, ...]] = []

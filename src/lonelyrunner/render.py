@@ -13,12 +13,11 @@ from __future__ import annotations
 import inspect
 from fractions import Fraction
 
-from .arith import QuadExt
+from .arith import QuadExt, _check_count, _unit_scale
 from .billiards import (
     _CELL_CORNERS,
     SquarePath,
     TrianglePath,
-    _check_count,
     _cleared,
     _incenter,
     _square_slope,
@@ -223,9 +222,8 @@ def render_svg(scene: str, **params) -> str:
         inspect.signature(draw).bind(**params)
     except TypeError as exc:
         raise ValueError(f"scene {scene}: {exc}") from None
-    alpha = params.get("alpha")
-    if alpha is not None and not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    if params.get("alpha") is not None:
+        _unit_scale(params["alpha"])
     for name in ("extent", "segments", "strikes"):
         if name in params:
             _check_count(params[name], f"{name} must be at least 1")

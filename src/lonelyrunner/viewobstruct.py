@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional
 
-from .arith import SpeedSet
+from .arith import SpeedSet, _check_count, _unit_scale
 from .fieldsearch import BandWitness
 from .gap import GapCertificate, exact_gap, sweep
 
@@ -59,16 +59,12 @@ def obstruction_witness(
     :func:`~lonelyrunner.gap.exact_gap`, computed here when not given.
     """
     speeds = SpeedSet(primitive_direction(direction))
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _unit_scale(alpha)
     if cert is None:
         cert = exact_gap(speeds)
     if alpha < 1 - 2 * cert.delta:
         return None
-    t = cert.witness_time
-    n = t.denominator
-    witness = BandWitness(n, t.numerator % n, BandWitness.radius(n, (1 - alpha) / 2))
+    witness = BandWitness.at_time(cert.witness_time, (1 - alpha) / 2)
     if not witness.avoids(speeds):
         raise ArithmeticError("witness time failed the cube containment check")
     return witness
@@ -108,10 +104,8 @@ def kprime_scan(k: int, max_coord: int) -> KPrimeScanReport:
     k >= 8 that argument needs sets of seven or more values, which the
     theorem does not cover, so only the k-set statement is claimed there.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if max_coord < k:
-        raise ValueError("max_coord must be at least k")
+    _check_count(k, "k must be at least 2", least=2)
+    _check_count(max_coord, "max_coord must be at least k", least=k)
     coords, delta = min(sweep(k, max_coord), key=lambda item: item[1])
     best = 1 - 2 * delta
     cap = Fraction(k - 1, k)

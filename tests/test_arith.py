@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from lonelyrunner import arith
+from lonelyrunner import arith, fieldsearch, gap, viewobstruct
 from lonelyrunner.arith import (
     SpeedSet,
     is_prime,
@@ -267,3 +267,46 @@ class TestSpeedSet:
         for t in copies + [copy.deepcopy(s), copy.copy(s)]:
             assert type(t) is SpeedSet and t == s and t.max == 7
             assert repr(t) == "SpeedSet({3, 5, 7})"
+
+
+# Every engine argument that is a count, as a call with that argument bad.
+COUNT_ARGUMENTS = {
+    "verify_lrc k": lambda bad: gap.verify_lrc(bad, 5),
+    "verify_lrc max_speed": lambda bad: gap.verify_lrc(3, bad),
+    "sweep k": lambda bad: list(gap.sweep(bad, 5)),
+    "kprime_scan k": lambda bad: viewobstruct.kprime_scan(bad, 8),
+    "kprime_scan max_coord": lambda bad: viewobstruct.kprime_scan(3, bad),
+    "invisible_subset d": lambda bad: fieldsearch.invisible_subset((1, 2, 3), bad),
+    "residue_matrix_scan m": lambda bad: fieldsearch.residue_matrix_scan((1, 2, 3), 7, bad, 1),
+    "residue_matrix_scan d": lambda bad: fieldsearch.residue_matrix_scan((1, 2, 3), 7, 1, bad),
+}
+
+
+class TestCountRule:
+    """A bool or a float is refused where it enters an engine, with the one
+    count message, although Python would compare True as 1 and 2.0 as 2."""
+
+    @pytest.mark.parametrize("bad", [True, 2.0], ids=repr)
+    @pytest.mark.parametrize("call", list(COUNT_ARGUMENTS.values()), ids=list(COUNT_ARGUMENTS))
+    def test_bool_and_float_refused(self, call, bad):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"count must be an integer, got {bad!r}"
+
+    def test_range_messages_kept(self):
+        for call, bad, message in [
+            (COUNT_ARGUMENTS["verify_lrc k"], 11, "k must be between 1 and 10 (desk scale)"),
+            (COUNT_ARGUMENTS["verify_lrc max_speed"], 2, "max_speed must be at least k"),
+            (COUNT_ARGUMENTS["sweep k"], 0, "k must be at least 1, got 0"),
+            (COUNT_ARGUMENTS["kprime_scan k"], 1, "k must be at least 2"),
+            (COUNT_ARGUMENTS["kprime_scan max_coord"], 2, "max_coord must be at least k"),
+            (COUNT_ARGUMENTS["invisible_subset d"], 3, "d must satisfy 0 <= d < 3"),
+            (COUNT_ARGUMENTS["residue_matrix_scan m"], 4, "band radius 4 must satisfy 0 <= m < 7/2"),
+            (COUNT_ARGUMENTS["residue_matrix_scan d"], -1, "d must be between 0 and 3"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                call(bad)
+            assert str(info.value) == message
+        # The largest counts in range are accepted.
+        assert fieldsearch.residue_matrix_scan((1, 2, 3), 7, 3, 3) == 1
+        assert fieldsearch.invisible_subset((1, 2, 3), 2).d == 2

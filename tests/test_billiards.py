@@ -407,6 +407,16 @@ class TestTriangleMinObstacle:
         lo, hi = triangle_min_obstacle(QuadExt(0, F(1, 5)), horizon=200, tolerance=F(1, 64))
         assert hi - lo <= F(1, 64)
 
+    def test_tolerance_floor(self):
+        # One bisection probe per bit: the engine itself refuses a width
+        # below 2**-64, and accepts 2**-64.
+        slope = QuadExt(F(16, 11))
+        with pytest.raises(ValueError) as info:
+            triangle_min_obstacle(slope, 10, tolerance=F(1, 2**65))
+        assert str(info.value) == f"tolerance {F(1, 2**65)} below the limit of 2**-64"
+        lo, hi = triangle_min_obstacle(slope, 10, tolerance=F(1, 2**64))
+        assert 0 < hi - lo <= F(1, 2**64)
+
     def test_horizon_validation(self):
         # hi must be a verified hit, and an empty walk verifies nothing.
         with pytest.raises(ValueError):

@@ -264,6 +264,20 @@ class TestBooleanCounts:
         self._assert_malformed_only_as_bool(doc, "segments")
 
 
+class TestLibraryDocuments:
+    """Documents built from library calls, whose counts the engines have
+    checked, are valid under the rule ``lrc check`` applies."""
+
+    def test_round_trip(self):
+        for doc in [
+            certificates.verify_document(gap.verify_lrc(4, 12)),
+            certificates.kscan_document(viewobstruct.kprime_scan(3, 8)),
+            certificates.invisible_document(fieldsearch.invisible_subset((1, 2, 3), 1), 100000),
+        ]:
+            assert certificates.validate_document(certificates.parse(certificates.serialize(doc))) == []
+            assert certificates.validate_document(doc) == []
+
+
 class TestTriangleHorizon:
     """A path-only triangle document runs no walk, but its horizon must
     still be a count."""
@@ -834,7 +848,7 @@ class TestObstructVerdicts:
 def _stdlib_bytes(doc):
     """The format ``serialize`` writes, as the standard library writes it."""
     payload = {
-        "version": doc.version,
+        "version": certificates.SCHEMA_VERSION,
         "command": doc.command,
         "inputs": doc.inputs,
         "result": doc.result,
@@ -956,7 +970,7 @@ class TestSerializeBytes:
 
     def test_pinned_documents(self):
         for _, document in PINNED:
-            _assert_stdlib_bytes(certificates.CertificateDocument(**document))
+            _assert_stdlib_bytes(certificates.parse(json.dumps(document)))
 
     def test_tampered_documents(self):
         for build, _, edit in CASES + WITNESS_CASES:

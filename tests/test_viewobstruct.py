@@ -7,7 +7,8 @@ from math import floor, gcd
 
 import pytest
 
-from lonelyrunner.arith import SpeedSet
+from lonelyrunner.arith import QuadExt, SpeedSet
+from lonelyrunner.billiards import square_obstacle_contact, square_path_segments, triangle_obstruction_check
 from lonelyrunner.fieldsearch import BandWitness
 from lonelyrunner.gap import exact_gap
 from lonelyrunner.viewobstruct import (
@@ -16,6 +17,7 @@ from lonelyrunner.viewobstruct import (
     obstruction_witness,
     primitive_direction,
 )
+from lonelyrunner.render import render_svg
 
 
 def nearest_center(y):
@@ -113,6 +115,18 @@ class TestObstructionWitness:
             obstruction_witness((1, 2), Fraction(0))
         with pytest.raises(ValueError):
             obstruction_witness((1, 2), Fraction(3, 2))
+        # Every engine that takes an obstacle scale refuses one outside
+        # (0, 1) with the same message, as a Fraction or an int.
+        engines = [
+            lambda alpha: obstruction_witness((1, 2), alpha),
+            lambda alpha: square_obstacle_contact(square_path_segments(Fraction(1, 2), 4), alpha),
+            lambda alpha: triangle_obstruction_check(QuadExt(0, Fraction(1, 5)), alpha, 10),
+            lambda alpha: render_svg("obstruction2d", alpha=alpha),
+        ]
+        for engine, alpha in product(engines, [0, 1, Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2)]):
+            with pytest.raises(ValueError) as info:
+                engine(alpha)
+            assert str(info.value) == "alpha must lie strictly between 0 and 1"
 
 
 class TestKPrimeScan:
