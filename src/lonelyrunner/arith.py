@@ -29,13 +29,14 @@ __all__ = [
 RationalLike = Union[int, Fraction]
 
 
-def _check_count(value, message: str, least: int = 1, most: Optional[int] = None) -> int:
+def _check_count(value, message: str, least: Optional[int] = 1, most: Optional[int] = None) -> int:
     """``value`` if it is an int in [least, most], the one rule for every
-    count an engine or a document takes.  A bool is not a count, although
-    Python treats True as 1; an int out of range raises ``message``."""
+    count an engine or a document takes; a bound of None is no bound.  A
+    bool is not a count, although Python treats True as 1; an int out of
+    range raises ``message``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"count must be an integer, got {value!r}")
-    if value < least or most is not None and value > most:
+    if least is not None and value < least or most is not None and value > most:
         raise ValueError(message)
     return value
 

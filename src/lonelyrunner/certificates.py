@@ -9,13 +9,16 @@ strings or floats never appear.
 indent=2)`` plus a newline: two-space indent, ASCII-escaped strings, keys in
 the order the builder put them.  It writes that format itself: given an indent,
 the standard library leaves its C encoder for its pure-Python one, which is
-about 2.5 times slower on these documents.  Each rational and each Q(sqrt 3)
+about 2.5 times slower on these documents.  It writes in one pass: every
+piece of text is appended to one list, which is joined once, and a dict or
+list writes each scalar item inline.  Each rational and each Q(sqrt 3)
 element, the two leaf shapes of every document, is written from a %-template
 built once per indentation, and so is each point: a list of two leaves of
 one shape.  Any other value, a near miss of those shapes included, is
 written value by value.  A list that occurs more than once in one payload,
 such as a path point that two segments share, is written once and its
-text reused.
+text reused.  A subclass of dict, list or tuple is written as its base
+type, as the standard library writes it.
 
 ``produce(command, inputs)`` is the one rule from a command's inputs to its
 document; ``lrc <command>`` and ``lrc check`` both call it.
@@ -120,53 +123,94 @@ def serialize(doc: CertificateDocument) -> str:
         "inputs": doc.inputs,
         "result": doc.result,
     }
-    return _encode(payload, "\n", {}) + "\n"
+    parts: list[str] = []
+    _encode(payload, "\n", parts, {})
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _encode(value, indent: str, written: dict) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it at the nesting
-    that ``indent`` (a newline and the current indentation) marks.  Keys are
-    strings, as in every document.
+# The text of each scalar, by exact type, which a container writes inline.
+_SCALARS = {
+    int: repr,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _encode(value, indent: str, parts: list[str], written: dict) -> None:
+    """Append to ``parts`` the text of ``value`` as ``json.dumps(value,
+    indent=2)`` writes it at the nesting that ``indent`` (a newline and the
+    current indentation) marks.  Keys are strings, as in every document.
+
+    A dict, list or tuple writes each scalar item inline, with its key and
+    separator in one part, and calls this for any other item.  A subclass
+    of dict, list or tuple is written as its base type, and any other value
+    as ``json.dumps`` writes it.
 
     ``written`` maps (id, indent) of each list already written in this
-    payload to its text, so a list that occurs more than once, such as a
-    path point shared by two segments, is written once.  Every list stays
-    alive in the payload while it is written, so no id is reused."""
+    payload to the span of ``parts`` that holds its text, so a list that
+    occurs more than once, such as a path point shared by two segments, is
+    written once.  Every list stays alive in the payload while it is
+    written, so no id is reused."""
     kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    inner = indent + "  "
+    if kind is not dict and kind is not list and kind is not tuple:
+        scalar = _SCALARS.get(kind)
+        if scalar is not None:
+            parts.append(scalar(value))
+            return
+        if isinstance(value, (list, tuple)):
+            kind = list
+        elif isinstance(value, dict):
+            kind = dict
+        else:
+            parts.append(json.dumps(value))
+            return
+    if not value:
+        parts.append("{}" if kind is dict else "[]")
+        return
     if kind is dict:
-        if not value:
-            return "{}"
         if len(value) == 2:
             ints = _leaf_ints(value)
             if ints is not None:
-                return (_TEMPLATES.get(indent) or _templates(indent))[0][len(ints)] % ints
-        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner, written) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        key = (id(value), indent)
-        text = written.get(key)
-        if text is None:
-            if len(value) == 2 and type(value[0]) is dict:
-                text = _encode_point(value, indent)
-            if text is None:
-                items = [_encode(v, inner, written) for v in value]
-                text = "[" + inner + ("," + inner).join(items) + indent + "]"
-            written[key] = text
-        return text
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return json.dumps(value)
+                parts.append((_TEMPLATES.get(indent) or _templates(indent))[0][len(ints)] % ints)
+                return
+        inner = indent + "  "
+        comma = "," + inner
+        head = "{" + inner
+        for key, item in value.items():
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                parts.append(f"{head}{encode_basestring_ascii(key)}: {scalar(item)}")
+            else:
+                parts.append(f"{head}{encode_basestring_ascii(key)}: ")
+                _encode(item, inner, parts, written)
+            head = comma
+        parts.append(indent + "}")
+        return
+    key = (id(value), indent)
+    span = written.get(key)
+    if span is not None:
+        parts.extend(parts[span[0] : span[1]])
+        return
+    start = len(parts)
+    text = _encode_point(value, indent) if len(value) == 2 and type(value[0]) is dict else None
+    if text is not None:
+        parts.append(text)
+    else:
+        inner = indent + "  "
+        comma = "," + inner
+        head = "[" + inner
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                parts.append(head + scalar(item))
+            else:
+                parts.append(head)
+                _encode(item, inner, parts, written)
+            head = comma
+        parts.append(indent + "]")
+    written[key] = start, len(parts)
 
 
 # Per indent, the %-templates of the two leaf shapes and of a point, a list

@@ -149,7 +149,8 @@ def invisible_subset(
     sset = SpeedSet(speeds)
     k = len(sset)
     _check_count(d, f"d must satisfy 0 <= d < {k}", least=0, most=k - 1)
-    if prime_budget < 2:
+    # Any int is a budget; one below 2 admits no prime.
+    if _check_count(prime_budget, "", least=None) < 2:
         raise PrimeBudgetExhausted(f"prime budget {prime_budget} admits no prime")
     target = Fraction(d + 1, 2 * k)
     step = 1

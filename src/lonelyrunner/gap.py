@@ -403,6 +403,7 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     invariant under scaling all speeds by a constant.
     """
     _check_count(k, f"k must be at least 1, got {k}")
+    _check_count(max_speed, f"max_speed must be at least 0, got {max_speed}", least=0)
     far_rows, columns = _columns(k, max_speed)
     found = []
     width = f"0{max_speed}b"  # speed s is char s-1, bit max_speed - s

@@ -274,9 +274,11 @@ COUNT_ARGUMENTS = {
     "verify_lrc k": lambda bad: gap.verify_lrc(bad, 5),
     "verify_lrc max_speed": lambda bad: gap.verify_lrc(3, bad),
     "sweep k": lambda bad: list(gap.sweep(bad, 5)),
+    "sweep max_speed": lambda bad: list(gap.sweep(3, bad)),
     "kprime_scan k": lambda bad: viewobstruct.kprime_scan(bad, 8),
     "kprime_scan max_coord": lambda bad: viewobstruct.kprime_scan(3, bad),
     "invisible_subset d": lambda bad: fieldsearch.invisible_subset((1, 2, 3), bad),
+    "invisible_subset prime_budget": lambda bad: fieldsearch.invisible_subset((1, 2, 3), 1, prime_budget=bad),
     "residue_matrix_scan m": lambda bad: fieldsearch.residue_matrix_scan((1, 2, 3), 7, bad, 1),
     "residue_matrix_scan d": lambda bad: fieldsearch.residue_matrix_scan((1, 2, 3), 7, 1, bad),
 }
@@ -298,6 +300,7 @@ class TestCountRule:
             (COUNT_ARGUMENTS["verify_lrc k"], 11, "k must be between 1 and 10 (desk scale)"),
             (COUNT_ARGUMENTS["verify_lrc max_speed"], 2, "max_speed must be at least k"),
             (COUNT_ARGUMENTS["sweep k"], 0, "k must be at least 1, got 0"),
+            (COUNT_ARGUMENTS["sweep max_speed"], -1, "max_speed must be at least 0, got -1"),
             (COUNT_ARGUMENTS["kprime_scan k"], 1, "k must be at least 2"),
             (COUNT_ARGUMENTS["kprime_scan max_coord"], 2, "max_coord must be at least k"),
             (COUNT_ARGUMENTS["invisible_subset d"], 3, "d must satisfy 0 <= d < 3"),
@@ -307,6 +310,18 @@ class TestCountRule:
             with pytest.raises(ValueError) as info:
                 call(bad)
             assert str(info.value) == message
-        # The largest counts in range are accepted.
+        # Counts at the ends of their ranges are accepted.
         assert fieldsearch.residue_matrix_scan((1, 2, 3), 7, 3, 3) == 1
         assert fieldsearch.invisible_subset((1, 2, 3), 2).d == 2
+        assert list(gap.sweep(3, 0)) == []
+
+    def test_prime_budget_is_a_count(self):
+        # A float budget is refused: the check would list a document that
+        # names it as malformed.
+        with pytest.raises(ValueError, match="count must be an integer, got 1000.5"):
+            fieldsearch.invisible_subset((1, 2, 3), 1, prime_budget=1000.5)
+        # An int budget below 2 still admits no prime.
+        for budget in (1, 0, -5):
+            with pytest.raises(fieldsearch.PrimeBudgetExhausted, match=f"prime budget {budget} admits no prime"):
+                fieldsearch.invisible_subset((1, 2, 3), 1, prime_budget=budget)
+        assert fieldsearch.invisible_subset((1, 2, 3), 1, prime_budget=1000).d == 1

@@ -6,7 +6,9 @@ import json
 import marshal
 import random
 import time
+from collections import OrderedDict
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -870,6 +872,11 @@ def _nasty_string(rng):
     return "".join(rng.choice(NASTY_CHARS) for _ in range(rng.randrange(6)))
 
 
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
 def _leaf(rng):
     return rng.choice(
         [
@@ -882,6 +889,10 @@ def _leaf(rng):
             lambda: rng.choice([{}, [], ()]),
             lambda: _rational_shaped(rng),
             lambda: _quadext_shaped(rng),
+            # Subclasses of tuple and dict, written as their base types.
+            lambda: SpeedSet([rng.randrange(1, 2**70) for _ in range(rng.randrange(1, 4))]),
+            lambda: _Pair(_int_value(rng), _nasty_string(rng)),
+            lambda: OrderedDict(rng.choice([[("num", 1), ("den", 2)], [(_nasty_string(rng), None)], []])),
         ]
     )()
 
@@ -1010,6 +1021,9 @@ class TestSerializeBytes:
         assert any(item is None for item in found)
         assert any(type(item) is float for item in found)
         assert any(item == (True, 1, False, 0) for item in found)
+        for kind in (SpeedSet, _Pair, OrderedDict):
+            assert any(type(item) is kind and item for item in found)
+        assert any(type(item) is OrderedDict and not item for item in found)
         # Both templates, and each near miss of them.
         dicts = [item for item in found if type(item) is dict]
         rational_keys = [item for item in dicts if list(item) == ["num", "den"]]
@@ -1049,6 +1063,16 @@ class TestSerializeBytes:
             assert any(kind(a) and kind(b) for a, b in points)
         assert any(_is_rational(a) and _is_quadext(b) for a, b in points)
         assert any(_is_rational(a) and not _is_rational(b) and not _is_quadext(b) for a, b in points)
+
+    def test_container_subclasses(self):
+        # A subclass of list, tuple or dict is indented as its base type.
+        pair = _Pair([1, {"num": 1, "den": 2}], OrderedDict(num=3, den=4))
+        items = type("Items", (list,), {})([pair, "s", []])
+        for value in (SpeedSet([1, 2]), pair, OrderedDict(a=[1, 2], b=OrderedDict()), [pair, pair], items):
+            doc = certificates.CertificateDocument("x", {"v": value}, {})
+            _assert_stdlib_bytes(doc)
+        text = certificates.serialize(certificates.CertificateDocument("x", {"v": SpeedSet([1, 2])}, {}))
+        assert '"v": [\n      1,\n      2\n    ]' in text
 
     def test_shared_lists(self):
         # A list that occurs more than once is written once per indent and
