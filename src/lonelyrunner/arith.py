@@ -1,6 +1,8 @@
 """Exact number kernel: rationals, values in Q(sqrt 3) and the exact sign
 of ``p + q*sqrt(3)``, the torus norm, small-prime iteration, and the input
-rules every engine shares: ``_check_count`` and ``_unit_scale``.
+rules every engine shares: ``_check_count``, which every integer input in
+the package passes once and which words its own refusal, and
+``_unit_scale``.
 
 Nothing in this module (or anything built on it) ever rounds.  Rationals are
 stdlib :class:`fractions.Fraction` values -- always reduced, denominator
@@ -29,15 +31,25 @@ __all__ = [
 RationalLike = Union[int, Fraction]
 
 
-def _check_count(value, message: str, least: Optional[int] = 1, most: Optional[int] = None) -> int:
+def _check_count(value, name: str, least: Optional[int] = 1, most: Optional[int] = None) -> int:
     """``value`` if it is an int in [least, most], the one rule for every
-    count an engine or a document takes; a bound of None is no bound.  A
-    bool is not a count, although Python treats True as 1; an int out of
-    range raises ``message``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"count must be an integer, got {value!r}")
-    if least is not None and value < least or most is not None and value > most:
-        raise ValueError(message)
+    integer input an engine or a document takes; a bound of None is no
+    bound, and ``most`` is given only with ``least``.  A bool is not an
+    int here, although Python treats True as 1.  Any other value is
+    refused with one message, built from ``name`` and the bounds."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or least is not None and value < least
+        or most is not None and value > most
+    ):
+        if least is None:
+            rule = "an integer"
+        elif most is None:
+            rule = f"an integer >= {least}"
+        else:
+            rule = f"an integer from {least} to {most}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
 
 
@@ -179,8 +191,7 @@ class SpeedSet(tuple):
         # Checked in input order, before anything compares them: the order
         # of a set of mixed types depends on the hash seed.
         for s in items:
-            if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-                raise ValueError(f"speeds must be integers >= 1, got {s!r}")
+            _check_count(s, "speed")
         if not items:
             raise ValueError("speed set must be nonempty")
         return super().__new__(cls, sorted(set(items)))

@@ -150,7 +150,7 @@ def square_path_segments(slope: RationalLike, n_segments: int) -> SquarePath:
     The slope and the count are checked here; the path folds its points
     when they are first read."""
     p, q = _square_slope(slope)
-    _check_count(n_segments, "need at least one segment")
+    _check_count(n_segments, "segments")
     return SquarePath(Fraction(p, q), n_segments)
 
 
@@ -373,7 +373,7 @@ def triangle_obstruction_check(slope, alpha, horizon: int) -> Optional[TriangleH
     """
     a, b, d = _cleared(slope)
     alpha = _unit_scale(alpha)
-    _check_count(horizon, "horizon must be at least 1")
+    _check_count(horizon, "horizon")
     return _first_contact(a, b, d, alpha, horizon)
 
 
@@ -399,7 +399,7 @@ def triangle_min_obstacle(
     There is one probe per bit of the tolerance, which must be >= 2**-64.
     """
     a, b, d = _cleared(slope)
-    _check_count(horizon, "horizon must be at least 1")
+    _check_count(horizon, "horizon")
     tolerance = tolerance if type(tolerance) is Fraction else Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -541,5 +541,5 @@ def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
     slope and the count are checked here; the path folds its points when
     they are first read."""
     a, b, d = _cleared(slope)
-    _check_count(n_strikes, "need at least one strike")
+    _check_count(n_strikes, "strikes")
     return TrianglePath(QuadExt(Fraction(a, d), Fraction(b, d)), n_strikes)

@@ -215,8 +215,11 @@ def _encode(value, indent: str, parts: list[str], written: dict) -> None:
 
 # Per indent, the %-templates of the two leaf shapes and of a point, a list
 # of two leaves of one shape, each keyed by how many ints a leaf takes: a
-# rational 2, a Q(sqrt 3) element 4.
+# rational 2, a Q(sqrt 3) element 4.  Only indents up to _CACHED_DEPTH
+# levels are kept (documents nest about 8 deep), so a deeper value costs
+# its templates per use and leaves nothing behind.
 _TEMPLATES: dict[str, tuple[dict[int, str], dict[int, str]]] = {}
+_CACHED_DEPTH = 16
 
 
 def _templates(indent: str) -> tuple[dict[int, str], dict[int, str]]:
@@ -225,7 +228,10 @@ def _templates(indent: str) -> tuple[dict[int, str], dict[int, str]]:
         n: "[" + inner + leaf + "," + inner + leaf + indent + "]"
         for n, leaf in _leaf_templates(inner).items()
     }
-    return _TEMPLATES.setdefault(indent, (_leaf_templates(indent), points))
+    templates = _leaf_templates(indent), points
+    if len(indent) <= 1 + 2 * _CACHED_DEPTH:  # a newline, then two spaces a level
+        _TEMPLATES[indent] = templates
+    return templates
 
 
 def _leaf_templates(indent: str) -> dict[int, str]:
@@ -510,10 +516,6 @@ def conj34_document(speeds: SpeedSet, witness: fieldsearch.BandWitness) -> Certi
 # ---------------------------------------------------------------------------
 
 
-def _count(inputs: dict, key: str, least: int = 1) -> int:
-    return _check_count(inputs[key], f"{key} must be at least {least}", least)
-
-
 def _optional_rational(value: Any) -> Optional[Fraction]:
     return None if value is None else decode_rational(value)
 
@@ -525,7 +527,7 @@ def _produce_gap(inputs: dict) -> CertificateDocument:
         # 0 asks for the default resolution N = 64 * max speed * k, which
         # makes the oracle's bracket width s_max/(2N) = 1/(128 k); the
         # document records the one used.
-        resolution = _count(inputs, "grid", least=0) or 64 * speeds.max * len(speeds)
+        resolution = _check_count(inputs["grid"], "grid", least=0) or 64 * speeds.max * len(speeds)
         grid = (resolution, gap.gap_grid_oracle(speeds, resolution))
     cert = gap.exact_gap(speeds)
     if grid is not None:
@@ -538,12 +540,11 @@ def _produce_gap(inputs: dict) -> CertificateDocument:
 
 
 def _produce_lonely(inputs: dict) -> CertificateDocument:
-    return lonely_document(gap.lonely_time(inputs["speeds"], _count(inputs, "focus", least=0)))
+    return lonely_document(gap.lonely_time(inputs["speeds"], inputs["focus"]))
 
 
 def _produce_verify(inputs: dict) -> CertificateDocument:
-    report = gap.verify_lrc(_count(inputs, "k"), _count(inputs, "max_speed"))
-    return verify_document(report)
+    return verify_document(gap.verify_lrc(inputs["k"], inputs["max_speed"]))
 
 
 def _produce_kappa(inputs: dict) -> CertificateDocument:
@@ -563,14 +564,13 @@ def _produce_obstruct(inputs: dict) -> CertificateDocument:
 
 
 def _produce_kscan(inputs: dict) -> CertificateDocument:
-    report = viewobstruct.kprime_scan(_count(inputs, "k"), _count(inputs, "max_coord"))
-    return kscan_document(report)
+    return kscan_document(viewobstruct.kprime_scan(inputs["k"], inputs["max_coord"]))
 
 
 def _produce_billiard(inputs: dict) -> CertificateDocument:
     slope = decode_rational(inputs["slope"])
     alpha = _optional_rational(inputs["alpha"])
-    path = billiards.square_path_segments(slope, _count(inputs, "segments"))
+    path = billiards.square_path_segments(slope, inputs["segments"])
     contact = None if alpha is None else billiards.square_obstacle_contact(path, alpha)
     return billiard_document(path, billiards.square_min_obstacle(slope), alpha, contact)
 
@@ -579,7 +579,7 @@ def _produce_triangle(inputs: dict) -> CertificateDocument:
     slope = decode_quadext(inputs["slope"])
     try:
         alpha = _optional_rational(inputs["alpha"])
-        horizon = _count(inputs, "horizon")
+        horizon = _check_count(inputs["horizon"], "horizon")
     except (KeyError, ValueError):
         billiards._cleared(slope)  # a slope outside the wedge is reported first
         raise
@@ -592,7 +592,7 @@ def _produce_triangle(inputs: dict) -> CertificateDocument:
         hit = billiards.triangle_obstruction_check(slope, alpha, horizon)
     path = None
     if inputs["strikes"] is not None:
-        path = billiards.triangle_path_segments(slope, _count(inputs, "strikes"))
+        path = billiards.triangle_path_segments(slope, inputs["strikes"])
     tolerance = _optional_rational(inputs["tolerance"])
     bracket = None
     if tolerance is not None:  # the engine refuses a tolerance below 2**-64
@@ -607,11 +607,8 @@ _MAX_PRIME_BUDGET = 2**40
 def _invisible_inputs(inputs: dict) -> tuple[SpeedSet, int, int]:
     """The speeds, ``d`` and prime budget of an ``invisible`` document, read
     by one rule for ``produce`` and for the validator."""
-    speeds, d = SpeedSet(inputs["speeds"]), _count(inputs, "d", least=0)
-    budget = _count(inputs, "prime_budget")
-    if budget > _MAX_PRIME_BUDGET:
-        raise ValueError(f"prime_budget {budget} above the limit of 2**40")
-    return speeds, d, budget
+    speeds, d = SpeedSet(inputs["speeds"]), _check_count(inputs["d"], "d", least=0)
+    return speeds, d, _check_count(inputs["prime_budget"], "prime_budget", most=_MAX_PRIME_BUDGET)
 
 
 def _produce_invisible(inputs: dict) -> CertificateDocument:
@@ -764,18 +761,12 @@ def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
     _check_band_witness(issues, *witness, SpeedSet(direction))
 
 
-def _check_band_witness(
-    issues: list[str], n, x, m, speeds: SpeedSet
-) -> Optional[fieldsearch.BandWitness]:
-    """Check a stored band witness (n, x, m) over ``speeds``; returns the
-    witness unless its numbers are out of range, which are reported before
-    any modulo is taken."""
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, x, m)):
-        issues.append("witness n, x and m must be integers")
-        return None
-    if n < 2 or not 0 < x < n or m < 0 or 2 * m >= n:
-        issues.append(f"witness ({n}, {x}, {m}) needs n >= 2, 0 < x < n and 0 <= 2m < n")
-        return None
+def _check_band_witness(issues: list[str], n, x, m, speeds: SpeedSet) -> fieldsearch.BandWitness:
+    """Check a stored band witness (n, x, m) over ``speeds`` and return it.
+    Numbers out of range raise ``ValueError`` before any modulo is taken."""
+    _check_count(n, "witness n", least=2)
+    _check_count(x, "witness x", most=n - 1)
+    _check_count(m, "witness m", least=0, most=(n - 1) // 2)
     witness = fieldsearch.BandWitness(n, x, m)
     _check(issues, witness.avoids(speeds), "witness residues enter the band")
     return witness
@@ -791,8 +782,6 @@ def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
     w = res["witness"]
     p = w["prime"]
     witness = _check_band_witness(issues, p, w["multiplier"], w["band"], kept)
-    if witness is None:
-        return
     removed = tuple(s for s in original if s not in kept)
     bound = Fraction(d + 1, 2 * len(original))
     delta = gap.exact_gap(kept).delta
@@ -820,13 +809,12 @@ def _validate_conj34(doc: CertificateDocument, issues: list[str]) -> None:
     k = len(speeds)
     _check(issues, k >= 2, "need at least two speeds")
     witness = _check_band_witness(issues, res["n"], res["x"], res["m"], speeds)
-    if witness is not None:
-        _compare(doc, conj34_document(speeds, witness), issues)
-        _check(
-            issues,
-            witness.m >= fieldsearch.BandWitness.radius(witness.n, Fraction(1, k + 1)),
-            "band radius too small to certify 1/(k+1)",
-        )
+    _compare(doc, conj34_document(speeds, witness), issues)
+    _check(
+        issues,
+        witness.m >= fieldsearch.BandWitness.radius(witness.n, Fraction(1, k + 1)),
+        "band radius too small to certify 1/(k+1)",
+    )
 
 
 _WITNESS_CHECKS = {

@@ -145,13 +145,13 @@ def build_parser() -> _Parser:
     p.add_argument("--strikes", type=int, help="also fold this many path segments")
     p.add_argument(
         "--min-obstacle",
-        action="store_true",
-        help="bisect for the minimal obstructing scale within the horizon",
-    )
-    p.add_argument(
-        "--tolerance",
+        dest="tolerance",
+        metavar="TOL",
         type=_rational_input,
-        help=f"bracket width for --min-obstacle ({billiards._TOLERANCE})",
+        nargs="?",
+        const=certificates.encode_rational(billiards._TOLERANCE),
+        help="bisect for the minimal obstructing scale within the horizon, to a "
+        f"bracket width TOL (omit TOL for {billiards._TOLERANCE})",
     )
     p.add_argument("--json", **json_flag)
 
@@ -194,18 +194,13 @@ def _emit(text: str, target, out) -> None:
         raise UsageError(f"cannot write {target}: {exc}")
 
 
-_NOT_INPUTS = ("subcommand", "json", "min_obstacle")
+_NOT_INPUTS = ("subcommand", "json")
 
 
 def _cmd_produce(args, out) -> int:
     """Flags to document-form inputs, the producer, and an exit code read
     from the document."""
     inputs = {key: value for key, value in vars(args).items() if key not in _NOT_INPUTS}
-    if args.subcommand == "triangle":
-        if args.tolerance is not None and not args.min_obstacle:
-            raise UsageError("--tolerance needs --min-obstacle")
-        if args.min_obstacle and args.tolerance is None:
-            inputs["tolerance"] = certificates.encode_rational(billiards._TOLERANCE)
     doc = certificates.produce(args.subcommand, inputs)
     _emit(certificates.serialize(doc), args.json, out)
     result = doc.result

@@ -103,8 +103,8 @@ def residue_matrix_scan(
     """
     sset = SpeedSet(speeds)
     _require_admissible(p, sset)
-    _check_count(m, f"band radius {m} must satisfy 0 <= m < {p}/2", least=0, most=(p - 1) // 2)
-    _check_count(d, f"d must be between 0 and {len(sset)}", least=0, most=len(sset))
+    _check_count(m, "m", least=0, most=(p - 1) // 2)
+    _check_count(d, "d", least=0, most=len(sset))
     for x in range(1, p):
         if len(BandWitness(p, x, m).far(sset)) >= len(sset) - d:
             return x
@@ -148,9 +148,9 @@ def invisible_subset(
     """
     sset = SpeedSet(speeds)
     k = len(sset)
-    _check_count(d, f"d must satisfy 0 <= d < {k}", least=0, most=k - 1)
+    _check_count(d, "d", least=0, most=k - 1)
     # Any int is a budget; one below 2 admits no prime.
-    if _check_count(prime_budget, "", least=None) < 2:
+    if _check_count(prime_budget, "prime_budget", least=None) < 2:
         raise PrimeBudgetExhausted(f"prime budget {prime_budget} admits no prime")
     target = Fraction(d + 1, 2 * k)
     step = 1

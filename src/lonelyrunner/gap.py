@@ -183,21 +183,13 @@ def gap_grid_oracle(speeds: Iterable[int], resolution: int) -> Fraction:
 
     Independent of the candidate enumeration above.  Since f_S is piecewise
     linear with slopes bounded by the largest speed, the grid value brackets
-    the true gap:  oracle <= delta(S) <= oracle + s_max/(2N).  The scan
-    multiplies in int64, so s_max * (N - 1) must be below 2**62, and it
-    holds a few arrays of N integers, so N may not exceed 2**22.
+    the true gap:  oracle <= delta(S) <= oracle + s_max/(2N).  N runs from
+    2 * s_max to 2**22: the scan holds a few arrays of N integers, and it
+    multiplies in int64, where s_max * (N - 1) < N**2 / 2 <= 2**43 fits.
     """
     members = SpeedSet(speeds)
     s_max = members[-1]
-    if isinstance(resolution, bool) or not isinstance(resolution, int):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
-    n = resolution
-    if n < 2 * s_max:
-        raise ValueError(f"resolution {n} below 2 * max speed = {2 * s_max}")
-    if s_max * (n - 1) >= 2**62:
-        raise ValueError(f"resolution {n}: max speed * (resolution - 1) must be below 2**62")
-    if n > 2**22:
-        raise ValueError(f"resolution {n} above the limit of 2**22 grid points")
+    n = _check_count(resolution, "resolution", least=2 * s_max, most=_MAX_PAIR_SUM)
     grid = np.arange(n, dtype=np.int64)
     low: np.ndarray | None = None
     for s in members:
@@ -236,14 +228,11 @@ def lonely_time(speeds: Sequence[int], focus: int) -> LonelyReport:
     n = len(runners)
     if n < 2:
         raise ValueError("need at least two runners")
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in runners):
-        raise ValueError(f"runner speeds must be integers, got {list(runners)!r}")
+    for s in runners:
+        _check_count(s, "runner speed", least=0)
     if len(set(runners)) != n:
         raise ValueError("runner speeds must be distinct")
-    if any(s < 0 for s in runners):
-        raise ValueError("runner speeds must be >= 0")
-    if isinstance(focus, bool) or not isinstance(focus, int) or not 0 <= focus < n:
-        raise ValueError(f"focus must be an integer index below {n}, got {focus!r}")
+    _check_count(focus, "focus", least=0, most=n - 1)
     diffs = SpeedSet(abs(s - runners[focus]) for i, s in enumerate(runners) if i != focus)
     cert = exact_gap(diffs)
     return LonelyReport(
@@ -402,8 +391,8 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     lexicographic.  Sets with a common factor are skipped: delta is
     invariant under scaling all speeds by a constant.
     """
-    _check_count(k, f"k must be at least 1, got {k}")
-    _check_count(max_speed, f"max_speed must be at least 0, got {max_speed}", least=0)
+    _check_count(k, "k")
+    _check_count(max_speed, "max_speed", least=0)
     far_rows, columns = _columns(k, max_speed)
     found = []
     width = f"0{max_speed}b"  # speed s is char s-1, bit max_speed - s
@@ -463,8 +452,8 @@ def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
     :func:`sweep`).  A counterexample is collected, not raised -- it would
     refute the conjecture.  Both lists come out in lexicographic order.
     """
-    _check_count(k, "k must be between 1 and 10 (desk scale)", most=10)
-    _check_count(max_speed, "max_speed must be at least k", least=k)
+    _check_count(k, "k", most=10)
+    _check_count(max_speed, "max_speed", least=k)
     bound = Fraction(1, k + 1)
     tight: list[tuple[int, ...]] = []
     bad: list[tuple[int, ...]] = []

@@ -226,7 +226,5 @@ def render_svg(scene: str, **params) -> str:
         _unit_scale(params["alpha"])
     for name in ("extent", "segments", "strikes"):
         if name in params:
-            _check_count(params[name], f"{name} must be at least 1")
-    if params.get("extent", 0) > _MAX_EXTENT:
-        raise ValueError(f"extent must be at most {_MAX_EXTENT} cells")
+            _check_count(params[name], name, most=_MAX_EXTENT if name == "extent" else None)
     return draw(**params)

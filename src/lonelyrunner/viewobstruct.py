@@ -36,8 +36,7 @@ def primitive_direction(coords: Iterable[int]) -> tuple[int, ...]:
     if not items:
         raise ValueError("direction must have at least one coordinate")
     for c in items:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-            raise ValueError(f"direction coordinates must be positive integers, got {c!r}")
+        _check_count(c, "direction coordinate")
     g = gcd(*items)
     return tuple(c // g for c in items)
 
@@ -104,8 +103,8 @@ def kprime_scan(k: int, max_coord: int) -> KPrimeScanReport:
     k >= 8 that argument needs sets of seven or more values, which the
     theorem does not cover, so only the k-set statement is claimed there.
     """
-    _check_count(k, "k must be at least 2", least=2)
-    _check_count(max_coord, "max_coord must be at least k", least=k)
+    _check_count(k, "k", least=2)
+    _check_count(max_coord, "max_coord", least=k)
     coords, delta = min(sweep(k, max_coord), key=lambda item: item[1])
     best = 1 - 2 * delta
     cap = Fraction(k - 1, k)

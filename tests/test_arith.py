@@ -1,15 +1,18 @@
 """Unit tests for the exact number kernel."""
 
 import copy
+import inspect
 import math
 import operator
 import pickle
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lonelyrunner import arith, fieldsearch, gap, viewobstruct
+from lonelyrunner import arith, billiards, certificates, fieldsearch, gap, render, viewobstruct
 from lonelyrunner.arith import (
     SpeedSet,
     is_prime,
@@ -234,11 +237,11 @@ class TestSpeedSet:
         "speeds, message",
         [
             ([], "speed set must be nonempty"),
-            ([0, 1], "speeds must be integers >= 1, got 0"),
-            ([-2], "speeds must be integers >= 1, got -2"),
-            ([Fraction(1, 2)], "speeds must be integers >= 1, got Fraction(1, 2)"),
-            ([True, 2], "speeds must be integers >= 1, got True"),
-            ([1, 2.0], "speeds must be integers >= 1, got 2.0"),
+            ([0, 1], "speed must be an integer >= 1, got 0"),
+            ([-2], "speed must be an integer >= 1, got -2"),
+            ([Fraction(1, 2)], "speed must be an integer >= 1, got Fraction(1, 2)"),
+            ([True, 2], "speed must be an integer >= 1, got True"),
+            ([1, 2.0], "speed must be an integer >= 1, got 2.0"),
         ],
     )
     def test_rejects_bad_input(self, speeds, message):
@@ -269,56 +272,160 @@ class TestSpeedSet:
             assert repr(t) == "SpeedSet({3, 5, 7})"
 
 
-# Every engine argument that is a count, as a call with that argument bad.
+# Every integer input, as a call with that input bad, an int outside its
+# range (None where every int is taken), and the refusal that names the
+# input and its range, which ends ", got <repr of the value>".
 COUNT_ARGUMENTS = {
-    "verify_lrc k": lambda bad: gap.verify_lrc(bad, 5),
-    "verify_lrc max_speed": lambda bad: gap.verify_lrc(3, bad),
-    "sweep k": lambda bad: list(gap.sweep(bad, 5)),
-    "sweep max_speed": lambda bad: list(gap.sweep(3, bad)),
-    "kprime_scan k": lambda bad: viewobstruct.kprime_scan(bad, 8),
-    "kprime_scan max_coord": lambda bad: viewobstruct.kprime_scan(3, bad),
-    "invisible_subset d": lambda bad: fieldsearch.invisible_subset((1, 2, 3), bad),
-    "invisible_subset prime_budget": lambda bad: fieldsearch.invisible_subset((1, 2, 3), 1, prime_budget=bad),
-    "residue_matrix_scan m": lambda bad: fieldsearch.residue_matrix_scan((1, 2, 3), 7, bad, 1),
-    "residue_matrix_scan d": lambda bad: fieldsearch.residue_matrix_scan((1, 2, 3), 7, 1, bad),
+    "verify_lrc k": (lambda bad: gap.verify_lrc(bad, 5), 11, "k must be an integer from 1 to 10"),
+    "verify_lrc max_speed": (lambda bad: gap.verify_lrc(3, bad), 2, "max_speed must be an integer >= 3"),
+    "sweep k": (lambda bad: list(gap.sweep(bad, 5)), 0, "k must be an integer >= 1"),
+    "sweep max_speed": (lambda bad: list(gap.sweep(3, bad)), -1, "max_speed must be an integer >= 0"),
+    "kprime_scan k": (lambda bad: viewobstruct.kprime_scan(bad, 8), 1, "k must be an integer >= 2"),
+    "kprime_scan max_coord": (
+        lambda bad: viewobstruct.kprime_scan(3, bad), 2, "max_coord must be an integer >= 3"
+    ),
+    "invisible_subset d": (
+        lambda bad: fieldsearch.invisible_subset((1, 2, 3), bad), 3, "d must be an integer from 0 to 2"
+    ),
+    "invisible_subset prime_budget": (
+        lambda bad: fieldsearch.invisible_subset((1, 2, 3), 1, prime_budget=bad),
+        None,
+        "prime_budget must be an integer",
+    ),
+    "residue_matrix_scan m": (
+        lambda bad: fieldsearch.residue_matrix_scan((1, 2, 3), 7, bad, 1), 4, "m must be an integer from 0 to 3"
+    ),
+    "residue_matrix_scan d": (
+        lambda bad: fieldsearch.residue_matrix_scan((1, 2, 3), 7, 1, bad), -1, "d must be an integer from 0 to 3"
+    ),
+    "SpeedSet speed": (lambda bad: SpeedSet([3, bad]), 0, "speed must be an integer >= 1"),
+    "primitive_direction coordinate": (
+        lambda bad: viewobstruct.primitive_direction((1, bad)), 0, "direction coordinate must be an integer >= 1"
+    ),
+    "lonely_time runner speed": (
+        lambda bad: gap.lonely_time((0, bad, 5), 0), -1, "runner speed must be an integer >= 0"
+    ),
+    "lonely_time focus": (
+        lambda bad: gap.lonely_time((0, 1, 2), bad), 3, "focus must be an integer from 0 to 2"
+    ),
+    "gap_grid_oracle resolution": (
+        lambda bad: gap.gap_grid_oracle((1, 2), bad), 2**22 + 1, "resolution must be an integer from 4 to 4194304"
+    ),
+    "square_path_segments segments": (
+        lambda bad: billiards.square_path_segments(Fraction(1, 2), bad), 0, "segments must be an integer >= 1"
+    ),
+    "triangle_path_segments strikes": (
+        lambda bad: billiards.triangle_path_segments(QuadExt(1), bad), 0, "strikes must be an integer >= 1"
+    ),
+    "triangle_obstruction_check horizon": (
+        lambda bad: billiards.triangle_obstruction_check(QuadExt(1), Fraction(1, 3), bad),
+        0,
+        "horizon must be an integer >= 1",
+    ),
+    "triangle_min_obstacle horizon": (
+        lambda bad: billiards.triangle_min_obstacle(QuadExt(1), bad), -4, "horizon must be an integer >= 1"
+    ),
+    "render_svg extent": (
+        lambda bad: render.render_svg("obstruction2d", extent=bad), 101, "extent must be an integer from 1 to 100"
+    ),
+    "render_svg segments": (
+        lambda bad: render.render_svg("square_billiard", slope=Fraction(1, 2), segments=bad),
+        0,
+        "segments must be an integer >= 1",
+    ),
+    "render_svg strikes": (
+        lambda bad: render.render_svg("triangle_billiard", slope=QuadExt(1), strikes=bad),
+        0,
+        "strikes must be an integer >= 1",
+    ),
+    "produce gap grid": (
+        lambda bad: certificates.produce("gap", {"speeds": [1, 2], "grid": bad}), -1, "grid must be an integer >= 0"
+    ),
+    "produce triangle horizon": (
+        lambda bad: certificates.produce(
+            "triangle",
+            {"slope": certificates.encode_quadext(QuadExt(1)), "alpha": None, "horizon": bad, "strikes": None,
+             "tolerance": None},
+        ),
+        0,
+        "horizon must be an integer >= 1",
+    ),
+    "produce invisible d": (
+        lambda bad: certificates.produce("invisible", {"speeds": [1, 2, 3], "d": bad, "prime_budget": 100}),
+        -1,
+        "d must be an integer >= 0",
+    ),
+    "produce invisible prime_budget": (
+        lambda bad: certificates.produce("invisible", {"speeds": [1, 2, 3], "d": 1, "prime_budget": bad}),
+        2**40 + 1,
+        "prime_budget must be an integer from 1 to 1099511627776",
+    ),
 }
+
+# The one form of every refusal: the input's name, the rule and the value.
+ONE_FORM = re.compile(r"[a-z_ ]+ must be an integer(?: >= -?\d+| from -?\d+ to -?\d+)?, got (.+)")
 
 
 class TestCountRule:
-    """A bool or a float is refused where it enters an engine, with the one
-    count message, although Python would compare True as 1 and 2.0 as 2."""
+    """Every integer input is refused by the one count rule, with its name
+    and range, where it enters an engine: a bool or a float as well,
+    although Python would compare True as 1 and 2.0 as 2."""
 
     @pytest.mark.parametrize("bad", [True, 2.0], ids=repr)
-    @pytest.mark.parametrize("call", list(COUNT_ARGUMENTS.values()), ids=list(COUNT_ARGUMENTS))
-    def test_bool_and_float_refused(self, call, bad):
+    @pytest.mark.parametrize("name", list(COUNT_ARGUMENTS))
+    def test_bool_and_float_refused(self, name, bad):
+        call, _, refusal = COUNT_ARGUMENTS[name]
         with pytest.raises(ValueError) as info:
             call(bad)
-        assert str(info.value) == f"count must be an integer, got {bad!r}"
+        assert str(info.value) == f"{refusal}, got {bad!r}"
 
     def test_range_messages_kept(self):
-        for call, bad, message in [
-            (COUNT_ARGUMENTS["verify_lrc k"], 11, "k must be between 1 and 10 (desk scale)"),
-            (COUNT_ARGUMENTS["verify_lrc max_speed"], 2, "max_speed must be at least k"),
-            (COUNT_ARGUMENTS["sweep k"], 0, "k must be at least 1, got 0"),
-            (COUNT_ARGUMENTS["sweep max_speed"], -1, "max_speed must be at least 0, got -1"),
-            (COUNT_ARGUMENTS["kprime_scan k"], 1, "k must be at least 2"),
-            (COUNT_ARGUMENTS["kprime_scan max_coord"], 2, "max_coord must be at least k"),
-            (COUNT_ARGUMENTS["invisible_subset d"], 3, "d must satisfy 0 <= d < 3"),
-            (COUNT_ARGUMENTS["residue_matrix_scan m"], 4, "band radius 4 must satisfy 0 <= m < 7/2"),
-            (COUNT_ARGUMENTS["residue_matrix_scan d"], -1, "d must be between 0 and 3"),
-        ]:
+        for call, bad, refusal in COUNT_ARGUMENTS.values():
+            if bad is None:
+                continue
             with pytest.raises(ValueError) as info:
                 call(bad)
-            assert str(info.value) == message
+            assert str(info.value) == f"{refusal}, got {bad!r}"
         # Counts at the ends of their ranges are accepted.
         assert fieldsearch.residue_matrix_scan((1, 2, 3), 7, 3, 3) == 1
         assert fieldsearch.invisible_subset((1, 2, 3), 2).d == 2
         assert list(gap.sweep(3, 0)) == []
+        assert gap.lonely_time((0, 1, 2), 2).focus_index == 2
+        assert gap.gap_grid_oracle((1, 2), 4) == Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            pytest.param(name, bad, id=f"{name}-{bad!r}")
+            for name, (_, out_of_range, _) in COUNT_ARGUMENTS.items()
+            for bad in (True, 2.0, out_of_range)
+            if bad is not None
+        ],
+    )
+    def test_every_refusal_has_the_one_form(self, name, bad):
+        with pytest.raises(ValueError) as info:
+            COUNT_ARGUMENTS[name][0](bad)
+        form = ONE_FORM.fullmatch(str(info.value))
+        assert form is not None, str(info.value)
+        assert form[1] == repr(bad)
+
+    def test_only_the_rule_tests_for_a_bool(self):
+        # The int-not-bool test is written once in the package, in the rule.
+        package = Path(arith.__file__).parent
+        found = [
+            (path.name, number)
+            for path in sorted(package.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"isinstance\([^)]*\bbool\b", line)
+        ]
+        rule = inspect.getsourcelines(arith._check_count)
+        assert [name for name, _ in found] == ["arith.py"]
+        assert all(rule[1] <= number < rule[1] + len(rule[0]) for _, number in found)
 
     def test_prime_budget_is_a_count(self):
         # A float budget is refused: the check would list a document that
         # names it as malformed.
-        with pytest.raises(ValueError, match="count must be an integer, got 1000.5"):
+        with pytest.raises(ValueError, match="prime_budget must be an integer, got 1000.5"):
             fieldsearch.invisible_subset((1, 2, 3), 1, prime_budget=1000.5)
         # An int budget below 2 still admits no prime.
         for budget in (1, 0, -5):

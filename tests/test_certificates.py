@@ -197,6 +197,25 @@ class TestValidation:
         doc.result["residues"] = [0, 0]
         assert certificates.validate_document(doc) != []
 
+    @pytest.mark.parametrize(
+        "command, key, value, issue",
+        [
+            ("conj34", "n", True, "witness n must be an integer >= 2, got True"),
+            ("conj34", "x", 2.5, "witness x must be an integer from 1 to 3, got 2.5"),
+            ("conj34", "x", 4, "witness x must be an integer from 1 to 3, got 4"),
+            ("conj34", "m", 2, "witness m must be an integer from 0 to 1, got 2"),
+            ("invisible", "prime", True, "witness n must be an integer >= 2, got True"),
+            ("invisible", "multiplier", 2.5, "witness x must be an integer from 1 to 4, got 2.5"),
+            ("invisible", "band", -1, "witness m must be an integer from 0 to 2, got -1"),
+        ],
+    )
+    def test_band_witness_numbers_follow_the_count_rule(self, command, key, value, issue):
+        # Refused before any modulo is taken, with the count rule's message.
+        doc = copy.deepcopy(DOCS[command])
+        witness = doc.result if command == "conj34" else doc.result["witness"]
+        witness[key] = value
+        assert certificates.validate_document(doc) == [f"malformed document: {issue}"]
+
     REFUTED_1_3 = certificates.CertificateDocument("conj34", {"speeds": [1, 3]}, {"refuted": True})
 
     def test_conj34_refutation_the_engine_makes_is_valid(self, monkeypatch):
@@ -301,7 +320,10 @@ class TestGridLimit:
         start = time.process_time()
         issues = certificates.validate_document(doc)
         assert time.process_time() - start < 0.5
-        assert issues and "malformed" in issues[0] and "2**22" in issues[0]
+        speeds = DOCS["gap"].inputs["speeds"]
+        assert issues == [
+            f"malformed document: resolution must be an integer from {2 * max(speeds)} to 4194304, got {10**9}"
+        ]
 
 
 class TestPathCounts:
@@ -659,13 +681,17 @@ class TestProduce:
             assert marshal.loads(marshal.dumps(payload, 2)) == payload
 
     @pytest.mark.parametrize(
-        "command, inputs",
+        "command, inputs, message",
         [
-            ("gap", {"speeds": [1, 2, 3], "grid": -4}),
-            ("lonely", {"speeds": [0, 1], "focus": -1}),
-            ("verify", {"k": 0, "max_speed": 5}),
-            ("kscan", {"k": 2, "max_coord": 0}),
-            ("billiard", {"slope": {"num": 1, "den": 2}, "alpha": None, "segments": 0}),
+            ("gap", {"speeds": [1, 2, 3], "grid": -4}, "grid must be an integer >= 0, got -4"),
+            ("lonely", {"speeds": [0, 1], "focus": -1}, "focus must be an integer from 0 to 1, got -1"),
+            ("verify", {"k": 0, "max_speed": 5}, "k must be an integer from 1 to 10, got 0"),
+            ("kscan", {"k": 2, "max_coord": 0}, "max_coord must be an integer >= 2, got 0"),
+            (
+                "billiard",
+                {"slope": {"num": 1, "den": 2}, "alpha": None, "segments": 0},
+                "segments must be an integer >= 1, got 0",
+            ),
             (
                 "triangle",
                 {
@@ -675,13 +701,15 @@ class TestProduce:
                     "strikes": 2,
                     "tolerance": None,
                 },
+                "horizon must be an integer >= 1, got -5",
             ),
         ],
         ids=["grid", "focus", "k", "max_coord", "segments", "horizon"],
     )
-    def test_count_below_its_least_value(self, command, inputs):
-        with pytest.raises(ValueError, match="at least"):
+    def test_count_below_its_least_value(self, command, inputs, message):
+        with pytest.raises(ValueError) as info:
             certificates.produce(command, inputs)
+        assert str(info.value) == message
 
 
 class TestInvisibleInputs:
@@ -706,8 +734,12 @@ class TestInvisibleInputs:
         "prime, budget, issues",
         [
             (10**14 + 31, 10**5, ["prime 100000000000031 exceeds the prime budget 100000"]),
-            (5, 10**17, [f"malformed document: prime_budget {10**17} above the limit of 2**40"]),
-            (10**16 + 61, 10**17, [f"malformed document: prime_budget {10**17} above the limit of 2**40"]),
+            (5, 10**17, [f"malformed document: prime_budget must be an integer from 1 to {2**40}, got {10**17}"]),
+            (
+                10**16 + 61,
+                10**17,
+                [f"malformed document: prime_budget must be an integer from 1 to {2**40}, got {10**17}"],
+            ),
             (2**40 - 87, 2**40, []),
             (1048573 * 1048571, 2**40, [f"{1048573 * 1048571} is not prime"]),
         ],
@@ -1073,6 +1105,18 @@ class TestSerializeBytes:
             _assert_stdlib_bytes(doc)
         text = certificates.serialize(certificates.CertificateDocument("x", {"v": SpeedSet([1, 2])}, {}))
         assert '"v": [\n      1,\n      2\n    ]' in text
+
+    def test_deep_values_leave_the_template_cache_bounded(self):
+        # One value nested 400 deep, with a rational and a point at each
+        # level: its bytes are the standard library's, and the templates of
+        # the deep indents are built per use, not kept for the process.
+        value = {"num": 1, "den": 3}
+        for level in range(400):
+            value = {"x": {"num": level, "den": 7}, "p": [{"num": 1, "den": 2}] * 2, "n": value}
+        _assert_stdlib_bytes(certificates.CertificateDocument("deep", {}, {"v": value}))
+        cached = certificates._TEMPLATES
+        assert 0 < len(cached) <= 20
+        assert sum(len(text) for shapes in cached.values() for table in shapes for text in table.values()) < 10**5
 
     def test_shared_lists(self):
         # A list that occurs more than once is written once per indent and

@@ -55,9 +55,9 @@ class TestGapCommand:
         assert doc["result"]["grid_oracle"]["resolution"] == 64 * 2 * 2
 
     def test_grid_past_int64_exits_one_at_once(self):
-        # max speed * (grid - 1) >= 2**62 cannot be scanned in int64; a
-        # per-point scan of 4e18 points would never finish, so this runs in
-        # a child process that must exit well within the timeout.
+        # A grid of 4e18 points could not be scanned at all (nor in int64);
+        # it is refused by its range, and this runs in a child process that
+        # must exit well within the timeout.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         argv = ["gap", "--speeds", "1,2", "--grid", "4000000000000000000"]
@@ -66,7 +66,7 @@ class TestGapCommand:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert done.returncode == 1 and done.stdout == ""
-        assert "2**62" in done.stderr
+        assert done.stderr == "error: resolution must be an integer from 4 to 4194304, got 4000000000000000000\n"
 
     @pytest.mark.parametrize("grid", [["--grid", "1000000000"], ["--grid"]])
     def test_grid_above_the_limit_exits_one_at_once(self, grid):
@@ -75,7 +75,7 @@ class TestGapCommand:
         code, out, err = invoke(["gap", "--speeds", "1,100000000", *grid])
         assert time.process_time() - start < 0.5
         assert code == 1 and out == ""
-        assert "2**22" in err
+        assert err.startswith("error: resolution must be an integer from 200000000 to 4194304, got ")
 
     def test_pair_sum_above_the_limit_exits_one_at_once(self):
         start = time.process_time()
@@ -239,11 +239,12 @@ class TestGeometryCommands:
         assert len(doc["result"]["path"]["segments"]) == 10
 
     def test_tolerance_without_min_obstacle_exits_one(self, tmp_path):
-        # The bracket width is only read by --min-obstacle; without it the
-        # flag would be dropped and the document would read "tolerance": null.
+        # The bracket width is the value of --min-obstacle; there is no
+        # separate --tolerance flag to give without it.
         argv = ["triangle", "--slope", "16/11", "--tolerance", "1/8"]
         code, out, err = invoke(argv)
-        assert (code, out, err) == (1, "", "--tolerance needs --min-obstacle\n")
+        assert (code, out) == (1, "")
+        assert err.startswith("lrc: unrecognized arguments: --tolerance 1/8\n")
         target = tmp_path / "doc.json"
         code, _, _ = invoke(argv + ["--json", str(target)])
         assert code == 1 and not target.exists()
@@ -252,7 +253,7 @@ class TestGeometryCommands:
         # Off the lattice each bisection probe walks the whole horizon, so
         # the bracket costs a walk per bit of the tolerance: it is capped.
         tiny = f"1/{2**64 + 1}"
-        argv = ["triangle", "--slope", "16/11", "--min-obstacle", "--tolerance", tiny]
+        argv = ["triangle", "--slope", "16/11", "--min-obstacle", tiny]
         code, out, err = invoke(argv)
         assert (code, out) == (1, "")
         assert err == f"error: tolerance {tiny} below the limit of 2**-64\n"
@@ -262,7 +263,7 @@ class TestGeometryCommands:
 
     def test_tolerance_at_two_to_the_minus_64_is_bracketed(self, tmp_path):
         argv = ["triangle", "--slope", "sqrt3*1/5", "--horizon", "50", "--min-obstacle"]
-        code, doc = invoke_json(argv + ["--tolerance", f"1/{2**64}"])
+        code, doc = invoke_json(argv + [f"1/{2**64}"])
         assert code == 0
         assert doc["result"]["min_obstacle"]["hi"] == {"num": 1, "den": 4}
         # The same document naming a smaller tolerance is malformed.
@@ -292,7 +293,7 @@ class TestGeometryCommands:
             ["--alpha", "0"],
             ["--alpha", "3/2"],
             ["--strikes", "3"],
-            ["--min-obstacle", "--tolerance", "0"],
+            ["--min-obstacle", "0"],
             [],
             ["--horizon", "0"],
         ],
@@ -348,7 +349,7 @@ class TestFieldCommands:
         argv = ["invisible", "--speeds", "1,2,3", "--d", "1", "--prime-budget", str(2**40 + 1)]
         code, out, err = invoke(argv)
         assert (code, out) == (1, "")
-        assert err == f"error: prime_budget {2**40 + 1} above the limit of 2**40\n"
+        assert err == f"error: prime_budget must be an integer from 1 to {2**40}, got {2**40 + 1}\n"
         argv[-1] = str(2**40)
         assert invoke(argv)[0] == 0
 
@@ -562,20 +563,28 @@ class TestRenderCommand:
         assert code == 1 and err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["render", "--scene", "square_billiard", "--slope", "1/2", "--segments", "0"],
-            ["render", "--scene", "triangle_billiard", "--slope", "1/1", "--strikes", "0"],
-            ["render", "--scene", "obstruction2d", "--extent", "0"],
-            ["render", "--scene", "triangle_tiling", "--extent", "-2"],
+            pytest.param(argv.split(), message, id=argv)
+            for argv, message in [
+                (
+                    "render --scene square_billiard --slope 1/2 --segments 0",
+                    "segments must be an integer >= 1, got 0",
+                ),
+                (
+                    "render --scene triangle_billiard --slope 1/1 --strikes 0",
+                    "strikes must be an integer >= 1, got 0",
+                ),
+                ("render --scene obstruction2d --extent 0", "extent must be an integer from 1 to 100, got 0"),
+                ("render --scene triangle_tiling --extent -2", "extent must be an integer from 1 to 100, got -2"),
+            ]
         ],
-        ids=" ".join,
     )
-    def test_count_below_one_exits_one_without_svg(self, argv, tmp_path):
+    def test_count_below_one_exits_one_without_svg(self, argv, message, tmp_path):
         # A zero count is a count, not a missing flag: it is rejected, not
         # replaced by the scene's default.
         code, out, err = invoke(argv)
-        assert code == 1 and out == "" and "at least 1" in err
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         target = tmp_path / "figure.svg"
         code, _, _ = invoke(argv + ["--svg", str(target)])
         assert code == 1 and not target.exists()
@@ -609,7 +618,7 @@ class TestRenderCommand:
         start = time.process_time()
         code, out, err = invoke(argv)
         assert time.process_time() - start < 0.5
-        assert (code, out, err) == (1, "", "error: extent must be at most 100 cells\n")
+        assert (code, out, err) == (1, "", f"error: extent must be an integer from 1 to 100, got {extent}\n")
         code, _, _ = invoke(argv + ["--svg", str(target)])
         assert code == 1 and not target.exists()
 
@@ -812,15 +821,18 @@ class TestCliAndCheckerAgree:
     whose document the check would reject emits none."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["triangle", "--slope", "sqrt3*1/5", "--strikes", "2", "--horizon", "-5"],
-            ["gap", "--speeds", "1,2,3", "--grid", "-4"],
+            (
+                ["triangle", "--slope", "sqrt3*1/5", "--strikes", "2", "--horizon", "-5"],
+                "horizon must be an integer >= 1, got -5",
+            ),
+            (["gap", "--speeds", "1,2,3", "--grid", "-4"], "grid must be an integer >= 0, got -4"),
         ],
     )
-    def test_bad_count_exits_one_without_a_document(self, argv):
+    def test_bad_count_exits_one_without_a_document(self, argv, message):
         code, out, err = invoke(argv)
-        assert code == 1 and out == "" and "at least" in err
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -844,7 +856,7 @@ class TestCliAndCheckerAgree:
             ["triangle", "--slope", "sqrt3*1/5", "--min-obstacle", "--horizon", "50"],
             [
                 "triangle", "--slope", "sqrt3*1/5", "--alpha", "1/4", "--horizon", "60",
-                "--strikes", "6", "--min-obstacle", "--tolerance", "1/64",
+                "--strikes", "6", "--min-obstacle", "1/64",
             ],
             ["invisible", "--speeds", "1,2,3,4,5", "--d", "2"],
             ["invisible", "--speeds", "1,2,3", "--d", "1", "--prime-budget", "5"],

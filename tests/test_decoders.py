@@ -19,7 +19,7 @@ from typing import Any
 import pytest
 
 from lonelyrunner import billiards, certificates
-from lonelyrunner.arith import QuadExt
+from lonelyrunner.arith import QuadExt, _check_count
 from lonelyrunner.cli import run
 
 # ---------------------------------------------------------------------------
@@ -53,11 +53,11 @@ def ref_produce_triangle(inputs: dict) -> certificates.CertificateDocument:
     slope = ref_decode_quadext(inputs["slope"])
     billiards._cleared(slope)
     alpha = ref_optional_rational(inputs["alpha"])
-    horizon = certificates._count(inputs, "horizon")
+    horizon = _check_count(inputs["horizon"], "horizon")  # counts: the one count rule, as now
     hit = None if alpha is None else billiards.triangle_obstruction_check(slope, alpha, horizon)
     path = None
     if inputs["strikes"] is not None:
-        path = billiards.triangle_path_segments(slope, certificates._count(inputs, "strikes"))
+        path = billiards.triangle_path_segments(slope, inputs["strikes"])
     tolerance = ref_optional_rational(inputs["tolerance"])
     bracket = None
     if tolerance is not None:
@@ -185,11 +185,15 @@ DOUBLY_MALFORMED = [
         [("alpha", ZERO_DEN), ("horizon", 0)],
         "zero denominator in rational encoding: {'num': 1, 'den': 0}",
     ),
-    ("alpha above 1, zero horizon", [("alpha", ABOVE_ONE), ("horizon", 0)], "horizon must be at least 1"),
+    (
+        "alpha above 1, zero horizon",
+        [("alpha", ABOVE_ONE), ("horizon", 0)],
+        "horizon must be an integer >= 1, got 0",
+    ),
     (
         "alpha above 1, bool horizon",
         [("alpha", ABOVE_ONE), ("horizon", True)],
-        "count must be an integer, got True",
+        "horizon must be an integer >= 1, got True",
     ),
     (
         "slope not a dict, bad alpha",
@@ -268,9 +272,9 @@ BASE_ARGV = [
     ["triangle", "--slope", "sqrt3*1/5", "--alpha", "1/4", "--horizon", "150"],
     ["triangle", "--slope", "16/11", "--alpha", "1/3", "--horizon", "100"],
     ["triangle", "--slope", "7/8", "--horizon", "200", "--strikes", "4"],
-    ["triangle", "--slope", "sqrt3*1/5", "--horizon", "100", "--min-obstacle", "--tolerance", "1/16"],
+    ["triangle", "--slope", "sqrt3*1/5", "--horizon", "100", "--min-obstacle", "1/16"],
     ["triangle", "--slope", "16/11", "--alpha", "1/4", "--horizon", "200", "--strikes", "3"]
-    + ["--min-obstacle", "--tolerance", "1/8"],
+    + ["--min-obstacle", "1/8"],
     ["billiard", "--slope", "6/17", "--alpha", "82/115", "--segments", "5"],
     ["billiard", "--slope", "1/2", "--segments", "3"],
     ["obstruct", "--direction", "1,2", "--alpha", "1/3"],

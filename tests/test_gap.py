@@ -335,20 +335,21 @@ class TestGridOracle:
             assert oracle <= delta <= oracle + Fraction(s.max, 2 * n)
 
     def test_rejects_low_resolution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^resolution must be an integer from 14 to 4194304, got 13$"):
             gap_grid_oracle((1, 7), 13)
 
     def test_resolution_limit(self):
         value = gap_grid_oracle((1, 2), 2**22)
         assert Fraction(1, 3) - Fraction(1, 2**22) <= value <= Fraction(1, 3)
         for speeds, n in [((1, 2), 2**22 + 1), ((1, 100_000_000), 64 * 100_000_000 * 2)]:
-            with pytest.raises(ValueError, match=r"limit of 2\*\*22"):
+            with pytest.raises(ValueError, match=f"^resolution must be an integer from {2 * speeds[1]} to 4194304, got {n}$"):
                 gap_grid_oracle(speeds, n)
 
     @pytest.mark.parametrize("resolution", [300.9, True, None, "300"])
     def test_rejects_non_integer_resolution(self, resolution):
-        with pytest.raises(ValueError, match="resolution must be an integer"):
+        with pytest.raises(ValueError) as info:
             gap_grid_oracle((1, 2), resolution)
+        assert str(info.value) == f"resolution must be an integer from 4 to 4194304, got {resolution!r}"
 
     def test_bigint_fallback_matches_numpy_path(self):
         # The int64 scan against a per-point scan in Python integers.
@@ -676,7 +677,7 @@ class TestSweepPrefilter:
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_k_below_one(self, k):
         # Raised by the call itself, before any set is walked.
-        with pytest.raises(ValueError, match="k must be at least 1"):
+        with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k}$"):
             sweep(k, 5)
 
     # (2, 3), (3, 4), (3, 7), (4, 5), (4, 9): some set is above 1/(k+1) only

@@ -119,7 +119,7 @@ PINNED = [
                     'contact': 'boundary'}},
     ),
     (
-        ['triangle', '--slope', 'sqrt3*1/5', '--alpha', '1/4', '--horizon', '20', '--strikes', '2', '--min-obstacle', '--tolerance', '1/16'],
+        ['triangle', '--slope', 'sqrt3*1/5', '--alpha', '1/4', '--horizon', '20', '--strikes', '2', '--min-obstacle', '1/16'],
         {'version': 'lrc-cert/1',
          'command': 'triangle',
          'inputs': {'slope': {'a': {'num': 0, 'den': 1}, 'b': {'num': 1, 'den': 5}},

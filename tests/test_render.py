@@ -13,24 +13,27 @@ F = Fraction
 class TestRenderSvg:
     @pytest.mark.parametrize("extent", [0, -3])
     def test_extent_below_one_refused(self, extent):
-        with pytest.raises(ValueError, match="extent must be at least 1"):
+        message = f"^extent must be an integer from 1 to 100, got {extent}$"
+        with pytest.raises(ValueError, match=message):
             render.render_svg("triangle_tiling", alpha=F(1, 4), rays=[QuadExt(0, F(1, 5))], extent=extent)
-        with pytest.raises(ValueError, match="extent must be at least 1"):
+        with pytest.raises(ValueError, match=message):
             render.render_svg("obstruction2d", alpha=F(1, 3), rays=[F(1, 2)], extent=extent)
 
     @pytest.mark.parametrize(
-        "scene, params",
+        "scene, params, message",
         [
-            ("obstruction2d", {"extent": 2.5}),
-            ("triangle_tiling", {"extent": 2.5}),
-            ("square_billiard", {"slope": F(1, 2), "segments": True}),
-            ("triangle_billiard", {"slope": QuadExt(1), "strikes": True}),
+            ("obstruction2d", {"extent": 2.5}, "extent must be an integer from 1 to 100, got 2.5"),
+            ("triangle_tiling", {"extent": 2.5}, "extent must be an integer from 1 to 100, got 2.5"),
+            ("square_billiard", {"slope": F(1, 2), "segments": True}, "segments must be an integer >= 1, got True"),
+            ("triangle_billiard", {"slope": QuadExt(1), "strikes": True}, "strikes must be an integer >= 1, got True"),
         ],
+        ids=["obstruction2d-params0", "triangle_tiling-params1", "square_billiard-params2", "triangle_billiard-params3"],
     )
-    def test_count_that_is_not_an_int_refused(self, scene, params):
+    def test_count_that_is_not_an_int_refused(self, scene, params, message):
         # Neither is a count, although int() would take both.
-        with pytest.raises(ValueError, match="count must be an integer"):
+        with pytest.raises(ValueError) as info:
             render.render_svg(scene, **params)
+        assert str(info.value) == message
 
     def test_parameter_unknown_or_missing_refused(self):
         with pytest.raises(ValueError, match="scene triangle_billiard: .*'segments'"):

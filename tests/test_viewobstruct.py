@@ -32,7 +32,7 @@ class TestPrimitiveDirection:
         assert primitive_direction([4, 4, 6]) == (2, 2, 3)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive integers"):
+        with pytest.raises(ValueError, match="^direction coordinate must be an integer >= 1, got 0$"):
             primitive_direction((0, 1))
         with pytest.raises(ValueError, match="at least one coordinate"):
             primitive_direction(())
