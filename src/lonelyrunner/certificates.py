@@ -5,20 +5,11 @@ engine-specific result payload.  Every rational is serialized as an integer
 pair ``{"num": .., "den": ..}`` -- certificates are exact, so decimal
 strings or floats never appear.
 
-``serialize`` writes a document in the format of ``json.dumps(payload,
-indent=2)`` plus a newline: two-space indent, ASCII-escaped strings, keys in
-the order the builder put them.  It writes that format itself: given an indent,
-the standard library leaves its C encoder for its pure-Python one, which is
-about 2.5 times slower on these documents.  It writes in one pass: every
-piece of text is appended to one list, which is joined once, and a dict or
-list writes each scalar item inline.  Each rational and each Q(sqrt 3)
-element, the two leaf shapes of every document, is written from a %-template
-built once per indentation, and so is each point: a list of two leaves of
-one shape.  Any other value, a near miss of those shapes included, is
-written value by value.  A list that occurs more than once in one payload,
-such as a path point that two segments share, is written once and its
-text reused.  A subclass of dict, list or tuple is written as its base
-type, as the standard library writes it.
+``serialize`` writes a document as ``json.dumps(payload, separators=(",",
+":"))`` plus a newline: one line, no whitespace between tokens,
+ASCII-escaped strings, keys in the order the builder put them.  Whitespace
+carries nothing, so ``parse`` reads an indented document of the same schema
+unchanged; ``python -m json.tool`` indents one for reading.
 
 ``produce(command, inputs)`` is the one rule from a command's inputs to its
 document; ``lrc <command>`` and ``lrc check`` both call it.
@@ -42,7 +33,6 @@ import json
 import marshal
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from math import ceil, gcd
 from typing import Any, Optional
 
@@ -123,159 +113,9 @@ def serialize(doc: CertificateDocument) -> str:
         "inputs": doc.inputs,
         "result": doc.result,
     }
-    parts: list[str] = []
-    _encode(payload, "\n", parts, {})
-    parts.append("\n")
-    return "".join(parts)
-
-
-# The text of each scalar, by exact type, which a container writes inline.
-_SCALARS = {
-    int: repr,
-    str: encode_basestring_ascii,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _encode(value, indent: str, parts: list[str], written: dict) -> None:
-    """Append to ``parts`` the text of ``value`` as ``json.dumps(value,
-    indent=2)`` writes it at the nesting that ``indent`` (a newline and the
-    current indentation) marks.  Keys are strings, as in every document.
-
-    A dict, list or tuple writes each scalar item inline, with its key and
-    separator in one part, and calls this for any other item.  A subclass
-    of dict, list or tuple is written as its base type, and any other value
-    as ``json.dumps`` writes it.
-
-    ``written`` maps (id, indent) of each list already written in this
-    payload to the span of ``parts`` that holds its text, so a list that
-    occurs more than once, such as a path point shared by two segments, is
-    written once.  Every list stays alive in the payload while it is
-    written, so no id is reused."""
-    kind = type(value)
-    if kind is not dict and kind is not list and kind is not tuple:
-        scalar = _SCALARS.get(kind)
-        if scalar is not None:
-            parts.append(scalar(value))
-            return
-        if isinstance(value, (list, tuple)):
-            kind = list
-        elif isinstance(value, dict):
-            kind = dict
-        else:
-            parts.append(json.dumps(value))
-            return
-    if not value:
-        parts.append("{}" if kind is dict else "[]")
-        return
-    if kind is dict:
-        if len(value) == 2:
-            ints = _leaf_ints(value)
-            if ints is not None:
-                parts.append((_TEMPLATES.get(indent) or _templates(indent))[0][len(ints)] % ints)
-                return
-        inner = indent + "  "
-        comma = "," + inner
-        head = "{" + inner
-        for key, item in value.items():
-            scalar = _SCALARS.get(type(item))
-            if scalar is not None:
-                parts.append(f"{head}{encode_basestring_ascii(key)}: {scalar(item)}")
-            else:
-                parts.append(f"{head}{encode_basestring_ascii(key)}: ")
-                _encode(item, inner, parts, written)
-            head = comma
-        parts.append(indent + "}")
-        return
-    key = (id(value), indent)
-    span = written.get(key)
-    if span is not None:
-        parts.extend(parts[span[0] : span[1]])
-        return
-    start = len(parts)
-    text = _encode_point(value, indent) if len(value) == 2 and type(value[0]) is dict else None
-    if text is not None:
-        parts.append(text)
-    else:
-        inner = indent + "  "
-        comma = "," + inner
-        head = "[" + inner
-        for item in value:
-            scalar = _SCALARS.get(type(item))
-            if scalar is not None:
-                parts.append(head + scalar(item))
-            else:
-                parts.append(head)
-                _encode(item, inner, parts, written)
-            head = comma
-        parts.append(indent + "]")
-    written[key] = start, len(parts)
-
-
-# Per indent, the %-templates of the two leaf shapes and of a point, a list
-# of two leaves of one shape, each keyed by how many ints a leaf takes: a
-# rational 2, a Q(sqrt 3) element 4.  Only indents up to _CACHED_DEPTH
-# levels are kept (documents nest about 8 deep), so a deeper value costs
-# its templates per use and leaves nothing behind.
-_TEMPLATES: dict[str, tuple[dict[int, str], dict[int, str]]] = {}
-_CACHED_DEPTH = 16
-
-
-def _templates(indent: str) -> tuple[dict[int, str], dict[int, str]]:
-    inner = indent + "  "
-    points = {
-        n: "[" + inner + leaf + "," + inner + leaf + indent + "]"
-        for n, leaf in _leaf_templates(inner).items()
-    }
-    templates = _leaf_templates(indent), points
-    if len(indent) <= 1 + 2 * _CACHED_DEPTH:  # a newline, then two spaces a level
-        _TEMPLATES[indent] = templates
-    return templates
-
-
-def _leaf_templates(indent: str) -> dict[int, str]:
-    inner, deeper = indent + "  ", indent + "    "
-    rational = "{" + inner + '"num": %d,' + inner + '"den": %d' + indent + "}"
-    nested = "{" + deeper + '"num": %d,' + deeper + '"den": %d' + inner + "}"
-    quadext = "{" + inner + '"a": ' + nested + "," + inner + '"b": ' + nested + indent + "}"
-    return {2: rational, 4: quadext}
-
-
-def _rational_ints(value) -> Optional[tuple[int, int]]:
-    """(num, den) if ``value`` is a dict with exactly the keys "num", "den",
-    in that order, whose values are of exact type int; else None."""
-    if type(value) is dict and len(value) == 2:
-        first, second = value
-        if first == "num" and second == "den":
-            num, den = value["num"], value["den"]
-            if type(num) is int and type(den) is int:
-                return num, den
-    return None
-
-
-def _leaf_ints(value) -> Optional[tuple[int, ...]]:
-    """The ints of an encoded rational, (num, den), or of an encoded
-    Q(sqrt 3) element, a dict with exactly the keys "a", "b" in that order,
-    each a rational; None for any other value."""
-    if type(value) is dict and len(value) == 2:
-        first, second = value
-        if first == "num" and second == "den":
-            return _rational_ints(value)
-        if first == "a" and second == "b":
-            a, b = _rational_ints(value["a"]), _rational_ints(value["b"])
-            if a is not None and b is not None:
-                return a + b
-    return None
-
-
-def _encode_point(value: list, indent: str) -> Optional[str]:
-    """A two-item list written from its template if both items are encoded
-    rationals or both encoded Q(sqrt 3) elements; None for any other."""
-    first, second = _leaf_ints(value[0]), _leaf_ints(value[1])
-    if first is None or second is None or len(first) != len(second):
-        return None
-    return (_TEMPLATES.get(indent) or _templates(indent))[1][len(first)] % (first + second)
+    # No builder makes a cycle (a path shares its points, but nothing holds
+    # itself), so the C encoder skips its cycle check.
+    return json.dumps(payload, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def parse(text: str) -> CertificateDocument:

@@ -59,6 +59,11 @@ _ROW_BYTES = 1 << 20  # cap on the repeated flag string of one pair sum
 # building the masks: the small tight sets of the sweeps have only such sums.
 _FEW_TIMES = 8
 _MAX_PAIR_SUM = 2**22  # the largest pair sum exact_gap takes, the grid's limit
+# The largest speed a sweep box takes, refused before any allocation, so a
+# flag or a document cannot ask for an allocation without bound.  It does not
+# bound time: a box's cost grows as about max_speed**3 to max_speed**4, so a
+# box near it with k >= 4 may take hours.
+_MAX_SPEED = 2048
 
 
 def _row(reps: bytes, n: int, r: int, h: int) -> bytearray:
@@ -392,7 +397,7 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     invariant under scaling all speeds by a constant.
     """
     _check_count(k, "k")
-    _check_count(max_speed, "max_speed", least=0)
+    _check_count(max_speed, "max_speed", least=0, most=_MAX_SPEED)
     far_rows, columns = _columns(k, max_speed)
     found = []
     width = f"0{max_speed}b"  # speed s is char s-1, bit max_speed - s
@@ -445,7 +450,7 @@ def _gcd1_subset_count(k: int, max_speed: int) -> int:
 
 def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
     """Check delta(S) >= 1/(k+1) for every gcd-1 k-subset of {1..max_speed},
-    for 1 <= k <= 10.
+    for 1 <= k <= 10 and k <= max_speed <= 2048.
 
     ``checked`` counts those sets in closed form (:func:`_gcd1_subset_count`);
     only the ones at or below the bound are enumerated, as hitting sets (see
@@ -453,7 +458,7 @@ def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
     refute the conjecture.  Both lists come out in lexicographic order.
     """
     _check_count(k, "k", most=10)
-    _check_count(max_speed, "max_speed", least=k)
+    _check_count(max_speed, "max_speed", least=k, most=_MAX_SPEED)
     bound = Fraction(1, k + 1)
     tight: list[tuple[int, ...]] = []
     bad: list[tuple[int, ...]] = []

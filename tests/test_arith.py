@@ -277,12 +277,12 @@ class TestSpeedSet:
 # input and its range, which ends ", got <repr of the value>".
 COUNT_ARGUMENTS = {
     "verify_lrc k": (lambda bad: gap.verify_lrc(bad, 5), 11, "k must be an integer from 1 to 10"),
-    "verify_lrc max_speed": (lambda bad: gap.verify_lrc(3, bad), 2, "max_speed must be an integer >= 3"),
+    "verify_lrc max_speed": (lambda bad: gap.verify_lrc(3, bad), 2, "max_speed must be an integer from 3 to 2048"),
     "sweep k": (lambda bad: list(gap.sweep(bad, 5)), 0, "k must be an integer >= 1"),
-    "sweep max_speed": (lambda bad: list(gap.sweep(3, bad)), -1, "max_speed must be an integer >= 0"),
+    "sweep max_speed": (lambda bad: list(gap.sweep(3, bad)), -1, "max_speed must be an integer from 0 to 2048"),
     "kprime_scan k": (lambda bad: viewobstruct.kprime_scan(bad, 8), 1, "k must be an integer >= 2"),
     "kprime_scan max_coord": (
-        lambda bad: viewobstruct.kprime_scan(3, bad), 2, "max_coord must be an integer >= 3"
+        lambda bad: viewobstruct.kprime_scan(3, bad), 2, "max_coord must be an integer from 3 to 2048"
     ),
     "invisible_subset d": (
         lambda bad: fieldsearch.invisible_subset((1, 2, 3), bad), 3, "d must be an integer from 0 to 2"

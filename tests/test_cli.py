@@ -484,6 +484,24 @@ class TestCheckCommand:
         issues = checked["result"]["issues"]
         assert issues == ["malformed document: largest pair sum 4194305 above the limit of 2**22"]
 
+    @pytest.mark.parametrize("command, key", [("verify", "max_speed"), ("kscan", "max_coord")])
+    def test_sweep_box_above_the_cap_is_malformed_at_once(self, tmp_path, command, key):
+        # A document naming a box past 2048 is refused before the sweep
+        # allocates anything.
+        argv = [command, "--k", "3", "--" + key.replace("_", "-"), "8"]
+        code, doc = invoke_json(argv)
+        assert code == 0
+        doc["inputs"][key] = 2**40
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        start = time.process_time()
+        code, checked = invoke_json(["check", str(path)])
+        assert time.process_time() - start < 1
+        assert code == 2
+        assert checked["result"]["issues"] == [
+            f"malformed document: {key} must be an integer from 3 to 2048, got {2**40}"
+        ]
+
     @pytest.mark.parametrize("depth", [1, 600])
     def test_command_that_is_not_a_string_exits_one(self, tmp_path, depth):
         # The report would echo the command; a list nested 600 deep once
@@ -833,6 +851,12 @@ class TestCliAndCheckerAgree:
     def test_bad_count_exits_one_without_a_document(self, argv, message):
         code, out, err = invoke(argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", [2049, 2**40])
+    @pytest.mark.parametrize("command, key", [("verify", "max_speed"), ("kscan", "max_coord")])
+    def test_sweep_box_above_the_cap_exits_one(self, command, key, value):
+        code, out, err = invoke([command, "--k", "3", "--" + key.replace("_", "-"), str(value)])
+        assert (code, out, err) == (1, "", f"error: {key} must be an integer from 3 to 2048, got {value}\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -703,12 +703,26 @@ class TestSweepPrefilter:
         kprime_scan(k, max_coord)
         assert len(calls) == expected
 
-    def test_k1_is_linear_in_max_speed(self):
+    def test_k1_is_linear_in_max_speed(self, monkeypatch):
+        # The walk hands each speed of the box to combinations once; a sweep
+        # quadratic in max_speed hands about max_speed**2 / 2 speeds, which
+        # the item count tells apart even where the time would not.
+        handed = []
+
+        def counted(items, r):
+            items = list(items)
+            handed.append(len(items))
+            return combinations(items, r)
+
+        monkeypatch.setattr(gap, "combinations", counted)
         start = time.process_time()
-        report = verify_lrc(1, 10**5)
+        report = verify_lrc(1, 2048)
         assert time.process_time() - start < 0.5
+        assert sum(handed) <= 2048 + 1  # the box, then the one set {1} to _maximize
         assert report.checked == 1
         assert report.tight == ((1,),)
+        with pytest.raises(ValueError, match="max_speed must be an integer from 1 to 2048, got 2049"):
+            verify_lrc(1, 2049)
 
 
 class TestBounds:

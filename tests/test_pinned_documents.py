@@ -3,7 +3,9 @@
 Each entry is one invocation and its document as a Python literal (keys in
 document order, ``True``/``None`` for JSON ``true``/``null``).  The
 invocation's output must be exactly that document as ``lrc-cert/1`` prints
-it: two-space indent, keys in the given order, one trailing newline.  So any
+it, ``json.dumps(document, separators=(",", ":"))``: one line with no
+whitespace between tokens, keys in the given order, one trailing newline
+(``python -m json.tool`` indents it for reading).  So any
 change to the engines or the document layer that alters a byte fails here;
 ``lrc-cert/1`` documents stay byte-identical across refactors.  There is one
 document per command, with its optional flags set, a few whose gap
@@ -437,7 +439,7 @@ def test_svg_bytes(argv, digest):
 def test_document_bytes(argv, document):
     out = io.StringIO()
     assert run(argv, out=out) == 0
-    assert out.getvalue() == json.dumps(document, indent=2) + "\n"
+    assert out.getvalue() == json.dumps(document, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -446,7 +448,7 @@ def test_document_bytes(argv, document):
 def test_triangle_hit_bytes(argv, code, document):
     out = io.StringIO()
     assert run(argv, out=out) == code
-    assert out.getvalue() == json.dumps(document, indent=2) + "\n"
+    assert out.getvalue() == json.dumps(document, separators=(",", ":")) + "\n"
 
 
 def test_star_import():
