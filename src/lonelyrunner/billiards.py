@@ -16,17 +16,31 @@ up cell always exits through its right edge, and a down cell exits through
 its top or right edge -- or through its top-right corner, which is a lattice
 vertex (a table corner after folding).  The walk is therefore one step loop:
 the up cell (row, col), its down neighbour, then that down cell's exit to
-the next up cell, decided by :func:`_exit`, the one rule the contact test
-and the path fold share.
+the next up cell.
 
 The walk, its contact tests and the path folds run on integers.  The slope
 is written (a + b*sqrt3)/d with integers a, b, d, and a point is measured
 as X = 2x, Y = 6y/sqrt3, which makes every corner and incenter of the
 tiling an integer pair.  The ray's side of a point is then the sign of
 6d*(sigma*x - y) = 3aX + (3bX - dY)*sqrt3, a pair of integers P + Q*sqrt3
-whose sign :func:`~lonelyrunner.arith.sqrt3_sign` decides by integer
-comparison.  The slope's own range check, 0 < sigma < sqrt3, is two such
-signs.  An obstacle hit is named by its cell's (row, col, orientation).
+whose sign is decided by the integer comparisons of
+:func:`~lonelyrunner.arith.sqrt3_sign`.  The slope's own range check,
+0 < sigma < sqrt3, is two such signs.  An obstacle hit is named by its
+cell's (row, col, orientation).
+
+The exit rule, the one rule the contact test and the path fold share: let
+g1 and g2 be 3d times the growth of u1 = 2y/sqrt3 and u2 = x - y/sqrt3 per
+unit x, as integer pairs (P, Q) for P + Q*sqrt3.  The ray leaves the down
+cell (row, col) through its top edge u1 = row + 1, through the top-right
+vertex, or through its right edge u2 = col + 1 as the exit value
+E = (row+1)*g2 - (col+1)*g1 is negative, zero or positive, and enters the
+up cell one row up, one row up and one column right, or one column right.
+Neither loop recomputes E from (row, col).  Both carry it and step it: a
+row step adds g2, a column step subtracts g1.  The contact test carries the
+side value at the up cell's incenter as well, which a row step moves by
+(X, Y) = (1, 3) and a column step by (2, 0), so each cell costs a few
+integer additions and comparisons.
+
 A path crossing lies a fraction (p + q*sqrt3)/n of the way along a tiling
 edge and folds by the colours of the edge's two lattice vertices, so a
 path keeps its strike points as integers.  Q(sqrt 3) values appear only
@@ -42,7 +56,7 @@ exactly when |p(2i+1) - q(2j+1)| <= alpha*(p+q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice
@@ -236,31 +250,30 @@ def triangle_cell(row: int, col: int, points_up: bool) -> TriangleCell:
     return TriangleCell(row, col, points_up, vertices, incenter)
 
 
-def _cleared(slope) -> tuple[int, int, int]:
+class _Slope(NamedTuple):
+    """A wedge slope cleared to integers: slope = (a + b*sqrt3)/d, d >= 1.
+    The public triangle functions take one in place of a slope, so a
+    caller that has cleared a slope once can hand it to several."""
+
+    a: int
+    b: int
+    d: int
+
+
+def _cleared(slope) -> _Slope:
     """Integers (a, b, d) with slope = (a + b*sqrt3)/d and d >= 1, for a
     slope strictly between 0 and sqrt3: since d > 0, that is a + b*sqrt3
-    and (d - b)*sqrt3 - a both positive."""
+    and (d - b)*sqrt3 - a both positive.  A slope already cleared is
+    returned as it is."""
+    if type(slope) is _Slope:
+        return slope
     s = slope if isinstance(slope, QuadExt) else QuadExt(Fraction(slope))
     d = lcm(s.a.denominator, s.b.denominator)
     a = s.a.numerator * (d // s.a.denominator)
     b = s.b.numerator * (d // s.b.denominator)
     if sqrt3_sign(a, b) <= 0 or sqrt3_sign(-a, d - b) <= 0:
         raise ValueError("slope must lie strictly between 0 and sqrt(3)")
-    return a, b, d
-
-
-def _exit(row: int, col: int, g1: tuple[int, int], g2: tuple[int, int]) -> tuple[int, int]:
-    """The up cell the ray enters from the down cell (row, col): the walk's
-    one rule.  The ray leaves a down cell through its top edge u1 = row + 1,
-    its right edge u2 = col + 1, or the top-right vertex where they meet.
-    g1 and g2 are 3d times the growth of u1 = 2y/sqrt3 and u2 = x - y/sqrt3
-    per unit x, as pairs (P, Q) for P + Q*sqrt3, so the ray reaches the top
-    edge first, with the right edge, or last as (row+1)*g2 - (col+1)*g1 is
-    negative, zero or positive; the next up cell is one row up, one row up
-    and one column right, or one column right.
-    """
-    sign = sqrt3_sign((row + 1) * g2[0] - (col + 1) * g1[0], (row + 1) * g2[1] - (col + 1) * g1[1])
-    return row + (sign <= 0), col + (sign >= 0)
+    return _Slope(a, b, d)
 
 
 class TriangleHit(NamedTuple):
@@ -300,10 +313,10 @@ def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Opt
     meets, or None.
 
     The walk is one step loop: the up cell (row, col), its down neighbour,
-    then that cell's exit (see :func:`_exit`).  The ray's side value at a
-    point (X, Y) is G = P + Q*sqrt3 with P = 3aX and Q = 3bX - dY, which is
-    6d*(sigma*x - y); the up cell's incenter is X = 2col + row + 1,
-    Y = 3row + 1, and the down cell's is (X + 1, Y + 1).
+    then that cell's exit by the exit rule (see the module docstring).  The
+    ray's side value at a point (X, Y) is G = P + Q*sqrt3 with P = 3aX and
+    Q = 3bX - dY, which is 6d*(sigma*x - y); the up cell's incenter is
+    X = 2col + row + 1, Y = 3row + 1, and the down cell's is (X + 1, Y + 1).
 
     The scaled corner is (1-alpha)*incenter + alpha*corner, so with
     alpha = p/q the ray's side of it has the sign of q*G_center +
@@ -326,6 +339,14 @@ def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Opt
     at (1, -1) and its negative at (-1, 1), and -2dp*sqrt3 at (0, 2) and
     its negative at (0, -2).
 
+    Nothing is recomputed per cell.  The loop carries q*G at the up
+    cell's incenter and the exit value E as integer pairs and steps both:
+    a row step moves the incenter by (1, 3) and adds g2 to E, a column
+    step moves it by (2, 0) and subtracts g1 from E.  Each sign is decided
+    inline, by the comparisons :func:`~lonelyrunner.arith.sqrt3_sign`
+    makes: P + Q*sqrt3 >= 0 when both are >= 0, and when they differ in
+    sign the term of larger square wins (the squares tie only at 0).
+
     On a lattice slope (a == 0) at most one period is walked: see
     :func:`_lattice_period`.  The cap is set once, so the loop is the same
     for every slope.
@@ -334,31 +355,46 @@ def _first_contact(a: int, b: int, d: int, alpha: Fraction, horizon: int) -> Opt
         horizon = min(horizon, _lattice_period(b, d))
     p, q = alpha.numerator, alpha.denominator
     x_p, x_q, y_q = 3 * a * q, 3 * b * q, d * q  # q*G at (X, Y) is (x_p*X, x_q*X - y_q*Y)
+    row_p, row_q, col_p, col_q = x_p, x_q - 3 * y_q, 2 * x_p, 2 * x_q
+    # The tested corners' offsets from q*G at the up incenter.
     side_p, side_q, edge = 3 * a * p, p * (3 * b + d), 2 * d * p
-    g1, g2 = (6 * b, 2 * a), (3 * d - 3 * b, -a)
-    row = col = index = 0
-    while True:
-        x = 2 * col + row + 1
-        cp, cq = x_p * x, x_q * x - y_q * (3 * row + 1)
-        high = sqrt3_sign(cp + side_p, cq + side_q)
-        if high >= 0:
-            low = sqrt3_sign(cp, cq - edge)
-            if low <= 0:
-                return TriangleHit(index, row, col, True, high == 0 or low == 0)
-        index += 1
-        if index == horizon:
+    down_p, down_q = x_p, x_q - y_q  # the down incenter, at (1, 1) from it
+    down_high_q, down_low_p, down_low_q = down_q + edge, down_p - side_p, down_q - side_q
+    g1_p, g1_q, g2_p, g2_q = 6 * b, 2 * a, 3 * d - 3 * b, -a
+    row = col = 0
+    cp, cq = x_p, x_q - y_q  # the up cell (0, 0), at X = Y = 1
+    ep, eq = g2_p - g1_p, g2_q - g1_q  # E = (row+1)*g2 - (col+1)*g1
+    last = horizon - 1
+    for index in range(0, horizon, 2):
+        # Up cell: is the highest corner's sign >= 0, then the lowest's <= 0?
+        hp, hq = cp + side_p, cq + side_q
+        if (hq >= 0 or hp * hp > 3 * hq * hq) if hp >= 0 else (hq > 0 and 3 * hq * hq > hp * hp):
+            lq = cq - edge
+            if (lq <= 0 or cp * cp > 3 * lq * lq) if cp <= 0 else (lq < 0 and 3 * lq * lq > cp * cp):
+                return TriangleHit(index, row, col, True, not (hp or hq) or not (cp or lq))
+        if index == last:
             return None
-        cp += x_p
-        cq += x_q - y_q
-        high = sqrt3_sign(cp, cq + edge)
-        if high >= 0:
-            low = sqrt3_sign(cp - side_p, cq - side_q)
-            if low <= 0:
-                return TriangleHit(index, row, col, False, high == 0 or low == 0)
-        index += 1
-        if index == horizon:
-            return None
-        row, col = _exit(row, col, g1, g2)
+        # Down cell.
+        hp, hq = cp + down_p, cq + down_high_q
+        if (hq >= 0 or hp * hp > 3 * hq * hq) if hp >= 0 else (hq > 0 and 3 * hq * hq > hp * hp):
+            lp, lq = cp + down_low_p, cq + down_low_q
+            if (lq <= 0 or lp * lp > 3 * lq * lq) if lp <= 0 else (lq < 0 and 3 * lq * lq > lp * lp):
+                return TriangleHit(index + 1, row, col, False, not (hp or hq) or not (lp or lq))
+        # The exit: E <= 0 steps a row up, E >= 0 a column right.
+        right = (eq >= 0 or ep * ep > 3 * eq * eq) if ep >= 0 else (eq > 0 and 3 * eq * eq > ep * ep)
+        if not right or not (ep or eq):
+            row += 1
+            cp += row_p
+            cq += row_q
+            ep += g2_p
+            eq += g2_q
+        if right:
+            col += 1
+            cp += col_p
+            cq += col_q
+            ep -= g1_p
+            eq -= g1_q
+    return None
 
 
 def triangle_obstruction_check(slope, alpha, horizon: int) -> Optional[TriangleHit]:
@@ -441,10 +477,12 @@ class TrianglePath:
 
     slope: QuadExt
     n_strikes: int
+    # The slope as triangle_path_segments cleared it; not part of the value.
+    _slope: Optional[_Slope] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _folded(self) -> tuple[tuple[tuple[int, int, int, int, int], ...], bool]:
-        return _fold_triangle(*_cleared(self.slope), self.n_strikes)
+        return _fold_triangle(*(self._slope or _cleared(self.slope)), self.n_strikes)
 
     @property
     def terminated_at_corner(self) -> bool:
@@ -488,14 +526,15 @@ def _fold_triangle(
     y = (ya + yb*sqrt3)/n.
 
     The walk decides which tiling edge the ray leaves each cell by: an up
-    cell its right edge, then its down neighbour the exit :func:`_exit`
-    gives.  The crossing lies a fraction t of the way along that edge,
-    between two lattice vertices, and folds to the same fraction of the way between
-    their table corners.  With the tiling coordinates u1 = 2y/sqrt3,
-    u2 = x - y/sqrt3 and u3 = x + y/sqrt3, t is u1 - row where the ray
-    meets u3 = level or u2 = level, and u2 - col where it meets
-    u1 = level; the ray's u1/u3, u2/u1 and u1/u2 are constants, so t is
-    computed in integers.
+    cell its right edge, then its down neighbour the edge the exit rule
+    (see the module docstring) gives, from the exit value E, which the loop
+    carries and steps as :func:`_first_contact` does.  The crossing lies a
+    fraction t of the way along that edge, between two lattice vertices,
+    and folds to the same fraction of the way between their table corners.
+    With the tiling coordinates u1 = 2y/sqrt3, u2 = x - y/sqrt3 and
+    u3 = x + y/sqrt3, t is u1 - row where the ray meets u3 = level or
+    u2 = level, and u2 - col where it meets u1 = level; the ray's u1/u3,
+    u2/u1 and u1/u2 are constants, so t is computed in integers.
     """
     # 3d times the growth of u1, u2 and u3 per unit x.
     g1, g2, g3 = (6 * b, 2 * a), (3 * d - 3 * b, -a), (3 * d + 3 * b, a)
@@ -503,19 +542,24 @@ def _fold_triangle(
     points = [(0, 0, 0, 0, 1)]
     terminated = False
     row = col = 0
+    ep, eq = g2[0] - g1[0], g2[1] - g1[1]  # E = (row+1)*g2 - (col+1)*g1
     points_up = True
     while len(points) <= n_strikes:
         if points_up:  # right edge, on u3 = level
             level, (p, q, n), offset = row + col + 1, falling, row
             v0, v1 = (col + 1, row), (col, row + 1)
         else:
-            next_row, next_col = _exit(row, col, g1, g2)
-            if next_col == col:  # top edge, on u1 = level
+            exit_sign = sqrt3_sign(ep, eq)
+            if exit_sign < 0:  # top edge, on u1 = level
                 level, (p, q, n), offset = row + 1, top, col
                 v0, v1 = (col, row + 1), (col + 1, row + 1)
-            elif next_row == row:  # right edge, on u2 = level
+                row += 1
+                ep, eq = ep + g2[0], eq + g2[1]
+            elif exit_sign > 0:  # right edge, on u2 = level
                 level, (p, q, n), offset = col + 1, rising, row
                 v0, v1 = (col + 1, row), (col + 1, row + 1)
+                col += 1
+                ep, eq = ep - g1[0], eq - g1[1]
             else:
                 # Lattice vertex V(col + 1, row + 1): its table corner (x, y),
                 # in the units of _CORNERS, is (x/2, y*sqrt3/2); the path stops.
@@ -523,7 +567,6 @@ def _fold_triangle(
                 points.append((x, 0, 0, y, 2))
                 terminated = True
                 break
-            row, col = next_row, next_col
         points_up = not points_up
         # t = (tp + tq*sqrt3)/n of the way from corner (x0, y0) to corner
         # (x0 + dx, y0 + dy): x = (x0 + dx*t)/2, y = (y0 + dy*t)*sqrt3/2.
@@ -540,6 +583,7 @@ def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
     ``n_strikes`` boundary hits, all coordinates exact in Q(sqrt 3).  The
     slope and the count are checked here; the path folds its points when
     they are first read."""
-    a, b, d = _cleared(slope)
+    cleared = _cleared(slope)
     _check_count(n_strikes, "strikes")
-    return TrianglePath(QuadExt(Fraction(a, d), Fraction(b, d)), n_strikes)
+    a, b, d = cleared
+    return TrianglePath(QuadExt(Fraction(a, d), Fraction(b, d)), n_strikes, cleared)

@@ -423,20 +423,17 @@ def _produce_triangle(inputs: dict) -> CertificateDocument:
     except (KeyError, ValueError):
         billiards._cleared(slope)  # a slope outside the wedge is reported first
         raise
-    if alpha is None:
-        billiards._cleared(slope)  # the slope must lie in the wedge, whatever is asked
-        hit = None
-    else:
-        # The engine checks the slope before anything else, so the slope is
-        # cleared once.
-        hit = billiards.triangle_obstruction_check(slope, alpha, horizon)
+    # The slope must lie in the wedge, whatever is asked.  It is cleared
+    # once here, and each engine takes it cleared.
+    cleared = billiards._cleared(slope)
+    hit = None if alpha is None else billiards.triangle_obstruction_check(cleared, alpha, horizon)
     path = None
     if inputs["strikes"] is not None:
-        path = billiards.triangle_path_segments(slope, inputs["strikes"])
+        path = billiards.triangle_path_segments(cleared, inputs["strikes"])
     tolerance = _optional_rational(inputs["tolerance"])
     bracket = None
     if tolerance is not None:  # the engine refuses a tolerance below 2**-64
-        bracket = billiards.triangle_min_obstacle(slope, horizon, tolerance) + (tolerance,)
+        bracket = billiards.triangle_min_obstacle(cleared, horizon, tolerance) + (tolerance,)
     return triangle_document(slope, alpha, horizon, hit, path, bracket)
 
 

@@ -821,6 +821,50 @@ class TestStepLoopDifferential:
             terminated += folded[1]
         assert terminated >= len(LATTICE_PAIRS)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("edge", ["low", "high"])
+    def test_near_tie_slopes(self, n, edge):
+        # The unit u = 2 - sqrt3 has norm 1, so u**n = x + y*sqrt3 has
+        # x*x - 3*y*y = 1: the slopes u**n, near 0, and sqrt3 - u**n, near
+        # sqrt3, give side and exit values whose two terms nearly cancel.
+        x, y = 1, 0
+        for _ in range(n):
+            x, y = 2 * x - 3 * y, 2 * y - x
+        slope = QuadExt(x, y) if edge == "low" else QuadExt(-x, 1 - y)
+        a, b, d = billiards._cleared(slope)
+        alphas = [F(1, 1000), F(1, 4), F(1, 2)] + near_threshold_alphas(a, b, d, 400)
+        for alpha in alphas:
+            first = walkref.first_contact(a, b, d, alpha, 400)
+            around = () if first is None else (first.index, first.index + 1, first.index + 2)
+            for horizon in small_horizons(399, 400, 401, *around):
+                want = walkref.first_contact(a, b, d, alpha, horizon)
+                assert billiards._first_contact(a, b, d, alpha, horizon) == want, (slope, alpha, horizon)
+        for strikes in small_horizons(399, 400, 401):
+            assert billiards._fold_triangle(a, b, d, strikes) == walkref.fold_triangle(a, b, d, strikes), (
+                slope,
+                strikes,
+            )
+
+    def test_long_off_lattice_walks(self):
+        # 20,000 cells and more at alpha = 10**-6 and at the ends of each
+        # slope's bisection bracket, whose hit may lie thousands of cells
+        # in, and folds of 20,000 strikes: the stepped values must not
+        # drift.  A walk that drifted after some cell would miss the hits
+        # beyond it, so the hits must reach deep rows and columns.
+        rng = random.Random(835)
+        deepest = (0, 0, 0)
+        for n in range(16):
+            slope = random_wedge_slope(rng, ("rational", "mixed")[n % 2])
+            a, b, d = billiards._cleared(slope)
+            for alpha in [F(1, 10**6)] + near_threshold_alphas(a, b, d, 20_001):
+                for horizon in (20_000, 20_001):
+                    want = walkref.first_contact(a, b, d, alpha, horizon)
+                    assert billiards._first_contact(a, b, d, alpha, horizon) == want, (slope, alpha, horizon)
+                    if want is not None:
+                        deepest = tuple(map(max, deepest, (want.index, want.row, want.col)))
+            assert billiards._fold_triangle(a, b, d, 20_000) == walkref.fold_triangle(a, b, d, 20_000), slope
+        assert deepest >= (10_000, 4_000, 4_000) and min(deepest) >= 4_000, deepest
+
 
 # ---------------------------------------------------------------------------
 # Reference folds: the triangle fold by composed reflections, and the square

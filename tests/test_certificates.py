@@ -671,6 +671,46 @@ class TestProduce:
         doc = certificates.produce("conj34", {"speeds": [3, 1]})
         assert (doc.inputs, doc.result) == ({"speeds": [1, 3]}, {"refuted": True})
 
+    @pytest.mark.parametrize(
+        "alpha, strikes, tolerance",
+        [
+            ({"num": 1, "den": 4}, None, None),
+            (None, 5, None),
+            ({"num": 1, "den": 4}, 5, None),
+            (None, None, {"num": 1, "den": 64}),
+            ({"num": 1, "den": 4}, 5, {"num": 1, "den": 64}),
+        ],
+        ids=["alpha", "strikes", "alpha-strikes", "min-obstacle", "alpha-strikes-min-obstacle"],
+    )
+    def test_triangle_slope_cleared_once(self, monkeypatch, alpha, strikes, tolerance):
+        # Clearing a slope's denominators takes one lcm; a rebuild clears
+        # once, whatever it is asked, and each engine takes the cleared
+        # slope.  The document is the one the engines give for the slope.
+        slope = QuadExt(F(1, 2), F(1, 3))
+        inputs = {
+            "slope": certificates.encode_quadext(slope),
+            "alpha": alpha,
+            "horizon": 50,
+            "strikes": strikes,
+            "tolerance": tolerance,
+        }
+        lcm, calls = billiards.lcm, []
+        monkeypatch.setattr(billiards, "lcm", lambda *args: calls.append(args) or lcm(*args))
+        doc = certificates.produce("triangle", inputs)
+        assert len(calls) == 1
+        monkeypatch.setattr(billiards, "lcm", lcm)
+        hit = path = bracket = None
+        if alpha is not None:
+            alpha = certificates.decode_rational(alpha)
+            hit = billiards.triangle_obstruction_check(slope, alpha, 50)
+        if strikes is not None:
+            path = billiards.triangle_path_segments(slope, strikes)
+        if tolerance is not None:
+            tolerance = certificates.decode_rational(tolerance)
+            bracket = billiards.triangle_min_obstacle(slope, 50, tolerance) + (tolerance,)
+        want = certificates.triangle_document(slope, alpha, 50, hit, path, bracket)
+        assert certificates.serialize(doc) == certificates.serialize(want)
+
     def test_outputs_hold_no_speed_set(self):
         # marshal, which the check's comparison uses, refuses a tuple
         # subclass such as SpeedSet.
