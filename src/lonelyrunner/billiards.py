@@ -83,6 +83,7 @@ __all__ = [
 
 Point = tuple[Fraction, Fraction]
 QPoint = tuple[QuadExt, QuadExt]
+_MAX_PATH = 2**14  # the most segments or strikes a path takes
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +161,11 @@ def _crossings(p: int, q: int) -> Iterator[int]:
 
 
 def square_path_segments(slope: RationalLike, n_segments: int) -> SquarePath:
-    """First ``n_segments`` table segments of the slope's billiard path.
-    The slope and the count are checked here; the path folds its points
-    when they are first read."""
+    """First ``n_segments`` table segments of the slope's billiard path,
+    at most 2**14.  The slope and the count are checked here; the path
+    folds its points when they are first read."""
     p, q = _square_slope(slope)
-    _check_count(n_segments, "segments")
+    _check_count(n_segments, "segments", most=_MAX_PATH)
     return SquarePath(Fraction(p, q), n_segments)
 
 
@@ -580,10 +581,10 @@ def _fold_triangle(
 
 def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
     """The ray y = slope*x folded into the base triangle through
-    ``n_strikes`` boundary hits, all coordinates exact in Q(sqrt 3).  The
-    slope and the count are checked here; the path folds its points when
-    they are first read."""
+    ``n_strikes`` boundary hits, at most 2**14, all coordinates exact in
+    Q(sqrt 3).  The slope and the count are checked here; the path folds
+    its points when they are first read."""
     cleared = _cleared(slope)
-    _check_count(n_strikes, "strikes")
+    _check_count(n_strikes, "strikes", most=_MAX_PATH)
     a, b, d = cleared
     return TrianglePath(QuadExt(Fraction(a, d), Fraction(b, d)), n_strikes, cleared)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import ceil, gcd
 from typing import Any, Optional
 
-from .arith import QuadExt, SpeedSet, _check_count, is_prime
+from .arith import QuadExt, SpeedSet, _check_count, _unit_scale, is_prime
 from . import billiards, fieldsearch, gap, viewobstruct
 
 __all__ = [
@@ -417,15 +417,11 @@ def _produce_billiard(inputs: dict) -> CertificateDocument:
 
 def _produce_triangle(inputs: dict) -> CertificateDocument:
     slope = decode_quadext(inputs["slope"])
-    try:
-        alpha = _optional_rational(inputs["alpha"])
-        horizon = _check_count(inputs["horizon"], "horizon")
-    except (KeyError, ValueError):
-        billiards._cleared(slope)  # a slope outside the wedge is reported first
-        raise
-    # The slope must lie in the wedge, whatever is asked.  It is cleared
-    # once here, and each engine takes it cleared.
+    # The slope must lie in the wedge, whatever is asked, and is checked
+    # first.  It is cleared once here, and each engine takes it cleared.
     cleared = billiards._cleared(slope)
+    alpha = _optional_rational(inputs["alpha"])
+    horizon = _check_count(inputs["horizon"], "horizon")
     hit = None if alpha is None else billiards.triangle_obstruction_check(cleared, alpha, horizon)
     path = None
     if inputs["strikes"] is not None:
@@ -437,15 +433,15 @@ def _produce_triangle(inputs: dict) -> CertificateDocument:
     return triangle_document(slope, alpha, horizon, hit, path, bracket)
 
 
-# Trial division of a prime within this budget takes at most 2**19 steps.
-_MAX_PRIME_BUDGET = 2**40
-
-
 def _invisible_inputs(inputs: dict) -> tuple[SpeedSet, int, int]:
     """The speeds, ``d`` and prime budget of an ``invisible`` document, read
-    by one rule for ``produce`` and for the validator."""
-    speeds, d = SpeedSet(inputs["speeds"]), _check_count(inputs["d"], "d", least=0)
-    return speeds, d, _check_count(inputs["prime_budget"], "prime_budget", most=_MAX_PRIME_BUDGET)
+    by one rule for ``produce`` and for the validator: the ranges of
+    :func:`~lonelyrunner.fieldsearch.invisible_subset`, with a budget of at
+    least 1."""
+    speeds = SpeedSet(inputs["speeds"])
+    d = _check_count(inputs["d"], "d", least=0, most=len(speeds) - 1)
+    budget = _check_count(inputs["prime_budget"], "prime_budget", most=fieldsearch._MAX_PRIME_BUDGET)
+    return speeds, d, budget
 
 
 def _produce_invisible(inputs: dict) -> CertificateDocument:
@@ -578,7 +574,8 @@ def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
     """The stored hit time t = x/n must be a band witness over the
     direction's speeds at scale alpha; the centers are rebuilt from t."""
     direction = viewobstruct.primitive_direction(doc.inputs["direction"])
-    alpha = _optional_rational(doc.inputs["alpha"])
+    alpha = doc.inputs["alpha"]
+    alpha = None if alpha is None else _unit_scale(decode_rational(alpha))
     min_scale = viewobstruct.min_scale_for_direction(direction)
     stored = doc.result["witness"]
     t = None if stored is None else decode_rational(stored["hit_time"])
@@ -586,7 +583,6 @@ def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
     if alpha is None:
         _check(issues, t is None, "witness without a queried alpha")
         return
-    _check(issues, 0 < alpha < 1, "alpha must lie strictly between 0 and 1")
     if t is None:
         _check(issues, alpha < min_scale, "missing witness at an obstructing scale")
         return
@@ -611,7 +607,6 @@ def _check_band_witness(issues: list[str], n, x, m, speeds: SpeedSet) -> fieldse
 
 def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
     original, d, budget = _invisible_inputs(doc.inputs)
-    _check(issues, d < len(original), "d must be below the number of speeds")
     res = doc.result
     kept = SpeedSet(res["kept"])
     _check(issues, all(s in original for s in kept), "kept speeds outside the original speeds")
@@ -637,14 +632,14 @@ def _validate_conj34(doc: CertificateDocument, issues: list[str]) -> None:
     """Check the document's own witness; the gap is not recomputed unless
     the document claims a refutation."""
     res = doc.result
-    if "refuted" in res:
-        # A refutation has no witness to check: it stands only if the gap of
-        # the speeds, which bounds the cost, is below 1/(k+1) as well.
-        _validate_rebuilt(doc, issues)
-        return
     speeds = SpeedSet(doc.inputs["speeds"])
     k = len(speeds)
-    _check(issues, k >= 2, "need at least two speeds")
+    if "refuted" in res or k < 2:
+        # A refutation has no witness to check: it stands only if the gap of
+        # the speeds, which bounds the cost, is below 1/(k+1) as well.  The
+        # producer refuses a single speed.
+        _validate_rebuilt(doc, issues)
+        return
     witness = _check_band_witness(issues, res["n"], res["x"], res["m"], speeds)
     _compare(doc, conj34_document(speeds, witness), issues)
     _check(

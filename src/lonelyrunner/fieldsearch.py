@@ -112,6 +112,8 @@ def residue_matrix_scan(
 
 
 _PRIME_BUDGET = 100_000  # invisible_subset's default, and lrc invisible's
+# Trial division of a prime within this budget takes at most 2**19 steps.
+_MAX_PRIME_BUDGET = 2**40
 
 
 @dataclass(frozen=True)
@@ -144,14 +146,15 @@ def invisible_subset(
     most d band hits, and keep the speeds that avoided the band.  The first
     kept set whose exact gap reaches the target is returned.  Raises
     :class:`PrimeBudgetExhausted` when the next prime would exceed the
-    budget.
+    budget.  A budget above 2**40 is refused.
     """
     sset = SpeedSet(speeds)
     k = len(sset)
     _check_count(d, "d", least=0, most=k - 1)
-    # Any int is a budget; one below 2 admits no prime.
+    # Any int up to the cap is a budget; one below 2 admits no prime.
     if _check_count(prime_budget, "prime_budget", least=None) < 2:
         raise PrimeBudgetExhausted(f"prime budget {prime_budget} admits no prime")
+    _check_count(prime_budget, "prime_budget", most=_MAX_PRIME_BUDGET)
     target = Fraction(d + 1, 2 * k)
     step = 1
     while True:

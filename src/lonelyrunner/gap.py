@@ -64,6 +64,7 @@ _MAX_PAIR_SUM = 2**22  # the largest pair sum exact_gap takes, the grid's limit
 # bound time: a box's cost grows as about max_speed**3 to max_speed**4, so a
 # box near it with k >= 4 may take hours.
 _MAX_SPEED = 2048
+_MAX_K = 10  # the largest set size verify_lrc and kprime_scan sweep
 
 
 def _row(reps: bytes, n: int, r: int, h: int) -> bytearray:
@@ -457,7 +458,7 @@ def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
     :func:`sweep`).  A counterexample is collected, not raised -- it would
     refute the conjecture.  Both lists come out in lexicographic order.
     """
-    _check_count(k, "k", most=10)
+    _check_count(k, "k", most=_MAX_K)
     _check_count(max_speed, "max_speed", least=k, most=_MAX_SPEED)
     bound = Fraction(1, k + 1)
     tight: list[tuple[int, ...]] = []

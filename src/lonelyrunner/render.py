@@ -212,9 +212,9 @@ def render_svg(scene: str, **params) -> str:
     """Render one of the four supported scenes to SVG 1.1 text.  ``params``
     are bound to the scene's drawing signature, so a parameter the scene
     does not take, or a required one left out, is refused.  An obstacle
-    scale ``alpha``, where given, lies strictly between 0 and 1; a count
-    (``extent``, ``segments``, ``strikes``) is an int of at least 1, and an
-    ``extent`` is at most 100 cells."""
+    scale ``alpha``, where given, lies strictly between 0 and 1, and an
+    ``extent`` is an int from 1 to 100 cells; the path engines refuse a bad
+    ``segments`` or ``strikes``."""
     draw = _DRAW.get(scene)
     if draw is None:
         raise ValueError(f"unknown scene {scene!r}; expected one of {', '.join(SCENES)}")
@@ -224,7 +224,6 @@ def render_svg(scene: str, **params) -> str:
         raise ValueError(f"scene {scene}: {exc}") from None
     if params.get("alpha") is not None:
         _unit_scale(params["alpha"])
-    for name in ("extent", "segments", "strikes"):
-        if name in params:
-            _check_count(params[name], name, most=_MAX_EXTENT if name == "extent" else None)
+    if "extent" in params:
+        _check_count(params["extent"], "extent", most=_MAX_EXTENT)
     return draw(**params)

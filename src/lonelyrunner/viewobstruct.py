@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from .arith import SpeedSet, _check_count, _unit_scale
 from .fieldsearch import BandWitness
-from .gap import _MAX_SPEED, GapCertificate, exact_gap, sweep
+from .gap import _MAX_K, _MAX_SPEED, GapCertificate, exact_gap, sweep
 
 __all__ = [
     "KPrimeScanReport",
@@ -87,8 +87,9 @@ def kprime_scan(k: int, max_coord: int) -> KPrimeScanReport:
 
     A direction's scale is 1 - 2*delta of its set of coordinate values, and
     adding a value never raises delta, so the supremum is 1 - 2*min delta(S)
-    over the gcd-1 k-subsets S of {1..max_coord} (k <= max_coord <= 2048), taken from
-    the shared :func:`~lonelyrunner.gap.sweep`.  The sweep yields only the
+    over the gcd-1 k-subsets S of {1..max_coord} (2 <= k <= 10 and
+    k <= max_coord <= 2048), taken from the shared
+    :func:`~lonelyrunner.gap.sweep`.  The sweep yields only the
     sets with delta <= 1/(k+1); the others cannot win, since the box always
     holds {1, ..., k}, whose delta is exactly 1/(k+1).  The observed supremum
     can never exceed (k-1)/k; the report states whether it equals the
@@ -103,7 +104,7 @@ def kprime_scan(k: int, max_coord: int) -> KPrimeScanReport:
     k >= 8 that argument needs sets of seven or more values, which the
     theorem does not cover, so only the k-set statement is claimed there.
     """
-    _check_count(k, "k", least=2)
+    _check_count(k, "k", least=2, most=_MAX_K)
     _check_count(max_coord, "max_coord", least=k, most=_MAX_SPEED)
     coords, delta = min(sweep(k, max_coord), key=lambda item: item[1])
     best = 1 - 2 * delta

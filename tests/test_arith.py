@@ -280,7 +280,7 @@ COUNT_ARGUMENTS = {
     "verify_lrc max_speed": (lambda bad: gap.verify_lrc(3, bad), 2, "max_speed must be an integer from 3 to 2048"),
     "sweep k": (lambda bad: list(gap.sweep(bad, 5)), 0, "k must be an integer >= 1"),
     "sweep max_speed": (lambda bad: list(gap.sweep(3, bad)), -1, "max_speed must be an integer from 0 to 2048"),
-    "kprime_scan k": (lambda bad: viewobstruct.kprime_scan(bad, 8), 1, "k must be an integer >= 2"),
+    "kprime_scan k": (lambda bad: viewobstruct.kprime_scan(bad, 12), 11, "k must be an integer from 2 to 10"),
     "kprime_scan max_coord": (
         lambda bad: viewobstruct.kprime_scan(3, bad), 2, "max_coord must be an integer from 3 to 2048"
     ),
@@ -312,10 +312,14 @@ COUNT_ARGUMENTS = {
         lambda bad: gap.gap_grid_oracle((1, 2), bad), 2**22 + 1, "resolution must be an integer from 4 to 4194304"
     ),
     "square_path_segments segments": (
-        lambda bad: billiards.square_path_segments(Fraction(1, 2), bad), 0, "segments must be an integer >= 1"
+        lambda bad: billiards.square_path_segments(Fraction(1, 2), bad),
+        2**14 + 1,
+        "segments must be an integer from 1 to 16384",
     ),
     "triangle_path_segments strikes": (
-        lambda bad: billiards.triangle_path_segments(QuadExt(1), bad), 0, "strikes must be an integer >= 1"
+        lambda bad: billiards.triangle_path_segments(QuadExt(1), bad),
+        2**14 + 1,
+        "strikes must be an integer from 1 to 16384",
     ),
     "triangle_obstruction_check horizon": (
         lambda bad: billiards.triangle_obstruction_check(QuadExt(1), Fraction(1, 3), bad),
@@ -331,12 +335,12 @@ COUNT_ARGUMENTS = {
     "render_svg segments": (
         lambda bad: render.render_svg("square_billiard", slope=Fraction(1, 2), segments=bad),
         0,
-        "segments must be an integer >= 1",
+        "segments must be an integer from 1 to 16384",
     ),
     "render_svg strikes": (
         lambda bad: render.render_svg("triangle_billiard", slope=QuadExt(1), strikes=bad),
         0,
-        "strikes must be an integer >= 1",
+        "strikes must be an integer from 1 to 16384",
     ),
     "produce gap grid": (
         lambda bad: certificates.produce("gap", {"speeds": [1, 2], "grid": bad}), -1, "grid must be an integer >= 0"
@@ -353,7 +357,7 @@ COUNT_ARGUMENTS = {
     "produce invisible d": (
         lambda bad: certificates.produce("invisible", {"speeds": [1, 2, 3], "d": bad, "prime_budget": 100}),
         -1,
-        "d must be an integer >= 0",
+        "d must be an integer from 0 to 2",
     ),
     "produce invisible prime_budget": (
         lambda bad: certificates.produce("invisible", {"speeds": [1, 2, 3], "d": 1, "prime_budget": bad}),

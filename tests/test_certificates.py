@@ -730,7 +730,7 @@ class TestProduce:
             (
                 "billiard",
                 {"slope": {"num": 1, "den": 2}, "alpha": None, "segments": 0},
-                "segments must be an integer >= 1, got 0",
+                "segments must be an integer from 1 to 16384, got 0",
             ),
             (
                 "triangle",

@@ -587,11 +587,11 @@ class TestRenderCommand:
             for argv, message in [
                 (
                     "render --scene square_billiard --slope 1/2 --segments 0",
-                    "segments must be an integer >= 1, got 0",
+                    "segments must be an integer from 1 to 16384, got 0",
                 ),
                 (
                     "render --scene triangle_billiard --slope 1/1 --strikes 0",
-                    "strikes must be an integer >= 1, got 0",
+                    "strikes must be an integer from 1 to 16384, got 0",
                 ),
                 ("render --scene obstruction2d --extent 0", "extent must be an integer from 1 to 100, got 0"),
                 ("render --scene triangle_tiling --extent -2", "extent must be an integer from 1 to 100, got -2"),

@@ -24,8 +24,8 @@ class TestRenderSvg:
         [
             ("obstruction2d", {"extent": 2.5}, "extent must be an integer from 1 to 100, got 2.5"),
             ("triangle_tiling", {"extent": 2.5}, "extent must be an integer from 1 to 100, got 2.5"),
-            ("square_billiard", {"slope": F(1, 2), "segments": True}, "segments must be an integer >= 1, got True"),
-            ("triangle_billiard", {"slope": QuadExt(1), "strikes": True}, "strikes must be an integer >= 1, got True"),
+            ("square_billiard", {"slope": F(1, 2), "segments": True}, "segments must be an integer from 1 to 16384, got True"),
+            ("triangle_billiard", {"slope": QuadExt(1), "strikes": True}, "strikes must be an integer from 1 to 16384, got True"),
         ],
         ids=["obstruction2d-params0", "triangle_tiling-params1", "square_billiard-params2", "triangle_billiard-params3"],
     )
