@@ -31,24 +31,19 @@ __all__ = [
 RationalLike = Union[int, Fraction]
 
 
-def _check_count(value, name: str, least: Optional[int] = 1, most: Optional[int] = None) -> int:
+def _check_count(value, name: str, least: int = 1, most: Optional[int] = None) -> int:
     """``value`` if it is an int in [least, most], the one rule for every
-    integer input an engine or a document takes; a bound of None is no
-    bound, and ``most`` is given only with ``least``.  A bool is not an
-    int here, although Python treats True as 1.  Any other value is
-    refused with one message, built from ``name`` and the bounds."""
+    integer input an engine or a document takes; ``most`` of None is no
+    upper bound.  A bool is not an int here, although Python treats True
+    as 1.  Any other value is refused with one message, built from
+    ``name`` and the bounds."""
     if (
         isinstance(value, bool)
         or not isinstance(value, int)
-        or least is not None and value < least
+        or value < least
         or most is not None and value > most
     ):
-        if least is None:
-            rule = "an integer"
-        elif most is None:
-            rule = f"an integer >= {least}"
-        else:
-            rule = f"an integer from {least} to {most}"
+        rule = f"an integer >= {least}" if most is None else f"an integer from {least} to {most}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
 

@@ -394,9 +394,16 @@ def _produce_kappa(inputs: dict) -> CertificateDocument:
     return kappa_document(speeds, lower, upper, cert.delta, holds)
 
 
-def _produce_obstruct(inputs: dict) -> CertificateDocument:
+def _obstruct_inputs(inputs: dict) -> tuple[tuple[int, ...], Optional[Fraction]]:
+    """The direction and alpha of an ``obstruct`` document, read by one rule
+    for ``produce`` and for the validator, before any gap is computed."""
     direction = viewobstruct.primitive_direction(inputs["direction"])
     alpha = _optional_rational(inputs["alpha"])
+    return direction, None if alpha is None else _unit_scale(alpha)
+
+
+def _produce_obstruct(inputs: dict) -> CertificateDocument:
+    direction, alpha = _obstruct_inputs(inputs)
     cert = gap.exact_gap(SpeedSet(direction))
     witness = None if alpha is None else viewobstruct.obstruction_witness(direction, alpha, cert)
     hit_time = None if witness is None else Fraction(witness.x, witness.n)
@@ -436,8 +443,7 @@ def _produce_triangle(inputs: dict) -> CertificateDocument:
 def _invisible_inputs(inputs: dict) -> tuple[SpeedSet, int, int]:
     """The speeds, ``d`` and prime budget of an ``invisible`` document, read
     by one rule for ``produce`` and for the validator: the ranges of
-    :func:`~lonelyrunner.fieldsearch.invisible_subset`, with a budget of at
-    least 1."""
+    :func:`~lonelyrunner.fieldsearch.invisible_subset`."""
     speeds = SpeedSet(inputs["speeds"])
     d = _check_count(inputs["d"], "d", least=0, most=len(speeds) - 1)
     budget = _check_count(inputs["prime_budget"], "prime_budget", most=fieldsearch._MAX_PRIME_BUDGET)
@@ -540,42 +546,16 @@ def _compare(doc: CertificateDocument, rebuilt: CertificateDocument, issues: lis
         _diagnose("result", doc.result, rebuilt.result, issues)
 
 
-def _stored_path_count(doc: CertificateDocument, issues: list[str]) -> bool:
-    """A path document's count input, ``segments`` (billiard) or
-    ``strikes`` (triangle), is what its builder writes: the length of the
-    stored path.  Checked before the rebuild, it bounds the rebuild's cost
-    by the document's size."""
-    if doc.command == "billiard":
-        key, path, shape = "segments", doc.result["path"], "a list"
-    elif doc.command == "triangle" and doc.inputs["strikes"] is not None:
-        stored = doc.result["path"]
-        path = stored.get("segments") if isinstance(stored, dict) else None
-        key, shape = "strikes", "an object holding a segments list"
-    else:
-        return True
-    count = doc.inputs[key]
-    if not isinstance(path, list):
-        raise ValueError(f"the stored path of a {doc.command} document must be {shape}")
-    if count != len(path):
-        issues.append(f"{key} mismatch: inputs name {count!r}, the stored path has {len(path)}")
-        return False
-    return True
-
-
 def _validate_rebuilt(doc: CertificateDocument, issues: list[str]) -> None:
     """Valid only if the document is exactly what its command produces for
     its inputs."""
-    if not _stored_path_count(doc, issues):
-        return
     _compare(doc, produce(doc.command, doc.inputs), issues)
 
 
 def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
     """The stored hit time t = x/n must be a band witness over the
     direction's speeds at scale alpha; the centers are rebuilt from t."""
-    direction = viewobstruct.primitive_direction(doc.inputs["direction"])
-    alpha = doc.inputs["alpha"]
-    alpha = None if alpha is None else _unit_scale(decode_rational(alpha))
+    direction, alpha = _obstruct_inputs(doc.inputs)
     min_scale = viewobstruct.min_scale_for_direction(direction)
     stored = doc.result["witness"]
     t = None if stored is None else decode_rational(stored["hit_time"])

@@ -146,14 +146,11 @@ def invisible_subset(
     most d band hits, and keep the speeds that avoided the band.  The first
     kept set whose exact gap reaches the target is returned.  Raises
     :class:`PrimeBudgetExhausted` when the next prime would exceed the
-    budget.  A budget above 2**40 is refused.
+    budget.  A budget below 1 or above 2**40 is refused.
     """
     sset = SpeedSet(speeds)
     k = len(sset)
     _check_count(d, "d", least=0, most=k - 1)
-    # Any int up to the cap is a budget; one below 2 admits no prime.
-    if _check_count(prime_budget, "prime_budget", least=None) < 2:
-        raise PrimeBudgetExhausted(f"prime budget {prime_budget} admits no prime")
     _check_count(prime_budget, "prime_budget", most=_MAX_PRIME_BUDGET)
     target = Fraction(d + 1, 2 * k)
     step = 1

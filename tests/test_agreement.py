@@ -1,8 +1,10 @@
 """Each input has one refusal: ``lrc <command>`` and ``lrc check`` word a bad
 input alike, in the words of the engine that owns its rule."""
 
+import copy
 import io
 import json
+import re
 
 import pytest
 
@@ -84,19 +86,11 @@ BAD_INPUTS = {
     ],
 }
 
-# A path document's count is held to its stored path before the rebuild
-# (see certificates._stored_path_count), which bounds the check's cost by
-# the document's size.  So a bad count in a document is reported as a
-# mismatch with that path, not in the producer's words, and these rows
-# test only the command.
-STORED_PATH_COUNTS = {"--segments", "--strikes"}
-
 ROWS = [
     pytest.param(valid, flag, value, refusal, id=f"{command} {flag} {value}")
     for command, rows in BAD_INPUTS.items()
     for valid, flag, value, refusal in rows
 ]
-DOCUMENT_ROWS = [row for row in ROWS if row.values[1] not in STORED_PATH_COUNTS]
 
 
 def invoke(argv):
@@ -129,7 +123,7 @@ def test_command_refuses_with_one_line(valid, flag, value, refusal):
     assert invoke(bad_argv(valid, flag, value)) == (1, "", f"error: {refusal}\n")
 
 
-@pytest.mark.parametrize("valid, flag, value, refusal", DOCUMENT_ROWS)
+@pytest.mark.parametrize("valid, flag, value, refusal", ROWS)
 def test_check_calls_the_same_input_malformed(valid, flag, value, refusal):
     code, text, _ = invoke(valid.split())
     assert code == 0
@@ -170,7 +164,99 @@ def test_library_budget_follows_the_check(tmp_path):
     assert check(tmp_path, text)["result"]["valid"] is True
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_library_budget_below_one_is_refused_as_lrc_refuses_it(budget):
+    argv = ["invisible", "--speeds", "1,2,3", "--d", "1", "--prime-budget", str(budget)]
+    code, out, err = invoke(argv)
+    with pytest.raises(ValueError) as info:
+        fieldsearch.invisible_subset((1, 2, 3), 1, prime_budget=budget)
+    assert (code, out, err) == (1, "", f"error: {info.value}\n")
+
+
 def test_library_kscan_at_the_k_cap_passes_the_check(tmp_path):
     report = viewobstruct.kprime_scan(10, 12)
     text = certificates.serialize(certificates.kscan_document(report))
     assert check(tmp_path, text)["result"]["valid"] is True
+
+
+# One valid document per producing command, as CI produces them.
+LEAF_DOCUMENTS = [
+    "gap --speeds 1,2,3 --grid 600",
+    "lonely --speeds 0,1,2,3 --focus 0",
+    "verify --k 3 --max-speed 12",
+    "kappa --speeds 3,5",
+    "obstruct --direction 1,2 --alpha 1/3",
+    "kscan --k 3 --max-coord 8",
+    "billiard --slope 6/17 --alpha 82/115 --segments 46",
+    "triangle --slope 16/11 --strikes 40",
+    "invisible --speeds 1,2,3 --d 1",
+    "conj34 --speeds 1,3",
+]
+MISMATCH = re.compile(r"\w+ mismatch")
+
+
+def leaves(node, path=()):
+    """Every (path, value) of a JSON value that is neither an object nor a list."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def replaced(node, path, value):
+    node = copy.deepcopy(node)
+    *parents, last = path
+    target = node
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return node
+
+
+def as_json(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def mutants(value):
+    """0, true, null and 2.5 in place of the leaf, and v - 1 and v + 1 for an int."""
+    values = [0, True, None, 2.5]
+    if isinstance(value, int) and not isinstance(value, bool):
+        values += [value - 1, value + 1]
+    return [new for new in values if as_json(new) != as_json(value)]
+
+
+def test_leaf_documents_cover_every_producing_command():
+    assert {argv.split()[0] for argv in LEAF_DOCUMENTS} == set(certificates._PRODUCERS)
+
+
+@pytest.mark.parametrize("argv", LEAF_DOCUMENTS, ids=lambda argv: argv.split()[0])
+def test_every_input_leaf_mutant_is_judged_as_its_producer_judges_it(argv):
+    """Whatever ``produce`` refuses, the check lists as malformed in the same
+    words.  A rebuilt document is valid exactly when ``produce`` gives it
+    back, and is otherwise invalid only by mismatches."""
+    code, text, _ = invoke(argv.split())
+    assert code == 0
+    doc = certificates.parse(text)
+    rebuilt = doc.command not in certificates._WITNESS_CHECKS
+    disagreements = []
+    for path, value in leaves(doc.inputs):
+        for new in mutants(value):
+            mutant = certificates.CertificateDocument(doc.command, replaced(doc.inputs, path, new), doc.result)
+            try:
+                produced = certificates.produce(doc.command, copy.deepcopy(mutant.inputs))
+            except (KeyError, TypeError, ValueError) as exc:
+                expected = [f"malformed document: {exc}"]
+            else:
+                if not rebuilt:
+                    continue
+                same = as_json([produced.inputs, produced.result]) == as_json([mutant.inputs, mutant.result])
+                expected = [] if same else None
+            issues = certificates.validate_document(mutant)
+            if expected is None:
+                agrees = bool(issues) and all(MISMATCH.fullmatch(issue) for issue in issues)
+            else:
+                agrees = issues == expected
+            if not agrees:
+                disagreements.append((path, new, issues))
+    assert disagreements == []

@@ -158,6 +158,15 @@ class TestSweepCommands:
         assert code == 0 and checked["result"]["valid"] is True
         assert len(calls) == 2
 
+    def test_obstruct_refuses_alpha_before_any_gap(self, monkeypatch):
+        def no_gap(speeds):
+            raise AssertionError("exact_gap ran before alpha was refused")
+
+        monkeypatch.setattr(gap, "exact_gap", no_gap)
+        monkeypatch.setattr(viewobstruct, "exact_gap", no_gap)
+        argv = ["obstruct", "--direction", "2097151,2097153", "--alpha", "3/2"]
+        assert invoke(argv) == (1, "", "error: alpha must lie strictly between 0 and 1\n")
+
 
 class TestCounterexampleExit:
     """A document that reports a counterexample exits 2.  None occurs in

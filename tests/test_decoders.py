@@ -178,8 +178,7 @@ DOUBLY_MALFORMED = [
     ("outside wedge, no alpha", [("slope.b", OUTSIDE), ("alpha", DELETE)], WEDGE),
     ("outside wedge, no horizon", [("slope.b", OUTSIDE), ("horizon", DELETE)], WEDGE),
     ("outside wedge, alpha above 1", [("slope.b", {"num": 2, "den": 1}), ("alpha", ABOVE_ONE)], WEDGE),
-    # The stored path's count is read before the rebuild.
-    ("outside wedge, no strikes", [("slope.b", OUTSIDE), ("strikes", DELETE)], "'strikes'"),
+    ("outside wedge, no strikes", [("slope.b", OUTSIDE), ("strikes", DELETE)], WEDGE),
     (
         "bad alpha, zero horizon",
         [("alpha", ZERO_DEN), ("horizon", 0)],
