@@ -18,13 +18,13 @@ exactly what its command produces for its inputs, equal as JSON (a bool is
 not a count, rationals are in lowest terms, no key is missing or extra; key
 order and whitespace do not count).  ``obstruct``, ``invisible`` and
 ``conj34`` documents are instead rebuilt by their builders from their inputs
-and their own witness, which is then checked: the search that found the
-witness is not re-run, so any valid witness passes, but inputs, keys and
-every value derived from the witness are held to the same JSON equality.
-Each witness is checked as a band witness (n, x, m) of
-:mod:`~lonelyrunner.fieldsearch`; an ``obstruct`` document stores its
-hit time x/n, from which the cube centers are rebuilt.
-A refuted ``conj34`` document has no witness and is re-run.
+and their own band witness (n, x, m) of :mod:`~lonelyrunner.fieldsearch`,
+and no other stored value: the search that found the witness is not re-run,
+so any valid witness passes, but inputs, keys and every value derived from
+the witness are held to the same JSON equality.  An ``obstruct`` document
+stores its hit time x/n, from which the cube centers are rebuilt; an
+``invisible`` witness decides the kept speeds, its far set of the input
+speeds.  A refuted ``conj34`` document has no witness and is re-run.
 """
 
 from __future__ import annotations
@@ -566,34 +566,33 @@ def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
     if t is None:
         _check(issues, alpha < min_scale, "missing witness at an obstructing scale")
         return
-    _check(issues, alpha >= min_scale, "witness below the minimal scale")
     if t <= 0:
         issues.append("hit time must be positive")
         return
     witness = fieldsearch.BandWitness.at_time(t, (1 - alpha) / 2)
-    _check_band_witness(issues, *witness, SpeedSet(direction))
+    _check(issues, witness.avoids(direction), "witness residues enter the band")
 
 
-def _check_band_witness(issues: list[str], n, x, m, speeds: SpeedSet) -> fieldsearch.BandWitness:
-    """Check a stored band witness (n, x, m) over ``speeds`` and return it.
-    Numbers out of range raise ``ValueError`` before any modulo is taken."""
+def _band_witness(n, x, m) -> fieldsearch.BandWitness:
+    """A stored band witness, each number refused out of range before any modulo."""
     _check_count(n, "witness n", least=2)
     _check_count(x, "witness x", most=n - 1)
     _check_count(m, "witness m", least=0, most=(n - 1) // 2)
-    witness = fieldsearch.BandWitness(n, x, m)
-    _check(issues, witness.avoids(speeds), "witness residues enter the band")
-    return witness
+    return fieldsearch.BandWitness(n, x, m)
 
 
 def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
+    """The kept speeds are the witness's far set of the input speeds, as
+    ``invisible_subset`` keeps them; every other result value is rebuilt."""
     original, d, budget = _invisible_inputs(doc.inputs)
-    res = doc.result
-    kept = SpeedSet(res["kept"])
-    _check(issues, all(s in original for s in kept), "kept speeds outside the original speeds")
-    _check(issues, len(kept) >= len(original) - d, "kept set too small")
-    w = res["witness"]
+    w = doc.result["witness"]
     p = w["prime"]
-    witness = _check_band_witness(issues, p, w["multiplier"], w["band"], kept)
+    witness = _band_witness(p, w["multiplier"], w["band"])
+    far = witness.far(original)
+    if len(far) < len(original) - d:  # an empty far set included
+        issues.append("kept set too small")
+        return
+    kept = SpeedSet(far)
     removed = tuple(s for s in original if s not in kept)
     bound = Fraction(d + 1, 2 * len(original))
     delta = gap.exact_gap(kept).delta
@@ -620,7 +619,8 @@ def _validate_conj34(doc: CertificateDocument, issues: list[str]) -> None:
         # producer refuses a single speed.
         _validate_rebuilt(doc, issues)
         return
-    witness = _check_band_witness(issues, res["n"], res["x"], res["m"], speeds)
+    witness = _band_witness(res["n"], res["x"], res["m"])
+    _check(issues, witness.avoids(speeds), "witness residues enter the band")
     _compare(doc, conj34_document(speeds, witness), issues)
     _check(
         issues,

@@ -120,10 +120,10 @@ _MAX_PRIME_BUDGET = 2**40
 class SubsetCertificate:
     """A kept subset of size >= k-d whose exact gap reaches (d+1)/(2k).
 
-    ``witness`` is the band witness (p, x, m) that produced the subset; its
-    weaker bound (m+1)/p is what the prime-side argument certifies, while
-    ``bound`` itself is re-validated against the exact gap of the kept
-    speeds.
+    ``kept`` is exactly ``witness.far(original)``: the band witness
+    (p, x, m) decides the subset.  Its weaker bound (m+1)/p is what the
+    prime-side argument certifies, while ``bound`` itself is re-validated
+    against the exact gap of the kept speeds.
     """
 
     original: SpeedSet

@@ -260,3 +260,30 @@ def test_every_input_leaf_mutant_is_judged_as_its_producer_judges_it(argv):
             if not agrees:
                 disagreements.append((path, new, issues))
     assert disagreements == []
+
+
+# One small document per producing command: LEAF_DOCUMENTS with short paths.
+SMALL_DOCUMENTS = [argv for argv in LEAF_DOCUMENTS if argv.split()[0] not in ("billiard", "triangle")] + [
+    "billiard --slope 6/17 --alpha 82/115 --segments 4",
+    "triangle --slope 16/11 --strikes 3 --alpha 1/3",
+    "triangle --slope sqrt3*1/5 --min-obstacle --horizon 100",
+]
+
+
+def test_every_result_leaf_mutant_is_refused():
+    """A rebuilt document's result is what its inputs produce, and a witness
+    document's is what its inputs and witness decide, so no result leaf can
+    change and still check valid."""
+    accepted, judged = [], 0
+    for argv in SMALL_DOCUMENTS:
+        code, text, _ = invoke(argv.split())
+        assert code == 0
+        doc = certificates.parse(text)
+        for path, value in leaves(doc.result):
+            for new in mutants(value):
+                mutant = certificates.CertificateDocument(doc.command, doc.inputs, replaced(doc.result, path, new))
+                judged += 1
+                if certificates.validate_document(mutant) == []:
+                    accepted.append((argv, path, new))
+    assert accepted == []
+    assert judged == 955

@@ -818,6 +818,50 @@ class TestInvisibleInputs:
         assert len(issues) == 1 and issues[0].startswith("malformed document: ")
 
 
+def _gap_only_within(monkeypatch, speeds):
+    """Make ``gap.exact_gap`` fail on any speed outside ``speeds``."""
+    original = gap.exact_gap
+
+    def guarded(kept):
+        assert set(kept) <= set(speeds), "exact_gap ran on a speed outside the inputs"
+        return original(kept)
+
+    monkeypatch.setattr(gap, "exact_gap", guarded)
+
+
+class TestWitnessDecides:
+    """An ``invisible`` witness decides the kept speeds, its far set of the
+    input speeds; the stored ``kept`` list is only compared."""
+
+    def test_hostile_kept_list_is_a_mismatch(self, monkeypatch):
+        _gap_only_within(monkeypatch, [1, 2, 3])
+        doc = copy.deepcopy(DOCS["invisible"])
+        assert doc.inputs["speeds"] == [1, 2, 3] and doc.inputs["d"] == 1
+        doc.result["kept"] = list(range(1, 801))
+        assert certificates.validate_document(doc) == ["kept mismatch"]
+
+    def test_widest_band_keeps_no_speed(self, monkeypatch):
+        _gap_only_within(monkeypatch, [])
+        doc = copy.deepcopy(DOCS["invisible"])
+        witness = doc.result["witness"]
+        assert (witness["prime"], witness["band"]) == (5, 1)
+        witness["band"] = 2
+        assert certificates.validate_document(doc) == ["kept set too small"]
+
+    def test_lowered_band_is_a_mismatch(self):
+        doc = certificates.produce("invisible", {"speeds": [1, 2, 3, 4], "d": 1, "prime_budget": 100_000})
+        assert doc.result["witness"]["band"] == 1
+        doc.result["witness"]["band"] = 0
+        assert "kept mismatch" in certificates.validate_document(doc)
+
+    def test_obstruct_witness_below_its_scale_has_one_issue(self):
+        # The alpha 1/3 witness certifies (1 - 1/3)/2, so no band witness
+        # at its time can certify (1 - 1/4)/2 > delta = 1/3.
+        doc = certificates.produce("obstruct", {"direction": [1, 2], "alpha": {"num": 1, "den": 3}})
+        doc.inputs["alpha"] = {"num": 1, "den": 4}
+        assert certificates.validate_document(doc) == ["witness residues enter the band"]
+
+
 # ---------------------------------------------------------------------------
 # obstruct verdicts against the cube-containment rule
 # ---------------------------------------------------------------------------
@@ -916,6 +960,13 @@ class TestObstructVerdicts:
             assert certificates.validate_document(moved) == ["hit time must be positive"]
         shifted = certificates.obstruct_document((1, 2), F(1, 3), F(1, 3), t + 1)
         assert certificates.validate_document(shifted) == []
+
+    def test_whole_hit_time_misses_the_band(self):
+        # At a whole time every coordinate is at a lattice point, so every
+        # residue enters the band; the document stores no witness number.
+        for time_ in (F(1), F(2)):
+            moved = certificates.obstruct_document((1, 2), F(1, 3), F(1, 3), time_)
+            assert certificates.validate_document(moved) == ["witness residues enter the band"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from itertools import permutations, product
 from math import floor, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lonelyrunner.arith import QuadExt, SpeedSet
 from lonelyrunner.billiards import square_obstacle_contact, square_path_segments, triangle_obstruction_check
@@ -72,6 +73,20 @@ class TestMinScale:
             coords = tuple(rng.randint(1, 12) for _ in range(3))
             dropped = coords[:2]
             assert min_scale_for_direction(dropped) <= min_scale_for_direction(coords)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    direction=st.lists(st.integers(1, 30), min_size=2, max_size=4),
+    alpha=st.fractions(0, 1, max_denominator=60).filter(lambda a: 0 < a < 1),
+    t=st.builds(Fraction, st.integers(1, 200), st.integers(1, 60)),
+)
+def test_band_witness_at_any_time_implies_the_minimal_scale(direction, alpha, t):
+    # A band witness at t certifies delta >= (1 - alpha)/2, that is,
+    # alpha >= 1 - 2*delta: the check of an obstruct witness needs no
+    # separate test of the minimal scale.
+    if BandWitness.at_time(t, (1 - alpha) / 2).avoids(direction):
+        assert alpha >= min_scale_for_direction(direction)
 
 
 class TestObstructionWitness:
