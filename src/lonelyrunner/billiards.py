@@ -95,41 +95,22 @@ _MAX_PATH = 2**14  # the most segments or strikes a path takes
 class SquarePath:
     """Billiard path in the unit square: the fold of the ray y = slope*x.
 
-    The slope and the number of segments determine the path, and they are
-    all it holds; two paths are equal when both are.  Its points are folded
-    once, in integers, on first use, and ``segments`` builds them as
-    Fractions when it is read.  Consecutive segments share an endpoint on
-    the boundary and obey the reflection law; unfolding the segments
-    recovers collinear ray points.
+    ``points`` are the ``n_segments + 1`` breakpoints as numerator pairs
+    (x, y) of the point (x/p, y/q), for the slope p/q; they follow from the
+    slope and the count, so two paths are equal when those are.
+    ``segments`` builds the points as Fractions when it is read.
+    Consecutive segments share an endpoint on the boundary and obey the
+    reflection law; unfolding the segments recovers collinear ray points.
     """
 
     slope: Fraction
     n_segments: int
-
-    @cached_property
-    def _points(self) -> tuple[tuple[int, int], ...]:
-        """The ``n_segments + 1`` breakpoints as numerator pairs (x, y) of
-        the point (x/p, y/q), for the slope p/q.
-
-        Breakpoints are the ray's grid crossings (see :func:`_crossings`),
-        each folded onto the table coordinatewise.  The crossing X = p*x is
-        the ray point (X/p, X/q), and its triangle-wave fold
-        1 - |1 - (u mod 2)| in each coordinate u = X/m, m = p or q, is
-        (m - |m - X mod 2m|)/m.  A corner of the cell grid folds to a
-        corner of the table, which realizes the diagonal-reflection rule
-        for corner hits.
-        """
-        p, q = self.slope.numerator, self.slope.denominator
-        p2, q2 = 2 * p, 2 * q
-        return tuple(
-            (p - abs(p - x % p2), q - abs(q - x % q2))
-            for x in islice(_crossings(p, q), self.n_segments + 1)
-        )
+    points: tuple[tuple[int, int], ...] = field(repr=False)
 
     @cached_property
     def segments(self) -> tuple[tuple[Point, Point], ...]:
         p, q = self.slope.numerator, self.slope.denominator
-        points = [(Fraction(x, p), Fraction(y, q)) for x, y in self._points]
+        points = [(Fraction(x, p), Fraction(y, q)) for x, y in self.points]
         return tuple(zip(points, points[1:]))
 
 
@@ -162,11 +143,23 @@ def _crossings(p: int, q: int) -> Iterator[int]:
 
 def square_path_segments(slope: RationalLike, n_segments: int) -> SquarePath:
     """First ``n_segments`` table segments of the slope's billiard path,
-    at most 2**14.  The slope and the count are checked here; the path
-    folds its points when they are first read."""
+    at most 2**14.
+
+    Breakpoints are the ray's grid crossings (see :func:`_crossings`),
+    each folded onto the table coordinatewise.  The crossing X = p*x is
+    the ray point (X/p, X/q), and its triangle-wave fold
+    1 - |1 - (u mod 2)| in each coordinate u = X/m, m = p or q, is
+    (m - |m - X mod 2m|)/m.  A corner of the cell grid folds to a corner
+    of the table, which realizes the diagonal-reflection rule for corner
+    hits.
+    """
     p, q = _square_slope(slope)
     _check_count(n_segments, "segments", most=_MAX_PATH)
-    return SquarePath(Fraction(p, q), n_segments)
+    p2, q2 = 2 * p, 2 * q
+    points = tuple(
+        (p - abs(p - x % p2), q - abs(q - x % q2)) for x in islice(_crossings(p, q), n_segments + 1)
+    )
+    return SquarePath(Fraction(p, q), n_segments, points)
 
 
 def square_min_obstacle(slope: RationalLike) -> Fraction:
@@ -467,33 +460,25 @@ class TrianglePath:
     """Billiard path in the unit equilateral triangle (corners (0,0), (1,0),
     (1/2, sqrt3/2)); one segment per boundary strike.
 
-    The slope and the strike count determine the path, and they are all it
-    holds; two paths are equal when both are.  Its points are folded once,
-    in integers, on first use (see :func:`_fold_triangle`), and
-    ``segments`` builds them in Q(sqrt 3) when it is read.  A strike at a
-    table corner ends the path (``terminated_at_corner``), so it may have
-    fewer segments than ``n_strikes``; the reflection there is not defined
-    by the table geometry.
+    ``points`` are the origin and the strike points as :func:`_fold_triangle`
+    gives them; they follow from the slope and the strike count, so two
+    paths are equal when those are.  ``segments`` builds the points in
+    Q(sqrt 3) when it is read.  A strike at a table corner ends the path
+    (``terminated_at_corner``), so it may have fewer segments than
+    ``n_strikes``; the reflection there is not defined by the table
+    geometry.
     """
 
     slope: QuadExt
     n_strikes: int
-    # The slope as triangle_path_segments cleared it; not part of the value.
-    _slope: Optional[_Slope] = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def _folded(self) -> tuple[tuple[tuple[int, int, int, int, int], ...], bool]:
-        return _fold_triangle(*(self._slope or _cleared(self.slope)), self.n_strikes)
-
-    @property
-    def terminated_at_corner(self) -> bool:
-        return self._folded[1]
+    points: tuple[tuple[int, int, int, int, int], ...] = field(repr=False)
+    terminated_at_corner: bool = field(repr=False)
 
     @cached_property
     def segments(self) -> tuple[tuple[QPoint, QPoint], ...]:
         points = [
             (QuadExt(Fraction(xa, n), Fraction(xb, n)), QuadExt(Fraction(ya, n), Fraction(yb, n)))
-            for xa, xb, ya, yb, n in self._folded[0]
+            for xa, xb, ya, yb, n in self.points
         ]
         return tuple(zip(points, points[1:]))
 
@@ -582,9 +567,8 @@ def _fold_triangle(
 def triangle_path_segments(slope, n_strikes: int) -> TrianglePath:
     """The ray y = slope*x folded into the base triangle through
     ``n_strikes`` boundary hits, at most 2**14, all coordinates exact in
-    Q(sqrt 3).  The slope and the count are checked here; the path folds
-    its points when they are first read."""
-    cleared = _cleared(slope)
+    Q(sqrt 3)."""
+    a, b, d = _cleared(slope)
     _check_count(n_strikes, "strikes", most=_MAX_PATH)
-    a, b, d = cleared
-    return TrianglePath(QuadExt(Fraction(a, d), Fraction(b, d)), n_strikes, cleared)
+    points, terminated = _fold_triangle(a, b, d, n_strikes)
+    return TrianglePath(QuadExt(Fraction(a, d), Fraction(b, d)), n_strikes, points, terminated)

@@ -251,7 +251,7 @@ def billiard_document(
     """The path is encoded from its integer points, each point's list built
     once and shared by the two segments that meet there."""
     p, q = path.slope.numerator, path.slope.denominator
-    points = [[_encode_ratio(x, p), _encode_ratio(y, q)] for x, y in path._points]
+    points = [[_encode_ratio(x, p), _encode_ratio(y, q)] for x, y in path.points]
     return CertificateDocument(
         command="billiard",
         inputs={
@@ -292,19 +292,18 @@ def triangle_document(
     strikes = None
     if path is not None:
         # Encoded from the integer points, as in billiard_document.
-        folded, terminated = path._folded
         points = [
             [
                 {"a": _encode_ratio(xa, n), "b": _encode_ratio(xb, n)},
                 {"a": _encode_ratio(ya, n), "b": _encode_ratio(yb, n)},
             ]
-            for xa, xb, ya, yb, n in folded
+            for xa, xb, ya, yb, n in path.points
         ]
         path_payload = {
             "segments": [list(segment) for segment in zip(points, points[1:])],
-            "terminated_at_corner": terminated,
+            "terminated_at_corner": path.terminated_at_corner,
         }
-        strikes = len(folded) - 1
+        strikes = len(path.points) - 1
     bracket_payload = None
     tolerance = None
     if min_obstacle is not None:

@@ -18,8 +18,6 @@ import pytest
 
 from lonelyrunner import billiards, certificates
 from lonelyrunner.billiards import (
-    SquarePath,
-    TrianglePath,
     square_min_obstacle,
     square_obstacle_contact,
     square_path_segments,
@@ -1151,9 +1149,10 @@ class TestIntegerFoldDifferential:
                     assert square_obstacle_contact(path, alpha) == expected, (path, alpha)
 
 
-class TestLazyPaths:
-    """A path holds its slope and count; its segments are built only when
-    read, never by a document or a contact test."""
+class TestPathRecords:
+    """A path is folded once, when it is made, into public integer points;
+    its segments are built only when read, never by a document or a
+    contact test."""
 
     def test_square_path(self):
         slope, alpha = F(6, 17), F(82, 115)
@@ -1171,13 +1170,29 @@ class TestLazyPaths:
         assert (path.segments, path.terminated_at_corner) == ref_triangle_path(slope, 40)
 
     def test_equal_by_slope_and_count(self):
-        assert square_path_segments(F(2, 4), 3) == SquarePath(F(1, 2), 3)
-        assert square_path_segments(F(1, 2), 3) != SquarePath(F(1, 2), 4)
-        assert triangle_path_segments(F(1, 2), 3) == TrianglePath(QuadExt(F(1, 2)), 3)
+        assert square_path_segments(F(2, 4), 3) == square_path_segments(F(1, 2), 3)
+        assert square_path_segments(F(1, 2), 3) != square_path_segments(F(1, 2), 4)
+        assert triangle_path_segments(F(1, 2), 3) == triangle_path_segments(QuadExt(F(2, 4)), 3)
+        assert triangle_path_segments(F(1, 2), 3) != triangle_path_segments(F(1, 2), 4)
+        assert repr(square_path_segments(F(1, 2), 3)) == "SquarePath(slope=Fraction(1, 2), n_segments=3)"
         # A path that stops at a corner keeps the count it was asked for.
         bisector = QuadExt(0, F(1, 3))
         assert triangle_path_segments(bisector, 10) != triangle_path_segments(bisector, 2)
         assert triangle_path_segments(bisector, 10).segments == triangle_path_segments(bisector, 2).segments
+
+    def test_triangle_fold_runs_once_per_path(self, monkeypatch):
+        folds = []
+        fold = billiards._fold_triangle
+        monkeypatch.setattr(billiards, "_fold_triangle", lambda *args: folds.append(args) or fold(*args))
+        slope = QuadExt(F(16, 11))
+        path = triangle_path_segments(slope, 40)
+        assert len(folds) == 1
+        doc = certificates.triangle_document(slope, None, 10_000, None, path)
+        path.segments
+        assert len(folds) == 1
+        # The check rebuilds the document once; comparing it folds nothing.
+        assert certificates.validate_document(certificates.parse(certificates.serialize(doc))) == []
+        assert len(folds) == 2
 
 
 class TestTriangleObstacleInvariance:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import ast
 import hashlib
 import io
 import json
@@ -905,12 +906,18 @@ class TestCliAndCheckerAgree:
         assert code == 0 and checked["result"] == {"valid": True, "issues": []}
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under the README's ``heading``."""
+    return README.split(heading, 1)[1].split(f"```{language}", 1)[1].split("```", 1)[0]
+
+
 def _readme_calls():
     """Every ``lrc`` call of the README's CLI block, an ``a && b`` line as two."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     calls = []
-    for line in block.splitlines():
+    for line in _readme_block("## CLI", "sh").splitlines():
         for part in line.split("#", 1)[0].split("&&"):
             argv = shlex.split(part)
             if argv:
@@ -920,6 +927,27 @@ def _readme_calls():
 
 
 README_CALLS = _readme_calls()
+
+
+def test_readme_library_block_runs():
+    """Run the README's Library block statement by statement and hold each
+    expression line to what its comment states."""
+    block = _readme_block("## Library", "python")
+    namespace, values = {}, {}
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            values[source] = eval(source, namespace)
+        else:
+            exec(source, namespace)
+    assert values["cert.delta, cert.witness_time"] == (Fraction(1, 2), Fraction(1, 2))
+    assert isinstance(namespace["sub"].witness, fieldsearch.BandWitness)
+    assert values["sub.witness.avoids(sub.kept)"] is True
+    assert values["obstruction_witness((1, 2), Fraction(1, 3))"] == fieldsearch.BandWitness(n=3, x=1, m=0)
+    assert values["hit.index, hit.row, hit.col, hit.points_up"] == (0, 0, 0, True)
+    assert values["hit.grazing"] is True
+    vertices = values["triangle_cell(hit.row, hit.col, hit.points_up).vertices"]
+    assert len(vertices) == 3 and all(isinstance(u, QuadExt) for vertex in vertices for u in vertex)
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
