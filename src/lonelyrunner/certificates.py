@@ -23,8 +23,10 @@ and no other stored value: the search that found the witness is not re-run,
 so any valid witness passes, but inputs, keys and every value derived from
 the witness are held to the same JSON equality.  An ``obstruct`` document
 stores its hit time x/n, from which the cube centers are rebuilt; an
-``invisible`` witness decides the kept speeds, its far set of the input
-speeds.  A refuted ``conj34`` document has no witness and is re-run.
+``invisible`` document is read and rebuilt by ``invisible_subset``'s own
+rules, so its witness decides the kept speeds, its far set of the input
+speeds.  A ``conj34`` witness must reach 1/(k+1) by its own bound (m+1)/n.
+A refuted ``conj34`` document has no witness and is re-run.
 """
 
 from __future__ import annotations
@@ -405,7 +407,7 @@ def _produce_obstruct(inputs: dict) -> CertificateDocument:
     direction, alpha = _obstruct_inputs(inputs)
     cert = gap.exact_gap(SpeedSet(direction))
     witness = None if alpha is None else viewobstruct.obstruction_witness(direction, alpha, cert)
-    hit_time = None if witness is None else Fraction(witness.x, witness.n)
+    hit_time = None if witness is None else cert.witness_time
     return obstruct_document(direction, alpha, 1 - 2 * cert.delta, hit_time)
 
 
@@ -439,20 +441,9 @@ def _produce_triangle(inputs: dict) -> CertificateDocument:
     return triangle_document(slope, alpha, horizon, hit, path, bracket)
 
 
-def _invisible_inputs(inputs: dict) -> tuple[SpeedSet, int, int]:
-    """The speeds, ``d`` and prime budget of an ``invisible`` document, read
-    by one rule for ``produce`` and for the validator: the ranges of
-    :func:`~lonelyrunner.fieldsearch.invisible_subset`."""
-    speeds = SpeedSet(inputs["speeds"])
-    d = _check_count(inputs["d"], "d", least=0, most=len(speeds) - 1)
-    budget = _check_count(inputs["prime_budget"], "prime_budget", most=fieldsearch._MAX_PRIME_BUDGET)
-    return speeds, d, budget
-
-
 def _produce_invisible(inputs: dict) -> CertificateDocument:
-    speeds, d, budget = _invisible_inputs(inputs)
-    cert = fieldsearch.invisible_subset(speeds, d, prime_budget=budget)
-    return invisible_document(cert, budget)
+    cert = fieldsearch.invisible_subset(inputs["speeds"], inputs["d"], inputs["prime_budget"])
+    return invisible_document(cert, inputs["prime_budget"])
 
 
 def _produce_conj34(inputs: dict) -> CertificateDocument:
@@ -581,23 +572,21 @@ def _band_witness(n, x, m) -> fieldsearch.BandWitness:
 
 
 def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
-    """The kept speeds are the witness's far set of the input speeds, as
-    ``invisible_subset`` keeps them; every other result value is rebuilt."""
-    original, d, budget = _invisible_inputs(doc.inputs)
+    """Read and rebuilt by ``invisible_subset``'s own rules, ``_subset_inputs``
+    and ``SubsetCertificate.from_witness`` (the kept speeds are the witness's
+    far set); the check adds the size pre-check, the comparison and the
+    budget, primality and divisibility tests."""
+    inputs = doc.inputs
+    original, d, budget = fieldsearch._subset_inputs(inputs["speeds"], inputs["d"], inputs["prime_budget"])
     w = doc.result["witness"]
     p = w["prime"]
     witness = _band_witness(p, w["multiplier"], w["band"])
-    far = witness.far(original)
-    if len(far) < len(original) - d:  # an empty far set included
+    if len(witness.far(original)) < len(original) - d:  # an empty far set included
         issues.append("kept set too small")
         return
-    kept = SpeedSet(far)
-    removed = tuple(s for s in original if s not in kept)
-    bound = Fraction(d + 1, 2 * len(original))
-    delta = gap.exact_gap(kept).delta
-    cert = fieldsearch.SubsetCertificate(original, kept, removed, d, bound, delta, witness)
+    cert = fieldsearch.SubsetCertificate.from_witness(original, d, witness)
     _compare(doc, invisible_document(cert, budget), issues)
-    _check(issues, delta >= bound, "kept set does not reach the bound")
+    _check(issues, cert.kept_delta >= cert.bound, "kept set does not reach the bound")
     # The budget bounds the trial division, so it is tested first.
     if p > budget:
         issues.append(f"prime {p} exceeds the prime budget {budget}")
@@ -621,11 +610,7 @@ def _validate_conj34(doc: CertificateDocument, issues: list[str]) -> None:
     witness = _band_witness(res["n"], res["x"], res["m"])
     _check(issues, witness.avoids(speeds), "witness residues enter the band")
     _compare(doc, conj34_document(speeds, witness), issues)
-    _check(
-        issues,
-        witness.m >= fieldsearch.BandWitness.radius(witness.n, Fraction(1, k + 1)),
-        "band radius too small to certify 1/(k+1)",
-    )
+    _check(issues, witness.bound >= Fraction(1, k + 1), "band radius too small to certify 1/(k+1)")
 
 
 _WITNESS_CHECKS = {

@@ -118,12 +118,14 @@ _MAX_PRIME_BUDGET = 2**40
 
 @dataclass(frozen=True)
 class SubsetCertificate:
-    """A kept subset of size >= k-d whose exact gap reaches (d+1)/(2k).
+    """A kept subset, its exact gap ``kept_delta`` and the ``bound`` (d+1)/(2k).
 
-    ``kept`` is exactly ``witness.far(original)``: the band witness
-    (p, x, m) decides the subset.  Its weaker bound (m+1)/p is what the
-    prime-side argument certifies, while ``bound`` itself is re-validated
-    against the exact gap of the kept speeds.
+    The band witness (p, x, m) decides the rest by one rule,
+    :meth:`from_witness`, which ``invisible_subset`` and ``lrc check`` both
+    apply: ``kept`` is exactly ``witness.far(original)``.  The witness's
+    weaker bound (m+1)/p is what the prime-side argument certifies;
+    ``invisible_subset`` returns a certificate only when its at least k-d
+    kept speeds reach ``bound``.
     """
 
     original: SpeedSet
@@ -133,6 +135,23 @@ class SubsetCertificate:
     bound: Fraction
     kept_delta: Fraction
     witness: BandWitness
+
+    @classmethod
+    def from_witness(cls, speeds: SpeedSet, d: int, witness: BandWitness) -> "SubsetCertificate":
+        """The certificate ``witness`` decides; its far set must not be empty."""
+        kept = SpeedSet(witness.far(speeds))
+        removed = tuple(s for s in speeds if s not in kept)
+        bound = Fraction(d + 1, 2 * len(speeds))
+        return cls(speeds, kept, removed, d, bound, exact_gap(kept).delta, witness)
+
+
+def _subset_inputs(speeds: Iterable[int], d: int, prime_budget: int) -> tuple[SpeedSet, int, int]:
+    """The one reading of a subset search's inputs, for ``invisible_subset``
+    and ``lrc check``: d from 0 to k - 1, then a budget from 1 to 2**40."""
+    sset = SpeedSet(speeds)
+    _check_count(d, "d", least=0, most=len(sset) - 1)
+    _check_count(prime_budget, "prime_budget", most=_MAX_PRIME_BUDGET)
+    return sset, d, prime_budget
 
 
 def invisible_subset(
@@ -148,11 +167,8 @@ def invisible_subset(
     :class:`PrimeBudgetExhausted` when the next prime would exceed the
     budget.  A budget below 1 or above 2**40 is refused.
     """
-    sset = SpeedSet(speeds)
+    sset, d, prime_budget = _subset_inputs(speeds, d, prime_budget)
     k = len(sset)
-    _check_count(d, "d", least=0, most=k - 1)
-    _check_count(prime_budget, "prime_budget", most=_MAX_PRIME_BUDGET)
-    target = Fraction(d + 1, 2 * k)
     step = 1
     while True:
         eps = Fraction(k, 2 ** step)
@@ -167,13 +183,9 @@ def invisible_subset(
         assert Fraction(m + 1, p) >= Fraction(d + 1, 1) / (2 * (k + eps))
         x = residue_matrix_scan(sset, p, m, d)
         assert x is not None, "counting bound guarantees a multiplier here"
-        witness = BandWitness(p, x, m)
-        kept_set = SpeedSet(witness.far(sset))
-        assert len(kept_set) >= k - d
-        cert = exact_gap(kept_set)
-        if cert.delta >= target:
-            removed = tuple(s for s in sset if s not in kept_set)
-            return SubsetCertificate(sset, kept_set, removed, d, target, cert.delta, witness)
+        cert = SubsetCertificate.from_witness(sset, d, BandWitness(p, x, m))
+        if cert.kept_delta >= cert.bound:
+            return cert
         step += 1
 
 

@@ -237,6 +237,30 @@ class TestValidation:
         assert doc.result["residues"] == [2, 1]
         assert certificates.validate_document(doc) == []
 
+    def test_invisible_accepts_another_valid_witness(self):
+        # Every admissible (p, x, m) with p < 30 whose far set of {1, 2, 3}
+        # keeps at least k - d = 2 speeds, split by whether that set's gap
+        # reaches (d+1)/(2k) = 1/3.  Each is checked on its own merits.
+        speeds, d = SpeedSet([1, 2, 3]), 1
+        engine = fieldsearch.invisible_subset(speeds, d)
+        reaching, missing = [], []
+        for p in (5, 7, 11, 13, 17, 19, 23, 29):
+            for x in range(1, p):
+                for m in range((p - 1) // 2 + 1):
+                    witness = fieldsearch.BandWitness(p, x, m)
+                    if len(witness.far(speeds)) >= len(speeds) - d:
+                        cert = fieldsearch.SubsetCertificate.from_witness(speeds, d, witness)
+                        (reaching if cert.kept_delta >= cert.bound else missing).append(cert)
+        others = [cert for cert in reaching if cert.witness != engine.witness]
+        assert len(others) == len(reaching) - 1 and others and missing
+        for cert in others + missing:
+            doc = certificates.invisible_document(cert, 100_000)
+            expected = [] if cert in others else ["kept set does not reach the bound"]
+            assert certificates.validate_document(doc) == expected, cert.witness
+        # The band-0 witness at 5 keeps all three speeds, whose gap is 1/4.
+        band_0 = fieldsearch.SubsetCertificate.from_witness(speeds, d, fieldsearch.BandWitness(5, 1, 0))
+        assert band_0 in missing and band_0.kept == speeds and band_0.kept_delta == F(1, 4)
+
     def test_malformed_payload_reported(self):
         doc = copy.deepcopy(DOCS["gap"])
         del doc.result["delta"]
@@ -819,14 +843,21 @@ class TestInvisibleInputs:
 
 
 def _gap_only_within(monkeypatch, speeds):
-    """Make ``gap.exact_gap`` fail on any speed outside ``speeds``."""
-    original = gap.exact_gap
+    """Make the ``exact_gap`` the check calls, ``fieldsearch``'s binding,
+    fail on any speed outside ``speeds``; returns the list of the speeds of
+    each call, so that a guard on a binding the check no longer calls reads
+    as a missing call rather than passing silently."""
+    original = fieldsearch.exact_gap
+    assert original is gap.exact_gap
+    calls = []
 
     def guarded(kept):
         assert set(kept) <= set(speeds), "exact_gap ran on a speed outside the inputs"
+        calls.append(tuple(kept))
         return original(kept)
 
-    monkeypatch.setattr(gap, "exact_gap", guarded)
+    monkeypatch.setattr(fieldsearch, "exact_gap", guarded)
+    return calls
 
 
 class TestWitnessDecides:
@@ -834,19 +865,22 @@ class TestWitnessDecides:
     input speeds; the stored ``kept`` list is only compared."""
 
     def test_hostile_kept_list_is_a_mismatch(self, monkeypatch):
-        _gap_only_within(monkeypatch, [1, 2, 3])
+        calls = _gap_only_within(monkeypatch, [1, 2, 3])
         doc = copy.deepcopy(DOCS["invisible"])
         assert doc.inputs["speeds"] == [1, 2, 3] and doc.inputs["d"] == 1
         doc.result["kept"] = list(range(1, 801))
         assert certificates.validate_document(doc) == ["kept mismatch"]
+        # One gap, of the witness's far set: the guard is on the live binding.
+        assert calls == [tuple(DOCS["invisible"].result["kept"])]
 
     def test_widest_band_keeps_no_speed(self, monkeypatch):
-        _gap_only_within(monkeypatch, [])
+        calls = _gap_only_within(monkeypatch, [])
         doc = copy.deepcopy(DOCS["invisible"])
         witness = doc.result["witness"]
         assert (witness["prime"], witness["band"]) == (5, 1)
         witness["band"] = 2
         assert certificates.validate_document(doc) == ["kept set too small"]
+        assert calls == []
 
     def test_lowered_band_is_a_mismatch(self):
         doc = certificates.produce("invisible", {"speeds": [1, 2, 3, 4], "d": 1, "prime_budget": 100_000})

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lonelyrunner.arith import SpeedSet, next_prime_not_dividing
 from lonelyrunner.fieldsearch import (
@@ -55,6 +56,17 @@ class TestBandAvoidance:
             bound = Fraction(rng.randint(1, (q - 1) // 2 or 1), q)
             m = BandWitness.radius(n, bound)
             assert Fraction(m + 1, n) >= bound > Fraction(m, n)
+
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 10**4), k=st.integers(1, 10))
+    def test_bound_reaches_one_over_k_plus_one_exactly_from_the_radius(self, data, n, k):
+        # lrc check tests a conj34 witness by its bound; that is the same
+        # test as comparing its band with the least certifying radius.  Half
+        # the draws sit within one of that radius, (n-1)//(k+1).
+        half, near = (n - 1) // 2, (n - 1) // (k + 1)
+        m = data.draw(st.integers(0, half) | st.integers(max(0, near - 1), min(half, near + 1)))
+        target = Fraction(1, k + 1)
+        assert (BandWitness(n, 1, m).bound >= target) == (m >= BandWitness.radius(n, target))
 
     def test_validation(self):
         with pytest.raises(ValueError):
