@@ -56,7 +56,9 @@ class GapCertificate:
 
 _ROW_BYTES = 1 << 20  # cap on the repeated flag string of one pair sum
 # Up to this many times a/n at one pair sum, testing each costs less than
-# building the masks: the small tight sets of the sweeps have only such sums.
+# building the masks.  The small gap instances of the single-set commands
+# (2 to 6 speeds up to 40) visit many such sums: without this fork the
+# benchmark's instances workload ran 1-2% slower end to end (Python 3.11).
 _FEW_TIMES = 8
 _MAX_PAIR_SUM = 2**22  # the largest pair sum exact_gap takes, the grid's limit
 # The largest speed a sweep box takes, refused before any allocation, so a
@@ -359,9 +361,10 @@ def _columns(k: int, max_speed: int) -> tuple[list[int], list[int]]:
     return far_rows, masks
 
 
-def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """Yield (S, delta(S)) for the gcd-1 k-subsets S of {1..max_speed} with
-    delta(S) <= 1/(k+1), in lexicographic order.
+def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Yield (S, tight) for the gcd-1 k-subsets S of {1..max_speed} with
+    delta(S) <= 1/(k+1), in lexicographic order: ``tight`` is whether
+    delta(S) == 1/(k+1), and otherwise delta(S) < 1/(k+1).
 
     Every other gcd-1 set has a witness: it lies inside the far set of a
     column of :func:`_columns`, the speeds s with ||s*t|| > 1/(k+1) on one
@@ -370,8 +373,9 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     are complete: if delta(S) > 1/(k+1), the open set of times at which
     every speed of S is that far is not empty, and it meets (0, 1/2] inside
     such an interval.  So the sets without a witness are exactly those with
-    delta(S) <= 1/(k+1), and only they reach the exact search of
-    :func:`exact_gap`, which yields their delta without its certificate.
+    delta(S) <= 1/(k+1).  Each of them is tested by :func:`_reaches` at the
+    same breakpoints, for k + 1, which decides whether delta(S) is 1/(k+1);
+    no exact search runs.
 
     A set has no witness exactly when it meets the near set of every
     column, so the sweep enumerates these hitting sets and visits no other.
@@ -435,7 +439,33 @@ def sweep(k: int, max_speed: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
 
     walk((), (1 << len(columns)) - 1, (1 << max_speed) - 1, k)
     sets = sorted(tuple(sorted(s)) for s in found)
-    return ((s, Fraction(*_maximize(s)[:2])) for s in sets if gcd(*s) == 1)
+    return ((s, _reaches(s, k + 1)) for s in sets if gcd(*s) == 1)
+
+
+def _reaches(speeds: Sequence[int], c: int) -> bool:
+    """Whether delta(speeds) >= 1/c, for c >= 2, tested at the breakpoints
+    of :func:`_columns` alone: the times x/(s*c) with s in ``speeds``,
+    x = 1 or c - 1 mod c and 1 <= x <= s*c/2, at which speed s is exactly
+    1/c from an integer.
+
+    If delta >= 1/c, the closed set {t : f_S(t) >= 1/c} holds a maximizer
+    but not t = 0, so an endpoint of its interval around the maximizer has
+    f_S = 1/c there, which some speed s attains: the endpoint is such an
+    x/(s*c), and by the symmetry t -> 1 - t one in (0, 1/2] exists.  At it
+    every speed v has ||v*x/(s*c)|| >= 1/c, the integer test below.  The
+    converse holds by evaluation.
+    """
+    for s in speeds:
+        n = s * c
+        for first in {1, c - 1}:
+            for x in range(first, n // 2 + 1, c):
+                for v in speeds:
+                    r = v * x % n
+                    if r < s or n - r < s:
+                        break
+                else:
+                    return True
+    return False
 
 
 def _gcd1_subset_count(k: int, max_speed: int) -> int:
@@ -457,16 +487,18 @@ def verify_lrc(k: int, max_speed: int) -> LrcSweepReport:
 
     ``checked`` counts those sets in closed form (:func:`_gcd1_subset_count`);
     only the ones at or below the bound are enumerated, as hitting sets (see
-    :func:`sweep`).  A counterexample is collected, not raised -- it would
-    refute the conjecture.  Both lists come out in lexicographic order.
+    :func:`sweep`), and each is filed as tight or as a counterexample by the
+    sweep's flag, so no exact gap is computed.  A counterexample is
+    collected, not raised -- it would refute the conjecture.  Both lists come
+    out in lexicographic order.
     """
     _check_count(k, "k", most=_MAX_K)
     _check_count(max_speed, "max_speed", least=k, most=_MAX_SPEED)
     bound = Fraction(1, k + 1)
     tight: list[tuple[int, ...]] = []
     bad: list[tuple[int, ...]] = []
-    for s, delta in sweep(k, max_speed):  # delta <= bound
-        (tight if delta == bound else bad).append(s)
+    for s, reaches in sweep(k, max_speed):  # delta <= bound
+        (tight if reaches else bad).append(s)
     checked = _gcd1_subset_count(k, max_speed)
     return LrcSweepReport(k, max_speed, bound, checked, tuple(tight), tuple(bad))
 

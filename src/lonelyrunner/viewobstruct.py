@@ -91,7 +91,10 @@ def kprime_scan(k: int, max_coord: int) -> KPrimeScanReport:
     k <= max_coord <= 2048), taken from the shared
     :func:`~lonelyrunner.gap.sweep`.  The sweep yields only the
     sets with delta <= 1/(k+1); the others cannot win, since the box always
-    holds {1, ..., k}, whose delta is exactly 1/(k+1).  The observed supremum
+    holds {1, ..., k}, whose delta is exactly 1/(k+1).  A set the sweep flags
+    tight has delta 1/(k+1); only a set below it gets its exact gap, and no
+    k <= 6 box has one.  With none, the result is the first set yielded,
+    {1, ..., k}.  The observed supremum
     can never exceed (k-1)/k; the report states whether it equals the
     conjectured value (k-1)/(k+1), attained by the direction (1, 2, ..., k).
 
@@ -106,7 +109,9 @@ def kprime_scan(k: int, max_coord: int) -> KPrimeScanReport:
     """
     _check_count(k, "k", least=2, most=_MAX_K)
     _check_count(max_coord, "max_coord", least=k, most=_MAX_SPEED)
-    coords, delta = min(sweep(k, max_coord), key=lambda item: item[1])
+    bound = Fraction(1, k + 1)
+    found = ((s, bound if tight else exact_gap(s).delta) for s, tight in sweep(k, max_coord))
+    coords, delta = min(found, key=lambda item: item[1])
     best = 1 - 2 * delta
     cap = Fraction(k - 1, k)
     if best > cap:

@@ -522,9 +522,11 @@ def reference_witness_table(k: int, max_speed: int) -> tuple[int, ...]:
 
 
 def reference_sweep(k: int, max_speed: int, table=None) -> list:
-    """(S, delta(S)) for the gcd-1 k-subsets whose AND of rows is zero."""
+    """(S, delta(S) >= 1/(k+1)) for the gcd-1 k-subsets whose AND of rows
+    is zero, the flag from the exact gap."""
     if table is None:
         table = reference_witness_table(k, max_speed)
+    bound = Fraction(1, k + 1)
     found = []
 
     def walk(prefix, rows, common, low):
@@ -532,7 +534,7 @@ def reference_sweep(k: int, max_speed: int, table=None) -> list:
             for v in range(low, max_speed + 1):
                 if not rows & table[v] and gcd(common, v) == 1:
                     s = prefix + (v,)
-                    found.append((s, exact_gap(s).delta))
+                    found.append((s, exact_gap(s).delta >= bound))
             return
         for v in range(low, max_speed - k + len(prefix) + 2):
             walk(prefix + (v,), rows & table[v], gcd(common, v), v + 1)
@@ -542,14 +544,14 @@ def reference_sweep(k: int, max_speed: int, table=None) -> list:
 
 
 # Every size of the benchmark's sweep ladder: verify, then kscan.
-LADDER_SIZES = (
+VERIFY_LADDER = (
     [(3, m) for m in (10, 14, 18, 22)]
     + [(4, m) for m in range(8, 18)]
     + [(5, m) for m in range(7, 14)]
     + [(6, m) for m in range(7, 12)]
-    + [(3, m) for m in range(4, 15)]
-    + [(4, m) for m in (4, 5, 6)]
 )
+KSCAN_LADDER = [(3, m) for m in range(4, 15)] + [(4, m) for m in (4, 5, 6)]
+LADDER_SIZES = VERIFY_LADDER + KSCAN_LADDER
 
 
 class TestSweepReference:
@@ -647,9 +649,59 @@ class TestBreakpointColumns:
             assert all(column & both != both for column in gap._columns(2, max_speed)[1])
 
 
+class TestReaches:
+    """``gap._reaches(S, c)`` against the exact gap: delta(S) >= 1/c."""
+
+    @staticmethod
+    def _assert_same(speeds, c) -> int:
+        """Asserts the rule; returns the sign of delta(speeds) - 1/c."""
+        speeds = tuple(sorted(speeds))
+        delta = exact_gap(speeds).delta
+        assert gap._reaches(speeds, c) == (delta >= Fraction(1, c)), (speeds, c)
+        return (delta > Fraction(1, c)) - (delta < Fraction(1, c))
+
+    def test_random_sets(self):
+        rng = random.Random(810)
+        signs = [
+            self._assert_same(rng.sample(range(1, 61), rng.randint(1, 8)), rng.randint(2, 11))
+            for _ in range(3000)
+        ]
+        # Sets above, at and below the threshold all occur.
+        assert min(signs.count(1), signs.count(0), signs.count(-1)) >= 50
+
+    def test_single_speeds(self):
+        # delta is 1/2, reached only at t = 1/(2s) and its odd multiples.
+        for s in range(1, 61):
+            for c in range(2, 12):
+                assert gap._reaches((s,), c)
+                self._assert_same((s,), c)
+
+    def test_c_two(self):
+        # The times x/(2s), x odd, are the peaks of speed s; delta reaches
+        # 1/2 exactly when every speed has the 2-adic valuation of the first.
+        rng = random.Random(811)
+        for _ in range(500):
+            speeds = rng.sample(range(1, 41), rng.randint(1, 5))
+            self._assert_same(speeds, 2)
+        for speeds in [(1, 3), (1, 3, 5, 7), (2, 6, 10), (1, 2), (3, 6), (4, 12, 20)]:
+            self._assert_same(speeds, 2)
+
+    def test_tight_sets(self):
+        # Sets at exactly 1/c, where {f_S >= 1/c} holds only isolated
+        # maximizers.
+        for k in range(2, 11):
+            assert gap._reaches(tuple(range(1, k + 1)), k + 1)
+            assert not gap._reaches(tuple(range(1, k + 1)), k)
+        for speeds in [(1, 3, 4, 7), (1, 3, 4, 5, 9), (1, 2, 3, 4, 5, 7, 12), (1, 4, 5, 6, 7, 11, 13)]:
+            self._assert_same(speeds, len(speeds) + 1)
+            assert gap._reaches(speeds, len(speeds) + 1)
+
+
 def count_maximize_calls(monkeypatch) -> list:
-    """Route gap._maximize, the exact search that gives the sweep its delta,
-    through a counter; returns the list it appends to."""
+    """Route gap._maximize, the exact search behind every exact gap, through
+    a counter; returns the list it appends to.  The sweep itself never calls
+    it, and ``kprime_scan`` calls it once for each set the sweep flags below
+    the bound."""
     calls = []
     maximize = gap._maximize
 
@@ -668,7 +720,7 @@ class TestSweepPrefilter:
     def test_matches_plain_exact_gap(self, k, max_speed):
         bound = Fraction(1, k + 1)
         expected = [
-            (c, delta)
+            (c, delta == bound)
             for c in combinations(range(1, max_speed + 1), k)
             if gcd(*c) == 1 and (delta := exact_gap(c).delta) <= bound
         ]
@@ -685,23 +737,54 @@ class TestSweepPrefilter:
     # the witness range.
     COMPLETENESS_SIZES = [(2, 3), (2, 4), (2, 12), (3, 4), (3, 7), (3, 10), (4, 5), (4, 9), (5, 6), (5, 9)]
 
-    @pytest.mark.parametrize("k, max_speed", [(1, 5)] + COMPLETENESS_SIZES)
-    def test_verify_computes_only_tight_and_counterexamples(self, monkeypatch, k, max_speed):
+    @pytest.mark.parametrize("k, max_speed", [(1, 5)] + COMPLETENESS_SIZES + VERIFY_LADDER)
+    def test_verify_computes_no_exact_gap(self, monkeypatch, k, max_speed):
+        # The sweep's flag files every set, tight or counterexample.
         calls = count_maximize_calls(monkeypatch)
         report = verify_lrc(k, max_speed)
-        assert len(calls) == len(report.tight) + len(report.counterexamples)
+        assert report.tight and not report.counterexamples
+        assert calls == []
 
-    @pytest.mark.parametrize("k, max_coord", COMPLETENESS_SIZES)
-    def test_kscan_computes_only_sets_at_or_below_the_bound(self, monkeypatch, k, max_coord):
-        bound = Fraction(1, k + 1)
-        expected = sum(
-            1
-            for c in combinations(range(1, max_coord + 1), k)
-            if gcd(*c) == 1 and exact_gap(c).delta <= bound
-        )
+    @pytest.mark.parametrize("k, max_coord", COMPLETENESS_SIZES + KSCAN_LADDER + [(5, 12), (6, 12)])
+    def test_kscan_computes_no_exact_gap(self, monkeypatch, k, max_coord):
+        # No set of a k <= 6 box is below the bound, so none needs its gap.
         calls = count_maximize_calls(monkeypatch)
-        kprime_scan(k, max_coord)
-        assert len(calls) == expected
+        report = kprime_scan(k, max_coord)
+        assert report.extremal == tuple(range(1, k + 1))
+        assert calls == []
+
+    @pytest.mark.parametrize("k, max_coord", [(3, 9), (4, 10), (5, 13)])
+    def test_kscan_below_the_bound(self, monkeypatch, k, max_coord):
+        # No real set is below the bound, so the sweep is made to yield the
+        # gcd-1 k-sets holding max_coord (one column, whose near set is
+        # {max_coord}) and to flag each below it: the scan takes the first
+        # set of least exact delta, at one exact search per set.
+        far = sum(1 << max_coord - s for s in range(1, max_coord))
+        far_rows = [0] + [1] * (max_coord - 1) + [0]
+        monkeypatch.setattr(gap, "_columns", lambda k, max_coord: (far_rows, [far]))
+        monkeypatch.setattr(gap, "_reaches", lambda speeds, c: False)
+        sets = [c for c in combinations(range(1, max_coord + 1), k) if c[-1] == max_coord and gcd(*c) == 1]
+        deltas = [exact_gap(c).delta for c in sets]
+        least = min(deltas)
+        calls = count_maximize_calls(monkeypatch)
+        report = kprime_scan(k, max_coord)
+        assert len(calls) == len(sets)
+        assert report.extremal == sets[deltas.index(least)]
+        assert report.observed_sup == 1 - 2 * least
+        assert deltas.count(least) > 1  # the tie goes to the first set
+
+    @pytest.mark.parametrize("failing", [{(1, 3, 4, 7)}, {(1, 2, 3, 4)}, {(1, 2, 3, 4), (1, 3, 4, 7)}])
+    def test_kscan_mixes_flags_and_exact_gaps(self, monkeypatch, failing):
+        # The box (4, 17) yields {1, 2, 3, 4} and {1, 3, 4, 7}, both at 1/5.
+        # A set flagged below the bound gets its exact gap, a set flagged
+        # tight is taken at the bound, and the tie goes to the first set.
+        reaches = gap._reaches
+        monkeypatch.setattr(gap, "_reaches", lambda speeds, c: speeds not in failing and reaches(speeds, c))
+        calls = count_maximize_calls(monkeypatch)
+        report = kprime_scan(4, 17)
+        assert sorted(calls) == sorted(failing)
+        assert report.extremal == (1, 2, 3, 4)
+        assert report.observed_sup == Fraction(3, 5)
 
     def test_k1_is_linear_in_max_speed(self, monkeypatch):
         # The walk hands each speed of the box to combinations once; a sweep
@@ -718,7 +801,7 @@ class TestSweepPrefilter:
         start = time.process_time()
         report = verify_lrc(1, 2048)
         assert time.process_time() - start < 0.5
-        assert sum(handed) <= 2048 + 1  # the box, then the one set {1} to _maximize
+        assert sum(handed) <= 2048  # the box, and nothing else
         assert report.checked == 1
         assert report.tight == ((1,),)
         with pytest.raises(ValueError, match="max_speed must be an integer from 1 to 2048, got 2049"):

@@ -14,6 +14,8 @@ with the helpers ``r``, ``q`` and ``chain``.  ``TRIANGLE_HITS`` pins
 triangle obstruction answers past the base cell, each with its exit code.
 ``SVG_DIGESTS`` pins the sha256 of every render scene's SVG: the defaults,
 three obstacle scales each, and the tiled scenes at extents 1 to 100.
+``SWEEP_DIGEST`` pins one sha256 over the ``verify`` and ``kscan`` documents
+of the benchmark's sweep ladder and a few larger boxes.
 """
 
 import hashlib
@@ -22,7 +24,9 @@ import json
 
 import pytest
 
+from lonelyrunner import certificates, gap, viewobstruct
 from lonelyrunner.cli import run
+from tests.test_gap import KSCAN_LADDER, VERIFY_LADDER
 
 
 def r(num, den):
@@ -426,6 +430,24 @@ SVG_DIGESTS = [
     (['--scene', 'triangle_billiard', '--slope', 'sqrt3*1/5', '--alpha', '1/4', '--strikes', '40'],
      'af7cf1d33ae47387788054748cb670a0cefedceb3448cf84ebba630ea52ed994'),
 ]
+
+
+# The sha256 of the serialized verify documents of the boxes VERIFY_SWEEP,
+# then of the kscan documents of KSCAN_SWEEP, in that order.
+VERIFY_SWEEP = VERIFY_LADDER + [(7, 20), (7, 30)]
+KSCAN_SWEEP = KSCAN_LADDER + [(5, 12), (6, 12)]
+SWEEP_DIGEST = '27cd9dd363e3ae9a90ff1cc4b8ccea6199d92a9966913b33d87dab37042e8e0b'
+
+
+def test_sweep_document_bytes():
+    digest = hashlib.sha256()
+    for k, max_speed in VERIFY_SWEEP:
+        report = gap.verify_lrc(k, max_speed)
+        digest.update(certificates.serialize(certificates.verify_document(report)).encode())
+    for k, max_coord in KSCAN_SWEEP:
+        report = viewobstruct.kprime_scan(k, max_coord)
+        digest.update(certificates.serialize(certificates.kscan_document(report)).encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("argv, digest", SVG_DIGESTS, ids=[" ".join(a) for a, _ in SVG_DIGESTS])
