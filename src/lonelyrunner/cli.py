@@ -16,7 +16,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import QuadExt
 from . import billiards, certificates, fieldsearch, render
@@ -34,7 +34,7 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, "_Parser"]  # set on the top-level parser: its subparsers by name
+    plain: dict[str, "_Plain"]  # set on the top-level parser: each subparser's table
 
     def error(self, message):  # argparse would sys.exit(2); remap to exit 1
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
@@ -78,7 +78,6 @@ def build_parser() -> _Parser:
     """The argparse tree, built once per process and shared by every call."""
     parser = _Parser(prog="lrc", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    parser.commands = sub.choices
 
     json_flag = dict(metavar="PATH", help="write the JSON document here instead of stdout")
 
@@ -179,7 +178,31 @@ def build_parser() -> _Parser:
     p.add_argument("--strikes", type=int, help="triangle path strikes")
     p.add_argument("--svg", metavar="PATH", help="write SVG here instead of stdout")
 
+    parser.plain = {name: _Plain.of(command) for name, command in sub.choices.items()}
     return parser
+
+
+class _Plain(NamedTuple):
+    """What ``_read`` needs of one subparser, taken from its actions."""
+
+    defaults: dict  # every dest and its default, in declaration order
+    flags: dict  # each single-value flag's full spelling to its action
+    positionals: tuple  # the positional actions, in order
+    required: tuple  # the actions argparse requires
+
+    @classmethod
+    def of(cls, command: argparse.ArgumentParser) -> "_Plain":
+        actions = command._actions
+        return cls(
+            defaults={
+                a.dest: a.default
+                for a in actions
+                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS
+            },
+            flags={flag: a for a in actions if a.nargs is None for flag in a.option_strings},
+            positionals=tuple(a for a in actions if not a.option_strings),
+            required=tuple(a for a in actions if a.required),
+        )
 
 
 def _emit(text: str, target, out) -> None:
@@ -259,21 +282,63 @@ def _cmd_render(args, out) -> int:
 _COMMANDS = {"check": _cmd_check, "render": _cmd_render}
 
 
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a plain argv (see ``_parse``), or None.  It holds
+    ``subcommand``, then every dest at its default in declaration order, as
+    argparse's does; each given value then goes through its action's
+    ``type`` and ``choices``, in argv order."""
+    plain = build_parser().plain.get(argv[0]) if argv else None
+    if plain is None:
+        return None
+    given = {}
+    positionals = iter(plain.positionals)
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        if token.startswith("-") and token != "-":
+            action = plain.flags.get(token)
+            if action is None or action in given or i + 1 == n or argv[i + 1].startswith("-"):
+                return None
+            given[action] = argv[i + 1]
+            i += 2
+        else:
+            action = next(positionals, None)
+            if action is None:
+                return None
+            given[action] = token
+            i += 1
+    if any(action not in given for action in plain.required):
+        return None
+    args = argparse.Namespace(subcommand=argv[0], **plain.defaults)
+    try:
+        for action, text in given.items():
+            value = text if action.type is None else action.type(text)
+            if action.choices is not None and value not in action.choices:
+                return None
+            setattr(args, action.dest, value)
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
+        return None
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace ``build_parser().parse_args(argv)`` gives, with the same
-    errors.  A named subcommand's parser reads the rest of argv directly;
-    the top-level parse runs only to report a missing or unknown
-    subcommand or to print the top-level help."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
+    errors.  ``_read`` reads the plain form of argv without argparse: a
+    subcommand, then its flags spelled in full, each once and each followed
+    by one value that does not start with ``-``, and its positionals (``-``
+    among them).  It declines any other argv, and the full parse reads it:
+    help, abbreviated flags, ``--flag=value``, the flags whose value is
+    optional (``--grid``, ``--min-obstacle``), a repeated flag, a value that
+    starts with ``-``, ``--``, a missing or extra argument, a value outside
+    ``choices``, and a ``ValueError``, ``TypeError`` or ``ArgumentTypeError``
+    from a type.  So argparse alone gives help and every usage error; a
+    ``UsageError`` from a type propagates from either, as the same text."""
+    args = _read(argv)
+    if args is None:
+        parser = build_parser()
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise UsageError(parser.format_usage())
-        return args
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
 import ast
 import hashlib
 import io
@@ -13,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lonelyrunner import cli, fieldsearch, gap, render, viewobstruct
 from lonelyrunner.arith import QuadExt
@@ -783,9 +785,107 @@ def _argparse_stderr(argv):
     return build_parser().format_usage().rstrip() + "\n"
 
 
+def _subcommands() -> dict:
+    """The subparsers of ``build_parser()`` by name."""
+    return next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+def _full_parse(argv):
+    """``build_parser().parse_args(argv)`` as (key, value) pairs in order, or
+    the text of the usage error it raises."""
+    try:
+        return list(vars(build_parser().parse_args(argv)).items())
+    except UsageError as exc:
+        return str(exc)
+
+
+# Values for any flag or positional: some each type takes, some it refuses
+# with a ValueError or with a UsageError, and some that start with "-".
+_VALUES = [
+    "1", "3", "12", "1,2,3", "2,3,7", "1/3", "6/17", "sqrt3*1/5", "x", "1,x", "a/b",
+    "", "x.json", "-", "-1", "-1/2", "--", *render.SCENES,
+]
+
+
+def _taken(action) -> list[str]:
+    """The values of ``_VALUES`` that ``cli._read`` may take for ``action``:
+    none that starts with "-" (but "-" for a positional), is outside its
+    choices, or makes its type raise a ``ValueError``.  A ``UsageError``
+    from the type is kept."""
+    taken = []
+    for value in _VALUES:
+        try:
+            parsed = value if action.type is None else action.type(value)
+        except ValueError:
+            continue
+        except UsageError:
+            parsed = None
+        dash = value.startswith("-") and (value != "-" or action.option_strings)
+        if not dash and (action.choices is None or parsed in action.choices):
+            taken.append(value)
+    return taken
+
+
+@st.composite
+def _argvs(draw, command):
+    """An argv for ``command`` from its flag vocabulary.  Each flag or
+    positional is left out (a required one at times too), or given in
+    one of these forms: plain, with a value ``cli._read`` may take;
+    abbreviated, ambiguous ones included; as ``--flag=value``; or with any
+    value, one that starts with "-" among them.  Up to two extra chunks
+    follow: a repeated flag, a flag missing its value, an extra positional
+    or ``--``.  The chunks are shuffled.  Help is left out."""
+    actions = [a for a in _subcommands()[command]._actions if a.dest != "help"]
+    flags = [f for a in actions for f in a.option_strings]
+    value = st.sampled_from(_VALUES)
+
+    def chunk(action, form):
+        flag = action.option_strings[:1]
+        short = [flag[0][:n] for n in range(3, len(flag[0]))] if flag else []
+        short = [s for s in short if not "--help".startswith(s)]
+        taken = st.sampled_from(_taken(action))
+        if form == "abbreviated" and short:
+            return [draw(st.sampled_from(short)), draw(taken)]
+        if form == "equals" and flag:
+            return [f"{flag[0]}={draw(taken)}"]
+        if form == "any value":
+            return flag + [draw(value)]
+        return flag + [draw(taken)]
+
+    forms = ["plain"] * 12 + ["abbreviated", "equals", "any value"]
+    chunks = [
+        chunk(a, draw(st.sampled_from(forms)))
+        for a in actions
+        if (draw(st.integers(0, 7)) > 0 if a.required else draw(st.booleans()))
+    ]
+    extra = st.one_of(
+        st.sampled_from(actions).map(lambda a: chunk(a, "plain")),
+        st.sampled_from(flags + ["--", "extra"]).map(lambda t: [t]),
+    )
+    chunks += draw(st.lists(extra, max_size=2))
+    return [command] + [token for c in draw(st.permutations(chunks)) for token in c]
+
+
+_PRODUCING = [
+    ["gap", "--speeds", "3,7,12"],
+    ["lonely", "--speeds", "3,0,7,2", "--focus", "2"],
+    ["verify", "--k", "3", "--max-speed", "10"],
+    ["kappa", "--speeds", "1,3,4,7"],
+    ["obstruct", "--direction", "2,3,5", "--alpha", "7/20"],
+    ["kscan", "--k", "3", "--max-coord", "8"],
+    ["billiard", "--slope", "6/17", "--alpha", "82/115", "--segments", "46"],
+    ["triangle", "--slope", "16/11", "--alpha", "1/4", "--strikes", "40"],
+    ["invisible", "--speeds", "1,2,3,4,5", "--d", "2"],
+    ["conj34", "--speeds", "2,3,7"],
+]
+
+
 class TestDispatch:
-    """``run`` hands argv straight to the named subcommand's parser; the
-    namespace and every usage error must be those of the full parse."""
+    """``run`` reads the plain form of argv with ``cli._read`` and hands
+    every other argv to the full parse; the namespace and every usage error
+    must be those of the full parse."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -842,6 +942,36 @@ class TestDispatch:
         assert err == "lrc: unrecognized arguments: extra\nusage: lrc [-h] SUBCOMMAND ...\n"
         code, _, err = invoke(["gap", "--speeds", "1,2", "--", "x"])
         assert err.startswith("lrc: unrecognized arguments: -- x\n")
+
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_reader_declines_or_equals_the_full_parse(self, command, data):
+        argv = data.draw(_argvs(command))
+        expected = _full_parse(argv)
+        try:
+            args = cli._read(argv)
+        except UsageError as exc:  # from a type, which the full parse calls too
+            assert str(exc) == expected
+            return
+        assert args is None or list(vars(args).items()) == expected
+
+    @pytest.mark.parametrize("argv", _PRODUCING, ids=" ".join)
+    def test_full_parse_gives_the_same_output(self, argv, monkeypatch):
+        # The document and its check, with argv read plainly and with every
+        # argv left to argparse: the same exit codes and bytes.
+        def produce_and_check():
+            produced = invoke(argv)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(produced[1]))
+            return produced, invoke(["check", "-"])
+
+        assert cli._read(argv) is not None and cli._read(["check", "-"]) is not None
+        plain = produce_and_check()
+        (code, _, _), (checked, report, err) = plain
+        assert code == 0 and checked == 0 and err == ""
+        assert json.loads(report)["result"] == {"valid": True, "issues": []}
+        monkeypatch.setattr(cli, "_read", lambda argv: None)
+        assert produce_and_check() == plain
 
 
 class TestCliAndCheckerAgree:
