@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional
 
 from .arith import QuadExt, RationalLike, _check_count, _unit_scale, sqrt3_sign
@@ -188,12 +188,18 @@ def square_obstacle_contact(path: SquarePath, alpha) -> str:
     it crosses: with c = |p(2i+1) - q(2j+1)| least over those cells, the
     contact is 'interior' when alpha*(p+q) > c, 'boundary' at equality and
     'miss' below.  Only the slope and the segment count are read.
+
+    At most one period of p + q - 1 cells is walked.  The values
+    |p(2i+1) - q(2j+1)| are unchanged by the translation
+    (i, j) -> (i + q, j + p), and the ray enters the cell (q, p) at its
+    corner X = pq, after the p + q - 1 crossings in [0, pq); from there the
+    cells repeat.  So a path of 2**14 segments costs one period.
     """
     alpha = _unit_scale(alpha)
     p, q = path.slope.numerator, path.slope.denominator
     least = min(
         abs(p * (2 * (x // p) + 1) - q * (2 * (x // q) + 1))
-        for x in islice(_crossings(p, q), path.n_segments)
+        for x in islice(_crossings(p, q), min(path.n_segments, p + q - 1))
     )
     reach = alpha.numerator * (p + q)  # alpha*(p+q) and least, times alpha's denominator
     least *= alpha.denominator
@@ -256,15 +262,26 @@ class _Slope(NamedTuple):
 
 def _cleared(slope) -> _Slope:
     """Integers (a, b, d) with slope = (a + b*sqrt3)/d and d >= 1, for a
-    slope strictly between 0 and sqrt3: since d > 0, that is a + b*sqrt3
-    and (d - b)*sqrt3 - a both positive.  A slope already cleared is
-    returned as it is."""
+    slope in the wedge (see :func:`_cleared_parts`).  A slope already
+    cleared is returned as it is."""
     if type(slope) is _Slope:
         return slope
     s = slope if isinstance(slope, QuadExt) else QuadExt(Fraction(slope))
-    d = lcm(s.a.denominator, s.b.denominator)
-    a = s.a.numerator * (d // s.a.denominator)
-    b = s.b.numerator * (d // s.b.denominator)
+    return _cleared_parts(s.a.numerator, s.a.denominator, s.b.numerator, s.b.denominator)
+
+
+def _cleared_parts(a_num: int, a_den: int, b_num: int, b_den: int) -> _Slope:
+    """The slope a_num/a_den + (b_num/b_den)*sqrt3, read from its integers
+    (the denominators nonzero, of either sign) with no Fraction built, and
+    cleared with one lcm to (a, b, d) with no common factor and d >= 1: the
+    least common denominator of the parts in lowest terms, as for a slope
+    held as a QuadExt.  It is refused unless it lies strictly between 0 and
+    sqrt3: since d > 0, that is a + b*sqrt3 and (d - b)*sqrt3 - a both
+    positive."""
+    d = lcm(a_den, b_den)  # positive, so d // a_den carries a_den's sign
+    a, b = a_num * (d // a_den), b_num * (d // b_den)
+    g = gcd(a, b, d)
+    a, b, d = a // g, b // g, d // g
     if sqrt3_sign(a, b) <= 0 or sqrt3_sign(-a, d - b) <= 0:
         raise ValueError("slope must lie strictly between 0 and sqrt(3)")
     return _Slope(a, b, d)

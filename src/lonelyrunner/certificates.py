@@ -35,7 +35,7 @@ import json
 import marshal
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 from typing import Any, Optional
 
 from .arith import QuadExt, SpeedSet, _check_count, _unit_scale, is_prime
@@ -72,24 +72,45 @@ def encode_rational(x: Fraction) -> dict[str, int]:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def decode_rational(value: Any) -> Fraction:
+def _rational_parts(value: Any) -> tuple[int, int]:
+    """The integers (num, den) of a rational encoding, den nonzero and the
+    pair as stored (a bool counts as an int here); the one reading rule
+    of :func:`decode_rational` and of a ``triangle`` slope."""
     if isinstance(value, dict) and value.keys() == {"num", "den"}:
         num, den = value["num"], value["den"]
         if isinstance(num, int) and isinstance(den, int):
             if den == 0:
                 raise ValueError(f"zero denominator in rational encoding: {value!r}")
-            return Fraction(num, den)
+            return num, den
     raise ValueError(f"not a rational encoding: {value!r}")
+
+
+def decode_rational(value: Any) -> Fraction:
+    num, den = _rational_parts(value)
+    return Fraction(num, den)
 
 
 def encode_quadext(q: QuadExt) -> dict[str, dict[str, int]]:
     return {"a": encode_rational(q.a), "b": encode_rational(q.b)}
 
 
-def decode_quadext(value: Any) -> QuadExt:
+def _quadext_parts(value: Any) -> tuple[Any, Any]:
     if not isinstance(value, dict) or value.keys() != {"a", "b"}:
         raise ValueError(f"not a quadratic-field encoding: {value!r}")
-    return QuadExt(decode_rational(value["a"]), decode_rational(value["b"]))
+    return value["a"], value["b"]
+
+
+def decode_quadext(value: Any) -> QuadExt:
+    a, b = _quadext_parts(value)
+    return QuadExt(decode_rational(a), decode_rational(b))
+
+
+def _decode_slope(value: Any) -> billiards._Slope:
+    """``billiards._cleared(decode_quadext(value))``, read straight from
+    the encoding's integers: the same rules, refusals and order, with no
+    Fraction or QuadExt built."""
+    a, b = _quadext_parts(value)
+    return billiards._cleared_parts(*_rational_parts(a), *_rational_parts(b))
 
 
 def _encode_ratio(num: int, den: int) -> dict[str, int]:
@@ -108,6 +129,12 @@ class CertificateDocument:
     result: dict
 
 
+# Built once: json.dumps with any keyword builds and configures a new
+# encoder per call.  No builder makes a cycle (a path shares its points, but
+# nothing holds itself), so the C encoder skips its cycle check.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def serialize(doc: CertificateDocument) -> str:
     payload = {
         "version": SCHEMA_VERSION,
@@ -115,9 +142,7 @@ def serialize(doc: CertificateDocument) -> str:
         "inputs": doc.inputs,
         "result": doc.result,
     }
-    # No builder makes a cycle (a path shares its points, but nothing holds
-    # itself), so the C encoder skips its cycle check.
-    return json.dumps(payload, separators=(",", ":"), check_circular=False) + "\n"
+    return _ENCODER.encode(payload) + "\n"
 
 
 def parse(text: str) -> CertificateDocument:
@@ -213,13 +238,15 @@ def obstruct_document(
 ) -> CertificateDocument:
     """The cube the ray is in at ``hit_time`` is centered, in each
     coordinate y, at the half-integer nearest y, the lower one on a tie:
-    ceil(y) - 1/2."""
+    ceil(y) - 1/2.  At the time x/n, that is (2*ceil(c*x/n) - 1)/2 for the
+    direction's coordinate c, with the ceiling taken by integer floor
+    division; the numerator is odd, so the pair is in lowest terms."""
     encoded = None
     if hit_time is not None:
-        centers = [ceil(c * hit_time) - Fraction(1, 2) for c in direction]
+        x, n = hit_time.numerator, hit_time.denominator
         encoded = {
             "hit_time": encode_rational(hit_time),
-            "cube_center": [encode_rational(c) for c in centers],
+            "cube_center": [{"num": -2 * (-c * x // n) - 1, "den": 2} for c in direction],
         }
     return CertificateDocument(
         command="obstruct",
@@ -270,13 +297,20 @@ def billiard_document(
 
 
 def triangle_document(
-    slope: QuadExt,
+    slope: QuadExt | billiards._Slope,
     alpha: Optional[Fraction],
     horizon: int,
     hit: Optional[billiards.TriangleHit],
     path: Optional[billiards.TrianglePath],
     min_obstacle: Optional[tuple[Fraction, Fraction, Fraction]] = None,
 ) -> CertificateDocument:
+    """A cleared slope (a + b*sqrt3)/d is encoded from its integers, as the
+    QuadExt it equals."""
+    if type(slope) is billiards._Slope:
+        a, b, d = slope
+        slope_payload = {"a": _encode_ratio(a, d), "b": _encode_ratio(b, d)}
+    else:
+        slope_payload = encode_quadext(slope)
     hit_payload: Optional[dict] = None
     if alpha is not None:
         if hit is None:
@@ -314,7 +348,7 @@ def triangle_document(
     return CertificateDocument(
         command="triangle",
         inputs={
-            "slope": encode_quadext(slope),
+            "slope": slope_payload,
             "alpha": None if alpha is None else encode_rational(alpha),
             "horizon": horizon,
             "strikes": strikes,
@@ -424,20 +458,20 @@ def _produce_billiard(inputs: dict) -> CertificateDocument:
 
 
 def _produce_triangle(inputs: dict) -> CertificateDocument:
-    slope = decode_quadext(inputs["slope"])
     # The slope must lie in the wedge, whatever is asked, and is checked
-    # first.  It is cleared once here, and each engine takes it cleared.
-    cleared = billiards._cleared(slope)
+    # first.  It is cleared once here, and each engine and the builder take
+    # it cleared.
+    slope = _decode_slope(inputs["slope"])
     alpha = _optional_rational(inputs["alpha"])
     horizon = _check_count(inputs["horizon"], "horizon")
-    hit = None if alpha is None else billiards.triangle_obstruction_check(cleared, alpha, horizon)
+    hit = None if alpha is None else billiards.triangle_obstruction_check(slope, alpha, horizon)
     path = None
     if inputs["strikes"] is not None:
-        path = billiards.triangle_path_segments(cleared, inputs["strikes"])
+        path = billiards.triangle_path_segments(slope, inputs["strikes"])
     tolerance = _optional_rational(inputs["tolerance"])
     bracket = None
     if tolerance is not None:  # the engine refuses a tolerance below 2**-64
-        bracket = billiards.triangle_min_obstacle(cleared, horizon, tolerance) + (tolerance,)
+        bracket = billiards.triangle_min_obstacle(slope, horizon, tolerance) + (tolerance,)
     return triangle_document(slope, alpha, horizon, hit, path, bracket)
 
 

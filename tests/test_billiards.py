@@ -198,6 +198,50 @@ class TestSquareObstacle:
                 assert square_obstacle_contact(path, above) != "miss"
 
 
+class TestSquareContactPeriod:
+    def test_one_period_matches_the_full_walk(self):
+        # The contact walks at most p + q - 1 cells, one period of the cell
+        # values; the full walk over every cell of the path must agree, for
+        # lengths from 1 to four periods.  The scales tried are the least
+        # value's threshold and its two neighbours, which separate the
+        # three contacts.
+        rng = random.Random(840)
+        slopes = {F(1, 1), F(1, 2), F(2, 1)}
+        while len(slopes) < 40:
+            slopes.add(F(rng.randint(1, 60), rng.randint(1, 60)))
+        for slope in sorted(slopes):
+            p, q = slope.numerator, slope.denominator
+            period = p + q - 1
+            crossings = islice(billiards._crossings(p, q), 4 * period)
+            values = [abs(p * (2 * (x // p) + 1) - q * (2 * (x // q) + 1)) for x in crossings]
+            lengths = {1, 2, period - 1, period, period + 1, 2 * period, 4 * period}
+            lengths |= {rng.randint(1, 4 * period) for _ in range(6)}
+            for n in sorted(lengths - {0}):
+                path = square_path_segments(slope, n)
+                least = min(values[:n])
+                for k in (least - 1, least, least + 1):
+                    alpha = F(k, p + q)
+                    if not 0 < alpha < 1:
+                        continue
+                    full = "interior" if k > least else "boundary" if k == least else "miss"
+                    assert square_obstacle_contact(path, alpha) == full, (slope, n, alpha)
+
+    def test_cost_is_one_period(self, monkeypatch):
+        # A path at the cap costs one period of crossings, not 2**14.
+        counted = []
+        crossings = billiards._crossings
+
+        def counting(p, q):
+            for x in crossings(p, q):
+                counted.append(x)
+                yield x
+
+        path = square_path_segments(F(6, 17), 2**14)
+        monkeypatch.setattr(billiards, "_crossings", counting)
+        square_obstacle_contact(path, F(1, 3))
+        assert len(counted) == 6 + 17 - 1
+
+
 class TestSquareObstacleInvariance:
     def test_reflection_maps_centered_square_to_centered_square(self):
         # Reflecting the table across a side carries the centered obstacle

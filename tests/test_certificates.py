@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import marshal
+import math
 import random
 import time
 from collections import OrderedDict
@@ -995,6 +996,19 @@ class TestObstructVerdicts:
         shifted = certificates.obstruct_document((1, 2), F(1, 3), F(1, 3), t + 1)
         assert certificates.validate_document(shifted) == []
 
+    def test_cube_centers_are_the_nearest_half_integers(self):
+        # Each center is ceil(c*t) - 1/2, the half-integer nearest c*t (the
+        # lower one on a tie), encoded as a Fraction is: for times of either
+        # sign and times at which c*t is whole or a half-integer.
+        rng = random.Random(2240)
+        times = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(3, 2), F(7, 4), F(-7, 4)]
+        times += [F(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(300)]
+        for time_ in times:
+            direction = tuple(rng.randint(1, 40) for _ in range(rng.randint(1, 4)))
+            doc = certificates.obstruct_document(direction, F(1, 3), F(1, 3), time_)
+            want = [certificates.encode_rational(math.ceil(c * time_) - F(1, 2)) for c in direction]
+            assert doc.result["witness"]["cube_center"] == want, (direction, time_)
+
     def test_whole_hit_time_misses_the_band(self):
         # At a whole time every coordinate is at a lattice point, so every
         # residue enters the band; the document stores no witness number.
@@ -1048,6 +1062,23 @@ class TestSerializeBytes:
     def test_pinned_documents(self):
         for _, document in PINNED:
             _assert_stdlib_bytes(certificates.parse(json.dumps(document)))
+
+    def test_rebuilt_documents(self):
+        # One document per command as the check rebuilds it from its inputs
+        # (a triangle document encodes its slope from the cleared integers):
+        # json.dumps's bytes, and the builder's.
+        assert sorted(DOCS) == sorted(certificates._PRODUCERS)
+        for command, doc in DOCS.items():
+            rebuilt = certificates.produce(command, doc.inputs)
+            payload = {
+                "version": certificates.SCHEMA_VERSION,
+                "command": command,
+                "inputs": rebuilt.inputs,
+                "result": rebuilt.result,
+            }
+            text = certificates.serialize(rebuilt)
+            assert text == json.dumps(payload, separators=(",", ":")) + "\n", command
+            assert text == certificates.serialize(doc), command
 
     def test_tampered_documents(self):
         for build, _, edit in CASES + WITNESS_CASES:

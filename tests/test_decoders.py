@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lonelyrunner import billiards, certificates
 from lonelyrunner.arith import QuadExt, _check_count
@@ -261,6 +262,85 @@ def outcome(function, *args):
         return "value", function(*args)
     except Exception as exc:  # the exception's type and message are the outcome
         return type(exc).__name__, str(exc)
+
+
+# ---------------------------------------------------------------------------
+# The triangle slope reader against decode_quadext and _cleared
+# ---------------------------------------------------------------------------
+
+# Small parts, so that many well-formed slopes lie in the wedge and the
+# others test the wedge refusal.  Each shape is drawn by a weighted tag, the
+# well-formed ones (unreduced parts, negative and zero denominators among
+# them) most often.
+INTS = st.integers(-12, 12)
+ODD = st.none() | st.booleans() | st.floats(-2, 2) | st.text(max_size=2) | st.lists(INTS, max_size=2)
+
+
+@st.composite
+def rationals(draw):
+    shape = draw(st.integers(0, 9))
+    num, den = draw(INTS), draw(INTS)
+    if shape == 6:  # a bool for an int
+        num, den = draw(st.sampled_from([(True, den), (num, True), (num, False), (False, True)]))
+    elif shape == 7:  # a float, a string or another value for an int
+        num, den = draw(st.sampled_from([(draw(ODD), den), (num, draw(ODD))]))
+    elif shape == 8:  # a key missing or extra
+        return draw(st.sampled_from([{"num": num}, {"den": den}, {"num": num, "den": den, "x": 0}]))
+    elif shape == 9:
+        return draw(ODD | INTS)
+    return {"num": num, "den": den}
+
+
+@st.composite
+def slopes(draw):
+    shape = draw(st.integers(0, 9))
+    a, b = draw(rationals()), draw(rationals())
+    if shape == 8:  # a key missing or extra
+        return draw(st.sampled_from([{"a": a}, {"b": b}, {"a": a, "b": b, "c": 0}]))
+    if shape == 9:
+        return draw(st.sampled_from([None, 1, [a, b], (a, b)]))
+    return {"a": a, "b": b}
+
+
+class TestSlopeReader:
+    """``_decode_slope`` reads a ``triangle`` slope straight into integers;
+    it must give the cleared slope, or the refusal, of ``decode_quadext``
+    followed by ``billiards._cleared``."""
+
+    @staticmethod
+    def reference(value):
+        return billiards._cleared(certificates.decode_quadext(value))
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(value=slopes())
+    def test_matches_decode_and_clear(self, value):
+        got = outcome(certificates._decode_slope, value)
+        assert got == outcome(self.reference, value)
+        if got[0] == "value":
+            assert all(type(part) is int for part in got[1])
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": {"num": 14, "den": 16}, "b": {"num": 0, "den": 1}},
+            {"a": {"num": -7, "den": -8}, "b": {"num": 0, "den": 3}},
+            {"a": {"num": 0, "den": 5}, "b": {"num": 2, "den": 10}},
+            {"a": {"num": 1, "den": 6}, "b": {"num": 1, "den": -4}},
+            {"a": {"num": True, "den": 2}, "b": {"num": 1, "den": True}},
+            {"a": {"num": 7, "den": True}, "b": {"num": 0, "den": 1}},
+            {"a": {"num": 1, "den": False}, "b": {"num": 0, "den": 1}},
+            {"a": {"num": 7, "den": 4}, "b": {"num": 0, "den": 1}},
+            {"a": {"num": 0, "den": 1}, "b": {"num": 1, "den": 1}},
+            {"a": {"num": 1, "den": 2}, "b": {"num": 1, "den": 0}},
+            {"a": {"num": 0.5, "den": 1}, "b": {"num": 1, "den": 0}},
+            {"a": {"num": "1", "den": 2}, "b": {"num": 0, "den": 1}},
+            {"a": {"num": 1, "den": 2, "x": 0}, "b": {"num": 0, "den": 1}},
+            {"a": {"num": 1, "den": 2}},
+            {"a": {"num": 1, "den": 2}, "b": {"num": 0, "den": 1}, "c": 0},
+        ],
+    )
+    def test_named_shapes(self, value):
+        assert outcome(certificates._decode_slope, value) == outcome(self.reference, value)
 
 
 # ---------------------------------------------------------------------------
