@@ -178,6 +178,9 @@ def gap_document(
     if grid is not None:
         resolution, value = grid
         oracle = {"resolution": resolution, "value": encode_rational(value)}
+    # Each speed's norm ||s*x/n|| at the witness time x/n, from its integers.
+    x, n = cert.witness_time.numerator, cert.witness_time.denominator
+    norms = [_encode_ratio(min(r, n - r), n) for r in (s * x % n for s in cert.speeds)]
     return CertificateDocument(
         command="gap",
         inputs={"speeds": list(cert.speeds), "grid": None if grid is None else grid[0]},
@@ -185,7 +188,7 @@ def gap_document(
             "delta": encode_rational(cert.delta),
             "witness_time": encode_rational(cert.witness_time),
             "witness_pair": pair,
-            "per_speed_norms": [encode_rational(x) for x in cert.per_speed_norms],
+            "per_speed_norms": norms,
             "grid_oracle": oracle,
         },
     )
@@ -217,14 +220,16 @@ def verify_document(report: gap.LrcSweepReport) -> CertificateDocument:
     )
 
 
-def kappa_document(speeds: SpeedSet, lower, upper, delta, holds: bool) -> CertificateDocument:
+def kappa_document(cert: gap.GapCertificate) -> CertificateDocument:
+    """The kappa bounds of the gap certificate ``cert`` and its delta."""
+    lower, upper, holds = gap.kappa_bounds(cert)
     return CertificateDocument(
         command="kappa",
-        inputs={"speeds": list(speeds)},
+        inputs={"speeds": list(cert.speeds)},
         result={
             "lower": encode_rational(lower),
             "upper": encode_rational(upper),
-            "delta": encode_rational(delta),
+            "delta": encode_rational(cert.delta),
             "holds": holds,
         },
     )
@@ -423,10 +428,7 @@ def _produce_verify(inputs: dict) -> CertificateDocument:
 
 
 def _produce_kappa(inputs: dict) -> CertificateDocument:
-    speeds = SpeedSet(inputs["speeds"])
-    cert = gap.exact_gap(speeds)
-    lower, upper, holds = gap.kappa_bounds(cert)
-    return kappa_document(speeds, lower, upper, cert.delta, holds)
+    return kappa_document(gap.exact_gap(inputs["speeds"]))
 
 
 def _obstruct_inputs(inputs: dict) -> tuple[tuple[int, ...], Optional[Fraction]]:

@@ -43,15 +43,14 @@ class GapCertificate:
 
     ``witness_pair`` is ``(i, j, a)`` -- indices into the sorted speeds plus
     the numerator -- with ``witness_time == a / (speeds[i] + speeds[j])``.
-    For a single-speed set the maximum 1/2 is taken analytically at
-    ``1 / (2 s)`` and ``witness_pair`` is None.
+    For a single-speed set the maximum 1/2 is attained first at ``1 / (2 s)``
+    and ``witness_pair`` is None.
     """
 
     speeds: SpeedSet
     delta: Fraction
     witness_time: Fraction
     witness_pair: Optional[tuple[int, int, int]]
-    per_speed_norms: tuple[Fraction, ...]
 
 
 _ROW_BYTES = 1 << 20  # cap on the repeated flag string of one pair sum
@@ -106,15 +105,10 @@ def exact_gap(speeds: Iterable[int]) -> GapCertificate:
     """
     members = SpeedSet(speeds)
     num, den, a = _maximize(members)
-    if len(members) == 1:
-        return GapCertificate(members, Fraction(1, 2), Fraction(a, den), None, (Fraction(1, 2),))
-    pairs = combinations(range(len(members)), 2)
-    i, j = next((i, j) for i, j in pairs if (members[i] + members[j]) % den == 0)
-    pair = (i, j, a * (members[i] + members[j]) // den)
-    nums = [min(r, den - r) for r in (s * a % den for s in members)]
-    assert num == min(nums)
-    norms = tuple(Fraction(r, den) for r in nums)
-    return GapCertificate(members, Fraction(num, den), Fraction(a, den), pair, norms)
+    assert num == min(min(r, den - r) for r in (s * a % den for s in members))
+    sums = ((i, j, members[i] + members[j]) for i, j in combinations(range(len(members)), 2))
+    pair = next(((i, j, a * n // den) for i, j, n in sums if n % den == 0), None)
+    return GapCertificate(members, Fraction(num, den), Fraction(a, den), pair)
 
 
 def _maximize(members: Sequence[int]) -> tuple[int, int, int]:

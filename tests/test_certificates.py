@@ -28,11 +28,7 @@ def build_all_documents():
     )
     docs["lonely"] = certificates.lonely_document(gap.lonely_time((0, 1, 2, 3), 0))
     docs["verify"] = certificates.verify_document(gap.verify_lrc(2, 8))
-    speeds = SpeedSet([3, 5])
-    lower, upper, holds = gap.check_kappa_bounds(speeds)
-    docs["kappa"] = certificates.kappa_document(
-        speeds, lower, upper, gap.exact_gap(speeds).delta, holds
-    )
+    docs["kappa"] = certificates.kappa_document(gap.exact_gap((3, 5)))
     witness = viewobstruct.obstruction_witness((1, 2), F(1, 3))
     docs["obstruct"] = certificates.obstruct_document(
         (1, 2),

@@ -1071,6 +1071,7 @@ def test_readme_library_block_runs():
         else:
             exec(source, namespace)
     assert values["cert.delta, cert.witness_time"] == (Fraction(1, 2), Fraction(1, 2))
+    assert values["cert.witness_pair"] == (0, 1, 4)
     assert isinstance(namespace["sub"].witness, fieldsearch.BandWitness)
     assert values["sub.witness.avoids(sub.kept)"] is True
     assert values["obstruction_witness((1, 2), Fraction(1, 3))"] == fieldsearch.BandWitness(n=3, x=1, m=0)

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from lonelyrunner import gap
+from lonelyrunner import certificates, gap
 from lonelyrunner.arith import SpeedSet, torus_norm
 from lonelyrunner.gap import (
     check_kappa_bounds,
@@ -55,6 +55,16 @@ def breakpoint_gap(speeds) -> Fraction:
                 for a in range(den + 1):
                     times.add(Fraction(a, den))
     return max(min(torus_norm(s * t) for s in speeds) for t in times)
+
+
+def document_norms(cert: gap.GapCertificate) -> list[dict]:
+    """The per-speed norms that the gap document of ``cert`` writes."""
+    return certificates.gap_document(cert).result["per_speed_norms"]
+
+
+def encoded(values) -> list[dict]:
+    """The rationals ``values`` as a document encodes them."""
+    return [certificates.encode_rational(x) for x in values]
 
 
 def random_speed_set(rng, max_k=4, max_speed=20) -> SpeedSet:
@@ -107,7 +117,7 @@ class TestExactGap:
             s = random_speed_set(rng)
             cert = exact_gap(s)
             norms = tuple(torus_norm(v * cert.witness_time) for v in s)
-            assert norms == cert.per_speed_norms
+            assert document_norms(cert) == encoded(norms)
             assert cert.delta == min(norms)
             assert Fraction(1, 2 * len(s)) <= cert.delta <= Fraction(1, 2)
             if cert.witness_pair is not None:
@@ -117,6 +127,29 @@ class TestExactGap:
                 assert cert.witness_time == Fraction(a, den)
             else:
                 assert len(s) == 1
+
+    def test_document_norms_are_the_torus_norms(self):
+        # The gap document writes each speed's norm at the witness time from
+        # that time's integers; the least of them is delta.
+        rng = random.Random(506)
+        for _ in range(1000):
+            s = SpeedSet(rng.sample(range(1, 121), rng.randint(1, 10)))
+            cert = exact_gap(s)
+            norms = document_norms(cert)
+            assert norms == encoded(torus_norm(v * cert.witness_time) for v in s), s
+            assert min(Fraction(x["num"], x["den"]) for x in norms) == cert.delta, s
+
+    def test_two_fractions_per_call(self, monkeypatch):
+        # The certificate holds delta and the witness time, and builds no
+        # Fraction per speed.
+        built = []
+        monkeypatch.setattr(gap, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+        rng = random.Random(507)
+        for k in range(1, 11):
+            for _ in range(10):
+                built.clear()
+                cert = exact_gap(rng.sample(range(1, 121), k))
+                assert [Fraction(*args) for args in built] == [cert.delta, cert.witness_time], k
 
     def test_tie_breaks_to_smallest_time(self):
         # f_{1,2} attains 1/3 at both 1/3 and 2/3; the smaller time wins.
@@ -154,7 +187,7 @@ class TestExactGap:
         cert = exact_gap((1, 2**22 - 1))
         half = Fraction(1, 2)
         assert (cert.delta, cert.witness_time, cert.witness_pair) == (half, half, (0, 1, 2**21))
-        assert cert.per_speed_norms == (half, half)
+        assert document_norms(cert) == encoded((half, half))
 
     def test_one_row_per_folded_step(self, monkeypatch):
         # Both speeds fold to the step 2**21 - 1 at the one pair sum 2**22,
@@ -167,19 +200,20 @@ class TestExactGap:
         assert steps == [2**21 - 1]
         half = Fraction(1, 2)
         assert (cert.delta, cert.witness_time, cert.witness_pair) == (half, half, (0, 1, 2**21))
-        assert cert.per_speed_norms == (half, half)
+        assert document_norms(cert) == encoded((half, half))
 
 
-def reference_exact_gap(speeds) -> gap.GapCertificate:
+def reference_exact_gap(speeds) -> tuple[gap.GapCertificate, tuple[Fraction, ...]]:
     """Reference for the whole certificate: every a/(s_i+s_j) for every pair
     in order and every 1 <= a < s_i+s_j, unreduced and over the full period,
-    keeping the first (i, j, a) at which the least maximizing time appears."""
+    keeping the first (i, j, a) at which the least maximizing time appears.
+    Returned with each speed's norm at that time."""
     sset = SpeedSet(speeds)
     members = sset
     k = len(members)
     if k == 1:
         s = members[0]
-        return gap.GapCertificate(sset, Fraction(1, 2), Fraction(1, 2 * s), None, (Fraction(1, 2),))
+        return gap.GapCertificate(sset, Fraction(1, 2), Fraction(1, 2 * s), None), (Fraction(1, 2),)
     best_num, best_den = -1, 1
     best_t = best_pair = None
     for i in range(k):
@@ -210,7 +244,7 @@ def reference_exact_gap(speeds) -> gap.GapCertificate:
                             best_t = t
                             best_pair = (i, j, a)
     norms = tuple(torus_norm(s * best_t) for s in members)
-    return gap.GapCertificate(sset, Fraction(best_num, best_den), best_t, best_pair, norms)
+    return gap.GapCertificate(sset, Fraction(best_num, best_den), best_t, best_pair), norms
 
 
 def maximizers_in_first_half(speeds) -> list[Fraction]:
@@ -223,10 +257,14 @@ def maximizers_in_first_half(speeds) -> list[Fraction]:
 
 class TestReducedCandidates:
     """``exact_gap`` evaluates each reduced time a/d <= 1/2 once; the whole
-    certificate must equal the one the full a/(s_i + s_j) loop gives."""
+    certificate must equal the one the full a/(s_i + s_j) loop gives, and
+    its gap document must write that loop's norms."""
 
     def _assert_same(self, speeds):
-        assert exact_gap(speeds) == reference_exact_gap(speeds), speeds
+        cert, norms = reference_exact_gap(speeds)
+        got = exact_gap(speeds)
+        assert got == cert, speeds
+        assert document_norms(got) == encoded(norms), speeds
 
     def test_random_sets(self):
         rng = random.Random(800)

@@ -9,7 +9,8 @@ whitespace between tokens, keys in the given order, one trailing newline
 change to the engines or the document layer that alters a byte fails here;
 ``lrc-cert/1`` documents stay byte-identical across refactors.  There is one
 document per command, with its optional flags set, a few whose gap
-witness pair is not the first pair (0, 1), and long billiard paths, written
+witness pair is not the first pair (0, 1), three ``gap`` and ``kappa``
+documents of one speed, and long billiard paths, written
 with the helpers ``r``, ``q`` and ``chain``.  ``TRIANGLE_HITS`` pins
 triangle obstruction answers past the base cell, each with its exit code.
 ``SVG_DIGESTS`` pins the sha256 of every render scene's SVG: the defaults,
@@ -182,6 +183,39 @@ PINNED = [
                                         {'num': 4, 'den': 13},
                                         {'num': 4, 'den': 13}],
                     'grid_oracle': None}},
+    ),
+    # One speed: delta 1/2 at the least maximizer 1/(2s), and no pair.
+    (
+        ['gap', '--speeds', '7'],
+        {'version': 'lrc-cert/1',
+         'command': 'gap',
+         'inputs': {'speeds': [7], 'grid': None},
+         'result': {'delta': {'num': 1, 'den': 2},
+                    'witness_time': {'num': 1, 'den': 14},
+                    'witness_pair': None,
+                    'per_speed_norms': [{'num': 1, 'den': 2}],
+                    'grid_oracle': None}},
+    ),
+    (
+        ['gap', '--speeds', '7', '--grid'],
+        {'version': 'lrc-cert/1',
+         'command': 'gap',
+         'inputs': {'speeds': [7], 'grid': 448},
+         'result': {'delta': {'num': 1, 'den': 2},
+                    'witness_time': {'num': 1, 'den': 14},
+                    'witness_pair': None,
+                    'per_speed_norms': [{'num': 1, 'den': 2}],
+                    'grid_oracle': {'resolution': 448, 'value': {'num': 1, 'den': 2}}}},
+    ),
+    (
+        ['kappa', '--speeds', '7'],
+        {'version': 'lrc-cert/1',
+         'command': 'kappa',
+         'inputs': {'speeds': [7]},
+         'result': {'lower': {'num': 1, 'den': 2},
+                    'upper': {'num': 1, 'den': 2},
+                    'delta': {'num': 1, 'den': 2},
+                    'holds': True}},
     ),
     (
         ['conj34', '--speeds', '1,3'],
