@@ -19,14 +19,23 @@ not a count, rationals are in lowest terms, no key is missing or extra; key
 order and whitespace do not count).  ``obstruct``, ``invisible`` and
 ``conj34`` documents are instead rebuilt by their builders from their inputs
 and their own band witness (n, x, m) of :mod:`~lonelyrunner.fieldsearch`,
-and no other stored value: the search that found the witness is not re-run,
-so any valid witness passes, but inputs, keys and every value derived from
-the witness are held to the same JSON equality.  An ``obstruct`` document
-stores its hit time x/n, from which the cube centers are rebuilt; an
-``invisible`` document is read and rebuilt by ``invisible_subset``'s own
-rules, so its witness decides the kept speeds, its far set of the input
-speeds.  A ``conj34`` witness must reach 1/(k+1) by its own bound (m+1)/n.
-A refuted ``conj34`` document has no witness and is re-run.
+and no other stored value but the gap (below): the search that found the
+witness is not re-run, so any valid witness passes, but inputs, keys and
+every value derived from the witness are held to the same JSON equality.
+An ``obstruct`` document stores its hit time x/n, from which the cube
+centers are rebuilt; an ``invisible`` document is read and rebuilt by
+``invisible_subset``'s own rules, so its witness decides the kept speeds,
+its far set of the input speeds.  A ``conj34`` witness must reach 1/(k+1)
+by its own bound (m+1)/n.  A refuted ``conj34`` document has no witness and
+is re-run.
+
+No check runs the gap search of a valid document.  The gap a ``gap``,
+``kappa``, ``lonely``, ``obstruct`` or ``invisible`` document stores
+(``delta``, ``min_separation``, (1 - ``min_scale``)/2, ``kept_delta``) is
+proved by ``gap.check_gap``, one interval sweep at that value, which
+returns the certificate ``gap.exact_gap`` would; the document is rebuilt
+from it.  Only where the sweep rejects the stored value, or it does not
+decode, does the check run ``exact_gap``, so the issues are a re-run's.
 """
 
 from __future__ import annotations
@@ -400,7 +409,7 @@ def _optional_rational(value: Any) -> Optional[Fraction]:
     return None if value is None else decode_rational(value)
 
 
-def _produce_gap(inputs: dict) -> CertificateDocument:
+def _produce_gap(inputs: dict, gap_of: Optional[gap.GapEngine] = None) -> CertificateDocument:
     speeds = SpeedSet(inputs["speeds"])
     grid = None
     if inputs["grid"] is not None:
@@ -409,7 +418,7 @@ def _produce_gap(inputs: dict) -> CertificateDocument:
         # document records the one used.
         resolution = _check_count(inputs["grid"], "grid", least=0) or 64 * speeds.max * len(speeds)
         grid = (resolution, gap.gap_grid_oracle(speeds, resolution))
-    cert = gap.exact_gap(speeds)
+    cert = (gap_of or gap.exact_gap)(speeds)
     if grid is not None:
         # The oracle samples times independently of exact_gap; its value
         # must bracket delta within max(S)/(2N).
@@ -419,16 +428,18 @@ def _produce_gap(inputs: dict) -> CertificateDocument:
     return gap_document(cert, grid)
 
 
-def _produce_lonely(inputs: dict) -> CertificateDocument:
-    return lonely_document(gap.lonely_time(inputs["speeds"], inputs["focus"]))
+def _produce_lonely(inputs: dict, gap_of: Optional[gap.GapEngine] = None) -> CertificateDocument:
+    if gap_of is None:
+        return lonely_document(gap.lonely_time(inputs["speeds"], inputs["focus"]))
+    return lonely_document(gap._lonely(inputs["speeds"], inputs["focus"], gap_of))
 
 
 def _produce_verify(inputs: dict) -> CertificateDocument:
     return verify_document(gap.verify_lrc(inputs["k"], inputs["max_speed"]))
 
 
-def _produce_kappa(inputs: dict) -> CertificateDocument:
-    return kappa_document(gap.exact_gap(inputs["speeds"]))
+def _produce_kappa(inputs: dict, gap_of: Optional[gap.GapEngine] = None) -> CertificateDocument:
+    return kappa_document((gap_of or gap.exact_gap)(SpeedSet(inputs["speeds"])))
 
 
 def _obstruct_inputs(inputs: dict) -> tuple[tuple[int, ...], Optional[Fraction]]:
@@ -572,17 +583,59 @@ def _compare(doc: CertificateDocument, rebuilt: CertificateDocument, issues: lis
         _diagnose("result", doc.result, rebuilt.result, issues)
 
 
+def _stored_rational(result: Any, key: str) -> Optional[Fraction]:
+    """The rational ``result`` stores at ``key``, or None if none decodes."""
+    try:
+        return decode_rational(result[key])
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _gap_check(key: str, claim: Optional[Fraction], issues: list[str]) -> gap.GapEngine:
+    """The gap engine of a check whose document stores, at ``key``, the gap
+    ``claim`` (None if it does not decode): ``gap.check_gap`` proves the
+    claim, and ``gap.exact_gap`` computes the gap only where the claim is
+    rejected or absent, so the rebuilt document and its issues are those of
+    a re-run.  A rejected claim that ``exact_gap`` returns anyway is an
+    issue, so it is never reported valid."""
+
+    def gap_of(speeds: SpeedSet) -> gap.GapCertificate:
+        if claim is not None:
+            cert = gap.check_gap(speeds, claim)
+            if cert is not None:
+                return cert
+        cert = gap.exact_gap(speeds)
+        if cert.delta == claim:
+            issues.append(f"{key} fails the interval check")
+        return cert
+
+    return gap_of
+
+
+_STORED_GAPS = {"gap": "delta", "kappa": "delta", "lonely": "min_separation"}
+
+
 def _validate_rebuilt(doc: CertificateDocument, issues: list[str]) -> None:
     """Valid only if the document is exactly what its command produces for
-    its inputs."""
-    _compare(doc, produce(doc.command, doc.inputs), issues)
+    its inputs.  A ``gap``, ``kappa`` or ``lonely`` producer takes the gap
+    engine of :func:`_gap_check`, from the gap the document stores."""
+    key = _STORED_GAPS.get(doc.command)
+    if key is None:
+        _compare(doc, produce(doc.command, doc.inputs), issues)
+    else:
+        gap_of = _gap_check(key, _stored_rational(doc.result, key), issues)
+        _compare(doc, _PRODUCERS[doc.command](doc.inputs, gap_of), issues)
 
 
 def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
     """The stored hit time t = x/n must be a band witness over the
-    direction's speeds at scale alpha; the centers are rebuilt from t."""
+    direction's speeds at scale alpha; the centers are rebuilt from t, and
+    the minimal scale 1 - 2*delta from the gap (1 - min_scale)/2 the
+    document stores, by :func:`_gap_check`."""
     direction, alpha = _obstruct_inputs(doc.inputs)
-    min_scale = viewobstruct.min_scale_for_direction(direction)
+    claimed = _stored_rational(doc.result, "min_scale")
+    gap_of = _gap_check("min_scale", None if claimed is None else (1 - claimed) / 2, issues)
+    min_scale = 1 - 2 * gap_of(SpeedSet(direction)).delta
     stored = doc.result["witness"]
     t = None if stored is None else decode_rational(stored["hit_time"])
     _compare(doc, obstruct_document(direction, alpha, min_scale, t), issues)
@@ -610,8 +663,9 @@ def _band_witness(n, x, m) -> fieldsearch.BandWitness:
 def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
     """Read and rebuilt by ``invisible_subset``'s own rules, ``_subset_inputs``
     and ``SubsetCertificate.from_witness`` (the kept speeds are the witness's
-    far set); the check adds the size pre-check, the comparison and the
-    budget, primality and divisibility tests."""
+    far set), with the kept speeds' gap proved from the stored ``kept_delta``
+    by :func:`_gap_check`; the check adds the size pre-check, the comparison
+    and the budget, primality and divisibility tests."""
     inputs = doc.inputs
     original, d, budget = fieldsearch._subset_inputs(inputs["speeds"], inputs["d"], inputs["prime_budget"])
     w = doc.result["witness"]
@@ -620,7 +674,8 @@ def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
     if len(witness.far(original)) < len(original) - d:  # an empty far set included
         issues.append("kept set too small")
         return
-    cert = fieldsearch.SubsetCertificate.from_witness(original, d, witness)
+    gap_of = _gap_check("kept_delta", _stored_rational(doc.result, "kept_delta"), issues)
+    cert = fieldsearch.SubsetCertificate._with_gap(original, d, witness, gap_of)
     _compare(doc, invisible_document(cert, budget), issues)
     _check(issues, cert.kept_delta >= cert.bound, "kept set does not reach the bound")
     # The budget bounds the trial division, so it is tested first.
@@ -661,7 +716,8 @@ def validate_document(doc: CertificateDocument) -> list[str]:
     ``obstruct``, ``invisible`` and ``conj34`` documents are rebuilt from
     their inputs and their own witness, which is checked; any other
     document is rebuilt from its inputs alone.  Either way it must equal
-    the rebuilt one."""
+    the rebuilt one.  A stored gap is proved by :func:`_gap_check`, not
+    searched for again."""
     if not isinstance(doc.command, str) or doc.command not in _PRODUCERS:
         return [f"unknown certificate command {doc.command!r}"]
     issues: list[str] = []

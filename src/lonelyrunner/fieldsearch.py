@@ -23,7 +23,7 @@ from math import ceil
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import SpeedSet, _check_count, is_prime, next_prime_not_dividing
-from .gap import exact_gap
+from .gap import GapEngine, exact_gap
 
 __all__ = [
     "BandWitness",
@@ -139,10 +139,17 @@ class SubsetCertificate:
     @classmethod
     def from_witness(cls, speeds: SpeedSet, d: int, witness: BandWitness) -> "SubsetCertificate":
         """The certificate ``witness`` decides; its far set must not be empty."""
+        return cls._with_gap(speeds, d, witness, exact_gap)
+
+    @classmethod
+    def _with_gap(
+        cls, speeds: SpeedSet, d: int, witness: BandWitness, gap_of: GapEngine
+    ) -> "SubsetCertificate":
+        """:meth:`from_witness` with the gap of the kept speeds taken by ``gap_of``."""
         kept = SpeedSet(witness.far(speeds))
         removed = tuple(s for s in speeds if s not in kept)
         bound = Fraction(d + 1, 2 * len(speeds))
-        return cls(speeds, kept, removed, d, bound, exact_gap(kept).delta, witness)
+        return cls(speeds, kept, removed, d, bound, gap_of(kept).delta, witness)
 
 
 def _subset_inputs(speeds: Iterable[int], d: int, prime_budget: int) -> tuple[SpeedSet, int, int]:

@@ -7,8 +7,10 @@ f_S(t) = f_S(1 - t), such times up to 1/2 suffice.  ``exact_gap`` tests all
 times a/n of one pair sum n at once, as a byte mask per speed against a
 threshold that starts at the lower bound 1/(2k); it evaluates only the
 survivors exactly, in integers, and returns the exact maximum together with
-a witness.  An independent grid scan brackets the same value and serves as
-a cross-check.
+a witness.  ``check_gap`` decides instead whether a claimed value is the
+maximum, by one sweep over the intervals where f_S is at most that value,
+and returns the same certificate.  An independent grid scan brackets the
+same value and serves as a cross-check.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "LonelyReport",
     "LrcSweepReport",
     "exact_gap",
+    "check_gap",
     "gap_grid_oracle",
     "lonely_time",
     "sweep",
@@ -51,6 +54,10 @@ class GapCertificate:
     delta: Fraction
     witness_time: Fraction
     witness_pair: Optional[tuple[int, int, int]]
+
+
+# A gap engine: exact_gap, or a check's engine built on check_gap.
+GapEngine = Callable[[SpeedSet], GapCertificate]
 
 
 _ROW_BYTES = 1 << 20  # cap on the repeated flag string of one pair sum
@@ -106,9 +113,130 @@ def exact_gap(speeds: Iterable[int]) -> GapCertificate:
     members = SpeedSet(speeds)
     num, den, a = _maximize(members)
     assert num == min(min(r, den - r) for r in (s * a % den for s in members))
+    delta, time = Fraction(num, den), Fraction(a, den)
+    return GapCertificate(members, delta, time, _witness_pair(members, time))
+
+
+def _witness_pair(members: Sequence[int], time: Fraction) -> Optional[tuple[int, int, int]]:
+    """The first pair (i, j), in lexicographic order, whose sum the
+    denominator of ``time`` divides, with the numerator over that sum."""
+    a, den = time.numerator, time.denominator
     sums = ((i, j, members[i] + members[j]) for i, j in combinations(range(len(members)), 2))
-    pair = next(((i, j, a * n // den) for i, j, n in sums if n % den == 0), None)
-    return GapCertificate(members, Fraction(num, den), Fraction(a, den), pair)
+    return next(((i, j, a * n // den) for i, j, n in sums if n % den == 0), None)
+
+
+_COVER_BLOCK = 2**16  # intervals per window of check_gap, bounding its lists
+
+
+def check_gap(speeds: Iterable[int], delta: Fraction) -> Optional[GapCertificate]:
+    """``exact_gap(speeds)`` if ``delta`` is delta(S), else None, decided by
+    one sweep over the intervals where f_S <= delta, not by a search.
+
+    With v = delta = p/q, speed s is within v of an integer a exactly on
+    the closed interval [(a*q - p)/(s*q), (a*q + p)/(s*q)], and strictly
+    within on its interior.  So f_S < v on the union of the open intervals
+    and f_S <= v on the union of the closed ones, and delta(S) = v exactly
+    when the open intervals leave a point of [0, 1/2] uncovered (delta >= v)
+    and the closed ones cover [0, 1/2] (delta <= v); by the symmetry
+    t -> 1 - t that half period stands for the whole.  The sweep visits the
+    intervals with left end below 1/2 in order of left end (one that starts
+    at 1/2 holds no point of the half period in its interior, and is needed
+    for the cover only if the others reach 1/2 already).  It first
+    finds g, the first point no open interval holds: the least t with
+    f_S(t) >= v, which is a right end, so f_S(g) = v.  If g lies past 1/2,
+    delta < v.  From g on, the closed intervals must chain without a gap up
+    to 1/2; inside a gap f_S > v.  If they do, delta = v and g is the least
+    maximizer, ``exact_gap``'s witness time.
+
+    The ends are sorted exactly, in integers: the end A/(s*q) has the key
+    A * 2*M**2 // s, M the largest speed, and 1/2 the key M**2 * q.  Two
+    distinct ends differ by at least 1/(M**2 * q), and an end and 1/2 by at
+    least 1/(2*M*q), so the keys keep their order and equal ends get equal
+    keys.  The intervals are built one window of [0, 1/2] at a time,
+    at most ``_COVER_BLOCK`` per window plus one per speed, and the sweep
+    carries its reach from one window to the next.  There are about
+    sum(S)/2 intervals, so the check takes O(sum(S) log sum(S)) time.
+
+    Speeds are read as ``exact_gap`` reads them, and a largest pair sum
+    above 2**22 raises the same ``ValueError`` before any interval is built.
+    """
+    members = SpeedSet(speeds)
+    if len(members) > 1 and members[-1] + members[-2] > _MAX_PAIR_SUM:
+        raise ValueError(f"largest pair sum {members[-1] + members[-2]} above the limit of 2**22")
+    p, q = delta.numerator, delta.denominator
+    if len(members) == 1:  # the maximum 1/2, first at 1/(2s)
+        if 2 * p != q:
+            return None
+        return GapCertificate(members, delta, Fraction(1, 2 * members[0]), None)
+    if p <= 0 or 2 * p > q:
+        return None
+    scale = 2 * members[-1] ** 2
+    half = scale * q // 2
+    width = (half + 2 * p * scale).bit_length()  # every right key is below 2**width
+    mask = (1 << width) - 1
+    # The intervals at a = 0 hold t = 0; the least speed's reaches farthest.
+    # Below reach, the intervals swept so far leave no gap; first is g.
+    reach = p * scale // members[0]
+    first = None
+    for block in _cover(members, p, q, scale, half, width):
+        for x in block:
+            left = x >> width
+            if left >= reach:
+                if first is None:
+                    first = reach  # no open interval holds it
+                if left > reach:
+                    return None  # f_S > v between reach and left
+            right = x & mask
+            if right > reach:
+                reach = right
+    if first is None:
+        first = reach
+    if not first <= half <= reach:
+        return None  # g past 1/2, or a gap from reach up to 1/2
+    time = _end(members, q, scale, first)
+    return GapCertificate(members, delta, time, _witness_pair(members, time))
+
+
+def _cover(
+    members: Sequence[int], p: int, q: int, scale: int, half: int, width: int
+) -> Iterator[list[int]]:
+    """The intervals of :func:`check_gap` at a >= 1 with left end below
+    1/2, each as the int left key << width | right key, one sorted list per
+    window of the key range [0, half).
+
+    There are ceil(sum(S) / (2*_COVER_BLOCK)) windows, so each spans at most
+    1/(2*windows) of time plus a key, and speed s, whose left ends lie 1/s
+    apart, has at most s/(2*windows) + 1 intervals in it: a window holds at
+    most ``_COVER_BLOCK`` intervals plus one per speed.  The first a at or
+    after the key bound u is ceil((u*s + p*scale)/(q*scale)), since the
+    left key of a reaches u exactly when (a*q - p)*scale >= u*s.
+    """
+    windows = -(-sum(members) // (2 * _COVER_BLOCK))
+    step = q * scale
+    offset = p * scale
+    starts = [step] * len(members)  # a * step for the next a of each speed
+    for w in range(1, windows + 1):
+        bound = half * w // windows
+        stops = [-(-(bound * s + offset) // step) * step for s in members]
+        block = [
+            (x - offset) // s << width | (x + offset) // s
+            for s, start, stop in zip(members, starts, stops)
+            for x in range(start, stop, step)
+        ]
+        block.sort()
+        yield block
+        starts = stops
+
+
+def _end(members: Sequence[int], q: int, scale: int, key: int) -> Fraction:
+    """The interval end whose key is ``key``: the one value A/(s*q), for s
+    in ``members`` and A an integer, with A*scale // s == key, since two
+    distinct such values get distinct keys."""
+    for s in members:
+        a = -(-key * s // scale)
+        if a * scale // s == key:
+            return Fraction(a, s * q)
+    raise ArithmeticError(f"no interval end has the key {key}")
 
 
 def _maximize(members: Sequence[int]) -> tuple[int, int, int]:
@@ -226,6 +354,11 @@ def lonely_time(speeds: Sequence[int], focus: int) -> LonelyReport:
     distance ||(s_j - s_focus) t|| from runner j, so its best separation is
     the gap of the differences.
     """
+    return _lonely(speeds, focus, exact_gap)
+
+
+def _lonely(speeds: Sequence[int], focus: int, gap_of: GapEngine) -> LonelyReport:
+    """:func:`lonely_time` with the gap of the differences taken by ``gap_of``."""
     runners = tuple(speeds)
     n = len(runners)
     if n < 2:
@@ -236,7 +369,7 @@ def lonely_time(speeds: Sequence[int], focus: int) -> LonelyReport:
         raise ValueError("runner speeds must be distinct")
     _check_count(focus, "focus", least=0, most=n - 1)
     diffs = SpeedSet(abs(s - runners[focus]) for i, s in enumerate(runners) if i != focus)
-    cert = exact_gap(diffs)
+    cert = gap_of(diffs)
     return LonelyReport(
         all_speeds=runners,
         focus_index=focus,

@@ -1,6 +1,7 @@
 """Round-trip and re-validation tests for certificate documents."""
 
 import copy
+import dataclasses
 import io
 import json
 import marshal
@@ -840,20 +841,25 @@ class TestInvisibleInputs:
 
 
 def _gap_only_within(monkeypatch, speeds):
-    """Make the ``exact_gap`` the check calls, ``fieldsearch``'s binding,
-    fail on any speed outside ``speeds``; returns the list of the speeds of
-    each call, so that a guard on a binding the check no longer calls reads
-    as a missing call rather than passing silently."""
-    original = fieldsearch.exact_gap
-    assert original is gap.exact_gap
+    """Make the gap engines the check calls, ``gap.check_gap`` and
+    ``gap.exact_gap``, fail on any speed outside ``speeds``; returns the
+    list of (engine, speeds) of each call, so that a guard on a binding the
+    check no longer calls reads as a missing call rather than passing
+    silently."""
     calls = []
 
-    def guarded(kept):
-        assert set(kept) <= set(speeds), "exact_gap ran on a speed outside the inputs"
-        calls.append(tuple(kept))
-        return original(kept)
+    def guard(name):
+        original = getattr(gap, name)
 
-    monkeypatch.setattr(fieldsearch, "exact_gap", guarded)
+        def guarded(kept, *claim):
+            assert set(kept) <= set(speeds), f"{name} ran on a speed outside the inputs"
+            calls.append((name, tuple(kept)))
+            return original(kept, *claim)
+
+        monkeypatch.setattr(gap, name, guarded)
+
+    guard("check_gap")
+    guard("exact_gap")
     return calls
 
 
@@ -867,8 +873,15 @@ class TestWitnessDecides:
         assert doc.inputs["speeds"] == [1, 2, 3] and doc.inputs["d"] == 1
         doc.result["kept"] = list(range(1, 801))
         assert certificates.validate_document(doc) == ["kept mismatch"]
-        # One gap, of the witness's far set: the guard is on the live binding.
-        assert calls == [tuple(DOCS["invisible"].result["kept"])]
+        # The stored kept_delta is the gap of the witness's far set, which
+        # the interval check proves: no exact_gap call.
+        kept = tuple(DOCS["invisible"].result["kept"])
+        assert calls == [("check_gap", kept)]
+        # A tampered kept_delta as well: exactly one exact_gap, of the far set.
+        calls.clear()
+        doc.result["kept_delta"] = {"num": 1, "den": 4}
+        assert certificates.validate_document(doc) == ["kept mismatch", "kept_delta mismatch"]
+        assert calls == [("check_gap", kept), ("exact_gap", kept)]
 
     def test_widest_band_keeps_no_speed(self, monkeypatch):
         calls = _gap_only_within(monkeypatch, [])
@@ -891,6 +904,70 @@ class TestWitnessDecides:
         doc = certificates.produce("obstruct", {"direction": [1, 2], "alpha": {"num": 1, "den": 3}})
         doc.inputs["alpha"] = {"num": 1, "den": 4}
         assert certificates.validate_document(doc) == ["witness residues enter the band"]
+
+
+# The documents of the five commands whose check proves a stored gap.
+GAP_FAMILY = [
+    ["gap", "--speeds", "1,2,3"],
+    ["gap", "--speeds", "2,3", "--grid", "600"],
+    ["gap", "--speeds", "7"],
+    ["kappa", "--speeds", "1,3,4,7"],
+    ["lonely", "--speeds", "0,1,2,3", "--focus", "1"],
+    ["obstruct", "--direction", "2,3,5", "--alpha", "1/2"],
+    ["obstruct", "--direction", "1,2"],
+    ["invisible", "--speeds", "1,2,3,4", "--d", "1"],
+]
+
+
+def _cli_check(text, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    out = io.StringIO()
+    code = run(["check", "-"], out=out)
+    return code, json.loads(out.getvalue())["result"]
+
+
+class TestIntervalCheck:
+    """The check of a ``gap``, ``kappa``, ``lonely``, ``obstruct`` or
+    ``invisible`` document proves its stored gap by ``gap.check_gap``."""
+
+    @pytest.mark.parametrize("argv", GAP_FAMILY, ids=" ".join)
+    def test_valid_documents_pass_without_the_search(self, argv, monkeypatch):
+        out = io.StringIO()
+        assert run(argv, out=out) == 0
+
+        def refuse(*args):
+            raise AssertionError("the check ran the gap search")
+
+        monkeypatch.setattr(gap, "_maximize", refuse)
+        assert _cli_check(out.getvalue(), monkeypatch) == (0, {"valid": True, "issues": []})
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["gap", "--speeds", "1,2,3"], "delta"),
+            (["kappa", "--speeds", "1,3,4,7"], "delta"),
+            (["lonely", "--speeds", "0,1,2,3", "--focus", "1"], "min_separation"),
+            (["obstruct", "--direction", "2,3,5", "--alpha", "1/2"], "min_scale"),
+            (["invisible", "--speeds", "1,2,3,4", "--d", "1"], "kept_delta"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_a_wrong_engine_is_never_trusted(self, argv, key, monkeypatch):
+        # exact_gap, at every binding, returns a gap above the true one, and
+        # the document is built from it: the interval check rejects the
+        # stored gap, and exact_gap's agreement with it is an issue.
+        original = gap.exact_gap
+
+        def wrong(speeds):
+            cert = original(speeds)
+            return dataclasses.replace(cert, delta=(cert.delta + F(1, 2)) / 2)
+
+        for module in (gap, fieldsearch, viewobstruct):
+            monkeypatch.setattr(module, "exact_gap", wrong)
+        out = io.StringIO()
+        run(argv, out=out)
+        code, report = _cli_check(out.getvalue(), monkeypatch)
+        assert code == 2 and report["issues"] == [f"{key} fails the interval check"]
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,10 @@ class TestSweepCommands:
             "holds": True,
         }
 
-    def test_kappa_and_its_check_compute_delta_once_each(self, tmp_path, monkeypatch):
+    def test_kappa_check_proves_delta_without_exact_gap(self, tmp_path, monkeypatch):
+        # The producer computes delta once; the check proves the stored
+        # delta by the interval sweep, and runs exact_gap only on a tampered
+        # one, to rebuild the document.
         calls = []
         original = gap.exact_gap
 
@@ -139,9 +142,15 @@ class TestSweepCommands:
         assert len(calls) == 1
         code, checked = invoke_json(["check", str(path)])
         assert code == 0 and checked["result"]["valid"] is True
+        assert len(calls) == 1
+        doc = json.loads(path.read_text())
+        doc["result"]["delta"] = {"num": 1, "den": 6}
+        path.write_text(json.dumps(doc))
+        code, checked = invoke_json(["check", str(path)])
+        assert code == 2 and checked["result"]["issues"] == ["delta mismatch"]
         assert len(calls) == 2
 
-    def test_obstruct_and_its_check_compute_delta_once_each(self, tmp_path, monkeypatch):
+    def test_obstruct_check_proves_min_scale_without_exact_gap(self, tmp_path, monkeypatch):
         # viewobstruct binds exact_gap at import, so both bindings count.
         calls = []
         original = gap.exact_gap
@@ -159,6 +168,12 @@ class TestSweepCommands:
         assert len(calls) == 1
         code, checked = invoke_json(["check", str(path)])
         assert code == 0 and checked["result"]["valid"] is True
+        assert len(calls) == 1
+        doc = json.loads(path.read_text())
+        doc["result"]["min_scale"] = {"num": 1, "den": 5}
+        path.write_text(json.dumps(doc))
+        code, checked = invoke_json(["check", str(path)])
+        assert code == 2 and checked["result"]["issues"] == ["min_scale mismatch"]
         assert len(calls) == 2
 
     def test_obstruct_refuses_alpha_before_any_gap(self, monkeypatch):

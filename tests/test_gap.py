@@ -855,3 +855,92 @@ class TestBounds:
     def test_kappa_bounds_of_a_certificate(self):
         for speeds in [(1, 2, 3), (4,), (3, 5), (1, 3, 4, 7)]:
             assert kappa_bounds(exact_gap(speeds)) == check_kappa_bounds(speeds)
+
+
+@pytest.fixture(scope="module")
+def differential_sets() -> list[tuple[tuple[int, ...], gap.GapCertificate]]:
+    """2,000 seeded sets of 1 to 10 speeds up to 500, after one-speed sets,
+    sets whose gap is 1/2 and the sets {1..n}, each with its exact gap."""
+    rng = random.Random(601)
+    sets = [(1,), (7,), (500,), (1, 3), (2, 6, 10), (3, 9), (1, 3, 5, 7)]
+    sets += [tuple(range(1, n + 1)) for n in range(2, 41)]
+    sets += [tuple(rng.sample(range(1, 501), rng.randint(1, 10))) for _ in range(2000)]
+    return [(s, exact_gap(s)) for s in sets]
+
+
+def wrong_claims(cert: gap.GapCertificate) -> list[Fraction]:
+    """Claims near delta, the bounds every set meets or misses, and values
+    out of range, less delta itself."""
+    delta, k = cert.delta, len(cert.speeds)
+    near = [Fraction(1, 10**6), Fraction(1, 7 * delta.denominator)]
+    claims = [delta + e for e in near] + [delta - e for e in near]
+    claims += [Fraction(1, k + 1), Fraction(1, 2), Fraction(0), Fraction(-1, 3), Fraction(3, 5)]
+    return [claim for claim in claims if claim != delta]
+
+
+def window_excess(monkeypatch) -> list[int]:
+    """Record, for each window check_gap builds, how many intervals it holds
+    beyond one per speed."""
+    excess = []
+    cover = gap._cover
+
+    def counted(members, *args):
+        for window in cover(members, *args):
+            excess.append(len(window) - len(members))
+            yield window
+
+    monkeypatch.setattr(gap, "_cover", counted)
+    return excess
+
+
+class TestCheckGap:
+    @pytest.mark.parametrize("block", [gap._COVER_BLOCK, 4], ids=["one window", "windows of 4"])
+    def test_agrees_with_exact_gap(self, block, differential_sets, monkeypatch):
+        monkeypatch.setattr(gap, "_COVER_BLOCK", block)
+        windows = window_excess(monkeypatch)
+        assert {cert.delta for _, cert in differential_sets} >= {Fraction(1, 2)}
+        for speeds, cert in differential_sets:
+            assert gap.check_gap(speeds, cert.delta) == cert, speeds
+            for claim in wrong_claims(cert):
+                assert gap.check_gap(speeds, claim) is None, (speeds, claim)
+        if block == 4:  # the sweep carried its reach across window edges
+            assert len(windows) > 100 * len(differential_sets)
+            assert max(windows) <= 4
+
+    def test_one_speed_lists_no_interval(self, monkeypatch):
+        monkeypatch.setattr(gap, "_cover", None)
+        for s in (1, 2, 7, 2**22):
+            assert gap.check_gap((s,), Fraction(1, 2)) == exact_gap((s,))
+            assert gap.check_gap((s,), Fraction(1, 3)) is None
+
+    def test_calls_no_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("check_gap ran the search")
+
+        monkeypatch.setattr(gap, "_maximize", refuse)
+        monkeypatch.setattr(gap, "_row", refuse)
+        claims = [((1, 2, 3), Fraction(1, 4)), ((2, 3), Fraction(2, 5)), (range(1, 41), Fraction(1, 41))]
+        for speeds, delta in claims:
+            cert = gap.check_gap(speeds, delta)
+            assert cert is not None and cert.delta == delta
+
+    def test_windows_bound_the_lists(self, monkeypatch):
+        # {1..600} has about 90,000 intervals: two windows.
+        windows = window_excess(monkeypatch)
+        speeds = range(1, 601)
+        assert gap.check_gap(speeds, Fraction(1, 601)) == exact_gap(speeds)
+        assert len(windows) == 2 and max(windows) <= gap._COVER_BLOCK
+
+    def test_reads_speeds_and_refuses_pair_sums_as_exact_gap(self, monkeypatch):
+        monkeypatch.setattr(gap, "_cover", None)  # refused before any interval
+        for speeds in [(0, 1), (1, -2), (), (1, 2**22), (2**21, 2**21 + 1)]:
+            with pytest.raises(ValueError) as expected:
+                exact_gap(speeds)
+            with pytest.raises(ValueError) as raised:
+                gap.check_gap(speeds, Fraction(1, 3))
+            assert str(raised.value) == str(expected.value)
+        # The largest pair sum the engines take.
+        monkeypatch.undo()
+        assert gap.check_gap((2**21 - 1, 2**21 + 1), Fraction(1, 2)) == gap.GapCertificate(
+            SpeedSet((2**21 - 1, 2**21 + 1)), Fraction(1, 2), Fraction(1, 2), (0, 1, 2**21)
+        )

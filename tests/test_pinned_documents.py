@@ -16,7 +16,10 @@ triangle obstruction answers past the base cell, each with its exit code.
 ``SVG_DIGESTS`` pins the sha256 of every render scene's SVG: the defaults,
 three obstacle scales each, and the tiled scenes at extents 1 to 100.
 ``SWEEP_DIGEST`` pins one sha256 over the ``verify`` and ``kscan`` documents
-of the benchmark's sweep ladder and a few larger boxes.
+of the benchmark's sweep ladder and a few larger boxes.  ``TAMPERED`` pins the
+issue list ``lrc check`` reports, with exit code 2, for a produced document
+with one result value replaced: a wrong or undecodable stored gap of each
+command that stores one, and a later maximizer as the witness time.
 """
 
 import hashlib
@@ -482,6 +485,54 @@ def test_sweep_document_bytes():
         report = viewobstruct.kprime_scan(k, max_coord)
         digest.update(certificates.serialize(certificates.kscan_document(report)).encode())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+TAMPERED = [
+    (['lonely', '--speeds', '0,1,2,3', '--focus', '0'], 'min_separation', r(1, 3),
+     ['min_separation mismatch']),
+    (['kappa', '--speeds', '3,5'], 'delta', r(1, 3), ['delta mismatch']),
+    (['gap', '--speeds', '1,2,3'], 'witness_time', r(3, 4), ['witness_time mismatch']),
+    (['obstruct', '--direction', '1,2', '--alpha', '1/3'], 'min_scale', r(1, 5),
+     ['min_scale mismatch']),
+    (['invisible', '--speeds', '1,2,3', '--d', '1'], 'kept_delta', r(1, 4),
+     ['kept_delta mismatch']),
+    (['gap', '--speeds', '1,2,3'], 'delta', r(1, 0),
+     ["malformed document: zero denominator in rational encoding: {'num': 1, 'den': 0}"]),
+    (['gap', '--speeds', '1,2,3'], 'delta', '1/4',
+     ["malformed document: not a rational encoding: '1/4'"]),
+    (['kappa', '--speeds', '3,5'], 'delta', r(1, 0),
+     ["malformed document: zero denominator in rational encoding: {'num': 1, 'den': 0}"]),
+    (['lonely', '--speeds', '0,1,2,3', '--focus', '0'], 'min_separation', r(True, 3),
+     ['min_separation mismatch']),
+    (['obstruct', '--direction', '1,2', '--alpha', '1/3'], 'min_scale', None,
+     ['malformed document: not a rational encoding: None']),
+    (['invisible', '--speeds', '1,2,3', '--d', '1'], 'kept_delta', [1, 4],
+     ['malformed document: not a rational encoding: [1, 4]']),
+    (['gap', '--speeds', '1,2,3', '--grid', '600'], 'delta', r(1, 3), ['delta mismatch']),
+    (['gap', '--speeds', '7'], 'delta', r(1, 3), ['delta mismatch']),
+    (['kappa', '--speeds', '7'], 'delta', r(1, 4), ['delta mismatch']),
+    # The true delta 1/4, stored unreduced or with a bool numerator.
+    (['gap', '--speeds', '1,2,3'], 'delta', r(2, 8), ['delta mismatch']),
+    (['gap', '--speeds', '1,2,3'], 'delta', r(True, 4), ['delta mismatch']),
+    (['gap', '--speeds', '1,2,3'], 'delta', r(-1, 4), ['delta mismatch']),
+    (['obstruct', '--direction', '1,2'], 'min_scale', r(1, 5), ['min_scale mismatch']),
+    (['invisible', '--speeds', '1,2,3,4', '--d', '1'], 'kept_delta', r(1, 2),
+     ['kept_delta mismatch']),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, issues", TAMPERED, ids=[f"{' '.join(a)} {k}={v}" for a, k, v, _ in TAMPERED]
+)
+def test_tampered_report(argv, key, value, issues, monkeypatch):
+    out = io.StringIO()
+    run(argv, out=out)
+    doc = json.loads(out.getvalue())
+    doc["result"][key] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    out = io.StringIO()
+    assert run(["check", "-"], out=out) == 2
+    assert json.loads(out.getvalue())["result"] == {"valid": False, "issues": issues}
 
 
 @pytest.mark.parametrize("argv, digest", SVG_DIGESTS, ids=[" ".join(a) for a, _ in SVG_DIGESTS])
