@@ -7,7 +7,11 @@ strings or floats never appear.
 
 ``serialize`` writes a document as ``json.dumps(payload, separators=(",",
 ":"))`` plus a newline: one line, no whitespace between tokens,
-ASCII-escaped strings, keys in the order the builder put them.  Whitespace
+ASCII-escaped strings, keys in the order the builder put them.  The C
+encoder writes those bytes.  A path's segment list, whose segments share
+their strike points as the path builders make them, is written from one
+encoding of its points, so no point is encoded twice; the rest of the
+document, and any other payload, is one call of the encoder.  Whitespace
 carries nothing, so ``parse`` reads an indented document of the same schema
 unchanged; ``python -m json.tool`` indents one for reading.
 
@@ -45,6 +49,7 @@ import marshal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import is_, itemgetter
 from typing import Any, Optional
 
 from .arith import QuadExt, SpeedSet, _check_count, _unit_scale, is_prime
@@ -144,13 +149,74 @@ class CertificateDocument:
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
+# Stands in the payload for a path's segment list while the rest is encoded.
+# Its text is one whole JSON string, so it can only match a string token
+# equal to it; serialize requires exactly one match.
+_CHAIN_MARK = "\0chain"
+_CHAIN_MARK_TEXT = _ENCODER.encode(_CHAIN_MARK)
+
+
+def _chain_text(segments: Any) -> Optional[str]:
+    """The text of ``segments`` if it is a chained list, else None.
+
+    A chained list holds n >= 1 segments, each a list of two points that
+    are lists, and each segment's end is the same list object as the next
+    segment's start.  Its text is written from one encoding of its n+1
+    points, split into one text per point, so no point is encoded twice.
+    If a point's text holds ``],[``, as a string or a list of lists in it
+    may, the split gives more texts than points and the list is not
+    written here."""
+    if type(segments) is not list or not segments:
+        return None
+    if set(map(type, segments)) != {list} or set(map(len, segments)) != {2}:
+        return None
+    points = list(map(itemgetter(0), segments))
+    ends = list(map(itemgetter(1), segments))
+    if not all(map(is_, points[1:], ends)):  # each end against the next start
+        return None
+    points.append(ends[-1])
+    if set(map(type, points)) != {list}:
+        return None
+    # "[[c0],[c1],...,[cn]]": the contents c of each point between "],[".
+    contents = _ENCODER.encode(points)[2:-2].split("],[")
+    if len(contents) != len(points):
+        return None
+    # Segment i is "[[ci],[ci+1]]"; the list is "[" + their join on "," + "]".
+    return "[[[" + "]],[[".join(map("],[".join, zip(contents, contents[1:]))) + "]]]"
+
+
+def _without_chain(doc: CertificateDocument) -> tuple[Any, Optional[str]]:
+    """``doc.result`` with its path's chained segment list replaced by
+    ``_CHAIN_MARK``, and that list's text; or ``doc.result`` and None.  A
+    ``billiard`` document holds the list at ``result["path"]``, a
+    ``triangle`` document at ``result["path"]["segments"]``."""
+    result = doc.result
+    if type(result) is dict:
+        path = result.get("path")
+        if doc.command == "billiard":
+            chain = _chain_text(path)
+            if chain is not None:
+                return {**result, "path": _CHAIN_MARK}, chain
+        elif doc.command == "triangle" and type(path) is dict:
+            chain = _chain_text(path.get("segments"))
+            if chain is not None:
+                return {**result, "path": {**path, "segments": _CHAIN_MARK}}, chain
+    return result, None
+
+
 def serialize(doc: CertificateDocument) -> str:
+    result, chain = _without_chain(doc)
     payload = {
         "version": SCHEMA_VERSION,
         "command": doc.command,
         "inputs": doc.inputs,
-        "result": doc.result,
+        "result": result,
     }
+    if chain is not None:
+        parts = _ENCODER.encode(payload).split(_CHAIN_MARK_TEXT)
+        if len(parts) == 2:
+            return chain.join(parts) + "\n"
+        payload["result"] = doc.result  # the mark's text is also elsewhere
     return _ENCODER.encode(payload) + "\n"
 
 
@@ -538,7 +604,11 @@ def _check(issues: list[str], condition: bool, message: str) -> None:
 
 def _same(stored: Any, rebuilt: Any) -> bool:
     """Equal as JSON: a bool is not an int, a float is not an int, and key
-    order does not count."""
+    order does not count.  A rebuilt value holds no float and no tuple, so
+    values equal as JSON are equal by ``==`` too, and unequal ones are told
+    apart without the two dumps."""
+    if stored != rebuilt:
+        return False
     return json.dumps(stored, sort_keys=True) == json.dumps(rebuilt, sort_keys=True)
 
 

@@ -155,7 +155,9 @@ def check_gap(speeds: Iterable[int], delta: Fraction) -> Optional[GapCertificate
     keys.  The intervals are built one window of [0, 1/2] at a time,
     at most ``_COVER_BLOCK`` per window plus one per speed, and the sweep
     carries its reach from one window to the next.  There are about
-    sum(S)/2 intervals, so the check takes O(sum(S) log sum(S)) time.
+    sum(S)/2 intervals, so the check takes O(sum(S) log sum(S)) time.  The
+    claim 1/2 builds none: it is decided from the speeds' 2-adic
+    valuations, in O(k).
 
     Speeds are read as ``exact_gap`` reads them, and a largest pair sum
     above 2**22 raises the same ``ValueError`` before any interval is built.
@@ -164,11 +166,16 @@ def check_gap(speeds: Iterable[int], delta: Fraction) -> Optional[GapCertificate
     if len(members) > 1 and members[-1] + members[-2] > _MAX_PAIR_SUM:
         raise ValueError(f"largest pair sum {members[-1] + members[-2]} above the limit of 2**22")
     p, q = delta.numerator, delta.denominator
-    if len(members) == 1:  # the maximum 1/2, first at 1/(2s)
-        if 2 * p != q:
+    if 2 * p == q:
+        # f_S(t) = 1/2 exactly when 2*s*t is odd for every s, which some t
+        # meets exactly when the speeds share one 2-adic valuation; the
+        # least such t is 1/(2*gcd(S)).  One speed s gives 1/(2s).
+        low_bit = members[0] & -members[0]
+        if any(s & -s != low_bit for s in members):
             return None
-        return GapCertificate(members, delta, Fraction(1, 2 * members[0]), None)
-    if p <= 0 or 2 * p > q:
+        time = Fraction(1, 2 * gcd(*members))
+        return GapCertificate(members, delta, time, _witness_pair(members, time))
+    if len(members) == 1 or p <= 0 or 2 * p > q:
         return None
     scale = 2 * members[-1] ** 2
     half = scale * q // 2

@@ -383,6 +383,20 @@ class TestPathCounts:
             assert time.process_time() - start < 0.5, key
             assert issues == ["path mismatch"]
 
+    def test_count_at_the_cap_is_told_apart_without_dumps(self, monkeypatch):
+        # The stored path is shorter than the rebuilt one, so the two differ
+        # by == before either is dumped as JSON; only the small values that
+        # are equal (the slope, the counts) are dumped, to tell a bool from
+        # an int.
+        dumped = []
+        real = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda value, **kwargs: dumped.append(value) or real(value, **kwargs))
+        for key, doc in self._documents():
+            tampered = _with_count(doc, key, 2**14)
+            assert certificates.validate_document(tampered) == ["path mismatch"]
+        paths = [v for v in dumped if isinstance(v, list) or (isinstance(v, dict) and "segments" in v)]
+        assert paths == []
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_near_count_is_a_mismatch(self, count):
         for key, doc in self._documents():
@@ -1211,3 +1225,107 @@ class TestSerializeBytes:
         _assert_stdlib_bytes(doc)
         # Parsed back, nothing is shared, and the document is still valid.
         assert certificates.validate_document(certificates.parse(certificates.serialize(doc))) == []
+
+
+def _encoded(monkeypatch) -> list:
+    """Record each value ``serialize`` hands the prebuilt encoder."""
+    calls = []
+    encode = certificates._ENCODER.encode
+
+    class Recording:
+        def encode(self, value):
+            calls.append(value)
+            return encode(value)
+
+    monkeypatch.setattr(certificates, "_ENCODER", Recording())
+    return calls
+
+
+class TestChainedPaths:
+    """A path whose segments share their strike points is written from one
+    encoding of its points, with the bytes of ``json.dumps``; any other
+    segment list is written by the one call over the whole payload."""
+
+    @staticmethod
+    def _square(slope, segments):
+        path = billiards.square_path_segments(slope, segments)
+        return certificates.billiard_document(path, billiards.square_min_obstacle(slope), None, None)
+
+    @staticmethod
+    def _triangle(slope, strikes):
+        return certificates.triangle_document(
+            slope, None, 10_000, None, billiards.triangle_path_segments(slope, strikes)
+        )
+
+    def test_seeded_paths(self, monkeypatch):
+        rng = random.Random(4301)
+        docs = [self._square(F(3, 5), 1), self._triangle(QuadExt(F(16, 11)), 1)]
+        corner = self._triangle(QuadExt(0, F(1, 3)), 40)
+        assert corner.result["path"]["terminated_at_corner"]
+        docs.append(corner)
+        for _ in range(60):
+            count = rng.choice([1, 2, rng.randint(1, 200)])
+            docs.append(self._square(F(rng.randint(1, 40), rng.randint(1, 40)), count))
+            if rng.random() < 0.5:
+                slope = QuadExt(F(rng.randint(1, 16), rng.randint(10, 20)))
+            else:
+                slope = QuadExt(0, F(rng.randint(1, 9), rng.randint(10, 20)))
+            docs.append(self._triangle(slope, count))
+        calls = _encoded(monkeypatch)
+        for doc in docs:
+            del calls[:]
+            _assert_stdlib_bytes(doc)
+            assert len(calls) == 2 and calls[-1]["result"] is not doc.result  # the points, then the rest
+
+    def test_paths_at_the_cap(self):
+        _assert_stdlib_bytes(self._square(F(355, 113), 2**14))
+        _assert_stdlib_bytes(self._triangle(QuadExt(F(16, 11)), 2**14))
+
+    @staticmethod
+    def _hand_built(command, points, **extra):
+        """A chained segment list over ``points`` where ``command``'s
+        builder puts its path."""
+        segments = [[a, b] for a, b in zip(points, points[1:])]
+        if command == "billiard":
+            return certificates.CertificateDocument(command, {}, {"path": segments, **extra})
+        return certificates.CertificateDocument(command, {}, {"path": {"segments": segments}, **extra})
+
+    @pytest.mark.parametrize("command", ["billiard", "triangle"])
+    @pytest.mark.parametrize(
+        "points, takes_chain",
+        [
+            ([[1, 2], [3, 4], []], True),
+            ([[1, 2], (3, 4), [5, 6]], False),  # a tuple is not a list
+            ([[1, 2], "ab", [5, 6]], False),
+            ([{"x": 1}, {"x": 2}], False),
+            ([[1, "],["], [3, 4]], False),  # the split gives an extra text
+            ([[[1], [2]], [3, 4]], False),  # so does a list of lists
+            ([[1, [2]], [[3], 4]], True),  # lists that hold no "],["
+            ([[1, 2], [3, "\0chain"]], True),
+        ],
+    )
+    def test_hand_built_chains(self, monkeypatch, command, points, takes_chain):
+        doc = self._hand_built(command, points)
+        calls = _encoded(monkeypatch)
+        _assert_stdlib_bytes(doc)
+        assert (calls[-1]["result"] is not doc.result) == takes_chain
+
+    @pytest.mark.parametrize("command", ["billiard", "triangle"])
+    def test_mark_elsewhere_takes_the_single_call(self, monkeypatch, command):
+        doc = self._hand_built(command, [[1, 2], [3, 4]], contact=certificates._CHAIN_MARK)
+        calls = _encoded(monkeypatch)
+        _assert_stdlib_bytes(doc)
+        assert calls[-1]["result"] is doc.result
+
+    def test_lists_that_do_not_chain_take_the_single_call(self, monkeypatch):
+        unshared = [[[1, 2], [3, 4]], [[3, 4], [5, 6]]]
+        calls = _encoded(monkeypatch)
+        for segments in (unshared, [], [[[1, 2]]], [[[1], [2], [3]]], [[[1], [2]], "s"], (([1], [2]),)):
+            for doc in (
+                certificates.CertificateDocument("billiard", {}, {"path": segments}),
+                certificates.CertificateDocument("triangle", {}, {"path": {"segments": segments}}),
+                certificates.CertificateDocument("gap", {}, {"path": segments}),
+            ):
+                del calls[:]
+                _assert_stdlib_bytes(doc)
+                assert len(calls) == 1

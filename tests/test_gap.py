@@ -913,6 +913,32 @@ class TestCheckGap:
             assert gap.check_gap((s,), Fraction(1, 2)) == exact_gap((s,))
             assert gap.check_gap((s,), Fraction(1, 3)) is None
 
+    def test_half_agrees_with_exact_gap(self):
+        # delta(S) = 1/2 exactly when every speed has one 2-adic valuation,
+        # first at 1/(2*gcd(S)); each sampled set is scaled by 1 to 12, so
+        # many have gcd(S) > 1.
+        rng = random.Random(607)
+        sets = [(1,), (6,), (2**22,), (2, 6, 10), (12, 36, 60), (4, 8), (3, 6), (2**21 - 1, 2**21 + 1)]
+        for _ in range(1500):
+            g = rng.randint(1, 12)
+            sets.append(tuple(g * s for s in rng.sample(range(1, 80), rng.randint(1, 6))))
+        halves = 0
+        for speeds in sets:
+            cert = exact_gap(speeds)
+            if cert.delta == Fraction(1, 2):
+                halves += 1
+                assert gap.check_gap(speeds, Fraction(1, 2)) == cert, speeds
+            else:
+                assert gap.check_gap(speeds, Fraction(1, 2)) is None, speeds
+        assert halves > 100
+
+    def test_half_lists_no_interval(self, monkeypatch):
+        entered = []
+        monkeypatch.setattr(gap, "_cover", lambda *args: entered.append(args) or iter(()))
+        for speeds in [(1, 3), (2, 6, 10), (4, 8), (3, 6), (5, 7, 9, 11), (2**21 - 1, 2**21 + 1), range(1, 41)]:
+            gap.check_gap(speeds, Fraction(1, 2))
+        assert entered == []
+
     def test_calls_no_search(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("check_gap ran the search")
