@@ -33,13 +33,13 @@ its far set of the input speeds.  A ``conj34`` witness must reach 1/(k+1)
 by its own bound (m+1)/n.  A refuted ``conj34`` document has no witness and
 is re-run.
 
-No check runs the gap search of a valid document.  The gap a ``gap``,
-``kappa``, ``lonely``, ``obstruct`` or ``invisible`` document stores
-(``delta``, ``min_separation``, (1 - ``min_scale``)/2, ``kept_delta``) is
-proved by ``gap.check_gap``, one interval sweep at that value, which
-returns the certificate ``gap.exact_gap`` would; the document is rebuilt
-from it.  Only where the sweep rejects the stored value, or it does not
-decode, does the check run ``exact_gap``, so the issues are a re-run's.
+The gap a ``gap``, ``kappa``, ``lonely``, ``obstruct`` or ``invisible``
+document stores (``delta``, ``min_separation``, (1 - ``min_scale``)/2,
+``kept_delta``) is proved by ``gap.check_gap``, one interval sweep at that
+value, which returns the certificate ``gap.exact_gap`` would; the document
+is rebuilt from it.  If the sweep rejects the stored value, the check stops
+there, and its one issue is ``<key> mismatch``.  So no check of these five
+runs the gap search.
 """
 
 from __future__ import annotations
@@ -220,6 +220,9 @@ def serialize(doc: CertificateDocument) -> str:
     return _ENCODER.encode(payload) + "\n"
 
 
+_TOP_KEYS = ("version", "command", "inputs", "result")
+
+
 def parse(text: str) -> CertificateDocument:
     try:
         data = json.loads(text)
@@ -227,9 +230,11 @@ def parse(text: str) -> CertificateDocument:
         raise ValueError("certificate document is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("certificate document must be a JSON object")
-    for key in ("version", "command", "inputs", "result"):
+    for key in _TOP_KEYS:
         if key not in data:
             raise ValueError(f"certificate document missing {key!r}")
+    if len(data) > len(_TOP_KEYS):
+        raise ValueError(f"certificate document has extra keys {sorted(data.keys() - _TOP_KEYS)}")
     if data["version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {data['version']!r}")
     if not isinstance(data["command"], str):
@@ -653,30 +658,21 @@ def _compare(doc: CertificateDocument, rebuilt: CertificateDocument, issues: lis
         _diagnose("result", doc.result, rebuilt.result, issues)
 
 
-def _stored_rational(result: Any, key: str) -> Optional[Fraction]:
-    """The rational ``result`` stores at ``key``, or None if none decodes."""
-    try:
-        return decode_rational(result[key])
-    except (KeyError, TypeError, ValueError):
-        return None
+class _Rejected(Exception):
+    """A stored gap the interval sweep rejects; its text is the one issue."""
 
 
-def _gap_check(key: str, claim: Optional[Fraction], issues: list[str]) -> gap.GapEngine:
-    """The gap engine of a check whose document stores, at ``key``, the gap
-    ``claim`` (None if it does not decode): ``gap.check_gap`` proves the
-    claim, and ``gap.exact_gap`` computes the gap only where the claim is
-    rejected or absent, so the rebuilt document and its issues are those of
-    a re-run.  A rejected claim that ``exact_gap`` returns anyway is an
-    issue, so it is never reported valid."""
+def _gap_check(result: Any, key: str, to_gap=lambda value: value) -> gap.GapEngine:
+    """The gap engine of a check whose document stores the gap as
+    ``to_gap(result[key])``: it reads the speeds by ``exact_gap``'s rules,
+    then the stored value, which ``gap.check_gap`` proves or rejects with
+    :class:`_Rejected`.  A value missing or undecodable is malformed."""
 
     def gap_of(speeds: SpeedSet) -> gap.GapCertificate:
-        if claim is not None:
-            cert = gap.check_gap(speeds, claim)
-            if cert is not None:
-                return cert
-        cert = gap.exact_gap(speeds)
-        if cert.delta == claim:
-            issues.append(f"{key} fails the interval check")
+        members = gap._members(speeds)
+        cert = gap.check_gap(members, to_gap(decode_rational(result[key])))
+        if cert is None:
+            raise _Rejected(f"{key} mismatch")
         return cert
 
     return gap_of
@@ -693,8 +689,7 @@ def _validate_rebuilt(doc: CertificateDocument, issues: list[str]) -> None:
     if key is None:
         _compare(doc, produce(doc.command, doc.inputs), issues)
     else:
-        gap_of = _gap_check(key, _stored_rational(doc.result, key), issues)
-        _compare(doc, _PRODUCERS[doc.command](doc.inputs, gap_of), issues)
+        _compare(doc, _PRODUCERS[doc.command](doc.inputs, _gap_check(doc.result, key)), issues)
 
 
 def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
@@ -703,8 +698,7 @@ def _validate_obstruct(doc: CertificateDocument, issues: list[str]) -> None:
     the minimal scale 1 - 2*delta from the gap (1 - min_scale)/2 the
     document stores, by :func:`_gap_check`."""
     direction, alpha = _obstruct_inputs(doc.inputs)
-    claimed = _stored_rational(doc.result, "min_scale")
-    gap_of = _gap_check("min_scale", None if claimed is None else (1 - claimed) / 2, issues)
+    gap_of = _gap_check(doc.result, "min_scale", lambda scale: (1 - scale) / 2)
     min_scale = 1 - 2 * gap_of(SpeedSet(direction)).delta
     stored = doc.result["witness"]
     t = None if stored is None else decode_rational(stored["hit_time"])
@@ -744,7 +738,7 @@ def _validate_invisible(doc: CertificateDocument, issues: list[str]) -> None:
     if len(witness.far(original)) < len(original) - d:  # an empty far set included
         issues.append("kept set too small")
         return
-    gap_of = _gap_check("kept_delta", _stored_rational(doc.result, "kept_delta"), issues)
+    gap_of = _gap_check(doc.result, "kept_delta")
     cert = fieldsearch.SubsetCertificate._with_gap(original, d, witness, gap_of)
     _compare(doc, invisible_document(cert, budget), issues)
     _check(issues, cert.kept_delta >= cert.bound, "kept set does not reach the bound")
@@ -787,12 +781,14 @@ def validate_document(doc: CertificateDocument) -> list[str]:
     their inputs and their own witness, which is checked; any other
     document is rebuilt from its inputs alone.  Either way it must equal
     the rebuilt one.  A stored gap is proved by :func:`_gap_check`, not
-    searched for again."""
+    searched for again; if it is rejected, that is the one issue."""
     if not isinstance(doc.command, str) or doc.command not in _PRODUCERS:
         return [f"unknown certificate command {doc.command!r}"]
     issues: list[str] = []
     try:
         _WITNESS_CHECKS.get(doc.command, _validate_rebuilt)(doc, issues)
+    except _Rejected as exc:
+        issues.append(str(exc))
     except (KeyError, TypeError, ValueError) as exc:
         issues.append(f"malformed document: {exc}")
     return issues

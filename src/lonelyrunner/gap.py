@@ -110,11 +110,19 @@ def exact_gap(speeds: Iterable[int]) -> GapCertificate:
     in lowest terms divides.  A set whose largest pair sum exceeds 2**22
     raises ``ValueError``.
     """
-    members = SpeedSet(speeds)
+    members = _members(speeds)
     num, den, a = _maximize(members)
     assert num == min(min(r, den - r) for r in (s * a % den for s in members))
     delta, time = Fraction(num, den), Fraction(a, den)
     return GapCertificate(members, delta, time, _witness_pair(members, time))
+
+
+def _members(speeds: Iterable[int]) -> SpeedSet:
+    """The speeds as a SpeedSet; a largest pair sum above 2**22 raises ValueError."""
+    members = SpeedSet(speeds)
+    if len(members) > 1 and members[-1] + members[-2] > _MAX_PAIR_SUM:
+        raise ValueError(f"largest pair sum {members[-1] + members[-2]} above the limit of 2**22")
+    return members
 
 
 def _witness_pair(members: Sequence[int], time: Fraction) -> Optional[tuple[int, int, int]]:
@@ -159,12 +167,9 @@ def check_gap(speeds: Iterable[int], delta: Fraction) -> Optional[GapCertificate
     claim 1/2 builds none: it is decided from the speeds' 2-adic
     valuations, in O(k).
 
-    Speeds are read as ``exact_gap`` reads them, and a largest pair sum
-    above 2**22 raises the same ``ValueError`` before any interval is built.
+    Speeds are read as ``exact_gap`` reads them, by :func:`_members`.
     """
-    members = SpeedSet(speeds)
-    if len(members) > 1 and members[-1] + members[-2] > _MAX_PAIR_SUM:
-        raise ValueError(f"largest pair sum {members[-1] + members[-2]} above the limit of 2**22")
+    members = _members(speeds)
     p, q = delta.numerator, delta.denominator
     if 2 * p == q:
         # f_S(t) = 1/2 exactly when 2*s*t is odd for every s, which some t
@@ -247,14 +252,12 @@ def _end(members: Sequence[int], q: int, scale: int, key: int) -> Fraction:
 
 
 def _maximize(members: Sequence[int]) -> tuple[int, int, int]:
-    """The search of :func:`exact_gap` on the sorted distinct speeds
-    ``members``: ``(num, den, a)`` with delta = num/den attained first at
-    the time a/den in lowest terms.  A single speed s gives (s, 2s, 1)."""
+    """The search of :func:`exact_gap` on the speeds :func:`_members`
+    read: ``(num, den, a)`` with delta = num/den attained first at the time
+    a/den in lowest terms.  A single speed s gives (s, 2s, 1)."""
     k = len(members)
     if k == 1:
         return members[0], 2 * members[0], 1
-    if members[-1] + members[-2] > _MAX_PAIR_SUM:
-        raise ValueError(f"largest pair sum {members[-1] + members[-2]} above the limit of 2**22")
 
     # The incumbent value is best_num/best_den and its time best_a/best_den.
     # It starts at the bound 1/(2k) at time 1, later than every candidate,

@@ -112,6 +112,10 @@ class TestSerialization:
             certificates.parse(
                 '{"version": "nope", "command": "gap", "inputs": {}, "result": {}}'
             )
+        with pytest.raises(ValueError, match=r"extra keys \['extra'\]"):
+            certificates.parse(
+                '{"version": "lrc-cert/1", "command": "gap", "inputs": {}, "result": {}, "extra": 1}'
+            )
 
     @pytest.mark.parametrize("depth", [990, 1_500, 5_000])
     def test_parse_refuses_deep_nesting(self, depth):
@@ -891,11 +895,12 @@ class TestWitnessDecides:
         # the interval check proves: no exact_gap call.
         kept = tuple(DOCS["invisible"].result["kept"])
         assert calls == [("check_gap", kept)]
-        # A tampered kept_delta as well: exactly one exact_gap, of the far set.
+        # A tampered kept_delta as well: the interval check rejects it, and
+        # the check stops there, with no exact_gap call.
         calls.clear()
         doc.result["kept_delta"] = {"num": 1, "den": 4}
-        assert certificates.validate_document(doc) == ["kept mismatch", "kept_delta mismatch"]
-        assert calls == [("check_gap", kept), ("exact_gap", kept)]
+        assert certificates.validate_document(doc) == ["kept_delta mismatch"]
+        assert calls == [("check_gap", kept)]
 
     def test_widest_band_keeps_no_speed(self, monkeypatch):
         calls = _gap_only_within(monkeypatch, [])
@@ -910,7 +915,8 @@ class TestWitnessDecides:
         doc = certificates.produce("invisible", {"speeds": [1, 2, 3, 4], "d": 1, "prime_budget": 100_000})
         assert doc.result["witness"]["band"] == 1
         doc.result["witness"]["band"] = 0
-        assert "kept mismatch" in certificates.validate_document(doc)
+        # The far set is now all four speeds, whose gap is not the stored one.
+        assert certificates.validate_document(doc) == ["kept_delta mismatch"]
 
     def test_obstruct_witness_below_its_scale_has_one_issue(self):
         # The alpha 1/3 witness certifies (1 - 1/3)/2, so no band witness
@@ -931,6 +937,16 @@ GAP_FAMILY = [
     ["obstruct", "--direction", "1,2"],
     ["invisible", "--speeds", "1,2,3,4", "--d", "1"],
 ]
+
+
+# The result key of each command's stored gap.
+_STORED_GAP = {
+    "gap": "delta",
+    "kappa": "delta",
+    "lonely": "min_separation",
+    "obstruct": "min_scale",
+    "invisible": "kept_delta",
+}
 
 
 def _cli_check(text, monkeypatch):
@@ -969,10 +985,12 @@ class TestIntervalCheck:
     def test_a_wrong_engine_is_never_trusted(self, argv, key, monkeypatch):
         # exact_gap, at every binding, returns a gap above the true one, and
         # the document is built from it: the interval check rejects the
-        # stored gap, and exact_gap's agreement with it is an issue.
+        # stored gap, and the check calls exact_gap no more.
         original = gap.exact_gap
+        calls = []
 
         def wrong(speeds):
+            calls.append(speeds)
             cert = original(speeds)
             return dataclasses.replace(cert, delta=(cert.delta + F(1, 2)) / 2)
 
@@ -980,8 +998,41 @@ class TestIntervalCheck:
             monkeypatch.setattr(module, "exact_gap", wrong)
         out = io.StringIO()
         run(argv, out=out)
+        produced = len(calls)
         code, report = _cli_check(out.getvalue(), monkeypatch)
-        assert code == 2 and report["issues"] == [f"{key} fails the interval check"]
+        assert code == 2 and report["issues"] == [f"{key} mismatch"]
+        assert len(calls) == produced
+
+    @pytest.mark.parametrize("argv", GAP_FAMILY, ids=" ".join)
+    def test_a_stored_gap_is_proved_or_rejected_without_the_search(self, argv, monkeypatch):
+        # A wrong, an undecodable and a missing stored gap each end the
+        # check with one issue, and neither the search nor exact_gap runs.
+        out = io.StringIO()
+        assert run(argv, out=out) == 0
+        valid = json.loads(out.getvalue())
+        key = _STORED_GAP[valid["command"]]
+
+        def refuse(*args):
+            raise AssertionError("the check ran the gap search")
+
+        monkeypatch.setattr(gap, "_maximize", refuse)
+        for module in (gap, fieldsearch, viewobstruct):
+            monkeypatch.setattr(module, "exact_gap", refuse)
+        stored = valid["result"][key]
+        wrong = {"num": stored["num"], "den": stored["den"] + 1}
+        cases = [
+            (wrong, [f"{key} mismatch"]),
+            ("1/3", ["malformed document: not a rational encoding: '1/3'"]),
+            (None, [f"malformed document: '{key}'"]),
+        ]
+        for value, issues in cases:
+            doc = copy.deepcopy(valid)
+            if value is None:
+                del doc["result"][key]
+            else:
+                doc["result"][key] = value
+            report = {"valid": False, "issues": issues}
+            assert _cli_check(json.dumps(doc), monkeypatch) == (2, report), value
 
 
 # ---------------------------------------------------------------------------
